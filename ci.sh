@@ -59,6 +59,21 @@ FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=4 FBUF_STRESS_THREADS=1,2 \
     FBUF_BENCH_DIR=target/bench-reports \
     cargo run --release -q -p fbuf-bench --bin fbuf-stress
 
+# Wide-shard stress smoke: 64 paths on one shard. The per-path gauges
+# fill the telemetry series cap and the fbuf region must hold a chunk
+# per path; the run must complete, and its own --check must still find
+# the shard's fixed gauges (ring_batch_occupancy, notice_coalesce_factor).
+# Its report goes to a directory of its own so the default reports above
+# stay as they are. A one-point sweep has no speedup to gate, so the
+# scaling gates exported above are unset for it.
+(
+    unset FBUF_STRESS_MIN_SPEEDUP FBUF_STRESS_EFF_FLOOR
+    FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=64 FBUF_STRESS_THREADS=1 \
+        FBUF_BENCH_DIR=target/bench-reports/wide-shard \
+        cargo run --release -q -p fbuf-bench --bin fbuf-stress
+)
+cargo run --release -q -p fbuf-bench --bin fbuf-stress -- --check target/bench-reports/wide-shard
+
 # Queueing smoke: an offered-load sweep through the event-loop engine
 # must conserve transfers at every point (completed + aborted == offered),
 # show zero queueing delay in the drained burst-1 regime (enforced twice:

@@ -24,7 +24,9 @@
 //!   `1,2,4,8` (default: 1,2,4,8 capped to the host's available cores —
 //!   a fixed total workload, so the curve measures strong scaling);
 //! * `FBUF_STRESS_PATHS`   — total logical data paths, partitioned across
-//!   shards by path id (default 4 per shard at the largest thread count);
+//!   shards by path id (default 4 per shard at the largest thread count;
+//!   the fbuf region grows to two 1 MB chunks per path on the busiest
+//!   shard once that exceeds its default 64 chunks);
 //! * `FBUF_STRESS_PAGES`   — pages per buffer (default 1);
 //! * `FBUF_STRESS_CROSS`   — send one cross-shard payload every N local
 //!   cycles (default 64; 0 disables cross-shard traffic);
@@ -471,6 +473,12 @@ fn main() -> ExitCode {
     // fast path into reclamation. Each shard instantiates its own copy.
     cfg.phys_mem = 64 << 20;
     cfg.chunk_size = 1 << 20;
+    // Every path on a shard holds one chunk, plus one each for the
+    // shard's egress and ingress paths. Size the region at two chunks per
+    // path on the busiest shard (the lowest thread count), which keeps
+    // the default 64 chunks up to 32 paths.
+    let paths_per_shard = npaths.div_ceil(threads[0]) as u64;
+    cfg.fbuf_region_size = cfg.fbuf_region_size.max(2 * paths_per_shard * cfg.chunk_size);
     let len = pages * cfg.page_size;
 
     println!(

@@ -46,7 +46,7 @@ use std::collections::VecDeque;
 use std::sync::Barrier;
 use std::time::Instant;
 
-use fbuf_sim::metrics::{self, SeriesSnapshot};
+use fbuf_sim::metrics::{self, Gauge, SeriesSnapshot};
 use fbuf_sim::spsc::{self, Consumer, Producer};
 use fbuf_sim::{trace, EventKind, FaultSite, FaultSpec, MachineConfig, Ns, StatsSnapshot, TraceEvent};
 use fbuf_vm::DomainId;
@@ -657,19 +657,23 @@ impl Shard {
             return;
         }
         self.next_shard_sample.set(now.0.saturating_add(m.cadence()));
+        let Some(mut s) = m.sampler(now) else {
+            return;
+        };
         if let Some(tx) = &links.data_tx {
-            m.sample(now, "ring.out", tx.len() as u64);
+            s.record(Gauge::RingOut, || tx.len() as u64);
         }
         if let Some(rx) = &links.data_rx {
-            m.sample(now, "ring.in", rx.len() as u64);
+            s.record(Gauge::RingIn, || rx.len() as u64);
         }
-        m.sample(now, "egress_in_flight", self.pending.len() as u64);
-        m.sample(now, metrics::GAUGE_RING_BATCH_OCCUPANCY, self.last_drain);
+        s.record(Gauge::EgressInFlight, || self.pending.len() as u64);
+        s.record(Gauge::RingBatchOccupancy, || self.last_drain);
         // Fixed-point hundredths: 100 = one token per flushed slot.
-        let factor = (self.notice_tokens * 100)
-            .checked_div(self.notice_batches)
-            .unwrap_or(0);
-        m.sample(now, metrics::GAUGE_NOTICE_COALESCE_FACTOR, factor);
+        s.record(Gauge::NoticeCoalesceFactor, || {
+            (self.notice_tokens * 100)
+                .checked_div(self.notice_batches)
+                .unwrap_or(0)
+        });
     }
 
     /// Zeroes the measured-window activity counters (after warm-up).

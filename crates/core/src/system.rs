@@ -37,6 +37,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
+use fbuf_sim::metrics::Gauge;
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
@@ -452,37 +453,33 @@ impl FbufSystem {
     /// gauges of its own) use this directly; everyone else goes through
     /// [`FbufSystem::sample_metrics`].
     pub fn sample_gauges_at(&self, now: Ns) {
-        let m = self.machine.metrics_ref();
-        m.sample(now, "live_fbufs", self.fbufs.len() as u64);
-        m.sample(now, "parked_fbufs", self.parked_count);
-        m.sample(
-            now,
-            "engine_pending",
-            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64,
-        );
-        m.sample(now, "overload_drops", self.machine.stats_ref().overload_drops());
+        let Some(mut s) = self.machine.metrics_ref().sampler(now) else {
+            return;
+        };
+        s.record(Gauge::LiveFbufs, || self.fbufs.len() as u64);
+        s.record(Gauge::ParkedFbufs, || self.parked_count);
+        s.record(Gauge::EnginePending, || {
+            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
+        });
+        s.record(Gauge::OverloadDrops, || self.machine.stats_ref().overload_drops());
         let free = self.chunk_alloc.available();
         let quota = self.machine.config().max_chunks_per_path;
-        m.sample(now, "free_chunks", free);
+        s.record(Gauge::FreeChunks, || free);
         for (i, p) in self.paths.iter().enumerate() {
             if p.live {
-                m.sample(now, &format!("path{i}.parked"), p.parked() as u64);
-                m.sample(now, &format!("path{i}.chunks"), self.path_chunks(p.id) as u64);
-                m.sample(
-                    now,
-                    &format!("path{i}.threshold"),
-                    self.policy.threshold(free, quota, self.path_class(p.id)),
-                );
+                let i = i as u32;
+                s.record(Gauge::PathParked(i), || p.parked() as u64);
+                s.record(Gauge::PathChunks(i), || self.path_chunks(p.id) as u64);
+                s.record(Gauge::PathThreshold(i), || {
+                    self.policy.threshold(free, quota, self.path_class(p.id))
+                });
             }
         }
         if let Some(e) = &self.engine {
             for d in 0..self.registered.len() {
                 if self.registered[d] {
-                    m.sample(
-                        now,
-                        &format!("inbox{d}"),
-                        e.inbox_len(DomainId(d as u32)) as u64,
-                    );
+                    let dom = DomainId(d as u32);
+                    s.record(Gauge::Inbox(dom.0), || e.inbox_len(dom) as u64);
                 }
             }
         }

@@ -640,9 +640,9 @@ mod tests {
         // [t, v] points in sampling order.
         let m = metrics::Metrics::new();
         m.set_enabled(true);
-        m.sample(crate::Ns(10), "inbox0", 3);
+        m.sampler(crate::Ns(10)).unwrap().record(metrics::Gauge::Inbox(0), || 3);
         m.advance(crate::Ns(20_000));
-        m.sample(crate::Ns(20_000), "inbox0", 5);
+        m.sampler(crate::Ns(20_000)).unwrap().record(metrics::Gauge::Inbox(0), || 5);
         let mut r = BenchRunner::named("with_telemetry", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         r.telemetry(metrics::DEFAULT_CADENCE_NS, &m.series());

@@ -1,11 +1,14 @@
 //! Integration pins for the observability stack (DESIGN.md §13):
 //! merged fleet traces, the Chrome export schema, causal span
-//! propagation across shard rings, and per-tenant ledger conservation.
+//! propagation across shard rings, per-tenant ledger conservation, and
+//! the telemetry sampler's series registry.
 
 use fbufs::fbuf::shard::{fleet_ledger, fleet_trace, run_fleet, FleetConfig};
-use fbufs::fbuf::{AllocMode, FbufSystem, SendMode};
+use fbufs::fbuf::{AllocMode, FbufError, FbufSystem, QuotaPolicy, SendMode};
+use fbufs::sim::metrics::{self, telemetry_json};
 use fbufs::sim::spans::reconstruct;
-use fbufs::sim::{EventKind, Json, MachineConfig, StatsSnapshot};
+use fbufs::sim::workload::{OnOff, Zipf};
+use fbufs::sim::{EventKind, Json, MachineConfig, Rng, StatsSnapshot};
 
 fn fleet_machine() -> MachineConfig {
     let mut cfg = MachineConfig::decstation_5000_200();
@@ -182,4 +185,97 @@ fn fleet_ledger_conserves_against_whole_life_counters() {
     assert!(ledger.totals().bytes > 0);
     // Telemetry rode along: the metrics flag filled per-shard series.
     assert!(reports.iter().all(|r| !r.telemetry.is_empty()));
+}
+
+/// FNV-1a (64-bit): a dependency-free digest for pinning rendered
+/// artifacts byte for byte.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+#[test]
+fn fanin_telemetry_block_is_byte_identical_to_its_golden_digest() {
+    // A cold-start Zipf fan-in over 128 two-domain paths under
+    // fb-dynamic admission, sampling every gauge once per step. The
+    // per-path families overflow the series cap, so the pin covers
+    // first-seen order, the cap and per-attempt refusal counting as
+    // well as every recorded value.
+    const PATHS: usize = 128;
+    let mut cfg = MachineConfig::decstation_5000_200();
+    cfg.phys_mem = 64 << 20;
+    cfg.fbuf_region_size = 6 << 20;
+    let mut sys = FbufSystem::new(cfg);
+    sys.set_quota_policy(QuotaPolicy::fb_dynamic());
+    let m = sys.machine().metrics();
+    m.set_enabled(true);
+    let paths: Vec<_> = (0..PATHS)
+        .map(|_| {
+            let (prod, cons) = (sys.create_domain(), sys.create_domain());
+            (sys.create_path(vec![prod, cons]).unwrap(), prod, cons)
+        })
+        .collect();
+    let zipf = Zipf::new(PATHS, 1.1);
+    let mut rng = Rng::new(0x00fa_9101);
+    let mut flows: Vec<(usize, OnOff)> = (0..1000)
+        .map(|_| (zipf.sample(&mut rng), OnOff::new(&mut rng, 40, 160)))
+        .collect();
+    let len = sys.machine().config().page_size;
+    let mut held: Vec<Vec<_>> = vec![Vec::new(); 5];
+    let mut refusals = 0u64;
+    for step in 0..40usize {
+        for (id, prod, cons) in std::mem::take(&mut held[step % 5]) {
+            sys.free(id, cons).unwrap();
+            sys.free(id, prod).unwrap();
+        }
+        for (path, gate) in &mut flows {
+            if !gate.step(&mut rng) {
+                continue;
+            }
+            let (path, prod, cons) = paths[*path];
+            match sys.alloc(prod, AllocMode::Cached(path), len) {
+                Ok(id) => {
+                    sys.send(id, prod, cons, SendMode::Volatile).unwrap();
+                    sys.hop(prod, cons);
+                    held[(step + 4) % 5].push((id, prod, cons));
+                }
+                Err(FbufError::QuotaExceeded { .. } | FbufError::RegionExhausted) => refusals += 1,
+                Err(e) => panic!("alloc: {e}"),
+            }
+        }
+        sys.sample_gauges_at(sys.machine().now());
+    }
+    assert!(refusals > 0, "admission refused some arrivals");
+    let series = m.series();
+    assert_eq!(series.len(), metrics::DEFAULT_MAX_SERIES, "the path families fill the cap");
+    let rendered = telemetry_json(m.cadence(), &series).render();
+    assert_eq!(
+        (fnv1a(rendered.as_bytes()), rendered.len(), m.refused_names()),
+        (0x1674_f7ab_0a67_6c49, 3_837_300, 4_591_398),
+        "telemetry block changed"
+    );
+}
+
+#[test]
+fn shard_gauges_survive_a_full_series_registry() {
+    // 32 paths on one shard: the system's per-path gauges alone would
+    // fill the series cap before the shard samples its own gauges.
+    let cfg = FleetConfig {
+        paths: 32,
+        metrics: true,
+        ..FleetConfig::new(1, fleet_machine(), 2_000)
+    };
+    let reports = run_fleet(&cfg);
+    let names: Vec<&str> = reports[0].telemetry.iter().map(|s| s.name.as_str()).collect();
+    assert!(names.len() >= metrics::DEFAULT_MAX_SERIES, "per-path gauges filled the cap");
+    for gauge in [
+        "ring.out",
+        "ring.in",
+        "egress_in_flight",
+        metrics::GAUGE_RING_BATCH_OCCUPANCY,
+        metrics::GAUGE_NOTICE_COALESCE_FACTOR,
+    ] {
+        assert!(names.contains(&gauge), "shard gauge `{gauge}` was refused: {names:?}");
+    }
 }
