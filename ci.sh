@@ -19,6 +19,12 @@ cargo test -q --doc --workspace
 # all fail the build).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
 
+# Benchmark compile gate: the benchmark package (its own cargo workspace,
+# built against the public API of crates/{core,sim,vm,net}) must still
+# build and pass its self-tests, which run every workload at zero
+# seconds. Its build output stays in fbufbench/target/.
+cargo test -q --release --manifest-path fbufbench/Cargo.toml
+
 # Lint when the toolchain ships clippy; skip silently otherwise.
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings

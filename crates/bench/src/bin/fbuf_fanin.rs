@@ -39,25 +39,10 @@ use std::time::Instant;
 
 use fbuf::QuotaPolicy;
 use fbuf_bench::fanin::{run_fanin, FaninConfig, FaninReport};
+use fbuf_bench::knobs::{env_parse, env_u64};
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::metrics::DEFAULT_CADENCE_NS;
 use fbuf_sim::{Json, Ns, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|n: &f64| n.is_finite() && *n >= 0.0)
-        .unwrap_or(default)
-}
 
 /// `FBUF_FANIN_POLICY` as a policy list; `all` (default) sweeps the
 /// three families in a fixed order.
@@ -93,7 +78,9 @@ fn main() -> ExitCode {
     base.paths = env_u64("FBUF_FANIN_PATHS", base.paths as u64) as usize;
     base.shards = env_u64("FBUF_FANIN_SHARDS", base.shards as u64) as usize;
     base.steps = env_u64("FBUF_FANIN_STEPS", base.steps);
-    base.zipf_s = env_f64("FBUF_FANIN_SKEW", base.zipf_s);
+    base.zipf_s = env_parse("FBUF_FANIN_SKEW")
+        .filter(|s: &f64| s.is_finite() && *s >= 0.0)
+        .unwrap_or(base.zipf_s);
     base.machine.max_chunks_per_path =
         env_u64("FBUF_FANIN_QUOTA", base.machine.max_chunks_per_path as u64) as usize;
     if base.paths < base.shards {

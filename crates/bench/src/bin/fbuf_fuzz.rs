@@ -29,17 +29,16 @@
 use std::path::Path;
 use std::process::ExitCode;
 
+use fbuf_bench::knobs::env_parse;
 use fbuf_model::fuzz;
 
+/// Fuzzer knobs take hex (`0x…`) as well as decimal, and zero is a
+/// value (`FBUF_FUZZ_ADV=0` disables the adversaries).
 fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| {
-            let s = s.trim();
-            match s.strip_prefix("0x") {
-                Some(hex) => u64::from_str_radix(hex, 16).ok(),
-                None => s.parse().ok(),
-            }
+    env_parse::<String>(name)
+        .and_then(|s| match s.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16).ok(),
+            None => s.parse().ok(),
         })
         .unwrap_or(default)
 }

@@ -34,15 +34,8 @@ use std::process::ExitCode;
 
 use fbuf::shard::{fleet_ledger, run_fleet, FleetConfig};
 use fbuf::{Ledger, TenantRow};
+use fbuf_bench::knobs::env_u64;
 use fbuf_sim::{Json, MachineConfig, StatsSnapshot, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 /// One formatted table row; `tenant` is e.g. `dom 3` or `path 1`.
 fn print_row(tenant: &str, r: &TenantRow) {

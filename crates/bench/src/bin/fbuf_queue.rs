@@ -43,34 +43,9 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{run_offered_load, QueueConfig, QueueReport};
+use fbuf_bench::knobs::{env_list, env_u64};
 use fbuf_sim::bench::{BenchRunner, Unit};
 use fbuf_sim::{Json, ToJson};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// `FBUF_QUEUE_BURSTS` as a sorted, deduplicated list (default 1,4,16,64).
-fn burst_sizes() -> Vec<usize> {
-    let mut bursts: Vec<usize> = match std::env::var("FBUF_QUEUE_BURSTS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .collect(),
-        Err(_) => vec![1, 4, 16, 64],
-    };
-    if bursts.is_empty() {
-        bursts.push(1);
-    }
-    bursts.sort_unstable();
-    bursts.dedup();
-    bursts
-}
 
 /// One sweep point's invariants; the engine must conserve transfers and
 /// only ever refuse work explicitly.
@@ -98,7 +73,7 @@ fn check_point(burst: usize, r: &QueueReport) -> Result<(), String> {
 
 fn main() -> ExitCode {
     let transfers = env_u64("FBUF_QUEUE_TRANSFERS", 512);
-    let bursts = burst_sizes();
+    let bursts = env_list("FBUF_QUEUE_BURSTS", || vec![1, 4, 16, 64]);
     let hops = env_u64("FBUF_QUEUE_HOPS", 2) as usize;
     let depth = env_u64("FBUF_QUEUE_DEPTH", 64) as usize;
     let pages = env_u64("FBUF_QUEUE_PAGES", 1);

@@ -66,62 +66,18 @@ use std::process::ExitCode;
 use fbuf::shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, run_fleet, FleetConfig, ShardReport,
 };
+use fbuf_bench::knobs::{env_list, env_parse, env_u64};
 use fbuf_sim::bench::{BenchRunner, ScalingPoint, Unit};
 use fbuf_sim::{metrics, Json, MachineConfig, Ns, ToJson};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
-
-/// Like [`env_u64`] but 0 is a meaningful value (e.g. "no cross traffic").
-fn env_u64_or_zero(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(default)
-}
-
-fn env_f64(name: &str) -> Option<f64> {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n: &f64| n > 0.0)
-}
-
 /// The shard counts to sweep: `FBUF_STRESS_THREADS` as a comma list, or
-/// 1,2,4,8 capped to the host's cores (always at least `[1]`), sorted
-/// and deduplicated so the scaling curve is well-ordered.
+/// 1,2,4,8 capped to the host's cores, sorted and deduplicated so the
+/// scaling curve is well-ordered.
 fn thread_counts() -> Vec<usize> {
-    let mut counts: Vec<usize> = match std::env::var("FBUF_STRESS_THREADS") {
-        Ok(s) => s
-            .split(',')
-            .filter_map(|t| t.trim().parse().ok())
-            .filter(|&n: &usize| n > 0)
-            .collect(),
-        Err(_) => {
-            let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
-            [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
-        }
-    };
-    if counts.is_empty() {
-        counts.push(1);
-    }
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
-/// `FBUF_STRESS_NOTICE_BATCH`: the notice-coalescing window (tokens per
-/// reverse-ring slot; 1 = the per-element plane, default 8).
-fn notice_batch() -> usize {
-    std::env::var("FBUF_STRESS_NOTICE_BATCH")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8)
+    env_list("FBUF_STRESS_THREADS", || {
+        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
+    })
 }
 
 /// `FBUF_STRESS_MIN_SPEEDUP` as `(threads, factor)`, e.g. `4:2.5`.
@@ -167,7 +123,6 @@ fn run_at(threads: usize, machine: &MachineConfig, paths: usize, pages: u64, cyc
         cycles,
         cross_every,
         channel_capacity: 16,
-        notice_batch: notice_batch(),
         trace: false,
         // Telemetry rides along: sampling is cadence-gated on simulated
         // time and never touches the counters the steady-state
@@ -464,8 +419,9 @@ fn main() -> ExitCode {
     let max_threads = *threads.last().expect("at least one thread count");
     let npaths = env_u64("FBUF_STRESS_PATHS", 4 * max_threads as u64) as usize;
     let pages = env_u64("FBUF_STRESS_PAGES", 1);
-    let cross_every = env_u64_or_zero("FBUF_STRESS_CROSS", 64);
-    let baseline = env_f64("FBUF_STRESS_BASELINE_NS");
+    // Zero is a value here: it disables cross-shard traffic.
+    let cross_every = env_parse::<u64>("FBUF_STRESS_CROSS").unwrap_or(64);
+    let baseline = env_parse("FBUF_STRESS_BASELINE_NS").filter(|&n: &f64| n > 0.0);
 
     let mut cfg = MachineConfig::decstation_5000_200();
     // Enough physical memory and chunk space that every path's working

@@ -16,16 +16,9 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use fbuf_bench::knobs::env_u64;
 use fbuf_net::{LoopbackConfig, LoopbackStack};
 use fbuf_sim::{audit_tracer, EventKind, Json, MachineConfig};
-
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.trim().parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(default)
-}
 
 fn main() -> ExitCode {
     let msgs = env_u64("FBUF_TRACE_MSGS", 16);

@@ -1,32 +1,27 @@
 //! The event-driven transfer engine: hops as scheduled events.
 //!
-//! Historically every cross-domain hop was a synchronous descent — the
-//! driver called [`Rpc::call`](fbuf_ipc::Rpc::call) inline and kept
-//! recursing until the transfer bottomed out. This module reworks
-//! [`FbufSystem`] around the [`fbuf_ipc::actor::EventLoop`]: each hop is
-//! **posted** to the destination domain's bounded inbox, **dequeued** in
-//! deterministic `(time, id)` order, **handled** (the hop's charges run
-//! inside the handler), and **completed** either by posting the next leg
-//! or an explicit [`HopMsg::Complete`] event back to the originator.
+//! In the paper (§3.2) a transfer is a chain of cross-domain RPC hops
+//! whose replies carry the deallocation notices. This module runs that
+//! chain on the [`fbuf_ipc::actor::EventLoop`]: each hop is **posted** to
+//! the destination domain's bounded inbox, **dequeued** in deterministic
+//! `(time, id)` order, **handled** (the hop's charges run inside the
+//! handler), and **completed** either by posting the next leg or an
+//! explicit [`HopMsg::Complete`] event back to the originator. It is the
+//! only hop engine: a hop re-entered from inside a handler is already
+//! being serviced as an event, so only that case calls
+//! [`Rpc::call`](fbuf_ipc::Rpc::call) inline.
 //!
-//! Two modes coexist (see [`TransferMode`]), mirroring the PR-3 precedent
-//! of keeping per-page and batched VM ops side by side:
+//! **Counter-exactness is the design invariant**: the loop itself never
+//! touches the clock. All cost stays in the handler, which performs
+//! exactly the charges of one inline RPC, so a drained (sequential)
+//! workload charges what a synchronous descent would. The golden matrix
+//! in `tests/counter_exactness.rs` pins the clock and every counter of
+//! the loopback, Osiris, proxy-chain, aggregate, engine and fleet
+//! workloads, recorded while an inline-descent mode still existed to
+//! agree with.
 //!
-//! * [`TransferMode::DirectCall`] — the original inline descent, kept as
-//!   the exactness baseline;
-//! * [`TransferMode::EventLoop`] (the default) — every
-//!   [`FbufSystem::hop`] becomes enqueue → dequeue → handler →
-//!   completion.
-//!
-//! **Counter-exactness is the design invariant**: on drained (sequential)
-//! workloads the two modes charge byte-identical simulated time and
-//! counters, because the loop itself never touches the clock — all cost
-//! stays in the handler, which performs exactly the charges the inline
-//! descent performed. `tests/counter_exactness.rs` pins this over the
-//! loopback, Osiris, DAG-aggregate, and integrated-aggregate workloads.
-//!
-//! What the event loop adds over the descent is everything the descent
-//! could not express: multiple transfers genuinely in flight
+//! What the event loop adds over a synchronous descent is everything the
+//! descent could not express: multiple transfers genuinely in flight
 //! ([`run_offered_load`] posts bursts before pumping), per-hop queueing
 //! delay measured into a [`Histogram`], and bounded inboxes whose
 //! overflow is the explicit [`SendOutcome::Overload`] outcome instead of
@@ -39,17 +34,6 @@ use fbuf_vm::DomainId;
 use crate::buffer::FbufId;
 use crate::error::FbufResult;
 use crate::system::{AllocMode, FbufSystem, SendMode};
-
-/// Which execution model drives cross-domain hops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TransferMode {
-    /// The original synchronous descent: [`FbufSystem::hop`] charges the
-    /// RPC inline. Kept as the counter-exactness baseline.
-    DirectCall,
-    /// Hops are events: posted to the destination's inbox, dequeued by
-    /// the per-shard event loop, charged in the handler. The default.
-    EventLoop,
-}
 
 /// Event payloads flowing through the transfer engine's loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,18 +79,6 @@ pub enum HopMsg {
 }
 
 impl FbufSystem {
-    /// The current hop execution model.
-    pub fn transfer_mode(&self) -> TransferMode {
-        self.transfer_mode
-    }
-
-    /// Switches the hop execution model. Takes effect on the next
-    /// [`FbufSystem::hop`]; pending events keep draining through the
-    /// loop.
-    pub fn set_transfer_mode(&mut self, mode: TransferMode) {
-        self.transfer_mode = mode;
-    }
-
     /// Sets the bounded per-domain inbox depth (see
     /// [`fbuf_ipc::actor::EventLoop::set_inbox_depth`]).
     pub fn set_inbox_depth(&mut self, depth: usize) {
@@ -118,41 +90,31 @@ impl FbufSystem {
     /// Performs one cross-domain hop from `from` to `to` and returns the
     /// deallocation notices the reply carries back.
     ///
-    /// This is the drop-in replacement for the old inline
-    /// `rpc_mut().call(from, to)` at every hop site. Under
-    /// [`TransferMode::DirectCall`] it *is* that call. Under
-    /// [`TransferMode::EventLoop`] the hop is posted as a [`HopMsg::Call`]
-    /// event and the loop is pumped to completion — same charges, same
-    /// counters, plus an Enqueue/Dequeue audit trail and a (zero, when
-    /// drained) queueing-delay sample.
+    /// The hop is posted as a [`HopMsg::Call`] event and the loop is
+    /// pumped to completion: the charges and counters of one
+    /// `rpc_mut().call(from, to)`, plus an Enqueue/Dequeue audit trail
+    /// and a (zero, when drained) queueing-delay sample.
     ///
     /// Calls arriving while the loop is already pumping (i.e. from inside
     /// a handler) charge inline: they are being serviced *as* an event
     /// already.
     pub fn hop(&mut self, from: DomainId, to: DomainId) -> Vec<u64> {
-        if self.transfer_mode == TransferMode::DirectCall || self.engine.is_none() {
+        let Some(mut evl) = self.engine.take() else {
             return self.rpc_mut().call(from, to);
-        }
+        };
         // Never trip the inbox bound on a sequential hop: drain any
         // backlog first, so the post below always queues and the
-        // overload counter stays exact vs. the direct path.
-        let full = {
-            let e = self.engine.as_ref().expect("engine present");
-            e.inbox_len(to) >= e.inbox_depth()
-        };
-        if full {
-            self.pump();
+        // overload counter counts only real refusals.
+        if evl.inbox_len(to) >= evl.inbox_depth() {
+            evl.run(self, &mut handle_hop);
         }
-        let outcome = self
-            .engine
-            .as_mut()
-            .expect("engine present")
-            .post(from, to, HopMsg::Call);
+        let outcome = evl.post(from, to, HopMsg::Call);
         debug_assert!(
             matches!(outcome, SendOutcome::Queued(_)),
             "a drained inbox accepts one hop"
         );
-        self.pump();
+        evl.run(self, &mut handle_hop);
+        self.engine = Some(evl);
         std::mem::take(&mut self.hop_notices)
     }
 
@@ -190,8 +152,8 @@ impl FbufSystem {
     }
 
     /// Drains the event loop to empty, servicing every pending hop; no-op
-    /// under [`TransferMode::DirectCall`] or when re-entered from a
-    /// handler. Returns the number of events processed.
+    /// when re-entered from a handler. Returns the number of events
+    /// processed.
     pub fn pump(&mut self) -> usize {
         let Some(mut evl) = self.engine.take() else {
             return 0;
@@ -255,7 +217,7 @@ impl FbufSystem {
 }
 
 /// The per-event handler: all simulated cost charged by a hop lives here,
-/// which is what keeps the loop counter-exact with the inline descent.
+/// which is what keeps the loop counter-exact with an inline descent.
 fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<HopMsg>) {
     match env.msg {
         HopMsg::Call => {
@@ -302,8 +264,15 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
             }
             sys.rpc_mut().call(env.from, env.to);
             if let Err(e) = sys.send(fbuf, env.from, env.to, SendMode::Volatile) {
+                // The leg could not be delivered (e.g. the receiver was
+                // torn down while it sat queued): abort the transfer,
+                // releasing every reference taken so far, as the
+                // overload path below does.
                 sys.engine_error.get_or_insert(e);
                 sys.xfer_aborted += 1;
+                for d in route[..=leg].iter().rev() {
+                    let _ = sys.free(fbuf, *d);
+                }
                 return;
             }
             if leg + 2 < route.len() {
@@ -425,7 +394,6 @@ pub struct QueueReport {
 /// path (counted in `Stats::overload_drops`) takes over from queueing.
 pub fn run_offered_load(cfg: &QueueConfig) -> FbufResult<QueueReport> {
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-    sys.set_transfer_mode(TransferMode::EventLoop);
     sys.set_inbox_depth(cfg.inbox_depth);
     // Telemetry and span tracing ride along: neither ever charges the
     // simulated clock, so the measured times are unchanged.
@@ -488,26 +456,22 @@ mod tests {
     }
 
     #[test]
-    fn hop_charges_identically_in_both_modes() {
-        let (mut direct, da, db) = fresh();
-        direct.set_transfer_mode(TransferMode::DirectCall);
-        let (mut event, ea, eb) = fresh();
-        assert_eq!(event.transfer_mode(), TransferMode::EventLoop);
-
+    fn hop_charges_exactly_one_rpc() {
+        let (mut sys, a, b) = fresh();
         for _ in 0..10 {
-            direct.hop(da, db);
-            direct.hop(db, KERNEL_DOMAIN);
-            event.hop(ea, eb);
-            event.hop(eb, KERNEL_DOMAIN);
+            sys.hop(a, b);
+            sys.hop(b, KERNEL_DOMAIN);
         }
-        assert_eq!(direct.machine().now(), event.machine().now());
-        assert_eq!(
-            direct.stats().snapshot(),
-            event.stats().snapshot(),
-            "the event loop performs exactly the charges the descent did"
-        );
+        // Golden values, recorded when an inline-descent mode still ran
+        // the same hops to the same instant and counters.
+        assert_eq!(sys.machine().now(), Ns(2_650_000));
+        let expected = fbuf_sim::StatsSnapshot {
+            ipc_messages: 20,
+            ..Default::default()
+        };
+        assert_eq!(sys.stats().snapshot(), expected, "each hop is one RPC, nothing more");
         // The loop measured each hop, all with zero queueing (drained).
-        let h = event.queue_delay();
+        let h = sys.queue_delay();
         assert_eq!(h.count(), 20);
         assert_eq!(h.max(), 0);
     }

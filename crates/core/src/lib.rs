@@ -27,10 +27,10 @@
 //!
 //! [`FbufSystem`] is the facade over the whole mechanism; it owns the
 //! simulated [`fbuf_vm::Machine`] and the [`fbuf_ipc::Rpc`] layer.
-//! Cross-domain hops route through the per-shard event-loop engine by
-//! default ([`engine`], [`TransferMode`]): domains are actors with
-//! bounded inboxes, transfers are events with explicit completion or
-//! overload, and the scheduler is counter-exact with direct calls.
+//! Cross-domain hops route through the per-shard event-loop engine
+//! ([`engine`]): domains are actors with bounded inboxes, transfers are
+//! events with explicit completion or overload, and the loop charges
+//! exactly what one inline RPC per hop would.
 //!
 //! Design notes: `DESIGN.md` §1 (what the paper builds), §4 (system
 //! inventory), §9 (hot-path engineering: arenas, batched range ops),
@@ -76,7 +76,7 @@ pub mod shard;
 pub mod system;
 
 pub use buffer::{Fbuf, FbufHot, FbufId, FbufState};
-pub use engine::{run_offered_load, HopMsg, QueueConfig, QueueReport, TransferMode};
+pub use engine::{run_offered_load, HopMsg, QueueConfig, QueueReport};
 pub use error::{FbufError, FbufResult};
 pub use ledger::{Ledger, TenantRow};
 pub use path::{DataPath, PathId};

@@ -26,13 +26,13 @@
 //! ([`spsc::Consumer::drain_into`]), and dealloc notices are coalesced
 //! into [`NoticeBatch`] payloads — one reverse-ring slot carries up to
 //! [`NOTICE_BATCH_MAX`] tokens in send order, staged per ingest and
-//! flushed at every poll boundary (or earlier when the configured
-//! coalescing window [`FleetConfig::notice_batch`] fills). Batching is
-//! host-plane only: it never touches the simulated clock or counters,
-//! which `tests/counter_exactness.rs` pins by running the same fleet at
-//! different coalescing windows. A notice that comes back with no
-//! matching pending egress buffer is not a panic but a typed audit
-//! violation (`notice-without-pending`, recorded as a
+//! flushed when the stage is full or at the poll boundary, whichever
+//! comes first. Batching is host-plane only: it never touches the
+//! simulated clock or counters, which the golden matrix in
+//! `tests/counter_exactness.rs` pins (its fleet goldens were recorded at
+//! one and at sixteen tokens per slot, and agreed). A notice that comes
+//! back with no matching pending egress buffer is not a panic but a
+//! typed audit violation (`notice-without-pending`, recorded as a
 //! [`fbuf_sim::EventKind::NoticeOrphan`] trace event), so fuzzing under
 //! fault injection reports instead of aborting.
 //!
@@ -105,9 +105,9 @@ impl CrossShardMsg {
     }
 }
 
-/// Maximum dealloc-notice tokens one reverse-ring slot can carry. The
-/// effective coalescing window is [`FleetConfig::notice_batch`], capped
-/// here so a batch stays a fixed-size, allocation-free value.
+/// Dealloc-notice tokens one reverse-ring slot carries: the staged batch
+/// is flushed once it holds this many (or at the poll boundary), and the
+/// bound keeps a batch a fixed-size, allocation-free value.
 pub const NOTICE_BATCH_MAX: usize = 16;
 
 /// A coalesced batch of dealloc-notice tokens: one reverse-ring slot
@@ -217,9 +217,6 @@ pub struct Shard {
     /// Dealloc-notice tokens staged for the next batch flush (tokens of
     /// payloads this shard has fully consumed, send order).
     notice_stage: NoticeBatch,
-    /// Coalescing window: flush the stage once it carries this many
-    /// tokens (a poll boundary flushes earlier regardless).
-    coalesce: usize,
     /// Scratch buffer for burst-draining the ingress data ring
     /// (capacity retained across polls — no steady-state allocation).
     drain_buf: Vec<CrossShardMsg>,
@@ -260,21 +257,6 @@ impl Shard {
     /// Call this *inside* the owning thread: the engine's `Rc` handles
     /// must never cross threads.
     pub fn new(id: usize, cfg: MachineConfig, paths: usize, pages: u64) -> Shard {
-        Shard::with_coalesce(id, cfg, paths, pages, NOTICE_BATCH_MAX)
-    }
-
-    /// [`Shard::new`] with an explicit notice-coalescing window (`1` =
-    /// one token per reverse-ring slot, the pre-batching behaviour;
-    /// clamped to `1..=`[`NOTICE_BATCH_MAX`]). The window is host-plane
-    /// only: it changes how many ring slots the notices occupy, never
-    /// what the engine charges.
-    pub fn with_coalesce(
-        id: usize,
-        cfg: MachineConfig,
-        paths: usize,
-        pages: u64,
-        coalesce: usize,
-    ) -> Shard {
         let len = pages.max(1) * cfg.page_size;
         let mut sys = FbufSystem::new(cfg);
         // Distinct non-zero salts keep span ids fleet-unique after the
@@ -311,7 +293,6 @@ impl Shard {
             next_seq: 0,
             next_local: 0,
             notice_stage: NoticeBatch::empty(),
-            coalesce: coalesce.clamp(1, NOTICE_BATCH_MAX),
             drain_buf: Vec::new(),
             last_drain: 0,
             next_shard_sample: std::cell::Cell::new(0),
@@ -629,10 +610,10 @@ impl Shard {
             "an ingress link implies a notice ring"
         );
         // Stage the acknowledgement instead of pushing it: tokens
-        // coalesce into one ring slot, flushed when the window fills or
+        // coalesce into one ring slot, flushed when the stage fills or
         // at the next poll boundary, whichever comes first.
-        assert!(self.notice_stage.push(msg.token), "stage below the window");
-        if self.notice_stage.len() >= self.coalesce {
+        assert!(self.notice_stage.push(msg.token), "a full stage was flushed");
+        if self.notice_stage.len() == NOTICE_BATCH_MAX {
             self.flush_notices(links);
         }
     }
@@ -709,13 +690,6 @@ pub struct FleetConfig {
     pub cross_every: u64,
     /// Capacity of each data/notice ring.
     pub channel_capacity: usize,
-    /// Notice-coalescing window: flush a [`NoticeBatch`] once it
-    /// carries this many tokens (`1` reproduces the pre-batching
-    /// one-token-per-slot plane; clamped to `1..=`[`NOTICE_BATCH_MAX`]).
-    /// Host-plane only — simulated time and every counter are
-    /// byte-identical across windows (pinned in
-    /// `tests/counter_exactness.rs`).
-    pub notice_batch: usize,
     /// Enable each shard's tracer over the measured window.
     pub trace: bool,
     /// Enable each shard's telemetry sampler ([`fbuf_sim::Metrics`])
@@ -743,7 +717,6 @@ impl FleetConfig {
             cycles,
             cross_every: 64,
             channel_capacity: 16,
-            notice_batch: 8,
             trace: false,
             metrics: false,
             fault: None,
@@ -891,7 +864,6 @@ struct ShardSpec {
     cycles: u64,
     cross_every: u64,
     expected_rx: u64,
-    notice_batch: usize,
     trace: bool,
     metrics: bool,
     fault: Option<FaultSpec>,
@@ -955,7 +927,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> Vec<ShardReport> {
             cross_every: cfg.cross_every,
             // Ring topology: shard `id` ingests what shard `id - 1` sends.
             expected_rx: sent_of[(id + n - 1) % n],
-            notice_batch: cfg.notice_batch,
             trace: cfg.trace,
             metrics: cfg.metrics,
             fault: cfg.fault.clone().map(|mut f| {
@@ -990,13 +961,12 @@ fn shard_main(spec: ShardSpec, barrier: &Barrier) -> ShardReport {
         cycles,
         cross_every,
         expected_rx,
-        notice_batch,
         trace,
         metrics,
         fault,
         mut links,
     } = spec;
-    let mut sh = Shard::with_coalesce(id, machine, paths, pages, notice_batch);
+    let mut sh = Shard::new(id, machine, paths, pages);
     if trace {
         sh.sys.machine().tracer().set_enabled(true);
     }

@@ -130,8 +130,6 @@ pub struct FbufSystem {
     /// Armed fault-injection plan, if any. `None` in production: every
     /// hook point is then a single `is_some()` branch, like `trace`.
     fault: Option<Rc<FaultPlan>>,
-    /// Hop execution model (see [`crate::engine::TransferMode`]).
-    pub(crate) transfer_mode: crate::engine::TransferMode,
     /// The per-shard event loop. Held in an `Option` so
     /// [`FbufSystem::pump`](crate::engine) can take it out while the
     /// handler borrows `self`; `None` only during a pump.
@@ -304,7 +302,6 @@ impl FbufSystem {
             charge_clearing: true,
             reuse_policy: ReusePolicy::Lifo,
             fault: None,
-            transfer_mode: crate::engine::TransferMode::EventLoop,
             engine: Some(fbuf_ipc::EventLoop::new(
                 machine_clock,
                 machine_stats,

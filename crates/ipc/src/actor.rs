@@ -30,9 +30,10 @@
 //!
 //! The loop itself never charges the clock: all simulated cost stays in
 //! the handler (RPC latency, VM work, protocol processing). That is what
-//! makes the engine *counter-exact* with the recursive descent — driving
+//! makes the engine *counter-exact* with a recursive descent — driving
 //! the same hop sequence through [`EventLoop::run`] performs the same
-//! charges in the same order, pinned by `tests/counter_exactness.rs`.
+//! charges in the same order, pinned by the goldens in
+//! `tests/counter_exactness.rs`.
 
 use std::collections::VecDeque;
 

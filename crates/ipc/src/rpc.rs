@@ -82,12 +82,11 @@ impl Rpc {
     /// kernel mediates every RPC, so the reply aggregates notices from all
     /// holders).
     ///
-    /// This is the per-hop *charging primitive* for both execution models:
-    /// the recursive engine invokes it inline at each level of its descent,
-    /// and the event-loop engine ([`crate::actor::EventLoop`]) invokes it
-    /// from the dequeue handler of each hop. Because the charge sequence is
-    /// identical either way, the two engines stay counter-exact (pinned by
-    /// `tests/counter_exactness.rs`).
+    /// This is the per-hop *charging primitive*: the event-loop engine
+    /// ([`crate::actor::EventLoop`]) invokes it from the dequeue handler
+    /// of each hop, and a hop re-entered from inside a handler invokes it
+    /// inline. The charge sequence is the one a recursive descent would
+    /// perform (pinned by the goldens in `tests/counter_exactness.rs`).
     pub fn call(&mut self, from: DomainId, to: DomainId) -> Vec<u64> {
         self.clock.charge(
             CostCategory::Ipc,

@@ -24,8 +24,8 @@
 //!   flow control (Figures 5 and 6, and the §4 CPU-load experiment).
 //!
 //! Every cross-domain hop in this stack goes through
-//! `fbuf::FbufSystem::hop`, i.e. the event-loop transfer engine —
-//! counter-exact with the synchronous descent, pinned per workload by
+//! `fbuf::FbufSystem::hop`, i.e. the event-loop transfer engine, whose
+//! clock and counters are pinned per workload by the goldens in
 //! `tests/counter_exactness.rs`.
 //!
 //! Design notes: `DESIGN.md` §4 (system inventory), §5 (which harness

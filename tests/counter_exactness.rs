@@ -7,11 +7,13 @@
 //! list and the path with **zero** page table updates and **zero**
 //! security page clears; every allocation is a cache hit.
 
-use fbufs::fbuf::shard::{run_fleet, FleetConfig, NOTICE_BATCH_MAX};
-use fbufs::fbuf::{AllocMode, FbufSystem, SendMode, TransferMode};
+use std::rc::Rc;
+
+use fbufs::fbuf::shard::{run_fleet, FleetConfig, ShardReport, NOTICE_BATCH_MAX};
+use fbufs::fbuf::{AllocMode, FbufError, FbufSystem, JailConfig, QuotaPolicy, SendMode};
 use fbufs::net::{DomainSetup, EndToEnd, EndToEndConfig, LoopbackConfig, LoopbackStack};
-use fbufs::sim::{audit_tracer, EventKind, MachineConfig};
-use fbufs::vm::{Machine, Prot};
+use fbufs::sim::{audit_tracer, EventKind, FaultSpec, MachineConfig, Ns, StatsSnapshot};
+use fbufs::vm::{Machine, Prot, KERNEL_DOMAIN};
 use fbufs::xkernel::integrated::{self, DagBuilder, TraverseLimits};
 use fbufs::xkernel::proxy::deliver_integrated;
 use fbufs::xkernel::{deliver, Msg, MsgRefs};
@@ -163,181 +165,400 @@ fn batched_range_ops_charge_identically_to_per_page_loops() {
 }
 
 // ---------------------------------------------------------------------
-// Event-loop engine exactness: replacing the synchronous depth-first
-// descent with enqueue → dequeue → handler → completion must not move a
-// single simulated nanosecond or counter on any existing workload. Each
-// test below runs the same workload under TransferMode::DirectCall (the
-// old inline descent) and TransferMode::EventLoop (hops as scheduled
-// events) and requires byte-identical (clock, full counter snapshot).
+// The golden matrix: workloads × configurations that must not change
+// simulated results. Each row below is one workload; it runs under every
+// configuration in `CONFIGS`, and every cell must reproduce the row's
+// golden: an FNV-1a digest of the clock(s) in ns plus every non-zero
+// counter of the full `StatsSnapshot`(s). One mismatching cell fails the
+// row and prints each deviating cell's rendering.
+//
+// The goldens were recorded while the engine still had a second,
+// inline-descent hop mode and a settable notice-coalescing window: both
+// hop modes, and fleet windows 1, 8 and 16, produced the digests below.
+// A golden is stricter than that A/B was, since it also catches a change
+// that moves every configuration at once. Regenerate a golden only for a
+// change that is meant to move simulated time or a counter, and say so.
 // ---------------------------------------------------------------------
+
+/// FNV-1a (64-bit): a dependency-free digest for pinning rendered
+/// artifacts byte for byte (the `tests/observability.rs` idiom).
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// A configuration that must not change simulated results.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Config {
+    Default,
+    Traced,
+    TracedMetered,
+    /// Quota jail and a 1 s revocation deadline armed; benign traffic
+    /// never trips either.
+    ContainmentArmed,
+    /// `QuotaPolicy::Static` set explicitly (it is also the default).
+    StaticPolicy,
+    /// A fault plan armed with every site at rate zero.
+    ZeroRateFaults,
+}
+
+const CONFIGS: [Config; 6] = [
+    Config::Default,
+    Config::Traced,
+    Config::TracedMetered,
+    Config::ContainmentArmed,
+    Config::StaticPolicy,
+    Config::ZeroRateFaults,
+];
+
+impl Config {
+    /// Applies the configuration to one engine before any traffic.
+    fn apply(self, fbs: &mut FbufSystem) {
+        match self {
+            Config::Default => {}
+            Config::Traced => fbs.machine().tracer().set_enabled(true),
+            Config::TracedMetered => {
+                fbs.machine().tracer().set_enabled(true);
+                fbs.machine().metrics_ref().set_enabled(true);
+            }
+            Config::ContainmentArmed => {
+                fbs.set_jail(Some(JailConfig::default()));
+                fbs.set_revoke_timeout(Some(Ns(1_000_000_000)));
+            }
+            Config::StaticPolicy => fbs.set_quota_policy(QuotaPolicy::Static),
+            Config::ZeroRateFaults => fbs.arm_faults(Rc::new(FaultSpec::new(11).arm())),
+        }
+    }
+
+    /// The fleet form of the configuration, or `None` where
+    /// [`FleetConfig`] has no way to express it (a fleet builds its
+    /// engines inside its threads).
+    fn fleet(self, mut f: FleetConfig) -> Option<FleetConfig> {
+        match self {
+            Config::Default => {}
+            Config::Traced => f.trace = true,
+            Config::TracedMetered => (f.trace, f.metrics) = (true, true),
+            Config::ZeroRateFaults => f.fault = Some(FaultSpec::new(11)),
+            Config::ContainmentArmed | Config::StaticPolicy => return None,
+        }
+        Some(f)
+    }
+}
+
+/// What one cell pins, rendered as text: clocks in ns, counter
+/// snapshots (non-zero counters, in declaration order) and named values.
+struct Pin {
+    cfg: Config,
+    text: String,
+}
+
+impl Pin {
+    fn new(cfg: Config) -> Pin {
+        Pin { cfg, text: String::new() }
+    }
+
+    fn clock(mut self, t: Ns) -> Pin {
+        self.text += &format!("clock {}\n", t.as_ns());
+        self
+    }
+
+    fn snap(mut self, s: &StatsSnapshot) -> Pin {
+        if self.cfg == Config::ContainmentArmed {
+            assert_eq!(s.jail_denials, 0, "benign traffic tripped the jail");
+            assert_eq!(s.fbufs_revoked, 0, "benign traffic was revoked");
+        }
+        self.text += &format!("{s}--\n");
+        self
+    }
+
+    fn value(mut self, name: &str, v: u64) -> Pin {
+        self.text += &format!("{name} {v}\n");
+        self
+    }
+
+    /// Pins one engine: its clock and its counters.
+    fn sys(self, fbs: &FbufSystem) -> Pin {
+        self.clock(fbs.machine().now()).snap(&fbs.stats().snapshot())
+    }
+}
+
+/// Runs `workload` under each of `configs` it can express, checks every
+/// cell against `golden` and returns the number of cells run.
+fn check_cells(workload: fn(Config) -> Option<Pin>, configs: &[Config], golden: u64) -> usize {
+    let mut cells = 0;
+    let mut wrong = Vec::new();
+    for &cfg in configs {
+        let Some(pin) = workload(cfg) else { continue };
+        cells += 1;
+        let got = fnv1a(pin.text.as_bytes());
+        if got != golden {
+            wrong.push(format!("{cfg:?} digests to {got:#018x}:\n{}", pin.text));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} of {cells} cell(s) differ from the golden {golden:#018x}:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+    cells
+}
+
+/// Runs `workload` under every configuration it can express.
+fn check_row(workload: fn(Config) -> Option<Pin>, golden: u64) {
+    let cells = check_cells(workload, &CONFIGS, golden);
+    assert!(cells >= 4, "a row must cover at least four configurations");
+}
+
+fn cached_loopback(cfg: Config) -> Option<Pin> {
+    let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
+    cfg.apply(&mut s.fbs);
+    for _ in 0..6 {
+        s.send_message(16 << 10, false).unwrap();
+    }
+    // Every hop flowed through the event loop, all with zero queueing
+    // delay: a sequential workload drains between hops.
+    let h = s.fbs.queue_delay();
+    assert!(h.count() > 0, "hops flowed through the loop");
+    assert_eq!(h.max(), 0, "a drained pipeline queues nothing");
+    assert_eq!(s.fbs.stats().overload_drops(), 0);
+    Some(Pin::new(cfg).sys(&s.fbs))
+}
+
+fn uncached_loopback(cfg: Config) -> Option<Pin> {
+    let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, false));
+    cfg.apply(&mut s.fbs);
+    for _ in 0..4 {
+        s.send_message(16 << 10, false).unwrap();
+    }
+    Some(Pin::new(cfg).sys(&s.fbs))
+}
+
+fn osiris_fig5(cfg: Config) -> Option<Pin> {
+    // Two machines: every datagram mints a TX span and links an RX child.
+    let mut mc = machine();
+    mc.phys_mem = 16 << 20;
+    let mut e = EndToEnd::new(mc, EndToEndConfig::fig5(DomainSetup::User));
+    cfg.apply(&mut e.tx.fbs);
+    cfg.apply(&mut e.rx.fbs);
+    for _ in 0..3 {
+        e.send_message(50_000, 1, true).unwrap();
+    }
+    Some(Pin::new(cfg).sys(&e.tx.fbs).sys(&e.rx.fbs))
+}
+
+fn proxy_graph_chain(cfg: Config) -> Option<Pin> {
+    // The x-kernel proxy path: multi-fbuf messages forwarded down a
+    // three-domain protocol chain, secured at the boundary, then freed.
+    let mut fbs = FbufSystem::new(machine());
+    cfg.apply(&mut fbs);
+    let producer = fbs.create_domain();
+    let middle = fbs.create_domain();
+    let consumer = fbs.create_domain();
+    let path = fbs.create_path(vec![producer, middle, consumer]).unwrap();
+    let mut refs = MsgRefs::new();
+    for round in 0..4u8 {
+        let a = fbs.alloc(producer, AllocMode::Cached(path), 4096).unwrap();
+        let b = fbs.alloc(producer, AllocMode::Uncached, 8192).unwrap();
+        fbs.write_fbuf(producer, a, 0, &[round; 16]).unwrap();
+        fbs.write_fbuf(producer, b, 0, &[round; 16]).unwrap();
+        let msg = Msg::from_fbuf(a, 0, 4096).concat(&Msg::from_fbuf(b, 0, 8192));
+        refs.adopt(producer, &msg);
+        deliver(&mut fbs, &mut refs, &msg, producer, middle, SendMode::Volatile).unwrap();
+        deliver(&mut fbs, &mut refs, &msg, middle, consumer, SendMode::Secure).unwrap();
+        refs.release(&mut fbs, consumer, &msg).unwrap();
+        refs.release(&mut fbs, middle, &msg).unwrap();
+        refs.release(&mut fbs, producer, &msg).unwrap();
+    }
+    Some(Pin::new(cfg).sys(&fbs))
+}
+
+fn integrated_aggregates(cfg: Config) -> Option<Pin> {
+    // One RPC carries only a root pointer; the kernel walks the DAG and
+    // transfers every reachable fbuf.
+    let mut fbs = FbufSystem::new(machine());
+    cfg.apply(&mut fbs);
+    integrated::install_null_template(&mut fbs);
+    let a = fbs.create_domain();
+    let b = fbs.create_domain();
+    for _ in 0..3 {
+        let data = fbs.alloc(a, AllocMode::Uncached, 8192).unwrap();
+        fbs.write_fbuf(a, data, 0, b"hello ").unwrap();
+        fbs.write_fbuf(a, data, 4096, b"world").unwrap();
+        let va = fbs.fbuf(data).unwrap().va;
+        let mut builder = DagBuilder::new(&mut fbs, a, AllocMode::Uncached, 8).unwrap();
+        let l1 = builder.leaf(&mut fbs, va, 6).unwrap();
+        let l2 = builder.leaf(&mut fbs, va + 4096, 5).unwrap();
+        let root = builder.concat(&mut fbs, l1, l2).unwrap();
+        let msg = integrated::IntegratedMsg { root };
+        deliver_integrated(&mut fbs, msg, a, b, SendMode::Volatile, TraverseLimits::default())
+            .unwrap();
+        let got = integrated::gather(&mut fbs, b, msg, TraverseLimits::default()).unwrap();
+        assert_eq!(got, b"hello world");
+    }
+    Some(Pin::new(cfg).sys(&fbs))
+}
+
+fn engine_submit_loop(cfg: Config) -> Option<Pin> {
+    // Whole transfers through `submit_transfer` (deadline-stamped when
+    // containment is armed: the stamp itself must be free).
+    let mut fbs = FbufSystem::new(machine());
+    cfg.apply(&mut fbs);
+    let a = fbs.create_domain();
+    let route = vec![KERNEL_DOMAIN, a];
+    let path = fbs.create_path(route.clone()).unwrap();
+    for _ in 0..8 {
+        let b = fbs.alloc(KERNEL_DOMAIN, AllocMode::Cached(path), 4096).unwrap();
+        assert!(!fbs.submit_transfer(b, &route).is_overload());
+        fbs.pump();
+    }
+    assert_eq!(fbs.transfers_completed(), 8);
+    Some(Pin::new(cfg).sys(&fbs))
+}
+
+fn static_policy_storm(cfg: Config) -> Option<Pin> {
+    // Chunk-sized buffers, all held live: every allocation needs a fresh
+    // chunk, so the per-path quota is the exact admission boundary.
+    let mut fbs = FbufSystem::new(MachineConfig::tiny());
+    cfg.apply(&mut fbs);
+    let a = fbs.create_domain();
+    let b = fbs.create_domain();
+    let path = fbs.create_path(vec![a, b]).unwrap();
+    let quota = fbs.machine().config().max_chunks_per_path;
+    let chunk = fbs.machine().config().chunk_size;
+    for _ in 0..quota {
+        fbs.alloc(a, AllocMode::Cached(path), chunk).unwrap();
+    }
+    let denied = fbs.alloc(a, AllocMode::Cached(path), chunk);
+    assert_eq!(denied, Err(FbufError::QuotaExceeded { path: Some(path) }));
+    let pin = Pin::new(cfg).sys(&fbs);
+    assert_eq!(
+        fbs.stats().snapshot().chunk_quota_denials,
+        1,
+        "exactly the one organic denial"
+    );
+    Some(pin)
+}
+
+/// One single-shard (self-linked, fully deterministic) fleet shape:
+/// `(cycles, cross_every, paths, pages, channel_capacity)`.
+type Shape = (u64, u64, usize, u64, usize);
+
+fn fleet_config(shards: usize, (cycles, cross_every, paths, pages, channel_capacity): Shape) -> FleetConfig {
+    let mut mc = machine();
+    mc.phys_mem = 32 << 20;
+    FleetConfig {
+        paths,
+        pages,
+        cross_every,
+        channel_capacity,
+        ..FleetConfig::new(shards, mc, cycles)
+    }
+}
+
+/// Pins one shard's measured window and whole life. The notice plane
+/// carries one token per materialized payload and orphans none.
+fn pin_shard(pin: Pin, r: &ShardReport) -> Pin {
+    assert_eq!(r.orphan_notices, 0, "a fault-free fleet has no orphans");
+    assert_eq!(r.notice_tokens, r.received, "one notice token per payload");
+    assert!(r.notice_batches * NOTICE_BATCH_MAX as u64 >= r.notice_tokens);
+    pin.clock(r.sim_elapsed)
+        .snap(&r.delta)
+        .snap(&r.life)
+        .value("fbuf_ops", r.fbuf_ops)
+        .value("sent", r.sent)
+        .value("received", r.received)
+        .value("notice_tokens", r.notice_tokens)
+}
+
+fn fleet(cfg: Config, shape: Shape) -> Option<Pin> {
+    let reports = run_fleet(&cfg.fleet(fleet_config(1, shape))?);
+    Some(pin_shard(Pin::new(cfg), &reports[0]))
+}
+
+const NO_CROSS: Shape = (400, 0, 2, 1, 8);
+const GOLDEN_NO_CROSS: u64 = 0x69ae_ccf2_1a88_c929;
+const GOLDEN_CACHED_LOOPBACK: u64 = 0xfa9c_d181_abd0_1b7c;
+const GOLDEN_OSIRIS_FIG5: u64 = 0xae33_6fc6_ca54_7b00;
+
+/// One `#[test]` per matrix row: `name => (workload, golden)`.
+macro_rules! golden_rows {
+    ($($name:ident => ($workload:expr, $golden:expr)),* $(,)?) => {
+        $(
+            #[test]
+            fn $name() {
+                check_row($workload, $golden);
+            }
+        )*
+    };
+}
+
+golden_rows! {
+    matrix_cached_loopback => (cached_loopback, GOLDEN_CACHED_LOOPBACK),
+    matrix_uncached_loopback => (uncached_loopback, 0x80d6_d153_31c4_32f9),
+    matrix_osiris_fig5_end_to_end => (osiris_fig5, GOLDEN_OSIRIS_FIG5),
+    matrix_proxy_graph_chain => (proxy_graph_chain, 0x4b48_c8ef_3259_cf73),
+    matrix_integrated_aggregates => (integrated_aggregates, 0x0a93_078f_677c_b969),
+    matrix_engine_submit_loop => (engine_submit_loop, 0xd347_cae4_28d1_a47a),
+    matrix_static_policy_storm => (static_policy_storm, 0xb2bd_4d8f_3677_e739),
+    matrix_fleet_no_cross => (|c| fleet(c, NO_CROSS), GOLDEN_NO_CROSS),
+    matrix_fleet_dense_cross => (|c| fleet(c, (400, 2, 2, 1, 8)), 0x1657_f85a_1c28_e868),
+    matrix_fleet_multi_path => (|c| fleet(c, (400, 4, 6, 1, 8)), 0x208b_c676_0ea1_66ed),
+    matrix_fleet_multi_page => (|c| fleet(c, (300, 4, 2, 4, 8)), 0xd478_70dd_4556_330c),
+    // Ring capacity is host-plane only: the tight ring pins the dense
+    // shape's golden.
+    matrix_fleet_tight_ring => (|c| fleet(c, (400, 2, 2, 1, 2)), 0x1657_f85a_1c28_e868),
+}
+
+// Single cells of the two rows above, under the names of the pins they
+// replaced: the event loop (the only engine) against the golden both hop
+// modes produced, and observation switched on against the same golden.
 
 #[test]
 fn event_loop_is_counter_exact_on_cached_loopback() {
-    let run = |mode: TransferMode| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-        s.fbs.set_transfer_mode(mode);
-        for _ in 0..6 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot(), s)
-    };
-    let (t_d, s_d, _) = run(TransferMode::DirectCall);
-    let (t_e, s_e, sys) = run(TransferMode::EventLoop);
-    assert_eq!(t_d, t_e, "simulated clock must match exactly");
-    assert_eq!(s_d, s_e, "counter snapshot must match exactly");
-    // The event engine really ran: every hop was measured, all with zero
-    // queueing delay (sequential workloads drain between hops).
-    let h = sys.fbs.queue_delay();
-    assert!(h.count() > 0, "hops flowed through the loop");
-    assert_eq!(h.max(), 0, "a drained pipeline queues nothing");
-    assert_eq!(s_e.overload_drops, 0);
-}
-
-#[test]
-fn event_loop_is_counter_exact_on_uncached_loopback() {
-    let run = |mode: TransferMode| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, false));
-        s.fbs.set_transfer_mode(mode);
-        for _ in 0..4 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    check_cells(cached_loopback, &[Config::Default], GOLDEN_CACHED_LOOPBACK);
 }
 
 #[test]
 fn event_loop_is_counter_exact_on_osiris_end_to_end() {
-    let run = |mode: TransferMode| {
-        let mut cfg = machine();
-        cfg.phys_mem = 16 << 20;
-        let mut e = EndToEnd::new(cfg, EndToEndConfig::fig5(DomainSetup::User));
-        e.tx.fbs.set_transfer_mode(mode);
-        e.rx.fbs.set_transfer_mode(mode);
-        for _ in 0..3 {
-            e.send_message(50_000, 1, true).unwrap();
-        }
-        (
-            e.tx.fbs.machine().now(),
-            e.rx.fbs.machine().now(),
-            e.tx.fbs.stats().snapshot(),
-            e.rx.fbs.stats().snapshot(),
-        )
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+    check_cells(osiris_fig5, &[Config::Default], GOLDEN_OSIRIS_FIG5);
 }
 
 #[test]
-fn event_loop_is_counter_exact_on_proxy_graph_chain() {
-    // The x-kernel proxy path: multi-fbuf messages forwarded down a
-    // three-domain protocol chain, secured at the boundary, then freed.
-    let run = |mode: TransferMode| {
-        let mut fbs = FbufSystem::new(machine());
-        fbs.set_transfer_mode(mode);
-        let producer = fbs.create_domain();
-        let middle = fbs.create_domain();
-        let consumer = fbs.create_domain();
-        let path = fbs.create_path(vec![producer, middle, consumer]).unwrap();
-        let mut refs = MsgRefs::new();
-        for round in 0..4u8 {
-            let a = fbs
-                .alloc(producer, AllocMode::Cached(path), 4096)
-                .unwrap();
-            let b = fbs.alloc(producer, AllocMode::Uncached, 8192).unwrap();
-            fbs.write_fbuf(producer, a, 0, &[round; 16]).unwrap();
-            fbs.write_fbuf(producer, b, 0, &[round; 16]).unwrap();
-            let msg = Msg::from_fbuf(a, 0, 4096).concat(&Msg::from_fbuf(b, 0, 8192));
-            refs.adopt(producer, &msg);
-            deliver(&mut fbs, &mut refs, &msg, producer, middle, SendMode::Volatile).unwrap();
-            deliver(&mut fbs, &mut refs, &msg, middle, consumer, SendMode::Secure).unwrap();
-            refs.release(&mut fbs, consumer, &msg).unwrap();
-            refs.release(&mut fbs, middle, &msg).unwrap();
-            refs.release(&mut fbs, producer, &msg).unwrap();
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+fn tracing_is_zero_cost_in_simulated_time() {
+    check_cells(cached_loopback, &[Config::Traced], GOLDEN_CACHED_LOOPBACK);
 }
 
 #[test]
-fn event_loop_is_counter_exact_on_integrated_aggregates() {
-    // The integrated-aggregate path: one RPC carries only a root pointer;
-    // the kernel walks the DAG and transfers every reachable fbuf.
-    let run = |mode: TransferMode| {
-        let mut fbs = FbufSystem::new(machine());
-        fbs.set_transfer_mode(mode);
-        integrated::install_null_template(&mut fbs);
-        let a = fbs.create_domain();
-        let b = fbs.create_domain();
-        for _ in 0..3 {
-            let data = fbs.alloc(a, AllocMode::Uncached, 8192).unwrap();
-            fbs.write_fbuf(a, data, 0, b"hello ").unwrap();
-            fbs.write_fbuf(a, data, 4096, b"world").unwrap();
-            let va = fbs.fbuf(data).unwrap().va;
-            let mut builder = DagBuilder::new(&mut fbs, a, AllocMode::Uncached, 8).unwrap();
-            let l1 = builder.leaf(&mut fbs, va, 6).unwrap();
-            let l2 = builder.leaf(&mut fbs, va + 4096, 5).unwrap();
-            let root = builder.concat(&mut fbs, l1, l2).unwrap();
-            let msg = integrated::IntegratedMsg { root };
-            deliver_integrated(&mut fbs, msg, a, b, SendMode::Volatile, TraverseLimits::default())
-                .unwrap();
-            let got = integrated::gather(&mut fbs, b, msg, TraverseLimits::default()).unwrap();
-            assert_eq!(got, b"hello world");
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-    assert_eq!(run(TransferMode::DirectCall), run(TransferMode::EventLoop));
+fn observability_is_zero_cost_on_loopback() {
+    check_cells(cached_loopback, &[Config::TracedMetered], GOLDEN_CACHED_LOOPBACK);
 }
 
 #[test]
-fn batched_notice_plane_charges_identically_to_per_element() {
-    // The coalesced notice plane (NoticeBatch payloads, flushed when the
-    // window fills or at the poll boundary) is a *host-plane* change: it
-    // moves fewer ring slots, but every simulated charge and counter of
-    // the workload must be byte-identical to the one-token-per-slot
-    // plane. Pinned over five fleet workload shapes on a single-shard
-    // (self-linked, fully deterministic) fleet, at the per-element
-    // window (1), two interior windows, and the maximum.
-    let shapes: [(&str, u64, u64, usize, u64, usize); 5] = [
-        // (name, cycles, cross_every, paths, pages, channel_capacity)
-        ("no-cross", 400, 0, 2, 1, 8),
-        ("dense-cross", 400, 2, 2, 1, 8),
-        ("multi-path", 400, 4, 6, 1, 8),
-        ("multi-page", 300, 4, 2, 4, 8),
-        ("tight-ring", 400, 2, 2, 1, 2),
-    ];
-    for (name, cycles, cross_every, paths, pages, channel_capacity) in shapes {
-        let mut cfg = machine();
-        cfg.phys_mem = 32 << 20;
-        let run = |notice_batch: usize| {
-            let fleet = FleetConfig {
-                paths,
-                pages,
-                cross_every,
-                channel_capacity,
-                notice_batch,
-                ..FleetConfig::new(1, cfg.clone(), cycles)
-            };
-            let mut reports = run_fleet(&fleet);
-            let r = reports.remove(0);
-            (
-                (r.sim_elapsed, r.delta, r.life, r.fbuf_ops, r.sent, r.received),
-                (r.notice_batches, r.notice_tokens, r.orphan_notices),
-            )
-        };
-        let (base, (base_batches, base_tokens, base_orphans)) = run(1);
-        assert_eq!(base_batches, base_tokens, "window 1 is the per-element plane");
-        assert_eq!(base_orphans, 0, "{name}: fault-free fleet has no orphans");
-        for window in [4, 8, NOTICE_BATCH_MAX] {
-            let (batched, (batches, tokens, orphans)) = run(window);
-            assert_eq!(
-                base, batched,
-                "{name}: window {window} moved a simulated charge or counter"
-            );
-            assert_eq!(tokens, base_tokens, "{name}: same tokens cross the plane");
-            assert!(batches <= base_batches, "{name}: coalescing never adds slots");
-            assert_eq!(orphans, 0);
-        }
+fn observability_is_zero_cost_on_osiris_end_to_end() {
+    check_cells(osiris_fig5, &[Config::TracedMetered], GOLDEN_OSIRIS_FIG5);
+}
+
+#[test]
+fn shard_count_is_invisible_to_shard_local_work() {
+    // Without cross-shard traffic every shard is an independent engine:
+    // each shard of a two-shard fleet does exactly the work of the
+    // one-shard `NO_CROSS` row, so it must reproduce that row's golden.
+    let (cycles, cross_every, paths, pages, capacity) = NO_CROSS;
+    let two = fleet_config(2, (2 * cycles, cross_every, 2 * paths, pages, capacity));
+    let reports = run_fleet(&two);
+    assert_eq!(reports.len(), 2);
+    for r in &reports {
+        assert_eq!((r.paths, r.cycles), (paths, cycles), "shard {} got a different share", r.shard);
+        let pin = pin_shard(Pin::new(Config::Default), r);
+        assert_eq!(
+            fnv1a(pin.text.as_bytes()),
+            GOLDEN_NO_CROSS,
+            "shard {} of two differs from the one-shard run:\n{}",
+            r.shard,
+            pin.text
+        );
     }
 }
 
@@ -352,14 +573,14 @@ fn overload_is_explicit_counted_and_audited() {
     tracer.set_enabled(true);
     fbs.set_inbox_depth(1);
     let a = fbs.create_domain();
-    let route = vec![fbufs::vm::KERNEL_DOMAIN, a];
+    let route = vec![KERNEL_DOMAIN, a];
     let path = fbs.create_path(route.clone()).unwrap();
 
     let b1 = fbs
-        .alloc(fbufs::vm::KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
+        .alloc(KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
         .unwrap();
     let b2 = fbs
-        .alloc(fbufs::vm::KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
+        .alloc(KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
         .unwrap();
     assert!(!fbs.submit_transfer(b1, &route).is_overload());
     assert!(
@@ -373,172 +594,8 @@ fn overload_is_explicit_counted_and_audited() {
     fbs.pump();
     assert_eq!(fbs.transfers_completed(), 1);
     // The refused transfer never started: its buffer is still ours.
-    fbs.free(b2, fbufs::vm::KERNEL_DOMAIN).unwrap();
+    fbs.free(b2, KERNEL_DOMAIN).unwrap();
     audit_tracer(&tracer).assert_clean();
-}
-
-#[test]
-fn tracing_is_zero_cost_in_simulated_time() {
-    // Enabling the tracer must not move a single simulated nanosecond:
-    // recording never charges the clock.
-    let run = |traced: bool| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-        s.fbs.machine().tracer().set_enabled(traced);
-        for _ in 0..3 {
-            s.send_message(32 << 10, false).unwrap();
-        }
-        s.fbs.machine().clock().now()
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
-fn observability_is_zero_cost_on_loopback() {
-    // Spans, metrics sampling, and the always-on ledger together: with
-    // everything switched on, a pinned workload must reach the identical
-    // simulated instant with an identical counter snapshot. Observation
-    // never perturbs the observed system.
-    let run = |on: bool| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-        s.fbs.machine().tracer().set_enabled(on);
-        s.fbs.machine().metrics_ref().set_enabled(on);
-        for _ in 0..4 {
-            s.send_message(32 << 10, false).unwrap();
-        }
-        (s.fbs.machine().clock().now(), s.fbs.stats().snapshot())
-    };
-    let (t_off, s_off) = run(false);
-    let (t_on, s_on) = run(true);
-    assert_eq!(t_off, t_on, "observability must not move the clock");
-    assert_eq!(s_off, s_on, "observability must not touch a counter");
-}
-
-#[test]
-fn observability_is_zero_cost_on_osiris_end_to_end() {
-    // Same pin across the two-machine path, where every datagram mints a
-    // TX span and links an RX child span.
-    let run = |on: bool| {
-        let mut cfg = machine();
-        cfg.phys_mem = 16 << 20;
-        let mut e = EndToEnd::new(cfg, EndToEndConfig::fig5(DomainSetup::User));
-        for fbs in [&mut e.tx.fbs, &mut e.rx.fbs] {
-            fbs.machine().tracer().set_enabled(on);
-            fbs.machine().metrics_ref().set_enabled(on);
-        }
-        for _ in 0..3 {
-            e.send_message(50_000, 1, true).unwrap();
-        }
-        (
-            e.tx.fbs.machine().now(),
-            e.rx.fbs.machine().now(),
-            e.tx.fbs.stats().snapshot(),
-            e.rx.fbs.stats().snapshot(),
-        )
-    };
-    assert_eq!(run(false), run(true));
-}
-
-#[test]
-fn armed_containment_is_byte_identical_on_benign_workloads() {
-    // DESIGN.md §16: the hostile-tenant containment machinery (quota
-    // jail + transfer revocation deadline) armed at its default
-    // thresholds must be invisible to every benign workload — not one
-    // simulated nanosecond, not one counter. Pinned across the five
-    // workload shapes this file already pins for the event loop.
-    use fbufs::fbuf::JailConfig;
-    use fbufs::sim::Ns;
-
-    let arm = |fbs: &mut FbufSystem, on: bool| {
-        if on {
-            fbs.set_jail(Some(JailConfig::default()));
-            fbs.set_revoke_timeout(Some(Ns(1_000_000_000))); // 1 s
-        }
-    };
-
-    // 1. Cached loopback.
-    let cached = |on: bool| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-        arm(&mut s.fbs, on);
-        for _ in 0..4 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot())
-    };
-    // 2. Uncached loopback.
-    let uncached = |on: bool| {
-        let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, false));
-        arm(&mut s.fbs, on);
-        for _ in 0..3 {
-            s.send_message(16 << 10, false).unwrap();
-        }
-        (s.fbs.machine().now(), s.fbs.stats().snapshot())
-    };
-    // 3. Osiris end-to-end.
-    let osiris = |on: bool| {
-        let mut cfg = machine();
-        cfg.phys_mem = 16 << 20;
-        let mut e = EndToEnd::new(cfg, EndToEndConfig::fig5(DomainSetup::User));
-        arm(&mut e.tx.fbs, on);
-        arm(&mut e.rx.fbs, on);
-        for _ in 0..2 {
-            e.send_message(50_000, 1, true).unwrap();
-        }
-        (
-            e.tx.fbs.machine().now(),
-            e.rx.fbs.machine().now(),
-            e.tx.fbs.stats().snapshot(),
-            e.rx.fbs.stats().snapshot(),
-        )
-    };
-    // 4. Proxy graph chain.
-    let proxy = |on: bool| {
-        let mut fbs = FbufSystem::new(machine());
-        arm(&mut fbs, on);
-        let producer = fbs.create_domain();
-        let middle = fbs.create_domain();
-        let consumer = fbs.create_domain();
-        let path = fbs.create_path(vec![producer, middle, consumer]).unwrap();
-        let mut refs = MsgRefs::new();
-        for round in 0..3u8 {
-            let a = fbs.alloc(producer, AllocMode::Cached(path), 4096).unwrap();
-            fbs.write_fbuf(producer, a, 0, &[round; 16]).unwrap();
-            let msg = Msg::from_fbuf(a, 0, 4096);
-            refs.adopt(producer, &msg);
-            deliver(&mut fbs, &mut refs, &msg, producer, middle, SendMode::Volatile).unwrap();
-            deliver(&mut fbs, &mut refs, &msg, middle, consumer, SendMode::Secure).unwrap();
-            refs.release(&mut fbs, consumer, &msg).unwrap();
-            refs.release(&mut fbs, middle, &msg).unwrap();
-            refs.release(&mut fbs, producer, &msg).unwrap();
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-    // 5. Engine offered-load via submit_transfer (deadline-stamped when
-    // armed — the stamp itself must be free).
-    let engine = |on: bool| {
-        let mut fbs = FbufSystem::new(machine());
-        arm(&mut fbs, on);
-        let a = fbs.create_domain();
-        let route = vec![fbufs::vm::KERNEL_DOMAIN, a];
-        let path = fbs.create_path(route.clone()).unwrap();
-        for _ in 0..8 {
-            let b = fbs
-                .alloc(fbufs::vm::KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
-                .unwrap();
-            assert!(!fbs.submit_transfer(b, &route).is_overload());
-            fbs.pump();
-        }
-        (fbs.machine().now(), fbs.stats().snapshot())
-    };
-
-    assert_eq!(cached(false), cached(true), "cached loopback moved");
-    assert_eq!(uncached(false), uncached(true), "uncached loopback moved");
-    assert_eq!(osiris(false), osiris(true), "osiris end-to-end moved");
-    assert_eq!(proxy(false), proxy(true), "proxy chain moved");
-    assert_eq!(engine(false), engine(true), "engine offered load moved");
-    // The armed runs really had the jail on and never tripped it.
-    let (_, snap) = cached(true);
-    assert_eq!(snap.jail_denials, 0);
-    assert_eq!(snap.fbufs_revoked, 0);
 }
 
 #[test]
@@ -548,8 +605,6 @@ fn injected_domain_crash_never_bills_the_ledger_or_trips_the_jail() {
     // traffic: the tenant ledger's transfer bytes must not move, the
     // armed jail must not count the teardown against any tenant, and
     // the hoard charge of the victim must return to zero.
-    use fbufs::fbuf::JailConfig;
-
     let mut fbs = FbufSystem::new(machine());
     fbs.set_jail(Some(JailConfig::default()));
     let a = fbs.create_domain();
@@ -590,41 +645,20 @@ fn injected_domain_crash_never_bills_the_ledger_or_trips_the_jail() {
 fn injected_ring_full_faults_keep_the_fleet_ledger_conserving() {
     // FaultSite::RingFull on the cross-shard data plane: pushes refused
     // by the injected backpressure must surface as survivable aborts,
-    // never as phantom ledger billing. And merely *arming* a zero-rate
-    // plan must not move a byte anywhere — the same counter-exactness
-    // discipline every other plane in this file obeys.
-    use fbufs::fbuf::{fleet_ledger, fleet_snapshot};
-    use fbufs::sim::{FaultSite, FaultSpec};
+    // never as phantom ledger billing. (That merely *arming* a zero-rate
+    // plan moves nothing is a golden-matrix configuration.)
+    use fbufs::fbuf::fleet_ledger;
+    use fbufs::sim::FaultSite;
 
-    let mut cfg = machine();
-    cfg.phys_mem = 32 << 20;
-    let base = FleetConfig {
-        paths: 2,
-        pages: 1,
-        cross_every: 2,
-        channel_capacity: 4,
-        ..FleetConfig::new(1, cfg, 300)
-    };
-    let run = |fault: Option<FaultSpec>| {
-        let mut f = base.clone();
-        f.fault = fault;
-        run_fleet(&f)
-    };
-
-    let clean = run(None);
-    let armed_zero = run(Some(FaultSpec::new(11)));
-    assert_eq!(
-        fleet_snapshot(&clean),
-        fleet_snapshot(&armed_zero),
-        "arming a zero-rate plan moved a counter"
-    );
-
-    let faulted = run(Some(FaultSpec::new(11).rate(FaultSite::RingFull, 20_000)));
+    let faulted = run_fleet(&FleetConfig {
+        fault: Some(FaultSpec::new(11).rate(FaultSite::RingFull, 20_000)),
+        ..fleet_config(1, (300, 2, 2, 1, 4))
+    });
     let injected: u64 = faulted.iter().map(|r| r.faults_injected).sum();
     assert!(injected > 0, "the plan never fired");
     // Conservation is a whole-life invariant (the ledger is cumulative;
     // the windowed delta excludes warm-up — see tests/observability.rs).
-    let life = fbufs::sim::StatsSnapshot::merge_all(faulted.iter().map(|r| &r.life));
+    let life = StatsSnapshot::merge_all(faulted.iter().map(|r| &r.life));
     assert_eq!(life.jail_denials, 0, "backpressure faults are not tenant hoarding");
     assert_eq!(life.tokens_rejected, 0, "backpressure faults are not forgeries");
     let violations = fleet_ledger(&faulted).conserves(&life);
@@ -635,53 +669,15 @@ fn injected_ring_full_faults_keep_the_fleet_ledger_conserving() {
 }
 
 #[test]
-fn static_policy_is_bit_identical_to_the_fixed_quota() {
-    // The pluggable admission layer must leave the default behaviour
-    // untouched: a system with `QuotaPolicy::Static` set explicitly and
-    // one that never heard of policies run the same allocation storm to
-    // the identical simulated instant with identical counters, and both
-    // deny exactly at the configured chunk quota.
-    use fbufs::fbuf::{FbufError, QuotaPolicy};
-    use fbufs::sim::MachineConfig as MC;
-
-    let storm = |set_policy: bool| {
-        let mut fbs = FbufSystem::new(MC::tiny());
-        if set_policy {
-            fbs.set_quota_policy(QuotaPolicy::Static);
-        }
-        let a = fbs.create_domain();
-        let b = fbs.create_domain();
-        let path = fbs.create_path(vec![a, b]).unwrap();
-        let quota = fbs.machine().config().max_chunks_per_path;
-        // Chunk-sized buffers, all held live: every allocation needs a
-        // fresh chunk, so the quota is the exact admission boundary.
-        let chunk = fbs.machine().config().chunk_size;
-        for _ in 0..quota {
-            fbs.alloc(a, AllocMode::Cached(path), chunk).unwrap();
-        }
-        let denied = fbs.alloc(a, AllocMode::Cached(path), chunk);
-        assert_eq!(denied, Err(FbufError::QuotaExceeded { path: Some(path) }));
-        (fbs.machine().clock().now(), fbs.stats().snapshot())
-    };
-    let (t_default, s_default) = storm(false);
-    let (t_static, s_static) = storm(true);
-    assert_eq!(t_default, t_static, "Static must not move the clock");
-    assert_eq!(s_default, s_static, "Static must not touch a counter");
-    assert_eq!(s_static.chunk_quota_denials, 1, "exactly the one organic denial");
-}
-
-#[test]
 fn injected_quota_denials_never_count_as_organic() {
     // The `chunk_quota_denials` counter tallies *policy* refusals only.
     // A fault-plan `QuotaExhausted` injection produces the same error at
     // the same site but is the plan's statistic, not the counter's —
     // the split the oracle pins from its side in
     // `fbuf-model::oracle` (injected_quota_and_chunk_grant_decisions).
-    use fbufs::fbuf::{FbufError, QuotaPolicy};
-    use fbufs::sim::{FaultSite, FaultSpec, MachineConfig as MC};
-    use std::rc::Rc;
+    use fbufs::sim::FaultSite;
 
-    let mut fbs = FbufSystem::new(MC::tiny());
+    let mut fbs = FbufSystem::new(MachineConfig::tiny());
     fbs.set_quota_policy(QuotaPolicy::Static);
     let a = fbs.create_domain();
     let b = fbs.create_domain();

@@ -213,6 +213,44 @@ fn revocation_deadline_during_terminate_reclaims_frames_exactly_once() {
 }
 
 #[test]
+fn receiver_death_releases_queued_transfers_at_the_next_pump() {
+    // Transfers sit queued toward a receiver that is torn down before
+    // the engine services them, and no revocation deadline is armed. The
+    // leg that finds its receiver gone must release every reference the
+    // transfer already took, as an overloaded leg does. Otherwise the
+    // buffers stay live, charged to the surviving originator's quota and
+    // hoard bytes, until the originator itself dies.
+    for domains in [2, 3] {
+        let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
+        sys.machine().tracer_ref().set_enabled(true);
+        let route: Vec<_> = (0..domains).map(|_| sys.create_domain()).collect();
+        let (origin, receiver) = (route[0], route[domains - 1]);
+        let p = sys.create_path(route.clone()).unwrap();
+        let frames0 = sys.machine().free_frames();
+
+        for _ in 0..4 {
+            let id = sys.alloc(origin, AllocMode::Cached(p), 4096).unwrap();
+            assert!(!sys.submit_transfer(id, &route).is_overload());
+        }
+        sys.terminate_domain(receiver).unwrap();
+        sys.pump();
+
+        assert_eq!(sys.live_fbufs(), 0, "{domains}-domain route: queued transfers leaked");
+        assert_eq!(sys.charged_bytes(origin), 0, "{domains}-domain route: origin still charged");
+        assert_eq!(sys.transfers_aborted(), 4);
+        let violations = sys.ledger_snapshot().conserves(&sys.stats().snapshot());
+        assert!(violations.is_empty(), "ledger must conserve: {violations:?}");
+        sys.terminate_domain(origin).unwrap();
+        assert_eq!(
+            sys.machine().free_frames(),
+            frames0,
+            "every frame reclaimed exactly once"
+        );
+        audit_tracer(sys.machine().tracer_ref()).assert_clean();
+    }
+}
+
+#[test]
 fn fleet_under_injected_backpressure_keeps_steady_state_invariants() {
     let mut machine = MachineConfig::tiny();
     machine.phys_mem = 8 << 20;
