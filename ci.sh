@@ -30,32 +30,43 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+# Every harness is a subcommand of the one binary, `repro`; each checks
+# its report against the report contract before it writes it, and the
+# `repro check` pass at the end re-reads every report written here.
+REPRO="cargo run --release -q -p fbuf-bench --"
+
+# Paper experiments: Table 1 and Figures 3-6, the remap re-measurement,
+# the ablations and the aggregate-object machinery, each writing its
+# BENCH_*.json report.
+FBUF_BENCH_DIR=target/bench-reports $REPRO all
+
 # Trace smoke test: a tiny traced loopback run must audit clean and
 # write a Chrome trace that round-trips through the in-repo JSON parser
-# (fbuf-trace exits nonzero on either failure).
+# and carries the lifecycle event kinds (the run exits nonzero on
+# either failure).
 FBUF_TRACE_MSGS=4 FBUF_TRACE_SIZE=8192 FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-trace
+    $REPRO lifecycle
 test -s target/bench-reports/TRACE_loopback.json
 
 # Ledger smoke: a small fleet run must render the per-tenant table and
 # conserve — summed tenant bytes/transfers/IPC calls must reproduce the
-# fleet's whole-life counters exactly (fbuf-ledger exits nonzero
-# otherwise). The artifact feeds the --check pass below.
+# fleet's whole-life counters exactly (the run exits nonzero otherwise,
+# and the report contract refuses to write a ledger that does not).
 FBUF_LEDGER_SHARDS=2 FBUF_LEDGER_CYCLES=2000 FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-ledger
+    $REPRO ledger
 test -s target/bench-reports/LEDGER_fleet.json
 
 # Stress smoke test, single- and multi-shard: a small fixed op budget
-# must hold the §3.2.2 steady-state invariants *per shard* (fbuf-stress
+# must hold the §3.2.2 steady-state invariants *per shard* (the run
 # exits nonzero otherwise), drive cross-shard payloads over the SPSC
 # rings at 2 threads, and write a report with a well-formed scaling
-# curve (validated by the --check pass after the fan-in smoke below).
+# curve.
 #
 # Scaling gates are host-adaptive: a 2-thread run on fewer than two real
 # cores just timeslices, so the speedup/efficiency floors are only armed
 # when the host can physically show a speedup. On multi-core hosts the
-# floor is also recorded under host.scaling_floor, which --check
-# re-enforces against the written artifact.
+# floor is also recorded under host.scaling_floor, which every later
+# check re-enforces against the written report.
 CORES=$(nproc 2>/dev/null || echo 1)
 if [ "$CORES" -ge 2 ]; then
     export FBUF_STRESS_MIN_SPEEDUP="2:1.2"
@@ -63,12 +74,12 @@ if [ "$CORES" -ge 2 ]; then
 fi
 FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=4 FBUF_STRESS_THREADS=1,2 \
     FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-stress
+    $REPRO stress
 
 # Wide-shard stress smoke: 64 paths on one shard. The per-path gauges
 # fill the telemetry series cap and the fbuf region must hold a chunk
-# per path; the run must complete, and its own --check must still find
-# the shard's fixed gauges (ring_batch_occupancy, notice_coalesce_factor).
+# per path; the run must complete, and its report must still carry the
+# shard's fixed gauges (ring_batch_occupancy, notice_coalesce_factor).
 # Its report goes to a directory of its own so the default reports above
 # stay as they are. A one-point sweep has no speedup to gate, so the
 # scaling gates exported above are unset for it.
@@ -76,49 +87,42 @@ FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=4 FBUF_STRESS_THREADS=1,2 \
     unset FBUF_STRESS_MIN_SPEEDUP FBUF_STRESS_EFF_FLOOR
     FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=64 FBUF_STRESS_THREADS=1 \
         FBUF_BENCH_DIR=target/bench-reports/wide-shard \
-        cargo run --release -q -p fbuf-bench --bin fbuf-stress
+        $REPRO stress
 )
-cargo run --release -q -p fbuf-bench --bin fbuf-stress -- --check target/bench-reports/wide-shard
+$REPRO check target/bench-reports/wide-shard
 
 # Queueing smoke: an offered-load sweep through the event-loop engine
 # must conserve transfers at every point (completed + aborted == offered),
 # show zero queueing delay in the drained burst-1 regime (enforced twice:
 # the built-in invariant plus the explicit SLO gate below), build real
 # delay under load, and refuse work explicitly once a burst exceeds the
-# bounded inbox depth (fbuf-queue exits nonzero on any violation).
+# bounded inbox depth (the run exits nonzero on any violation).
 FBUF_QUEUE_TRANSFERS=128 FBUF_QUEUE_BURSTS=1,4,16 FBUF_QUEUE_DEPTH=8 \
     FBUF_QUEUE_SLO_P99_NS=0 \
     FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-queue
+    $REPRO queue
 
 # Fan-in smoke: all three chunk-admission policies drive the same
 # Zipf-skewed, bursty fan-in workload at equal total buffer memory
-# through the sharded event-loop engine. fbuf-fanin exits nonzero
+# through the sharded event-loop engine. The run exits nonzero
 # unless every policy conserves arrivals (offered == completed +
 # dropped + unresolved) and fb-dynamic strictly beats the static quota
 # on both drops and p99 alloc wait — the policy layer's reason to
 # exist, enforced at smoke scale on every CI run.
 FBUF_FANIN_FLOWS=2000 FBUF_FANIN_PATHS=64 FBUF_FANIN_SHARDS=2 FBUF_FANIN_STEPS=120 \
     FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-fanin
+    $REPRO fanin
 test -s target/bench-reports/BENCH_fanin.json
-
-# --check re-parses every BENCH_*.json written above (stress, queue,
-# fanin) for host + repro + telemetry blocks — including the
-# chunk-admission policy every repro header must now name — plus
-# scaling-curve sanity, and every LEDGER_*.json for schema and
-# conservation.
-cargo run --release -q -p fbuf-bench --bin fbuf-stress -- --check target/bench-reports
 
 # Lockstep-fuzzer smoke: a bounded fixed-seed campaign against the
 # reference model must finish with zero divergences (long campaigns run
-# the same binary with FBUF_FUZZ_CASES/FBUF_FUZZ_CMDS raised), and every
-# pinned corpus case must replay clean — including the adversarial
+# the same subcommand with FBUF_FUZZ_CASES/FBUF_FUZZ_CMDS raised), and
+# every pinned corpus case must replay clean — including the adversarial
 # cases (adv = K in the corpus header), which replay with containment
 # armed and the hostile personas overlaid.
 FBUF_FUZZ_CASES=${FBUF_FUZZ_CASES:-16} FBUF_FUZZ_CMDS=${FBUF_FUZZ_CMDS:-150} \
-    cargo run --release -q -p fbuf-bench --bin fbuf-fuzz
-cargo run --release -q -p fbuf-bench --bin fbuf-fuzz -- --replay tests/corpus
+    $REPRO fuzz
+$REPRO fuzz --replay tests/corpus
 
 # Adversarial lockstep smoke: the same differ with three hostile
 # personas (hoarder, stalled receiver, token forger) overlaid on every
@@ -126,16 +130,23 @@ cargo run --release -q -p fbuf-bench --bin fbuf-fuzz -- --replay tests/corpus
 # the oracle mirrors jail denials, forced revocations, and token
 # rejections exactly.
 FBUF_FUZZ_CASES=8 FBUF_FUZZ_CMDS=150 FBUF_FUZZ_ADV=3 \
-    cargo run --release -q -p fbuf-bench --bin fbuf-fuzz
+    $REPRO fuzz
 
 # Hostile-tenant containment smoke: N benign tenants vs the three
-# personas through the engine at equal memory. fbuf-adversary exits
-# nonzero unless benign goodput stays >= 95% of the adversary-free
-# baseline, zero forged tokens dereference, the jail and both
-# revocation paths (forced + timeout) all fire, and the per-tenant
-# ledger conserves — revocations and rejected tokens included.
+# personas through the engine at equal memory. The run exits nonzero
+# unless benign goodput stays >= 95% of the adversary-free baseline,
+# zero forged tokens dereference, the jail and both revocation paths
+# (forced + timeout) all fire, and the per-tenant ledger conserves —
+# revocations and rejected tokens included.
 FBUF_ADV_TENANTS=4 FBUF_ADV_ROUNDS=32 FBUF_BENCH_DIR=target/bench-reports \
-    cargo run --release -q -p fbuf-bench --bin fbuf-adversary
+    $REPRO adversary
 test -s target/bench-reports/BENCH_adversary.json
+
+# One check after the last writer: every BENCH_*.json (the paper
+# reports, stress, queue, fanin, adversary) for host + repro + telemetry
+# blocks — including the chunk-admission policy every repro header must
+# name — plus scaling-curve sanity, every LEDGER_*.json for schema and
+# conservation, and every TRACE_*.json for the lifecycle event kinds.
+$REPRO check target/bench-reports
 
 echo "ci: ok"

@@ -12,7 +12,7 @@ use fbuf_sim::{Json, MachineConfig, ToJson};
 use fbuf_vm::facility::{RemapFacility, TransferMechanism};
 use fbuf_vm::{DomainId, Machine};
 
-use crate::report::CostRow;
+use crate::rows::CostRow;
 use crate::table1;
 
 fn machine_cfg() -> MachineConfig {

@@ -1,4 +1,4 @@
-//! `fbuf-adversary`: hostile-tenant containment under load.
+//! `repro adversary`: hostile-tenant containment under load.
 //!
 //! Runs the same benign transfer schedule twice through the per-shard
 //! event-loop engine at **identical** machine config (same region, same
@@ -38,12 +38,11 @@
 //!
 //! Report: `BENCH_adversary.json`.
 
-use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId};
 use fbuf_bench::knobs::env_u64;
-use fbuf_sim::bench::{BenchRunner, Unit};
+use fbuf_bench::report::{BenchRunner, Unit};
 use fbuf_sim::{Json, MachineConfig, Ns, ToJson};
 use fbuf_vm::DomainId;
 
@@ -88,7 +87,7 @@ fn containment() -> JailConfig {
     }
 }
 
-fn run(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
+fn schedule(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
     sys.set_jail(Some(containment()));
     // 800 µs: far above a drained benign hop's queueing delay, far
@@ -224,25 +223,22 @@ fn run(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
     })
 }
 
-fn main() -> ExitCode {
+/// Runs the baseline and contested schedules, applies the containment
+/// gates and writes `BENCH_adversary.json`.
+pub fn run() -> Result<(), String> {
     let cfg = Config {
         tenants: env_u64("FBUF_ADV_TENANTS", 8) as usize,
         rounds: env_u64("FBUF_ADV_ROUNDS", 64),
         pages: env_u64("FBUF_ADV_PAGES", 2),
     };
     println!(
-        "== fbuf-adversary: {} benign tenant(s) × {} round(s) × {} page(s) vs 3 hostile personas ==",
+        "== repro adversary: {} benign tenant(s) × {} round(s) × {} page(s) vs 3 hostile personas ==",
         cfg.tenants, cfg.rounds, cfg.pages
     );
 
     let host_t0 = Instant::now();
-    let (base, adv) = match (run(&cfg, false), run(&cfg, true)) {
-        (Ok(b), Ok(a)) => (b, a),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("fbuf-adversary FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let base = schedule(&cfg, false).map_err(|e| e.to_string())?;
+    let adv = schedule(&cfg, true).map_err(|e| e.to_string())?;
     let host_ns = host_t0.elapsed().as_nanos().max(1) as u64;
 
     for (name, r) in [("baseline", &base), ("contested", &adv)] {
@@ -298,10 +294,7 @@ fn main() -> ExitCode {
         }
     }
     if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("fbuf-adversary FAILED: {f}");
-        }
-        return ExitCode::FAILURE;
+        return Err(failures.join("; "));
     }
     println!(
         "gate: benign goodput {:.1}% of baseline, zero forged derefs, jail + both revocation paths exercised, ledger conserves",
@@ -310,7 +303,6 @@ fn main() -> ExitCode {
 
     let mut runner = BenchRunner::named("adversary", 1);
     runner.set_threads(1);
-    runner.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     runner.param("tenants", cfg.tenants as u64);
     runner.param("rounds", cfg.rounds);
     runner.param("pages", cfg.pages);
@@ -347,14 +339,5 @@ fn main() -> ExitCode {
     runner.artifact("baseline", side(&base));
     runner.artifact("contested", side(&adv));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-adversary FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    runner.finish().map(drop)
 }

@@ -1,4 +1,4 @@
-//! `fbuf-fanin`: massive fan-in across chunk-admission policies.
+//! `repro fanin`: massive fan-in across chunk-admission policies.
 //!
 //! Drives the fan-in workload (`fbuf_bench::fanin`, DESIGN.md §15) —
 //! tens of thousands of Zipf-skewed, bursty flows through the sharded
@@ -34,13 +34,12 @@
 //! * `FBUF_BENCH_DIR`    — report directory (default
 //!   `target/bench-reports`).
 
-use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::QuotaPolicy;
 use fbuf_bench::fanin::{run_fanin, FaninConfig, FaninReport};
 use fbuf_bench::knobs::{env_parse, env_u64};
-use fbuf_sim::bench::{BenchRunner, Unit};
+use fbuf_bench::report::{BenchRunner, Unit};
 use fbuf_sim::metrics::DEFAULT_CADENCE_NS;
 use fbuf_sim::{Json, Ns, ToJson};
 
@@ -63,15 +62,11 @@ fn policies() -> Result<Vec<QuotaPolicy>, String> {
         .collect()
 }
 
-fn main() -> ExitCode {
+/// Runs the fan-in once per policy, applies the fb-dynamic-beats-static
+/// gate and writes `BENCH_fanin.json`.
+pub fn run() -> Result<(), String> {
     let seed = env_u64("FBUF_FANIN_SEED", 0xfa21);
-    let policies = match policies() {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("fbuf-fanin FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let policies = policies()?;
 
     let mut base = FaninConfig::new(QuotaPolicy::Static, seed);
     base.flows = env_u64("FBUF_FANIN_FLOWS", base.flows as u64) as usize;
@@ -84,15 +79,14 @@ fn main() -> ExitCode {
     base.machine.max_chunks_per_path =
         env_u64("FBUF_FANIN_QUOTA", base.machine.max_chunks_per_path as u64) as usize;
     if base.paths < base.shards {
-        eprintln!(
-            "fbuf-fanin FAILED: {} paths cannot cover {} shards",
+        return Err(format!(
+            "{} paths cannot cover {} shards",
             base.paths, base.shards
-        );
-        return ExitCode::FAILURE;
+        ));
     }
 
     println!(
-        "== fbuf-fanin: {} flows over {} paths on {} shard(s), zipf {}, {} steps, static quota {} of {} chunks/shard ==",
+        "== repro fanin: {} flows over {} paths on {} shard(s), zipf {}, {} steps, static quota {} of {} chunks/shard ==",
         base.flows,
         base.paths,
         base.shards,
@@ -120,13 +114,7 @@ fn main() -> ExitCode {
     for &policy in &policies {
         let mut cfg = base.clone();
         cfg.policy = policy;
-        let r = match run_fanin(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fbuf-fanin FAILED under {}: {e}", policy.name());
-                return ExitCode::FAILURE;
-            }
-        };
+        let r = run_fanin(&cfg).map_err(|e| format!("under {}: {e}", policy.name()))?;
         println!(
             "{:>10} {:>9} {:>9} {:>8} {:>9} {:>10.1} {:>9.1} {:>9} {:>11} {:>11}",
             policy.name(),
@@ -150,19 +138,17 @@ fn main() -> ExitCode {
     let find = |name: &str| runs.iter().find(|(p, _)| p.name() == name).map(|(_, r)| r);
     if let (Some(st), Some(dy)) = (find("static"), find("fb-dynamic")) {
         if dy.drops >= st.drops {
-            eprintln!(
-                "fbuf-fanin FAILED: fb-dynamic dropped {} >= static {} — dynamic sizing must shed the skew",
+            return Err(format!(
+                "fb-dynamic dropped {} >= static {} — dynamic sizing must shed the skew",
                 dy.drops, st.drops
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         if dy.alloc_wait.p99() >= st.alloc_wait.p99() {
-            eprintln!(
-                "fbuf-fanin FAILED: fb-dynamic p99 wait {} ns >= static {} ns",
+            return Err(format!(
+                "fb-dynamic p99 wait {} ns >= static {} ns",
                 dy.alloc_wait.p99(),
                 st.alloc_wait.p99()
-            );
-            return ExitCode::FAILURE;
+            ));
         }
         println!(
             "gate: fb-dynamic beats static — drops {} < {}, p99 wait {} ns < {} ns",
@@ -176,6 +162,7 @@ fn main() -> ExitCode {
     let mut runner = BenchRunner::named("fanin", 1);
     runner.set_seed(seed);
     runner.set_threads(base.shards as u64);
+    // The sweep names every policy it ran in place of the default one.
     runner.param(
         "policy",
         Json::Arr(runs.iter().map(|(p, _)| p.name().to_json()).collect()),
@@ -228,14 +215,5 @@ fn main() -> ExitCode {
         .collect();
     runner.artifact("policies", Json::Arr(sweep));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-fanin FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    runner.finish().map(drop)
 }

@@ -1,4 +1,4 @@
-//! `fbuf-fuzz`: long seeded lockstep campaigns against the reference
+//! `repro fuzz`: long seeded lockstep campaigns against the reference
 //! model, with automatic shrinking of divergences.
 //!
 //! Each case is one seed: it fixes the command stream, the fault plan
@@ -22,12 +22,11 @@
 //!   containment machinery (quota jail, revocation, token defense) and
 //!   records `adv` in any shrunk corpus case so replay is bit-identical.
 //!
-//! Replay mode: `fbuf-fuzz --replay <dir>` re-runs every `*.case` file
+//! Replay mode: `repro fuzz --replay <dir>` re-runs every `*.case` file
 //! in `<dir>` and fails if any of them diverges — the regression gate
 //! that keeps once-found bugs fixed forever.
 
 use std::path::Path;
-use std::process::ExitCode;
 
 use fbuf_bench::knobs::env_parse;
 use fbuf_model::fuzz;
@@ -43,36 +42,28 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-fn replay_dir(dir: &Path) -> ExitCode {
-    let mut entries: Vec<_> = match std::fs::read_dir(dir) {
-        Ok(rd) => rd
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|x| x == "case"))
-            .collect(),
-        Err(e) => {
-            eprintln!("fbuf-fuzz: cannot read {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    };
+/// Replays every `*.case` file in `dir`; fails if any is unreadable,
+/// malformed or diverges.
+fn replay_dir(dir: &Path) -> Result<(), String> {
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "case"))
+        .collect();
     entries.sort();
     if entries.is_empty() {
-        eprintln!("fbuf-fuzz: no .case files in {}", dir.display());
-        return ExitCode::FAILURE;
+        return Err(format!("no .case files in {}", dir.display()));
     }
     let mut bad = 0;
     for path in &entries {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("fbuf-fuzz: {}: {e}", path.display());
-                bad += 1;
-                continue;
-            }
+        let case = match std::fs::read_to_string(path) {
+            Ok(text) => fuzz::parse_corpus(&text).map_err(|e| format!("malformed: {e}")),
+            Err(e) => Err(e.to_string()),
         };
-        let case = match fuzz::parse_corpus(&text) {
+        let case = match case {
             Ok(c) => c,
             Err(e) => {
-                eprintln!("fbuf-fuzz: {}: malformed: {e}", path.display());
+                eprintln!("replay {}: {e}", path.display());
                 bad += 1;
                 continue;
             }
@@ -96,22 +87,18 @@ fn replay_dir(dir: &Path) -> ExitCode {
         }
     }
     if bad > 0 {
-        eprintln!("fbuf-fuzz: {bad}/{} corpus case(s) failed", entries.len());
-        ExitCode::FAILURE
-    } else {
-        println!("fbuf-fuzz: all {} corpus case(s) clean", entries.len());
-        ExitCode::SUCCESS
+        return Err(format!("{bad}/{} corpus case(s) failed", entries.len()));
     }
+    println!("repro fuzz: all {} corpus case(s) clean", entries.len());
+    Ok(())
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.first().map(String::as_str) == Some("--replay") {
-        let Some(dir) = args.get(1) else {
-            eprintln!("usage: fbuf-fuzz --replay <corpus-dir>");
-            return ExitCode::FAILURE;
-        };
-        return replay_dir(Path::new(dir));
+/// `fuzz` runs a campaign; `fuzz --replay <dir>` replays a corpus.
+pub fn run(args: &[String]) -> Result<(), String> {
+    match args {
+        [] => {}
+        [flag, dir] if flag == "--replay" => return replay_dir(Path::new(dir)),
+        _ => return Err("usage: repro fuzz [--replay <corpus-dir>]".into()),
     }
 
     let cases = env_u64("FBUF_FUZZ_CASES", 64) as usize;
@@ -120,10 +107,10 @@ fn main() -> ExitCode {
     let corpus = std::env::var("FBUF_FUZZ_CORPUS").unwrap_or_else(|_| "tests/corpus".into());
     let adv = env_u64("FBUF_FUZZ_ADV", 0) as u32;
 
-    println!("fbuf-fuzz: {cases} case(s) × {cmds} command(s), seed {seed:#x}, adv {adv}");
+    println!("repro fuzz: {cases} case(s) × {cmds} command(s), seed {seed:#x}, adv {adv}");
     let report = fuzz::campaign(seed, cases, cmds, None, adv);
     println!(
-        "fbuf-fuzz: {} command(s) executed across {} case(s)",
+        "repro fuzz: {} command(s) executed across {} case(s)",
         report.commands, report.cases
     );
     println!("faults injected:");
@@ -131,37 +118,32 @@ fn main() -> ExitCode {
         println!("{line}");
     }
     if report.failures.is_empty() {
-        println!("fbuf-fuzz: zero divergences");
-        return ExitCode::SUCCESS;
+        println!("repro fuzz: zero divergences");
+        return Ok(());
     }
 
     for (case_seed, fail) in &report.failures {
         eprintln!(
-            "fbuf-fuzz: case seed {case_seed:#x} DIVERGED at command {}: {}",
+            "case seed {case_seed:#x} DIVERGED at command {}: {}",
             fail.fail_index, fail.message
         );
         let keep = fuzz::shrink(*case_seed, cmds, fail, None, adv);
-        eprintln!("fbuf-fuzz: shrunk to {} command(s): {keep:?}", keep.len());
+        eprintln!("shrunk to {} command(s): {keep:?}", keep.len());
         let note = format!(
             "found by campaign seed {seed:#x}\ndiverged: {}",
             fail.message
         );
         let entry = fuzz::corpus_entry(*case_seed, cmds, Some(&keep), &note, adv);
         let dir = Path::new(&corpus);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("fbuf-fuzz: cannot create {}: {e}", dir.display());
-            continue;
-        }
         let file = dir.join(format!("fuzz-{case_seed:016x}.case"));
-        match std::fs::write(&file, entry) {
-            Ok(()) => eprintln!("fbuf-fuzz: wrote {}", file.display()),
-            Err(e) => eprintln!("fbuf-fuzz: cannot write {}: {e}", file.display()),
+        match std::fs::create_dir_all(dir).and_then(|()| std::fs::write(&file, entry)) {
+            Ok(()) => eprintln!("wrote {}", file.display()),
+            Err(e) => eprintln!("cannot write {}: {e}", file.display()),
         }
     }
-    eprintln!(
-        "fbuf-fuzz: {} divergence(s) in {} case(s)",
+    Err(format!(
+        "{} divergence(s) in {} case(s)",
         report.failures.len(),
         report.cases
-    );
-    ExitCode::FAILURE
+    ))
 }

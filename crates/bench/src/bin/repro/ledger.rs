@@ -1,8 +1,8 @@
-//! `fbuf-ledger`: the per-tenant accounting view of a fleet run.
+//! `repro ledger`: the per-tenant accounting view of a fleet run.
 //!
 //! Every counter the engine keeps ([`fbuf_sim::Stats`]) answers *how
 //! much work happened*; the ledger answers *on whose behalf*. This
-//! target runs a sharded fleet (the same workload shape `fbuf-stress`
+//! subcommand runs a sharded fleet (the same workload shape `repro stress`
 //! measures), folds each shard's always-on [`fbuf::Ledger`] into one
 //! fleet table with [`fbuf::fleet_ledger`], and renders it two ways:
 //!
@@ -18,9 +18,10 @@
 //! Conservation is the whole point: summed over every tenant, the
 //! ledger's bytes / transfers / IPC-call columns must reproduce the
 //! fleet's whole-life counter totals exactly (the ledger is updated
-//! inline on the same operations that bump the counters). This binary
-//! exits non-zero if conservation fails, and `fbuf-stress --check`
-//! re-validates the written artifact.
+//! inline on the same operations that bump the counters). The run fails
+//! if conservation fails, and the report contract
+//! (`fbuf_bench::report::check`) refuses to write, and `repro
+//! check` rejects, a ledger that does not conserve.
 //!
 //! Environment knobs:
 //!
@@ -30,12 +31,11 @@
 //! * `FBUF_BENCH_DIR`     — report directory (default
 //!   `target/bench-reports`).
 
-use std::process::ExitCode;
-
 use fbuf::shard::{fleet_ledger, run_fleet, FleetConfig};
 use fbuf::{Ledger, TenantRow};
 use fbuf_bench::knobs::env_u64;
-use fbuf_sim::{Json, MachineConfig, StatsSnapshot, ToJson};
+use fbuf_bench::report;
+use fbuf_sim::{MachineConfig, StatsSnapshot};
 
 /// One formatted table row; `tenant` is e.g. `dom 3` or `path 1`.
 fn print_row(tenant: &str, r: &TenantRow) {
@@ -69,7 +69,9 @@ fn print_table(ledger: &Ledger) {
     print_row("total", &ledger.totals());
 }
 
-fn main() -> ExitCode {
+/// Runs the fleet, prints the tenant table and writes
+/// `LEDGER_fleet.json`.
+pub fn run() -> Result<(), String> {
     let shards = env_u64("FBUF_LEDGER_SHARDS", 2) as usize;
     let cycles = env_u64("FBUF_LEDGER_CYCLES", 4_000);
 
@@ -80,7 +82,7 @@ fn main() -> ExitCode {
         metrics: true,
         ..FleetConfig::new(shards, machine, cycles)
     };
-    println!("== fbuf-ledger: {shards} shard(s), {cycles} cycles ==");
+    println!("== repro ledger: {shards} shard(s), {cycles} cycles ==");
     let reports = run_fleet(&cfg);
 
     let ledger = fleet_ledger(&reports);
@@ -104,54 +106,26 @@ fn main() -> ExitCode {
     );
 
     let violations = ledger.conserves(&life);
-    let doc = Json::obj(vec![
-        ("name", "ledger_fleet".to_json()),
-        ("shards", (shards as u64).to_json()),
-        ("cycles", cycles.to_json()),
-        ("ledger", ledger.to_json()),
-        ("counters", life.to_json()),
-        (
-            "notice_plane",
-            Json::obj(vec![
-                ("batches", batches.to_json()),
-                ("tokens", tokens.to_json()),
-                ("orphans", orphans.to_json()),
-            ]),
-        ),
-        (
-            "conservation",
-            Json::obj(vec![(
-                "violations",
-                Json::Arr(violations.iter().map(|v| v.as_str().to_json()).collect()),
-            )]),
-        ),
-    ]);
-
-    let dir = std::env::var("FBUF_BENCH_DIR").unwrap_or_else(|_| "target/bench-reports".into());
-    let path = format!("{dir}/LEDGER_fleet.json");
-    if let Err(e) = std::fs::create_dir_all(&dir)
-        .map_err(|e| e.to_string())
-        .and_then(|()| std::fs::write(&path, doc.render()).map_err(|e| e.to_string()))
-    {
-        eprintln!("fbuf-ledger FAILED: could not write {path}: {e}");
-        return ExitCode::FAILURE;
+    for v in &violations {
+        eprintln!("conservation violated: {v}");
     }
-    println!("wrote {path}");
-
-    if !violations.is_empty() {
-        eprintln!("fbuf-ledger FAILED: conservation violated:");
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        return ExitCode::FAILURE;
-    }
+    let doc = report::ledger_doc(
+        shards as u64,
+        cycles,
+        &ledger,
+        &life,
+        [batches, tokens, orphans],
+        &violations,
+    );
+    report::write("LEDGER_fleet.json", &doc)?;
     if orphans > 0 {
-        eprintln!("fbuf-ledger FAILED: {orphans} notice token(s) arrived without a pending send");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{orphans} notice token(s) arrived without a pending send"
+        ));
     }
     println!(
         "conservation: {} tenant bytes == fleet bytes_transferred; transfers and ipc_calls conserved",
         ledger.totals().bytes
     );
-    ExitCode::SUCCESS
+    Ok(())
 }

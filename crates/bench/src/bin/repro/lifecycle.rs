@@ -1,4 +1,4 @@
-//! `fbuf-trace`: runs the canonical cached three-domain loopback
+//! `repro lifecycle`: runs the canonical cached three-domain loopback
 //! workload with the structured tracer enabled, prints a per-path
 //! breakdown, audits the event stream against the fbuf lifecycle
 //! invariants, and writes `TRACE_<name>.json` in Chrome `trace_event`
@@ -10,17 +10,18 @@
 //! * `FBUF_TRACE_SIZE` — message size in bytes (default 16384);
 //! * `FBUF_BENCH_DIR`  — output directory (default `target/bench-reports`).
 //!
-//! Exits nonzero if the audit finds a violation or the written JSON
-//! fails to round-trip through the in-repo parser.
-
-use std::path::PathBuf;
-use std::process::ExitCode;
+//! Fails if the audit finds a violation, or if the trace breaks the report
+//! contract (`fbuf_bench::report::check`: it must round-trip through
+//! the in-repo parser, carry the `Alloc`, `Transfer`, `CacheHit` and
+//! `Free` event kinds and the `dropped_events` counter).
 
 use fbuf_bench::knobs::env_u64;
+use fbuf_bench::report;
 use fbuf_net::{LoopbackConfig, LoopbackStack};
-use fbuf_sim::{audit_tracer, EventKind, Json, MachineConfig};
+use fbuf_sim::{audit_tracer, EventKind, MachineConfig};
 
-fn main() -> ExitCode {
+/// Runs the traced loopback, audits it and writes `TRACE_loopback.json`.
+pub fn run() -> Result<(), String> {
     let msgs = env_u64("FBUF_TRACE_MSGS", 16);
     let size = env_u64("FBUF_TRACE_SIZE", 16 << 10);
 
@@ -43,7 +44,7 @@ fn main() -> ExitCode {
     let delta = stack.fbs.stats().snapshot().delta(&mark);
 
     println!(
-        "== fbuf-trace: {} x {} B cached loopback, {} events ({} dropped) ==",
+        "== repro lifecycle: {} x {} B cached loopback, {} events ({} dropped) ==",
         msgs,
         size,
         tracer.len(),
@@ -110,65 +111,22 @@ fn main() -> ExitCode {
     println!("\ncounter deltas over the measured section:\n{delta}");
 
     // Replay-audit the whole ring against the lifecycle invariants.
-    let report = audit_tracer(&tracer);
-    if !report.is_clean() {
-        eprintln!("fbuf-trace: AUDIT FAILED");
-        for v in &report.violations {
+    let audit = audit_tracer(&tracer);
+    if !audit.is_clean() {
+        for v in &audit.violations {
             eprintln!("  {v}");
         }
-        return ExitCode::FAILURE;
+        return Err(format!("audit found {} violation(s)", audit.violations.len()));
     }
     // Non-fatal caveats: an overflowed ring truncates histograms and
     // makes the lifecycle replay incomplete — say so loudly.
-    for w in &report.warnings {
+    for w in &audit.warnings {
         println!("audit WARNING: {w}");
     }
     println!(
         "audit: clean ({} events, {} fbufs tracked, complete={}, {} dropped)",
-        report.events, report.fbufs_tracked, report.complete, report.dropped
+        audit.events, audit.fbufs_tracked, audit.complete, audit.dropped
     );
 
-    // Export, then prove the artifact parses with the in-repo parser and
-    // carries the event kinds the acceptance gate names.
-    let dir = std::env::var("FBUF_BENCH_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|_| PathBuf::from("target/bench-reports"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("fbuf-trace: cannot create {}: {e}", dir.display());
-        return ExitCode::FAILURE;
-    }
-    let path = dir.join("TRACE_loopback.json");
-    let rendered = tracer.chrome_trace().render();
-    if let Err(e) = std::fs::write(&path, &rendered) {
-        eprintln!("fbuf-trace: cannot write {}: {e}", path.display());
-        return ExitCode::FAILURE;
-    }
-    let parsed = match Json::parse(&rendered) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("fbuf-trace: written trace does not parse: {e:?}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let names: Vec<&str> = parsed
-        .get("traceEvents")
-        .and_then(Json::as_arr)
-        .map(|evs| {
-            evs.iter()
-                .filter_map(|e| e.get("name").and_then(Json::as_str))
-                .collect()
-        })
-        .unwrap_or_default();
-    for required in ["Alloc", "Transfer", "CacheHit", "Free"] {
-        if !names.contains(&required) {
-            eprintln!("fbuf-trace: trace is missing required event kind {required}");
-            return ExitCode::FAILURE;
-        }
-    }
-    if parsed.get("dropped_events").and_then(Json::as_f64).is_none() {
-        eprintln!("fbuf-trace: trace is missing the dropped_events counter");
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {} ({} events)", path.display(), names.len());
-    ExitCode::SUCCESS
+    report::write("TRACE_loopback.json", &tracer.chrome_trace()).map(drop)
 }

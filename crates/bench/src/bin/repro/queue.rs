@@ -1,7 +1,7 @@
-//! `fbuf-queue`: per-hop queueing delay and overload under offered load.
+//! `repro queue`: per-hop queueing delay and overload under offered load.
 //!
-//! Every synchronous target measures drained transfers — one in flight at
-//! a time, so queueing delay is identically zero. This target drives the
+//! Every synchronous experiment measures drained transfers — one in flight at
+//! a time, so queueing delay is identically zero. This harness drives the
 //! event-loop engine (`fbuf::engine`, DESIGN.md §12) the way the
 //! recursive descent never could: it posts **bursts** of transfers before
 //! letting the per-shard loop drain, so events genuinely wait in the
@@ -39,12 +39,11 @@
 //! * `FBUF_BENCH_DIR`       — report directory (default
 //!   `target/bench-reports`).
 
-use std::process::ExitCode;
 use std::time::Instant;
 
 use fbuf::{run_offered_load, QueueConfig, QueueReport};
 use fbuf_bench::knobs::{env_list, env_u64};
-use fbuf_sim::bench::{BenchRunner, Unit};
+use fbuf_bench::report::{BenchRunner, Unit};
 use fbuf_sim::{Json, ToJson};
 
 /// One sweep point's invariants; the engine must conserve transfers and
@@ -71,7 +70,9 @@ fn check_point(burst: usize, r: &QueueReport) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
+/// Runs the offered-load sweep, applies its gates and writes
+/// `BENCH_queue.json`.
+pub fn run() -> Result<(), String> {
     let transfers = env_u64("FBUF_QUEUE_TRANSFERS", 512);
     let bursts = env_list("FBUF_QUEUE_BURSTS", || vec![1, 4, 16, 64]);
     let hops = env_u64("FBUF_QUEUE_HOPS", 2) as usize;
@@ -79,7 +80,7 @@ fn main() -> ExitCode {
     let pages = env_u64("FBUF_QUEUE_PAGES", 1);
 
     println!(
-        "== fbuf-queue: {transfers} transfers/point, bursts {bursts:?}, {hops} hop(s), inbox depth {depth}, {pages} page(s)/fbuf =="
+        "== repro queue: {transfers} transfers/point, bursts {bursts:?}, {hops} hop(s), inbox depth {depth}, {pages} page(s)/fbuf =="
     );
     println!(
         "{:>6} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10}",
@@ -96,17 +97,8 @@ fn main() -> ExitCode {
             pages,
             inbox_depth: depth,
         };
-        let r = match run_offered_load(&cfg) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("fbuf-queue FAILED at burst {burst}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = check_point(burst, &r) {
-            eprintln!("fbuf-queue FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
+        let r = run_offered_load(&cfg).map_err(|e| format!("at burst {burst}: {e}"))?;
+        check_point(burst, &r)?;
         let mbps = r.elapsed.mbps(r.bytes_delivered);
         println!(
             "{:>6} {:>9} {:>9} {:>9} {:>10} {:>10} {:>10} {:>10.1}",
@@ -138,28 +130,21 @@ fn main() -> ExitCode {
     // Optional SLO gate on the drained regime's tail: with one transfer
     // in flight, per-hop queueing delay must stay within the threshold.
     if let Ok(raw) = std::env::var("FBUF_QUEUE_SLO_P99_NS") {
-        match raw.trim().parse::<u64>() {
-            Ok(slo) => {
-                let Some((_, drained)) = points.iter().find(|(b, _)| *b == 1) else {
-                    eprintln!(
-                        "fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                let p99 = drained.queue_delay.p99();
-                if p99 > slo {
-                    eprintln!(
-                        "fbuf-queue FAILED: drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
-                    );
-                    return ExitCode::FAILURE;
-                }
-                println!("SLO: drained p99 queueing delay {p99} ns <= {slo} ns");
-            }
-            Err(_) => {
-                eprintln!("fbuf-queue FAILED: FBUF_QUEUE_SLO_P99_NS={raw} is not a number");
-                return ExitCode::FAILURE;
-            }
+        let slo: u64 = raw
+            .trim()
+            .parse()
+            .map_err(|_| format!("FBUF_QUEUE_SLO_P99_NS={raw} is not a number"))?;
+        let (_, drained) = points
+            .iter()
+            .find(|(b, _)| *b == 1)
+            .ok_or("FBUF_QUEUE_SLO_P99_NS set, but the sweep has no burst-1 (drained) point")?;
+        let p99 = drained.queue_delay.p99();
+        if p99 > slo {
+            return Err(format!(
+                "drained p99 queueing delay {p99} ns exceeds the SLO of {slo} ns"
+            ));
         }
+        println!("SLO: drained p99 queueing delay {p99} ns <= {slo} ns");
     }
 
     // Queueing delay must actually respond to offered load: the largest
@@ -168,17 +153,15 @@ fn main() -> ExitCode {
         let first = &points.first().expect("at least one point").1;
         let last = &points.last().expect("at least one point").1;
         if last.queue_delay.p99() <= first.queue_delay.p99() && last.queue_delay.max() == 0 {
-            eprintln!(
-                "fbuf-queue FAILED: offered load {}x never built queueing delay",
+            return Err(format!(
+                "offered load {}x never built queueing delay",
                 bursts.last().expect("non-empty")
-            );
-            return ExitCode::FAILURE;
+            ));
         }
     }
 
     let mut runner = BenchRunner::new("queue");
     runner.set_threads(1);
-    runner.param("policy", fbuf::QuotaPolicy::default().name().to_json());
     runner.param("transfers", transfers);
     runner.param("hops", hops as u64);
     runner.param("inbox_depth", depth as u64);
@@ -235,14 +218,5 @@ fn main() -> ExitCode {
         .collect();
     runner.artifact("span_stages", Json::Arr(stages));
 
-    match runner.finish() {
-        Ok(path) => {
-            println!("report: {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("fbuf-queue FAILED: could not write report: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    runner.finish().map(drop)
 }

@@ -12,7 +12,7 @@ use fbuf_sim::MachineConfig;
 use fbuf_vm::facility::{MachNative, TransferMechanism};
 use fbuf_vm::Machine;
 
-use crate::report::{Curve, CurvePoint};
+use crate::rows::{Curve, CurvePoint};
 use crate::sweep_sizes;
 
 fn bench_config() -> MachineConfig {

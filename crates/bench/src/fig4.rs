@@ -3,7 +3,7 @@
 use fbuf_net::{LoopbackConfig, LoopbackStack};
 use fbuf_sim::MachineConfig;
 
-use crate::report::{Curve, CurvePoint};
+use crate::rows::{Curve, CurvePoint};
 use crate::sweep_sizes;
 
 fn machine() -> MachineConfig {

@@ -7,7 +7,7 @@
 use fbuf_net::{DomainSetup, EndToEnd, EndToEndConfig};
 use fbuf_sim::MachineConfig;
 
-use crate::report::{Curve, CurvePoint};
+use crate::rows::{Curve, CurvePoint};
 use crate::sweep_sizes;
 
 fn machine() -> MachineConfig {

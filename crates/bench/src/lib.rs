@@ -1,8 +1,10 @@
-//! Experiment runners regenerating every table and figure of the paper.
+//! Experiment runners regenerating every table and figure of the paper,
+//! and the harness that runs them.
 //!
-//! Each module produces structured rows; the `repro` binary prints them in
-//! the paper's format, the Criterion benches in `benches/` execute them
-//! under measurement, and `EXPERIMENTS.md` records paper-vs-measured.
+//! Each module produces structured rows; the one binary, `repro`, prints
+//! them in the paper's format and writes each experiment's
+//! `BENCH_<name>.json` report through [`report`], and `EXPERIMENTS.md`
+//! records paper-vs-measured.
 //!
 //! | module | artifact |
 //! |---|---|
@@ -13,13 +15,20 @@
 //! | [`cpuload`] | §4 prose: receive-side CPU load at 16/32 KB PDUs |
 //! | [`remap`] | §2.2.1: DASH-style remap, ping-pong vs streaming |
 //! | [`ablations`] | design-choice ablations (optimization stack, LIFO, VCI cache, notices, bus contention) |
+//! | [`workload`] | the trace-driven mixed workload (`repro trace`) |
+//! | [`fanin`] | the Zipf fan-in across admission policies (`repro fanin`) |
 //!
-//! Standalone binaries live in `src/bin/`: `repro` (paper-style text
-//! tables), `fbuf-trace` (traced loopback + audit + Chrome export),
-//! `fbuf-stress` (wall-clock multi-shard stress), `fbuf-queue`
-//! (offered-load sweep through the event-loop engine, queueing-delay
-//! percentiles per burst size), and `fbuf-fuzz` (lockstep campaigns).
-//! They read their environment knobs through [`knobs`].
+//! [`report`] is the report contract: the [`report::BenchRunner`] that
+//! writes `BENCH_*.json`, the `LEDGER_fleet.json` format, and the checks
+//! every document passes before it is written and again under
+//! `repro check <dir>`. [`rows`] holds the paper's row and curve formats,
+//! [`observe`] the traced workloads behind each report's counters and
+//! latency blocks, and [`knobs`] the environment knobs.
+//!
+//! `repro` also runs the harnesses that have no paper figure: `stress`,
+//! `queue`, `fanin`, `ledger`, `adversary`, `lifecycle` (traced loopback,
+//! audit and Chrome export) and `fuzz` (lockstep campaigns and corpus
+//! replay). An unknown subcommand prints the list.
 //!
 //! Design notes: `DESIGN.md` §5 (the per-table/per-figure experiment
 //! index) and `EXPERIMENTS.md` (paper-vs-measured, command matrix).
@@ -34,6 +43,7 @@ pub mod knobs;
 pub mod observe;
 pub mod remap;
 pub mod report;
+pub mod rows;
 pub mod table1;
 pub mod workload;
 

@@ -1,22 +1,20 @@
-//! Shared observation helpers for bench targets.
+//! Shared observation helpers for the paper experiments.
 //!
 //! Every `BENCH_*.json` report carries two observability blocks next to
 //! its timing results: the operation-**counter delta** of a
 //! representative workload, and **latency percentiles** from the
 //! tracer's span histograms. The helpers here run such a workload with
-//! the tracer enabled and hand both back, so each target attaches them
+//! the tracer enabled and hand both back, so each experiment attaches them
 //! with [`BenchRunner::counters`] and [`BenchRunner::latency`] in two
 //! lines.
-//!
-//! [`BenchRunner::counters`]: fbuf_sim::bench::BenchRunner::counters
-//! [`BenchRunner::latency`]: fbuf_sim::bench::BenchRunner::latency
 
 use fbuf::{AllocMode, FbufSystem, SendMode};
 use fbuf_net::{EndToEnd, EndToEndConfig, LoopbackConfig, LoopbackStack};
-use fbuf_sim::bench::BenchRunner;
 use fbuf_sim::{Histogram, MachineConfig, StatsSnapshot};
 use fbuf_vm::facility::TransferMechanism;
 use fbuf_vm::Machine;
+
+use crate::report::BenchRunner;
 
 /// What a representative traced workload yields: the counter delta over
 /// its measured section plus the merged span histograms.
@@ -32,7 +30,7 @@ pub struct Observation {
 /// Attaches an observation to a report the standard way: the counter
 /// delta accumulates into the `counters` object, and the two span
 /// histograms land under `latency` as `alloc_<label>` and
-/// `transfer_<label>`. Every target uses this instead of hand-rolling
+/// `transfer_<label>`. Every experiment uses this instead of hand-rolling
 /// the same three calls.
 pub fn attach(r: &mut BenchRunner, label: &str, obs: &Observation) {
     r.counters(&obs.counters);
@@ -134,7 +132,7 @@ pub fn endtoend(cfg: EndToEndConfig, size: u64, msgs: usize) -> Observation {
 }
 
 /// A baseline-facility streaming workload (alloc → touch → transfer →
-/// free per round), for the §2.2.1 remap target.
+/// free per round), for the §2.2.1 remap experiment.
 pub fn facility(mech: &mut dyn TransferMechanism, pages: u64, rounds: usize) -> Observation {
     let mut m = Machine::new(bench_config());
     let a = m.create_domain();

@@ -15,7 +15,7 @@ use fbuf_sim::MachineConfig;
 use fbuf_vm::facility::{CopyFacility, CowFacility, TransferMechanism};
 use fbuf_vm::Machine;
 
-use crate::report::CostRow;
+use crate::rows::CostRow;
 
 /// Message sizes (pages) for the slope: both sweeps exceed the 64-entry
 /// TLB so every touch misses, as on the real machine under load.

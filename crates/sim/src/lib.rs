@@ -30,10 +30,7 @@
 //! * [`Checker`] — a seeded, replayable property-test harness (replaces
 //!   `proptest`).
 //! * [`json`] — a minimal JSON value/writer/parser (replaces `serde` for
-//!   the bench reports).
-//! * [`mod@bench`] — a bench runner that reports the simulator's **calibrated
-//!   simulated time**, plus host wall-clock engine throughput under each
-//!   report's `host` block (replaces `criterion`).
+//!   the bench reports, which `fbuf_bench::report` writes and checks).
 //! * [`Arena`] — a generational slab arena backing the hot-path id tables
 //!   (fbufs, VM objects): O(1) index derefs, stale handles error instead
 //!   of aliasing recycled slots.
@@ -75,7 +72,6 @@
 
 pub mod arena;
 pub mod audit;
-pub mod bench;
 pub mod check;
 pub mod config;
 pub mod costs;

@@ -1,6 +1,6 @@
 //! Skewed, bursty workload generators for the fan-in harness.
 //!
-//! The fan-in scenario (`fbuf-fanin`) models tens of thousands of flows
+//! The fan-in scenario (`repro fanin`) models tens of thousands of flows
 //! whose path popularity follows a Zipf law and whose arrivals are
 //! on/off bursts — the traffic shape under which static per-path chunk
 //! quotas fail in both directions (hot paths starve at their cap, cold

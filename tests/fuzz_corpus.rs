@@ -5,7 +5,7 @@
 //! (see `fbuf_model::fuzz` for the format) that once exercised a
 //! hard-won execution — it replays here forever. The campaign test runs
 //! a bounded number of fresh seeded cases on every `cargo test`; long
-//! campaigns live in `fbuf-fuzz` behind `FBUF_FUZZ_CASES`. The planted
+//! campaigns live in `repro fuzz` behind `FBUF_FUZZ_CASES`. The planted
 //! divergence proves the whole detection-and-shrinking pipeline still
 //! has teeth: a deliberately wrong model transition must be caught and
 //! shrunk to a handful of commands.
