@@ -18,6 +18,10 @@ cargo test -q --doc --workspace
 # (broken intra-doc links, missing docs on public items, bad code fences
 # all fail the build).
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet
+# The run above resolves intra-doc links on public items only (and alone
+# checks `private_intra_doc_links`); this one also resolves the links in
+# private items' doc comments.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --quiet --document-private-items
 
 # Benchmark compile gate: the benchmark package (its own cargo workspace,
 # built against the public API of crates/{core,sim,vm,net}) must still

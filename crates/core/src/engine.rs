@@ -202,17 +202,21 @@ impl FbufSystem {
     pub fn transfers_revoked(&self) -> u64 {
         self.xfer_revoked
     }
+}
 
-    /// Resets the engine's measurement state (queue-delay histogram,
-    /// overload/enqueue/dequeue and completion counters) between sweep
-    /// points; pending events are untouched.
-    pub fn reset_engine_metrics(&mut self) {
-        if let Some(e) = self.engine.as_mut() {
-            e.reset_metrics();
+/// Releases `fbuf` at every domain of `holders`, deepest first, so the
+/// originator's free comes last and parks the buffer on its path cache:
+/// the unwind of an aborted transfer, and the final leg's release. With `revoke`, the deepest domain that
+/// still holds it is formally revoked instead of freed. Holders a
+/// domain termination already released are skipped, so frames are
+/// reclaimed exactly once either way.
+fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: bool) {
+    for d in holders.iter().rev() {
+        if revoke && sys.fbuf(fbuf).is_ok_and(|f| f.holders.contains(d)) {
+            revoke = sys.revoke(fbuf, *d).is_err();
+        } else {
+            let _ = sys.free(fbuf, *d);
         }
-        self.xfer_completed = 0;
-        self.xfer_aborted = 0;
-        self.xfer_revoked = 0;
     }
 }
 
@@ -243,22 +247,11 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
             if deadline.is_some_and(|dl| sys.machine().now() > dl) {
                 // The revocation deadline passed while this leg sat
                 // queued: the receiver is stalled. Take the buffer back
-                // instead of delivering — the deepest live holder is
-                // formally revoked (one Revoked event, one ledger bill),
-                // the rest release normally, and the originator's final
-                // free returns the buffer to its path cache. Holders a
-                // domain termination already released are skipped, so
-                // frames are reclaimed exactly once either way.
+                // instead of delivering — one Revoked event, one ledger
+                // bill — and return it to its path cache.
                 sys.xfer_revoked += 1;
                 sys.xfer_aborted += 1;
-                let mut revoked = false;
-                for d in route[..=leg].iter().rev() {
-                    if !revoked && sys.fbuf(fbuf).is_ok_and(|f| f.holders.contains(d)) {
-                        revoked = sys.revoke(fbuf, *d).is_ok();
-                    } else {
-                        let _ = sys.free(fbuf, *d);
-                    }
-                }
+                unwind(sys, fbuf, &route[..=leg], true);
                 sys.sample_metrics();
                 return;
             }
@@ -270,9 +263,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                 // overload path below does.
                 sys.engine_error.get_or_insert(e);
                 sys.xfer_aborted += 1;
-                for d in route[..=leg].iter().rev() {
-                    let _ = sys.free(fbuf, *d);
-                }
+                unwind(sys, fbuf, &route[..=leg], false);
                 return;
             }
             if leg + 2 < route.len() {
@@ -289,18 +280,14 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                     // releasing every reference taken so far, receiver
                     // back to originator.
                     sys.xfer_aborted += 1;
-                    for d in route[..=leg + 1].iter().rev() {
-                        let _ = sys.free(fbuf, *d);
-                    }
+                    unwind(sys, fbuf, &route[..=leg + 1], false);
                 }
             } else {
                 // Final leg: every holder releases, receiver first (the
                 // originator's free parks the buffer on the path cache),
                 // then completion is itself an event back to the source.
                 let origin = route[0];
-                for d in route.iter().rev() {
-                    let _ = sys.free(fbuf, *d);
-                }
+                unwind(sys, fbuf, &route, false);
                 let from = *route.last().expect("route non-empty");
                 // Admission control bounds in-flight transfers to the
                 // inbox depth, so the originator's inbox always has room

@@ -6,12 +6,12 @@
 //! and per-path accumulators — bytes
 //! carried by transfers, transfer and allocation counts, buffer-hold
 //! time, queueing delay contributed, IPC calls originated, and faults
-//! absorbed — updated inline on the same operations that bump the fleet
-//! counters, so the two views stay **conserved**: summing a ledger
+//! absorbed — billed by [`crate::tenant`] on the same operations that
+//! bump the fleet counters, so the two views stay **conserved**: summing a ledger
 //! column over every tenant reproduces the matching
 //! [`fbuf_sim::StatsSnapshot`] total exactly
-//! ([`Ledger::conserves`], asserted by `tests/observability.rs` and the
-//! `fbuf-stress --check` validator).
+//! ([`Ledger::conserves`], asserted by `tests/observability.rs` and
+//! `repro check`).
 //!
 //! The ledger is always on: each update is a plain integer add into a
 //! pre-sized vector — it never charges the [`Clock`](fbuf_sim::Clock),
@@ -21,10 +21,13 @@
 //! [`ShardReport`](crate::ShardReport) and
 //! [`fleet_ledger`](crate::fleet_ledger) folds them with the same
 //! offset scheme [`fleet_trace`](crate::fleet_trace) uses for domains.
-//! The `fbuf-ledger` binary renders the result as a top-style table and
+//! `repro ledger` renders the result as a top-style table and
 //! a `LEDGER_*.json` artifact. See `DESIGN.md` §13.
 
 use fbuf_sim::{Json, StatsSnapshot, ToJson};
+use fbuf_vm::DomainId;
+
+use crate::path::PathId;
 
 /// One tenant's accumulated account — a row of the ledger. A tenant is
 /// either a protection domain or an I/O data path, depending on which
@@ -128,6 +131,20 @@ impl Ledger {
     /// The (growing) row for path `path`.
     pub fn path_mut(&mut self, path: u64) -> &mut TenantRow {
         row(&mut self.paths, path as usize)
+    }
+
+    /// Bills one event to domain `dom` and, when the buffer is cached, to
+    /// its path: `charge` applies the same update to both rows.
+    pub(crate) fn bill(
+        &mut self,
+        dom: DomainId,
+        path: Option<PathId>,
+        charge: impl Fn(&mut TenantRow),
+    ) {
+        charge(self.dom_mut(dom.0));
+        if let Some(p) = path {
+            charge(self.path_mut(p.0));
+        }
     }
 
     /// The domain row, zero when the domain never accrued anything.

@@ -35,8 +35,9 @@
 //! Design notes: `DESIGN.md` §1 (what the paper builds), §4 (system
 //! inventory), §9 (hot-path engineering: arenas, batched range ops),
 //! §10 (sharding model), §12 (the event-loop engine and the fbuf
-//! lifecycle state machine), and §13 (observability: transfer spans,
-//! telemetry, and the per-tenant [`ledger`]).
+//! lifecycle state machine), §13 (observability: transfer spans,
+//! telemetry, and the per-tenant [`ledger`]), and §16 (hostile-tenant
+//! containment, [`tenant`]).
 //!
 //! # Examples
 //!
@@ -74,6 +75,7 @@ pub mod policy;
 pub mod region;
 pub mod shard;
 pub mod system;
+pub mod tenant;
 
 pub use buffer::{Fbuf, FbufHot, FbufId, FbufState};
 pub use engine::{run_offered_load, HopMsg, QueueConfig, QueueReport};
@@ -86,4 +88,5 @@ pub use shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, fleet_trace, run_fleet, shard_of_path,
     CrossShardMsg, FleetConfig, Links, NoticeBatch, Shard, ShardReport, NOTICE_BATCH_MAX,
 };
-pub use system::{AllocMode, FbufSystem, JailConfig, ReusePolicy, SendMode};
+pub use system::{AllocMode, FbufSystem, ReusePolicy, SendMode};
+pub use tenant::JailConfig;

@@ -33,9 +33,9 @@
 //!
 //! The active policy flows through the lockstep oracle
 //! (`crates/model/src/oracle.rs` reimplements the threshold math
-//! independently) and fbuf-fuzz derives a policy per case from the case
+//! independently) and `repro fuzz` derives a policy per case from the case
 //! seed, so dynamic thresholds are fuzzed, not hand-picked. The fan-in
-//! harness (`fbuf-fanin`) measures the policies against each other under
+//! harness (`repro fanin`) measures the policies against each other under
 //! Zipf-skewed load. See `DESIGN.md` §15.
 
 /// Number of priority classes [`QuotaPolicy::PriorityWeighted`]

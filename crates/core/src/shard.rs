@@ -306,15 +306,10 @@ impl Shard {
         }
     }
 
-    /// Number of local paths this shard owns.
-    pub fn local_paths(&self) -> usize {
-        self.locals.len()
-    }
-
     /// One cached loopback cycle on the next local path (round-robin):
     /// alloc at the originator, two RPC-carried sends down the path,
     /// free in every holding domain — 6 fbuf operations, the same shape
-    /// `fbuf-stress` has always measured.
+    /// `repro stress` has always measured.
     pub fn local_cycle(&mut self) {
         let t = self.locals[self.next_local];
         self.next_local = (self.next_local + 1) % self.locals.len();
@@ -463,20 +458,15 @@ impl Shard {
     /// trace event) without ever selecting a buffer — the pending entry
     /// it aimed at stays queued for the genuine notice.
     fn retire_notice(&mut self, token: u64) {
-        if CrossShardMsg::shard_of_token(token) != self.id {
-            self.rejected_tokens += 1;
-            self.sys
-                .reject_token(self.egress.originator, Some(self.egress.path), token);
-            return;
-        }
-        if self.pending.iter().all(|&(t, _)| t != token)
-            && self.pending.iter().any(|&(t, _)| {
-                CrossShardMsg::transfer_of_token(t) == CrossShardMsg::transfer_of_token(token)
-            })
-        {
-            // Right transfer, wrong generation: a replayed or fabricated
-            // token aimed at a live pending buffer. Reject; do not touch
-            // the pending queue.
+        // Wrong shard, or right transfer with the wrong generation: a
+        // replayed or fabricated token aimed at a live pending buffer.
+        // Reject; do not touch the pending queue.
+        let forged = CrossShardMsg::shard_of_token(token) != self.id
+            || (self.pending.iter().all(|&(t, _)| t != token)
+                && self.pending.iter().any(|&(t, _)| {
+                    CrossShardMsg::transfer_of_token(t) == CrossShardMsg::transfer_of_token(token)
+                }));
+        if forged {
             self.rejected_tokens += 1;
             self.sys
                 .reject_token(self.egress.originator, Some(self.egress.path), token);
@@ -705,7 +695,7 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A fleet over `shards` engines with the defaults `fbuf-stress`
+    /// A fleet over `shards` engines with the defaults `repro stress`
     /// uses: 4 logical paths per shard, 1-page buffers, cross-shard
     /// traffic every 64 cycles, 16-slot rings, tracing off.
     pub fn new(shards: usize, machine: MachineConfig, cycles: u64) -> FleetConfig {

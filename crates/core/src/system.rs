@@ -45,10 +45,10 @@ use fbuf_vm::{DomainId, FrameId, Machine, Prot};
 
 use crate::buffer::{Fbuf, FbufHot, FbufId, FbufState};
 use crate::error::{FbufError, FbufResult};
-use crate::ledger::Ledger;
 use crate::path::{DataPath, PathId};
 use crate::policy::QuotaPolicy;
 use crate::region::{ChunkAllocator, LocalAllocator};
+use crate::tenant::Tenants;
 
 /// How a buffer is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,6 +62,16 @@ pub enum AllocMode {
     /// returns uncached fbufs, and as a consequence, VM map manipulations
     /// are necessary for each domain transfer."
     Uncached,
+}
+
+impl AllocMode {
+    /// The path a cached allocation is made on.
+    pub(crate) fn path(self) -> Option<PathId> {
+        match self {
+            AllocMode::Cached(p) => Some(p),
+            AllocMode::Uncached => None,
+        }
+    }
 }
 
 /// Protection behaviour of a transfer.
@@ -81,7 +91,7 @@ pub enum SendMode {
 #[derive(Debug)]
 pub struct FbufSystem {
     machine: Machine,
-    rpc: Rpc,
+    pub(crate) rpc: Rpc,
     chunk_alloc: ChunkAllocator,
     allocators: HashMap<(u32, Option<PathId>), LocalAllocator>,
     /// Paths indexed directly by `PathId.0` (paths are never removed, only
@@ -105,9 +115,6 @@ pub struct FbufSystem {
     /// sync with `Fbuf::holders` via the `Fbuf::held_pos` back-pointers so
     /// a release is O(1) and termination never scans the fbuf table.
     held: Vec<Vec<FbufId>>,
-    /// Per-domain count of live fbufs the domain originated; the
-    /// zombie-chunk check reads this instead of scanning every fbuf.
-    originated_live: Vec<u64>,
     /// Head (coldest) of the intrusive parked list — the pageout daemon's
     /// reclaim order. Links live in `FbufHot::park_prev`/`park_next`
     /// inside the dense hot lane.
@@ -146,9 +153,9 @@ pub struct FbufSystem {
     pub(crate) xfer_revoked: u64,
     /// First error a hop handler hit (handlers cannot propagate).
     pub(crate) engine_error: Option<FbufError>,
-    /// Per-tenant accounting accumulators (always on; plain adds that
-    /// never charge the clock or counters — see [`crate::ledger`]).
-    pub(crate) ledger: Ledger,
+    /// Tenant containment and billing: the ledger, the quota jail and
+    /// the revocation deadline (see [`crate::tenant`]).
+    pub(crate) tenants: Tenants,
     /// High bits of every span this system mints; the fleet sets one
     /// salt per shard so transfer spans stay fleet-unique.
     span_salt: u64,
@@ -164,28 +171,6 @@ pub struct FbufSystem {
     /// Priority class per path id (parallel to `paths`; class 0 = best
     /// effort). Only [`QuotaPolicy::PriorityWeighted`] reads it.
     path_class: Vec<u8>,
-    /// Hoard-detector configuration; `None` (the default) disables the
-    /// jail entirely. The bookkeeping below is maintained either way —
-    /// plain integer adds, like the ledger — so the jail can be armed at
-    /// any time with full history.
-    jail: Option<JailConfig>,
-    /// Monotone allocation round counter: incremented on every
-    /// [`FbufSystem::alloc`] attempt. The jail's notion of time (the
-    /// oracle mirrors rounds, not the simulated clock).
-    alloc_seq: u64,
-    /// Per-domain bytes charged to the tenant: page bytes of every live
-    /// buffer it originated, held or parked (charged at build, released
-    /// at retire).
-    jail_charged: Vec<u64>,
-    /// Per-domain `alloc_seq` of the tenant's most recent free — its
-    /// last observed progress.
-    jail_progress: Vec<u64>,
-    /// Per-domain jail strikes since the last escalation.
-    jail_strikes: Vec<u32>,
-    /// Revocation deadline applied to every transfer submitted through
-    /// the engine ([`FbufSystem::submit_transfer`]); `None` disables
-    /// timeout-driven reclaim.
-    pub(crate) revoke_timeout: Option<Ns>,
 }
 
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
@@ -197,65 +182,8 @@ pub enum ReusePolicy {
     Fifo,
 }
 
-/// Configuration of the per-tenant hoard detector (the "quota jail").
-///
-/// A tenant is **hoarding** when the bytes charged to it (live buffers it
-/// originated, held *or* parked) stay at or above `hoard_bytes` while it
-/// goes `hoard_age` allocation rounds without freeing anything. Each
-/// allocation a hoarding tenant attempts is denied
-/// ([`FbufError::TenantJailed`], counted in `jail_denials`) and earns a
-/// strike; at `revoke_strikes` strikes the jail escalates and forcibly
-/// revokes the tenant's **cached** (parked) fbufs, retiring them through
-/// the normal reclaim path so their chunks return to the kernel.
-///
-/// Detection is pure integer arithmetic over counters the system keeps
-/// anyway — it never draws randomness, charges the clock, or touches the
-/// fleet counters unless it actually denies, so arming it with no
-/// adversary present is byte-invisible (pinned by
-/// `tests/counter_exactness.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JailConfig {
-    /// Charged-byte threshold at which a tenant can be considered
-    /// hoarding.
-    pub hoard_bytes: u64,
-    /// Allocation rounds without a free before a charged-over tenant is
-    /// jailed.
-    pub hoard_age: u64,
-    /// Jail denials before the jail escalates to forced revocation of
-    /// the tenant's cached fbufs.
-    pub revoke_strikes: u32,
-}
-
-impl Default for JailConfig {
-    /// Generous defaults: a tenant must pin a megabyte across 64
-    /// allocation rounds without a single free before the jail notices.
-    fn default() -> JailConfig {
-        JailConfig {
-            hoard_bytes: 1 << 20,
-            hoard_age: 64,
-            revoke_strikes: 4,
-        }
-    }
-}
-
 /// Records `dom` as a holder of `id`, wiring the per-domain held index and
 /// the fbuf-side back-pointer in one step. No-op if already a holder.
-/// Credits one transfer of `len` bytes to the sending domain and, when
-/// the buffer is cached, to its path — the ledger-side twin of
-/// `inc_fbuf_transfers`/`add_bytes_transferred`, kept adjacent so the
-/// conservation invariant (ledger totals == fleet counters) holds by
-/// construction.
-fn account_transfer(ledger: &mut Ledger, from: DomainId, path: Option<PathId>, len: u64) {
-    let r = ledger.dom_mut(from.0);
-    r.transfers += 1;
-    r.bytes += len;
-    if let Some(p) = path {
-        let r = ledger.path_mut(p.0);
-        r.transfers += 1;
-        r.bytes += len;
-    }
-}
-
 fn add_holder(f: &mut Fbuf, held: &mut [Vec<FbufId>], id: FbufId, dom: DomainId) {
     if f.held_by(dom) {
         return;
@@ -264,6 +192,48 @@ fn add_holder(f: &mut Fbuf, held: &mut [Vec<FbufId>], id: FbufId, dom: DomainId)
     f.held_pos.push(hd.len());
     f.holders.push(dom);
     hd.push(id);
+}
+
+/// Fails unless `dom` holds `f`.
+pub(crate) fn check_holder(f: &Fbuf, dom: DomainId) -> FbufResult<()> {
+    if f.held_by(dom) {
+        Ok(())
+    } else {
+        Err(FbufError::NotHolder {
+            domain: dom,
+            fbuf: f.id,
+        })
+    }
+}
+
+/// Removes the originator's write permission from `f` (hot half `h`);
+/// a no-op when it is already secured or the kernel originated it.
+fn secure_fbuf(machine: &mut Machine, f: &Fbuf, h: &mut FbufHot) -> FbufResult<()> {
+    if h.state == FbufState::Secured || f.originator.is_kernel() {
+        return Ok(());
+    }
+    machine.protect_range(f.originator, f.va, f.pages, Prot::Read)?;
+    machine.stats_ref().inc_fbufs_secured();
+    machine.tracer_ref().instant(
+        EventKind::Secure,
+        f.originator.0,
+        h.path.map(|p| p.0),
+        Some(f.id.0),
+    );
+    h.state = FbufState::Secured;
+    Ok(())
+}
+
+/// Installs read-only mappings of every page of `f` in `dom`.
+fn map_for_read(machine: &mut Machine, f: &mut Fbuf, dom: DomainId) -> FbufResult<()> {
+    let frames: Vec<FrameId> = f
+        .frames
+        .iter()
+        .map(|s| s.expect("held fbuf is resident"))
+        .collect();
+    machine.map_range(dom, f.va, &frames, Prot::Read)?;
+    f.mapped_in.push(dom);
+    Ok(())
 }
 
 impl FbufSystem {
@@ -295,7 +265,6 @@ impl FbufSystem {
             registered: Vec::new(),
             terminated: Vec::new(),
             held: Vec::new(),
-            originated_live: Vec::new(),
             park_head: None,
             park_tail: None,
             va_index: BTreeMap::new(),
@@ -312,18 +281,12 @@ impl FbufSystem {
             xfer_aborted: 0,
             xfer_revoked: 0,
             engine_error: None,
-            ledger: Ledger::new(),
+            tenants: Tenants::default(),
             span_salt: 0,
             span_counter: 0,
             parked_count: 0,
             policy: QuotaPolicy::Static,
             path_class: Vec::new(),
-            jail: None,
-            alloc_seq: 0,
-            jail_charged: Vec::new(),
-            jail_progress: Vec::new(),
-            jail_strikes: Vec::new(),
-            revoke_timeout: None,
         };
         let kernel = fbuf_vm::KERNEL_DOMAIN;
         sys.machine
@@ -340,16 +303,9 @@ impl FbufSystem {
             self.registered.resize(need, false);
             self.terminated.resize(need, false);
             self.held.resize_with(need, Vec::new);
-            self.originated_live.resize(need, 0);
-            self.jail_charged.resize(need, 0);
-            self.jail_progress.resize(need, 0);
-            self.jail_strikes.resize(need, 0);
         }
         self.registered[dom.0 as usize] = true;
-        // A fresh tenant starts with a clean hoard clock: it is not
-        // penalized for rounds that passed before it existed.
-        self.jail_progress[dom.0 as usize] = self.alloc_seq;
-        self.jail_strikes[dom.0 as usize] = 0;
+        self.tenants.fresh_clock(dom);
     }
 
     fn is_registered(&self, dom: DomainId) -> bool {
@@ -408,27 +364,6 @@ impl FbufSystem {
     pub(crate) fn fbuf_path_raw(&self, id: FbufId) -> Option<u64> {
         self.fbufs.get(id.0)?;
         self.hot_of(id).path.map(|p| p.0)
-    }
-
-    /// The per-tenant accounting ledger as of now: the inline
-    /// accumulators plus the engine's per-domain queueing delay and the
-    /// RPC layer's per-domain call counts (folded in at snapshot time so
-    /// they are never double-counted).
-    pub fn ledger_snapshot(&self) -> Ledger {
-        let mut l = self.ledger.clone();
-        if let Some(e) = &self.engine {
-            for (d, &ns) in e.queue_delay_by_dom().iter().enumerate() {
-                if ns > 0 {
-                    l.dom_mut(d as u32).queue_ns += ns;
-                }
-            }
-        }
-        for (d, &calls) in self.rpc.calls_by_dom().iter().enumerate() {
-            if calls > 0 {
-                l.dom_mut(d as u32).ipc_calls += calls;
-            }
-        }
-        l
     }
 
     /// Takes a telemetry sample if one is due at the simulated now
@@ -551,48 +486,6 @@ impl FbufSystem {
         self.path_class.get(path.0 as usize).copied().unwrap_or(0)
     }
 
-    /// Arms (or, with `None`, disarms) the per-tenant hoard detector.
-    /// The underlying bookkeeping is always on, so arming mid-run starts
-    /// with full history.
-    pub fn set_jail(&mut self, cfg: Option<JailConfig>) {
-        self.jail = cfg;
-    }
-
-    /// The hoard-detector configuration, if armed.
-    pub fn jail(&self) -> Option<JailConfig> {
-        self.jail
-    }
-
-    /// Arms (or disarms) the revocation deadline stamped on every
-    /// transfer submitted through the engine: a leg serviced after its
-    /// deadline revokes the buffer from the stalled holder chain instead
-    /// of delivering it.
-    pub fn set_revoke_timeout(&mut self, timeout: Option<Ns>) {
-        self.revoke_timeout = timeout;
-    }
-
-    /// The armed revocation deadline, if any.
-    pub fn revoke_timeout(&self) -> Option<Ns> {
-        self.revoke_timeout
-    }
-
-    /// Bytes currently charged to `dom` by the hoard detector's
-    /// bookkeeping (page bytes of live buffers it originated, held or
-    /// parked).
-    pub fn charged_bytes(&self, dom: DomainId) -> u64 {
-        self.jail_charged.get(dom.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Jail strikes `dom` has accrued since its last escalation.
-    pub fn jail_strikes_of(&self, dom: DomainId) -> u32 {
-        self.jail_strikes.get(dom.0 as usize).copied().unwrap_or(0)
-    }
-
-    /// Allocation rounds observed so far (the jail's clock).
-    pub fn alloc_rounds(&self) -> u64 {
-        self.alloc_seq
-    }
-
     /// Chunks the kernel dispenser still has available — the dynamic
     /// policies' pressure signal, exposed for harnesses and gauges.
     pub fn free_chunks(&self) -> u64 {
@@ -671,35 +564,10 @@ impl FbufSystem {
     /// is required, and the appropriate mappings already exist", §3.2.2).
     pub fn alloc(&mut self, dom: DomainId, mode: AllocMode, len: u64) -> FbufResult<FbufId> {
         self.check_domain(dom)?;
-        self.alloc_seq += 1;
-        if let Some(cfg) = self.jail {
-            let d = dom.0 as usize;
-            let charged = self.jail_charged.get(d).copied().unwrap_or(0);
-            let progress = self.jail_progress.get(d).copied().unwrap_or(0);
-            if charged >= cfg.hoard_bytes && self.alloc_seq - progress >= cfg.hoard_age {
-                // Hoard detected: the tenant sits on more than its byte
-                // threshold and has not freed anything for `hoard_age`
-                // allocation rounds. Deny admission (an organic fault,
-                // billed to the tenant) and escalate to revocation of
-                // its cached buffers after `revoke_strikes` denials.
-                let jail_path = match mode {
-                    AllocMode::Cached(p) => Some(p),
-                    AllocMode::Uncached => None,
-                };
-                self.jail_strikes[d] += 1;
-                self.machine.stats_ref().inc_jail_denials();
-                self.account_fault(dom, jail_path);
-                if self.jail_strikes[d] >= cfg.revoke_strikes {
-                    self.revoke_hoard(dom)?;
-                    self.jail_strikes[d] = 0;
-                    self.jail_progress[d] = self.alloc_seq;
-                }
-                return Err(FbufError::TenantJailed(dom));
-            }
-        }
+        self.admit(dom, mode)?;
         let t0 = self.machine.now();
         let pages = self.machine.config().pages_for(len).max(1);
-        match mode {
+        let (id, cache_event) = match mode {
             AllocMode::Cached(path_id) => {
                 let reuse_policy = self.reuse_policy;
                 let parked = {
@@ -740,53 +608,31 @@ impl FbufSystem {
                             return Err(e);
                         }
                     };
-                    self.account_alloc(dom, Some(path_id));
-                    let tr = self.machine.tracer_ref();
-                    tr.instant(EventKind::CacheHit, dom.0, Some(path_id.0), Some(id.0));
-                    tr.span(t0, EventKind::Alloc, dom.0, Some(path_id.0), Some(id.0));
-                    self.sample_metrics();
-                    return Ok(id);
+                    (id, Some(EventKind::CacheHit))
+                } else {
+                    self.machine.stats_ref().inc_fbuf_cache_misses();
+                    let id = self.build(dom, Some(path_id), pages, len)?;
+                    (id, Some(EventKind::CacheMiss))
                 }
-                self.machine.stats_ref().inc_fbuf_cache_misses();
-                let id = self.build(dom, Some(path_id), pages, len)?;
-                self.account_alloc(dom, Some(path_id));
-                let tr = self.machine.tracer_ref();
-                tr.instant(EventKind::CacheMiss, dom.0, Some(path_id.0), Some(id.0));
-                tr.span(t0, EventKind::Alloc, dom.0, Some(path_id.0), Some(id.0));
-                self.sample_metrics();
-                Ok(id)
             }
             AllocMode::Uncached => {
                 // The default allocator enters the kernel VM system.
                 self.machine
                     .charge(CostCategory::Vm, self.machine.costs().vm_invoke);
-                let id = self.build(dom, None, pages, len)?;
-                self.account_alloc(dom, None);
-                self.machine
-                    .tracer_ref()
-                    .span(t0, EventKind::Alloc, dom.0, None, Some(id.0));
-                self.sample_metrics();
-                Ok(id)
+                (self.build(dom, None, pages, len)?, None)
             }
+        };
+        // `reuse_cached`/`build` stamped the birth instant that hold-time
+        // accounting measures from.
+        let path = mode.path();
+        self.tenants.ledger.bill(dom, path, |r| r.allocs += 1);
+        let tr = self.machine.tracer_ref();
+        if let Some(kind) = cache_event {
+            tr.instant(kind, dom.0, path.map(|p| p.0), Some(id.0));
         }
-    }
-
-    /// Credits a satisfied allocation to its tenants (the birth instant
-    /// for hold-time accounting is stamped by `reuse_cached`/`build`).
-    fn account_alloc(&mut self, dom: DomainId, path: Option<PathId>) {
-        self.ledger.dom_mut(dom.0).allocs += 1;
-        if let Some(p) = path {
-            self.ledger.path_mut(p.0).allocs += 1;
-        }
-    }
-
-    /// Charges an absorbed fault (quota denial or injected failure) to
-    /// the tenants whose request it refused.
-    fn account_fault(&mut self, dom: DomainId, path: Option<PathId>) {
-        self.ledger.dom_mut(dom.0).faults += 1;
-        if let Some(p) = path {
-            self.ledger.path_mut(p.0).faults += 1;
-        }
+        tr.span(t0, EventKind::Alloc, dom.0, path.map(|p| p.0), Some(id.0));
+        self.sample_metrics();
+        Ok(id)
     }
 
     /// Allocates a physical frame, reclaiming from parked fbufs (coldest
@@ -847,26 +693,8 @@ impl FbufSystem {
                     .collect(),
             )
         };
-        let mut fresh = Vec::with_capacity(missing.len());
-        for _ in &missing {
-            let frame = match self.frame_with_reclaim() {
-                Ok(f) => f,
-                Err(e) => {
-                    // Partial failure must not strand the frames already
-                    // taken: the buffer stays wholly non-resident.
-                    for f in fresh {
-                        self.machine.release_frame(f);
-                    }
-                    return Err(e);
-                }
-            };
-            if self.charge_clearing {
-                self.machine.zero_frame(frame);
-            } else {
-                self.machine.zero_frame_quietly(frame);
-            }
-            fresh.push(frame);
-        }
+        // On failure the buffer stays wholly non-resident.
+        let fresh = self.fresh_frames(missing.len())?;
         let mut i = 0usize;
         while i < missing.len() {
             let mut run = 1usize;
@@ -889,6 +717,30 @@ impl FbufSystem {
             f.mapped_in.push(dom);
         }
         Ok(())
+    }
+
+    /// Takes `n` cleared frames for fbuf memory. Partial failure must not
+    /// strand the frames already taken, so on error they are released.
+    fn fresh_frames(&mut self, n: usize) -> FbufResult<Vec<FrameId>> {
+        let mut frames = Vec::with_capacity(n);
+        for _ in 0..n {
+            let frame = match self.frame_with_reclaim() {
+                Ok(f) => f,
+                Err(e) => {
+                    for f in frames {
+                        self.machine.release_frame(f);
+                    }
+                    return Err(e);
+                }
+            };
+            if self.charge_clearing {
+                self.machine.zero_frame(frame);
+            } else {
+                self.machine.zero_frame_quietly(frame);
+            }
+            frames.push(frame);
+        }
+        Ok(frames)
     }
 
     fn build(
@@ -914,21 +766,25 @@ impl FbufSystem {
                 None => {
                     let held = allocator.chunks_held();
                     let class = path.map_or(0, |p| self.path_class(p));
-                    if !self.policy.admits(held, self.chunk_alloc.available(), quota, class) {
+                    let admits =
+                        self.policy.admits(held, self.chunk_alloc.available(), quota, class);
+                    let refused = if !admits {
                         // An organic admission denial: the policy refused
                         // growth. Only these count as quota denials —
                         // injected ones are the fault plan's to tally.
                         self.machine.stats_ref().inc_chunk_quota_denials();
-                        self.account_fault(dom, path);
-                        return Err(FbufError::QuotaExceeded { path });
-                    }
-                    if self.fault_fires(FaultSite::QuotaExhausted) {
-                        self.account_fault(dom, path);
-                        return Err(FbufError::QuotaExceeded { path });
-                    }
-                    if self.fault_fires(FaultSite::ChunkGrant) {
-                        self.account_fault(dom, path);
-                        return Err(FbufError::RegionExhausted);
+                        Some(FbufError::QuotaExceeded { path })
+                    } else if self.fault_fires(FaultSite::QuotaExhausted) {
+                        Some(FbufError::QuotaExceeded { path })
+                    } else if self.fault_fires(FaultSite::ChunkGrant) {
+                        Some(FbufError::RegionExhausted)
+                    } else {
+                        None
+                    };
+                    if let Some(e) = refused {
+                        // An absorbed fault, billed to the refused tenant.
+                        self.tenants.ledger.bill(dom, path, |r| r.faults += 1);
+                        return Err(e);
                     }
                     // Ask the kernel for another chunk.
                     self.machine
@@ -942,31 +798,18 @@ impl FbufSystem {
                 }
             }
         };
-        let mut frames = Vec::with_capacity(pages as usize);
-        for _ in 0..pages {
-            let frame = match self.frame_with_reclaim() {
-                Ok(f) => f,
-                Err(e) => {
-                    // Release what was taken and hand the carved window
-                    // back to the local allocator: a failed build leaks
-                    // neither frames nor address space.
-                    for f in frames {
-                        self.machine.release_frame(f);
-                    }
-                    self.allocators
-                        .get_mut(&(dom.0, path))
-                        .expect("inserted above")
-                        .release(va, pages);
-                    return Err(e);
-                }
-            };
-            if self.charge_clearing {
-                self.machine.zero_frame(frame);
-            } else {
-                self.machine.zero_frame_quietly(frame);
+        let frames = match self.fresh_frames(pages as usize) {
+            Ok(frames) => frames,
+            Err(e) => {
+                // Hand the carved window back to the local allocator: a
+                // failed build leaks neither frames nor address space.
+                self.allocators
+                    .get_mut(&(dom.0, path))
+                    .expect("inserted above")
+                    .release(va, pages);
+                return Err(e);
             }
-            frames.push(frame);
-        }
+        };
         // One batched mapping install for the whole buffer.
         self.machine.map_range(dom, va, &frames, Prot::ReadWrite)?;
         let held_pos = self.held[dom.0 as usize].len();
@@ -991,12 +834,7 @@ impl FbufSystem {
         }
         self.hot[slot] = FbufHot::new(path, self.machine.now());
         self.held[dom.0 as usize].push(id);
-        self.originated_live[dom.0 as usize] += 1;
-        // Hoard bookkeeping: page bytes stay charged to the originator
-        // until `retire` returns them. Plain integer adds, always on.
-        if let Some(c) = self.jail_charged.get_mut(dom.0 as usize) {
-            *c += pages * page_size;
-        }
+        self.tenants.charge(dom, pages * page_size);
         self.va_index.insert(va, id);
         Ok(id)
     }
@@ -1016,82 +854,7 @@ impl FbufSystem {
         to: DomainId,
         mode: SendMode,
     ) -> FbufResult<()> {
-        self.check_domain(to)?;
-        let t0 = self.machine.now();
-        let FbufSystem {
-            fbufs,
-            machine,
-            held,
-            ledger,
-            hot,
-            ..
-        } = self;
-        let f = fbufs.get_mut(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        let h = &hot[slot_of(id.0)];
-        if !f.held_by(from) {
-            return Err(FbufError::NotHolder {
-                domain: from,
-                fbuf: id,
-            });
-        }
-        machine.stats_ref().inc_fbuf_transfers();
-        machine.stats_ref().add_bytes_transferred(f.len);
-        account_transfer(ledger, from, h.path, f.len);
-        let path = h.path;
-        let needs_secure = mode == SendMode::Secure
-            && h.state != FbufState::Secured
-            && !f.originator.is_kernel();
-        let needs_map = !f.mapped_in.contains(&to);
-        if !needs_secure && !needs_map {
-            // Steady-state cached transfer: one slab lookup, no VM work.
-            add_holder(f, held, id, to);
-            machine.tracer_ref().span_peer(
-                t0,
-                EventKind::Transfer,
-                from.0,
-                Some(to.0),
-                path.map(|p| p.0),
-                Some(id.0),
-            );
-            return Ok(());
-        }
-        if mode == SendMode::Secure {
-            self.do_secure(id)?;
-        }
-        if needs_map {
-            let FbufSystem { fbufs, machine, .. } = self;
-            let f = fbufs.get_mut(id.0).expect("checked above");
-            // Mapping into the receiver requires the kernel; for cached
-            // fbufs this happens once per buffer lifetime and then never
-            // again.
-            if path.is_none() {
-                machine.charge(CostCategory::Vm, machine.costs().vm_invoke);
-            }
-            let frames: Vec<FrameId> = f
-                .frames
-                .iter()
-                .map(|s| s.expect("held fbuf is resident"))
-                .collect();
-            machine.map_range(to, f.va, &frames, Prot::Read)?;
-            f.mapped_in.push(to);
-        }
-        let FbufSystem {
-            fbufs,
-            machine,
-            held,
-            ..
-        } = self;
-        let f = fbufs.get_mut(id.0).expect("checked above");
-        add_holder(f, held, id, to);
-        machine.tracer_ref().span_peer(
-            t0,
-            EventKind::Transfer,
-            from.0,
-            Some(to.0),
-            path.map(|p| p.0),
-            Some(id.0),
-        );
-        Ok(())
+        self.transfer(id, from, to, Some(mode))
     }
 
     /// Transfers only the *reference* to `to`, without installing any
@@ -1102,34 +865,57 @@ impl FbufSystem {
     /// Figure 6 discussion). If the receiver does need access later, call
     /// [`FbufSystem::ensure_mapped`].
     pub fn send_reference(&mut self, id: FbufId, from: DomainId, to: DomainId) -> FbufResult<()> {
+        self.transfer(id, from, to, None)
+    }
+
+    /// Both transfer forms: `to` must be a live domain and `from` must
+    /// hold `id`; the transfer is billed to `from` and `to` becomes a
+    /// holder. `mapped` is a mapping send's mode (secure if asked, then
+    /// map into `to` unless already there); `None` passes the reference
+    /// only. The steady-state cached send is one arena lookup and no VM
+    /// work.
+    fn transfer(
+        &mut self,
+        id: FbufId,
+        from: DomainId,
+        to: DomainId,
+        mapped: Option<SendMode>,
+    ) -> FbufResult<()> {
         self.check_domain(to)?;
+        let t0 = self.machine.now();
         let FbufSystem {
             fbufs,
             machine,
             held,
-            ledger,
             hot,
+            tenants,
             ..
         } = self;
         let f = fbufs.get_mut(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        let path = hot[slot_of(id.0)].path;
-        if !f.held_by(from) {
-            return Err(FbufError::NotHolder {
-                domain: from,
-                fbuf: id,
-            });
+        check_holder(f, from)?;
+        let h = &mut hot[slot_of(id.0)];
+        let path = h.path;
+        tenants.bill_transfer(machine.stats_ref(), from, path, f.len);
+        if let Some(mode) = mapped {
+            if mode == SendMode::Secure {
+                secure_fbuf(machine, f, h)?;
+            }
+            if !f.mapped_in.contains(&to) {
+                // Mapping into the receiver requires the kernel; for cached
+                // fbufs this happens once per buffer lifetime and then
+                // never again.
+                if path.is_none() {
+                    machine.charge(CostCategory::Vm, machine.costs().vm_invoke);
+                }
+                map_for_read(machine, f, to)?;
+            }
         }
-        machine.stats_ref().inc_fbuf_transfers();
-        machine.stats_ref().add_bytes_transferred(f.len);
-        account_transfer(ledger, from, path, f.len);
         add_holder(f, held, id, to);
-        machine.tracer_ref().instant_peer(
-            EventKind::Transfer,
-            from.0,
-            to.0,
-            path.map(|p| p.0),
-            Some(id.0),
-        );
+        let (tracer, p) = (machine.tracer_ref(), path.map(|p| p.0));
+        match mapped {
+            Some(_) => tracer.span_peer(t0, EventKind::Transfer, from.0, Some(to.0), p, Some(id.0)),
+            None => tracer.instant_peer(EventKind::Transfer, from.0, to.0, p, Some(id.0)),
+        }
         Ok(())
     }
 
@@ -1139,64 +925,29 @@ impl FbufSystem {
     pub fn ensure_mapped(&mut self, id: FbufId, dom: DomainId) -> FbufResult<()> {
         let FbufSystem { fbufs, machine, .. } = self;
         let f = fbufs.get_mut(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        if !f.held_by(dom) {
-            return Err(FbufError::NotHolder {
-                domain: dom,
-                fbuf: id,
-            });
-        }
+        check_holder(f, dom)?;
         if f.mapped_in.contains(&dom) {
             return Ok(());
         }
         // Lazy mapping is driven by page faults: one trap per page, then a
         // single batched mapping install.
         machine.charge(CostCategory::Vm, machine.costs().fault_trap * f.pages);
-        let frames: Vec<FrameId> = f
-            .frames
-            .iter()
-            .map(|s| s.expect("held fbuf is resident"))
-            .collect();
-        machine.map_range(dom, f.va, &frames, Prot::Read)?;
-        f.mapped_in.push(dom);
-        Ok(())
+        map_for_read(machine, f, dom)
     }
 
     /// A receiver's request to make the buffer trustworthy: removes the
     /// originator's write permission. A no-op when the originator is the
     /// kernel ("this is a no-op if the originator is a trusted domain").
     pub fn secure(&mut self, id: FbufId, requester: DomainId) -> FbufResult<()> {
-        let f = self.fbufs.get(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        if !f.held_by(requester) {
-            return Err(FbufError::NotHolder {
-                domain: requester,
-                fbuf: id,
-            });
-        }
-        self.do_secure(id)
-    }
-
-    fn do_secure(&mut self, id: FbufId) -> FbufResult<()> {
-        let (originator, va, pages) = {
-            let f = self.fbufs.get(id.0).expect("caller checked");
-            (f.originator, f.va, f.pages)
-        };
-        let (state, path) = {
-            let h = self.hot_of(id);
-            (h.state, h.path)
-        };
-        if state == FbufState::Secured || originator.is_kernel() {
-            return Ok(());
-        }
-        self.machine.protect_range(originator, va, pages, Prot::Read)?;
-        self.machine.stats_ref().inc_fbufs_secured();
-        self.machine.tracer_ref().instant(
-            EventKind::Secure,
-            originator.0,
-            path.map(|p| p.0),
-            Some(id.0),
-        );
-        self.hot_mut(id).state = FbufState::Secured;
-        Ok(())
+        let FbufSystem {
+            fbufs,
+            machine,
+            hot,
+            ..
+        } = self;
+        let f = fbufs.get(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
+        check_holder(f, requester)?;
+        secure_fbuf(machine, f, &mut hot[slot_of(id.0)])
     }
 
     // ------------------------------------------------------------------
@@ -1211,7 +962,6 @@ impl FbufSystem {
             machine,
             held,
             rpc,
-            ledger,
             hot,
             ..
         } = self;
@@ -1253,113 +1003,15 @@ impl FbufSystem {
             let _ = rpc.queue_dealloc_notice(originator, dom, id.0);
         }
         if now_empty {
-            // The buffer's whole incarnation ends here: charge its hold
-            // time (birth to last release) to the originating tenant.
+            // The buffer's whole incarnation ends here: bill its hold time
+            // (birth to last release) to the originating tenant.
             let hold = (machine.now() - born).as_ns();
-            ledger.dom_mut(originator.0).hold_ns += hold;
-            if let Some(p) = path {
-                ledger.path_mut(p.0).hold_ns += hold;
-            }
+            self.tenants.bill_hold(originator, path, hold);
             self.dealloc(id)?;
         }
-        // The tenant made progress: reset its hoard clock so the jail
-        // only ever fires on domains that allocate without ever freeing.
-        let seq = self.alloc_seq;
-        if let Some(p) = self.jail_progress.get_mut(dom.0 as usize) {
-            *p = seq;
-        }
+        self.tenants.progressed(dom);
         self.sample_metrics();
         Ok(())
-    }
-
-    // ------------------------------------------------------------------
-    // Revocation
-    // ------------------------------------------------------------------
-
-    /// Forcibly revokes `dom`'s reference to `id` — the containment path
-    /// used when a transfer's revocation deadline expires on a stalled
-    /// holder chain. Semantically a forced [`free`](Self::free), but
-    /// audited distinctly: a `Revoked` trace instant precedes the `Free`,
-    /// the fleet `fbufs_revoked` counter ticks, and the ledger bills the
-    /// revocation to the tenant that lost its reference.
-    pub fn revoke(&mut self, id: FbufId, dom: DomainId) -> FbufResult<()> {
-        let f = self.fbufs.get(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        if !f.holders.contains(&dom) {
-            return Err(FbufError::NotHolder { domain: dom, fbuf: id });
-        }
-        let path = self.hot_of(id).path;
-        self.machine.stats_ref().inc_fbufs_revoked();
-        self.ledger.dom_mut(dom.0).revocations += 1;
-        if let Some(p) = path {
-            self.ledger.path_mut(p.0).revocations += 1;
-        }
-        self.machine
-            .tracer_ref()
-            .instant(EventKind::Revoked, dom.0, path.map(|p| p.0), Some(id.0));
-        self.free(id, dom)
-    }
-
-    /// Jail escalation: revokes every **parked** fbuf the hoarding tenant
-    /// originated, retiring each through the normal teardown path so its
-    /// frames and address space return to the kernel. Held buffers are
-    /// left to admission denial — benign peers sharing the tenant's paths
-    /// never lose a live reference — and buffers whose frames the pageout
-    /// daemon already reclaimed are off the parked list, so they keep
-    /// only address space (path teardown or termination recovers it).
-    fn revoke_hoard(&mut self, dom: DomainId) -> FbufResult<()> {
-        let mut victims = Vec::new();
-        let mut cur = self.park_head;
-        while let Some(id) = cur {
-            cur = self.hot_of(id).park_next;
-            let orig = self.fbufs.get(id.0).expect("parked fbuf exists").originator;
-            if orig == dom {
-                victims.push(id);
-            }
-        }
-        for id in victims {
-            let path = self.hot_of(id).path.expect("parked fbuf is cached");
-            self.paths[path.0 as usize].unpark(id);
-            self.machine.stats_ref().inc_fbufs_revoked();
-            self.ledger.dom_mut(dom.0).revocations += 1;
-            self.ledger.path_mut(path.0).revocations += 1;
-            self.machine
-                .tracer_ref()
-                .instant(EventKind::Revoked, dom.0, Some(path.0), Some(id.0));
-            self.retire(id)?;
-        }
-        Ok(())
-    }
-
-    /// Validates a raw fbuf handle presented by (or on behalf of) `dom`
-    /// before anything dereferences it. The arena's generation bits make
-    /// this the forged-token check: a stale handle (slot reused) or a
-    /// fabricated one (generation never issued) fails [`Arena::get`]
-    /// without touching any buffer state. A rejection ticks the fleet
-    /// `tokens_rejected` counter, bills the presenting tenant's
-    /// `rejected_tokens` ledger column, and emits a `TokenReject` trace
-    /// instant carrying the raw token — the buffer the forger aimed at is
-    /// never named, because it was never resolved.
-    ///
-    /// [`Arena::get`]: fbuf_sim::Arena::get
-    pub fn check_token(&mut self, dom: DomainId, path: Option<PathId>, raw: u64) -> bool {
-        if self.fbufs.get(raw).is_some() {
-            return true;
-        }
-        self.reject_token(dom, path, raw);
-        false
-    }
-
-    /// Records one forged/stale-token rejection against `dom` (and
-    /// `path`, when the token arrived on a ring bound to one).
-    pub fn reject_token(&mut self, dom: DomainId, path: Option<PathId>, raw: u64) {
-        self.machine.stats_ref().inc_tokens_rejected();
-        self.ledger.dom_mut(dom.0).rejected_tokens += 1;
-        if let Some(p) = path {
-            self.ledger.path_mut(p.0).rejected_tokens += 1;
-        }
-        self.machine
-            .tracer_ref()
-            .instant(EventKind::TokenReject, dom.0, path.map(|p| p.0), Some(raw));
     }
 
     fn dealloc(&mut self, id: FbufId) -> FbufResult<()> {
@@ -1390,6 +1042,19 @@ impl FbufSystem {
         self.retire(id)
     }
 
+    /// Parked fbufs, coldest first — the pageout daemon's reclaim order.
+    pub(crate) fn parked_fbufs(&self) -> impl Iterator<Item = FbufId> + '_ {
+        std::iter::successors(self.park_head, |&id| self.hot_of(id).park_next)
+    }
+
+    /// Takes a parked fbuf off its path's free list and retires it.
+    pub(crate) fn retire_parked(&mut self, id: FbufId) -> FbufResult<()> {
+        if let Some(p) = self.hot_of(id).path {
+            self.paths[p.0 as usize].unpark(id);
+        }
+        self.retire(id)
+    }
+
     /// Fully destroys an fbuf: unmaps it everywhere, frees its frames, and
     /// returns its address space to the owning allocator.
     fn retire(&mut self, id: FbufId) -> FbufResult<()> {
@@ -1414,12 +1079,8 @@ impl FbufSystem {
         if let Some(alloc) = self.allocators.get_mut(&(f.originator.0, path)) {
             alloc.release(f.va, f.pages);
         }
-        self.originated_live[f.originator.0 as usize] -= 1;
-        // Return the buffer's bytes to the originator's hoard account.
-        let charge = f.pages * self.machine.page_size();
-        if let Some(c) = self.jail_charged.get_mut(f.originator.0 as usize) {
-            *c = c.saturating_sub(charge);
-        }
+        self.tenants
+            .uncharge(f.originator, f.pages * self.machine.page_size());
         // If the originator terminated earlier, its chunks were parked
         // until all external references drained — check whether this was
         // the last one.
@@ -1453,7 +1114,9 @@ impl FbufSystem {
                 // pass blocked on a wired page.
                 let orig = self.fbufs.get(id.0).expect("parked fbuf exists").originator;
                 let pinned_path = self.hot_of(id).path;
-                self.account_fault(orig, pinned_path);
+                self.tenants
+                    .ledger
+                    .bill(orig, pinned_path, |r| r.faults += 1);
                 break;
             }
             self.park_unlink(id);
@@ -1583,15 +1246,9 @@ impl FbufSystem {
     }
 
     fn maybe_release_zombie_chunks(&mut self, dom: DomainId) {
-        // O(1): the per-domain live-originated count replaces a scan over
-        // every fbuf in the system.
-        if self
-            .originated_live
-            .get(dom.0 as usize)
-            .copied()
-            .unwrap_or(0)
-            > 0
-        {
+        // O(1): a domain's charge is nonzero exactly while it has a live
+        // originated buffer, so no scan over every fbuf is needed.
+        if self.charged_bytes(dom) > 0 {
             return;
         }
         let mut keys: Vec<(u32, Option<PathId>)> = self
@@ -1634,16 +1291,7 @@ impl FbufSystem {
         off: u64,
         bytes: &[u8],
     ) -> FbufResult<()> {
-        let va = {
-            let f = self.fbuf(id)?;
-            if off + bytes.len() as u64 > f.len {
-                return Err(FbufError::TooLarge {
-                    requested: off + bytes.len() as u64,
-                    max: f.len,
-                });
-            }
-            f.va
-        };
+        let va = self.io_va(id, off, bytes.len() as u64)?;
         let path = self.hot_of(id).path;
         self.machine.write(dom, va + off, bytes)?;
         self.machine
@@ -1660,17 +1308,24 @@ impl FbufSystem {
         off: u64,
         len: u64,
     ) -> FbufResult<Vec<u8>> {
-        let va = {
-            let f = self.fbuf(id)?;
-            if off + len > f.len {
-                return Err(FbufError::TooLarge {
-                    requested: off + len,
-                    max: f.len,
-                });
-            }
-            f.va
-        };
+        let va = self.io_va(id, off, len)?;
         Ok(self.machine.read(dom, va + off, len)?)
+    }
+
+    /// The base address of `id` once `len` bytes at `off` are checked to
+    /// lie inside the buffer. The end is computed saturating, so an
+    /// offset near `u64::MAX` is refused instead of wrapping past the
+    /// check into a neighbouring buffer.
+    fn io_va(&self, id: FbufId, off: u64, len: u64) -> FbufResult<u64> {
+        let f = self.fbuf(id)?;
+        let end = off.saturating_add(len);
+        if end > f.len {
+            return Err(FbufError::TooLarge {
+                requested: end,
+                max: f.len,
+            });
+        }
+        Ok(f.va)
     }
 }
 
@@ -1954,6 +1609,27 @@ mod tests {
         assert!(s.write_fbuf(a, id, 90, &[0u8; 20]).is_err());
         assert!(s.read_fbuf(a, id, 0, 101).is_err());
         s.write_fbuf(a, id, 90, &[1u8; 10]).unwrap();
+    }
+
+    #[test]
+    fn fbuf_io_offset_cannot_wrap_past_bounds_check() {
+        // Two adjacent one-page buffers: an offset that wraps `off + len`
+        // around zero would otherwise address the lower buffer's tail.
+        let (mut s, a, _, _) = sys();
+        let lo = s.alloc(a, AllocMode::Uncached, 4096).unwrap();
+        let hi = s.alloc(a, AllocMode::Uncached, 4096).unwrap();
+        assert_eq!(s.fbuf(hi).unwrap().va, s.fbuf(lo).unwrap().va + 4096);
+        s.write_fbuf(a, lo, 4088, b"lowtail!").unwrap();
+        let off = u64::MAX - 7;
+        assert!(matches!(
+            s.read_fbuf(a, hi, off, 8),
+            Err(FbufError::TooLarge { requested: u64::MAX, max: 4096 })
+        ));
+        assert!(matches!(
+            s.write_fbuf(a, hi, off, b"clobber!"),
+            Err(FbufError::TooLarge { requested: u64::MAX, max: 4096 })
+        ));
+        assert_eq!(s.read_fbuf(a, lo, 4088, 8).unwrap(), b"lowtail!");
     }
 
     #[test]

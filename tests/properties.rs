@@ -123,7 +123,10 @@ fn allocator_never_overlaps_live_buffers() {
         .cases(CASES)
         .run(|rng| {
             // Random interleaving of allocs (in three domains) and frees; no
-            // two live fbufs may ever overlap in the shared virtual region.
+            // two live fbufs may ever overlap in the shared virtual region,
+            // and each domain is charged exactly the page bytes of the live
+            // buffers it originated (so the charge is nonzero exactly while
+            // it has one — the zombie-chunk check relies on that).
             let ops = rng.vec_with(1, 40, |r| (r.below(3), r.range(1, 40_000)));
             let mut fbs = FbufSystem::new(MachineConfig::decstation_5000_200());
             let doms = [fbs.create_domain(), fbs.create_domain(), fbs.create_domain()];
@@ -151,6 +154,14 @@ fn allocator_never_overlaps_live_buffers() {
                         );
                     }
                     live.push((start, end, id, d));
+                }
+                for (i, &dom) in doms.iter().enumerate() {
+                    let owned: u64 = live
+                        .iter()
+                        .filter(|&&(_, _, _, owner)| owner == i)
+                        .map(|&(s, e, _, _)| e - s)
+                        .sum();
+                    assert_eq!(fbs.charged_bytes(dom), owned, "domain {i} charge");
                 }
             }
         });
@@ -291,7 +302,8 @@ fn retired_vm_object_ids_never_resolve_after_recycling() {
 fn parked_reuse_round_trips_preserve_live_fbufs() {
     // Cached park → reuse cycles (with the pageout daemon occasionally
     // stealing frames) must neither leak nor retire fbuf objects: the
-    // arena population is invariant and the parked id stays resolvable.
+    // arena population is invariant, the parked id stays resolvable, and
+    // the buffer stays charged to its originator throughout.
     Checker::new("parked_reuse_round_trips_preserve_live_fbufs")
         .cases(CASES)
         .run(|rng| {
@@ -305,16 +317,20 @@ fn parked_reuse_round_trips_preserve_live_fbufs() {
             let first = fbs.alloc(a, AllocMode::Cached(path), len).unwrap();
             fbs.free(first, a).unwrap();
             let live0 = fbs.live_fbufs();
+            assert_eq!(fbs.charged_bytes(a), len, "parked buffer uncharged");
             for _ in 0..cycles {
                 if rng.below(3) == 0 {
                     fbs.reclaim_frames(rng.range(1, 4) as usize);
+                    assert_eq!(fbs.charged_bytes(a), len, "pageout uncharged");
                 }
                 let id = fbs.alloc(a, AllocMode::Cached(path), len).unwrap();
                 assert_eq!(id, first, "LIFO reuse hands back the parked buffer");
+                assert_eq!(fbs.charged_bytes(a), len, "reuse charged twice");
                 fbs.send(id, a, b, SendMode::Volatile).unwrap();
                 fbs.free(id, b).unwrap();
                 fbs.free(id, a).unwrap();
                 assert_eq!(fbs.live_fbufs(), live0, "park/reuse leaked or retired");
+                assert_eq!(fbs.charged_bytes(a), len, "re-park uncharged");
                 assert!(fbs.fbuf(id).is_ok(), "parked fbuf fell out of the arena");
             }
         });
