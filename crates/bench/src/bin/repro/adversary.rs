@@ -40,7 +40,7 @@
 
 use std::time::Instant;
 
-use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId};
+use fbuf::{AllocMode, FbufError, FbufId, FbufSystem, JailConfig, PathId, SubmitOutcome};
 use fbuf_bench::knobs::env_u64;
 use fbuf_bench::report::{BenchRunner, Unit};
 use fbuf_sim::{Json, MachineConfig, Ns, ToJson};
@@ -136,9 +136,13 @@ fn schedule(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
                 }
                 Err(e) => return Err(e),
             };
-            if sys.submit_transfer(buf, &t.route).is_overload() {
-                sys.free(buf, t.route[0])?;
-                benign_refused += 1;
+            match sys.submit_transfer(buf, &t.route) {
+                SubmitOutcome::Queued(_) => {}
+                SubmitOutcome::Overload => {
+                    sys.free(buf, t.route[0])?;
+                    benign_refused += 1;
+                }
+                SubmitOutcome::Refused(e) => return Err(e),
             }
             sys.pump();
         }
@@ -180,11 +184,11 @@ fn schedule(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
             let before = sys.transfers_revoked();
             for _ in 0..16 {
                 match sys.alloc(stall_origin, AllocMode::Cached(stall_path), len) {
-                    Ok(b) => {
-                        if sys.submit_transfer(b, &[stall_origin, stalled]).is_overload() {
-                            sys.free(b, stall_origin)?;
-                        }
-                    }
+                    Ok(b) => match sys.submit_transfer(b, &[stall_origin, stalled]) {
+                        SubmitOutcome::Queued(_) => {}
+                        SubmitOutcome::Overload => sys.free(b, stall_origin)?,
+                        SubmitOutcome::Refused(e) => return Err(e),
+                    },
                     Err(
                         FbufError::TenantJailed(_)
                         | FbufError::QuotaExceeded { .. }

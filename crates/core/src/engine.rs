@@ -11,6 +11,19 @@
 //! being serviced as an event, so only that case calls
 //! [`Rpc::call`](fbuf_ipc::Rpc::call) inline.
 //!
+//! **The drained hop is cheap.** A sequential [`FbufSystem::hop`] goes
+//! through [`EventLoop::call`]. When nothing is pending, a posted event
+//! would be dequeued at the instant it is enqueued, so `call` skips the
+//! heap and the inbox: it draws the event id the push would have had
+//! and hands the envelope straight to the handler. The enqueue and
+//! dequeue bookkeeping are the loop's own helpers, shared with
+//! `post_on` and `step`, so the hop still counts one enqueue and one
+//! dequeue, records a zero queueing delay, and writes the same
+//! Enqueue/Dequeue trace records. The loop is boxed, so taking it out
+//! of the system for a hop moves a pointer. A hop that drains no
+//! notices allocates nothing; one that does allocates only the `Vec`
+//! it returns. Transfer legs share one `Rc` route.
+//!
 //! **Counter-exactness is the design invariant**: the loop itself never
 //! touches the clock. All cost stays in the handler, which performs
 //! exactly the charges of one inline RPC, so a drained (sequential)
@@ -27,12 +40,14 @@
 //! overflow is the explicit [`SendOutcome::Overload`] outcome instead of
 //! unbounded recursion. See `DESIGN.md` §12.
 
+use std::rc::Rc;
+
 use fbuf_ipc::{Envelope, EventLoop, SendOutcome};
-use fbuf_sim::{Histogram, MachineConfig, Ns};
+use fbuf_sim::{EventId, Histogram, MachineConfig, Ns};
 use fbuf_vm::DomainId;
 
 use crate::buffer::FbufId;
-use crate::error::FbufResult;
+use crate::error::{FbufError, FbufResult};
 use crate::system::{AllocMode, FbufSystem, SendMode};
 
 /// Event payloads flowing through the transfer engine's loop.
@@ -52,8 +67,8 @@ pub enum HopMsg {
     Transfer {
         /// The buffer in flight.
         fbuf: FbufId,
-        /// The full domain chain, originator first.
-        route: Vec<DomainId>,
+        /// The full domain chain, originator first, shared by every leg.
+        route: Rc<[DomainId]>,
         /// Index of this hop within `route`.
         leg: usize,
         /// The transfer's causal span, minted by
@@ -78,6 +93,30 @@ pub enum HopMsg {
     },
 }
 
+/// What [`FbufSystem::submit_transfer`] did with a transfer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[must_use]
+pub enum SubmitOutcome {
+    /// The first leg is queued; the engine now drives the transfer.
+    Queued(EventId),
+    /// The first leg's inbox was full ([`SendOutcome::Overload`]):
+    /// counted and traced. The transfer never started and the caller
+    /// still owns the buffer.
+    Overload,
+    /// The submission was invalid ([`FbufError::RouteTooShort`]) or came
+    /// while the engine was pumping ([`FbufError::EngineBusy`]). Nothing
+    /// was posted, counted or traced, and the caller still owns the
+    /// buffer.
+    Refused(FbufError),
+}
+
+impl SubmitOutcome {
+    /// True when a full inbox refused the first leg.
+    pub fn is_overload(&self) -> bool {
+        matches!(self, SubmitOutcome::Overload)
+    }
+}
+
 impl FbufSystem {
     /// Sets the bounded per-domain inbox depth (see
     /// [`fbuf_ipc::actor::EventLoop::set_inbox_depth`]).
@@ -90,10 +129,15 @@ impl FbufSystem {
     /// Performs one cross-domain hop from `from` to `to` and returns the
     /// deallocation notices the reply carries back.
     ///
-    /// The hop is posted as a [`HopMsg::Call`] event and the loop is
-    /// pumped to completion: the charges and counters of one
+    /// The hop is a [`HopMsg::Call`] event that [`EventLoop::call`]
+    /// posts and drains: the charges and counters of one
     /// `rpc_mut().call(from, to)`, plus an Enqueue/Dequeue audit trail
-    /// and a (zero, when drained) queueing-delay sample.
+    /// and a (zero, when drained) queueing-delay sample. A full inbox is
+    /// drained first, so a hop never overloads. On an idle loop the
+    /// event goes straight to the handler without touching the heap or
+    /// an inbox, which leaves the ids, counters, delay sample and trace
+    /// records exactly as a queued event would (see the
+    /// [module docs](crate::engine)).
     ///
     /// Calls arriving while the loop is already pumping (i.e. from inside
     /// a handler) charge inline: they are being serviced *as* an event
@@ -102,28 +146,23 @@ impl FbufSystem {
         let Some(mut evl) = self.engine.take() else {
             return self.rpc_mut().call(from, to);
         };
-        // Never trip the inbox bound on a sequential hop: drain any
-        // backlog first, so the post below always queues and the
-        // overload counter counts only real refusals.
-        if evl.inbox_len(to) >= evl.inbox_depth() {
-            evl.run(self, &mut handle_hop);
-        }
-        let outcome = evl.post(from, to, HopMsg::Call);
-        debug_assert!(
-            matches!(outcome, SendOutcome::Queued(_)),
-            "a drained inbox accepts one hop"
-        );
-        evl.run(self, &mut handle_hop);
+        evl.call(from, to, None, HopMsg::Call, self, &mut handle_hop);
         self.engine = Some(evl);
         std::mem::take(&mut self.hop_notices)
     }
 
     /// Posts one full multi-leg transfer (first leg only; later legs are
     /// posted by the handler as each hop completes). Returns the outcome
-    /// of the first post — [`SendOutcome::Overload`] means the transfer
-    /// never started and the caller still owns `fbuf`.
-    pub fn submit_transfer(&mut self, fbuf: FbufId, route: &[DomainId]) -> SendOutcome {
-        assert!(route.len() >= 2, "a transfer needs at least one hop");
+    /// of the first post. [`SubmitOutcome::Overload`] and
+    /// [`SubmitOutcome::Refused`] both mean the transfer never started
+    /// and the caller still owns `fbuf`.
+    pub fn submit_transfer(&mut self, fbuf: FbufId, route: &[DomainId]) -> SubmitOutcome {
+        if route.len() < 2 {
+            return SubmitOutcome::Refused(FbufError::RouteTooShort { len: route.len() });
+        }
+        let Some(mut evl) = self.engine.take() else {
+            return SubmitOutcome::Refused(FbufError::EngineBusy);
+        };
         let span = self.mint_span();
         let path = self.fbuf_path_raw(fbuf);
         let tracer = self.machine().tracer();
@@ -133,7 +172,7 @@ impl FbufSystem {
             .map(|t| Ns(self.machine().now().as_ns() + t.as_ns()));
         let msg = HopMsg::Transfer {
             fbuf,
-            route: route.to_vec(),
+            route: Rc::from(route),
             leg: 0,
             span,
             deadline,
@@ -142,13 +181,13 @@ impl FbufSystem {
         // Overload refusal) attributable to this transfer; the envelope
         // then carries it hop to hop.
         let prev = tracer.set_current_span(Some(span));
-        let outcome = self
-            .engine
-            .as_mut()
-            .expect("engine present")
-            .post_on(route[0], route[1], path, msg);
+        let outcome = evl.post_on(route[0], route[1], path, msg);
         tracer.set_current_span(prev);
-        outcome
+        self.engine = Some(evl);
+        match outcome {
+            SendOutcome::Queued(id) => SubmitOutcome::Queued(id),
+            SendOutcome::Overload => SubmitOutcome::Overload,
+        }
     }
 
     /// Drains the event loop to empty, servicing every pending hop; no-op
@@ -165,12 +204,12 @@ impl FbufSystem {
 
     /// Events currently pending across all inboxes.
     pub fn engine_pending(&self) -> usize {
-        self.engine.as_ref().map_or(0, EventLoop::pending)
+        self.engine.as_deref().map_or(0, EventLoop::pending)
     }
 
     /// Posts refused with [`SendOutcome::Overload`] so far.
     pub fn engine_overloads(&self) -> u64 {
-        self.engine.as_ref().map_or(0, EventLoop::overloads)
+        self.engine.as_deref().map_or(0, EventLoop::overloads)
     }
 
     /// Per-hop queueing-delay histogram (simulated ns from enqueue to
@@ -225,8 +264,11 @@ fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: 
 fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<HopMsg>) {
     match env.msg {
         HopMsg::Call => {
-            let drained = sys.rpc_mut().call(env.from, env.to);
-            sys.hop_notices.extend(drained);
+            // Only `hop` posts a `Call`, one per drain, and it takes the
+            // notices right after; so the slot is empty here and the
+            // drained `Vec` moves in whole (no second allocation).
+            debug_assert!(sys.hop_notices.is_empty(), "one Call per hop");
+            sys.hop_notices = sys.rpc_mut().call(env.from, env.to);
         }
         HopMsg::Transfer {
             fbuf,
@@ -270,7 +312,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                 let (nf, nt) = (route[leg + 1], route[leg + 2]);
                 let msg = HopMsg::Transfer {
                     fbuf,
-                    route: route.clone(),
+                    route: Rc::clone(&route),
                     leg: leg + 1,
                     span,
                     deadline,
@@ -288,7 +330,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                 // then completion is itself an event back to the source.
                 let origin = route[0];
                 unwind(sys, fbuf, &route, false);
-                let from = *route.last().expect("route non-empty");
+                let from = route[route.len() - 1];
                 // Admission control bounds in-flight transfers to the
                 // inbox depth, so the originator's inbox always has room
                 // for completions; if a caller engineers one anyway, the
@@ -403,10 +445,14 @@ pub fn run_offered_load(cfg: &QueueConfig) -> FbufResult<QueueReport> {
         for _ in 0..n {
             let fbuf = sys.alloc(origin, AllocMode::Cached(path), len)?;
             offered += 1;
-            if sys.submit_transfer(fbuf, &route).is_overload() {
-                // Never started: the originator still owns the buffer.
-                sys.free(fbuf, origin)?;
-                refused_at_post += 1;
+            match sys.submit_transfer(fbuf, &route) {
+                SubmitOutcome::Queued(_) => {}
+                SubmitOutcome::Overload => {
+                    // Never started: the originator still owns the buffer.
+                    sys.free(fbuf, origin)?;
+                    refused_at_post += 1;
+                }
+                SubmitOutcome::Refused(e) => return Err(e),
             }
         }
         sys.pump();
@@ -544,12 +590,49 @@ mod tests {
         let buf = sys
             .alloc(KERNEL_DOMAIN, AllocMode::Cached(path), 4096)
             .unwrap();
-        assert!(!sys.submit_transfer(buf, &route).is_overload());
+        assert!(matches!(
+            sys.submit_transfer(buf, &route),
+            SubmitOutcome::Queued(_)
+        ));
         assert_eq!(sys.engine_pending(), 1);
         let serviced = sys.pump();
         assert_eq!(serviced, 2, "one transfer leg plus its completion");
         assert_eq!(sys.transfers_completed(), 1);
         assert_eq!(sys.engine_pending(), 0);
         assert_eq!(sys.stats().fbuf_transfers(), 1);
+    }
+
+    #[test]
+    fn submit_refuses_a_route_without_a_hop() {
+        let (mut sys, a, _) = fresh();
+        let buf = sys.alloc(a, AllocMode::Uncached, 4096).unwrap();
+        for route in [&[][..], &[a][..]] {
+            assert_eq!(
+                sys.submit_transfer(buf, route),
+                SubmitOutcome::Refused(FbufError::RouteTooShort { len: route.len() })
+            );
+        }
+        assert_eq!(sys.engine_pending(), 0, "nothing was posted");
+        sys.free(buf, a).unwrap();
+    }
+
+    #[test]
+    fn submit_refuses_while_the_engine_pumps() {
+        let (mut sys, a, b) = fresh();
+        let path = sys.create_path(vec![a, b]).unwrap();
+        let buf = sys.alloc(a, AllocMode::Cached(path), 4096).unwrap();
+        // A handler runs with the loop taken out of the system.
+        let evl = sys.engine.take();
+        assert_eq!(
+            sys.submit_transfer(buf, &[a, b]),
+            SubmitOutcome::Refused(FbufError::EngineBusy)
+        );
+        sys.engine = evl;
+        assert!(matches!(
+            sys.submit_transfer(buf, &[a, b]),
+            SubmitOutcome::Queued(_)
+        ));
+        sys.pump();
+        assert_eq!(sys.transfers_completed(), 1);
     }
 }

@@ -46,6 +46,15 @@ pub enum FbufError {
     /// allocation rounds, so further allocations are denied until the
     /// jail escalates to revocation (or the tenant frees).
     TenantJailed(DomainId),
+    /// A transfer was submitted with fewer than two domains on its
+    /// route, so it has no hop to make.
+    RouteTooShort {
+        /// Domains on the submitted route.
+        len: usize,
+    },
+    /// The transfer engine was called while it is pumping (from inside
+    /// a hop handler), when it cannot accept a new transfer.
+    EngineBusy,
 }
 
 impl fmt::Display for FbufError {
@@ -69,6 +78,10 @@ impl fmt::Display for FbufError {
             FbufError::TenantJailed(d) => {
                 write!(f, "{d} jailed by the hoard detector: allocation denied")
             }
+            FbufError::RouteTooShort { len } => {
+                write!(f, "a transfer route needs at least 2 domains, got {len}")
+            }
+            FbufError::EngineBusy => write!(f, "transfer engine is busy pumping"),
         }
     }
 }
@@ -102,6 +115,10 @@ mod tests {
             fbuf: FbufId(9),
         };
         assert!(e.to_string().contains("domain2"));
+        assert!(FbufError::RouteTooShort { len: 1 }
+            .to_string()
+            .contains("got 1"));
+        assert!(FbufError::EngineBusy.to_string().contains("busy"));
     }
 
     #[test]

@@ -78,7 +78,7 @@ pub mod system;
 pub mod tenant;
 
 pub use buffer::{Fbuf, FbufHot, FbufId, FbufState};
-pub use engine::{run_offered_load, HopMsg, QueueConfig, QueueReport};
+pub use engine::{run_offered_load, HopMsg, QueueConfig, QueueReport, SubmitOutcome};
 pub use error::{FbufError, FbufResult};
 pub use ledger::{Ledger, TenantRow};
 pub use path::{DataPath, PathId};

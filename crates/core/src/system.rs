@@ -139,8 +139,9 @@ pub struct FbufSystem {
     fault: Option<Rc<FaultPlan>>,
     /// The per-shard event loop. Held in an `Option` so
     /// [`FbufSystem::pump`](crate::engine) can take it out while the
-    /// handler borrows `self`; `None` only during a pump.
-    pub(crate) engine: Option<fbuf_ipc::EventLoop<crate::engine::HopMsg>>,
+    /// handler borrows `self`; `None` only during a pump. Boxed, so
+    /// taking it out and putting it back moves a pointer, not the loop.
+    pub(crate) engine: Option<Box<fbuf_ipc::EventLoop<crate::engine::HopMsg>>>,
     /// Notices drained by the most recent event-loop hop, handed back to
     /// the [`FbufSystem::hop`](crate::engine) caller.
     pub(crate) hop_notices: Vec<u64>,
@@ -271,11 +272,11 @@ impl FbufSystem {
             charge_clearing: true,
             reuse_policy: ReusePolicy::Lifo,
             fault: None,
-            engine: Some(fbuf_ipc::EventLoop::new(
+            engine: Some(Box::new(fbuf_ipc::EventLoop::new(
                 machine_clock,
                 machine_stats,
                 machine_tracer,
-            )),
+            ))),
             hop_notices: Vec::new(),
             xfer_completed: 0,
             xfer_aborted: 0,
@@ -391,7 +392,7 @@ impl FbufSystem {
         s.record(Gauge::LiveFbufs, || self.fbufs.len() as u64);
         s.record(Gauge::ParkedFbufs, || self.parked_count);
         s.record(Gauge::EnginePending, || {
-            self.engine.as_ref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
+            self.engine.as_deref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
         });
         s.record(Gauge::OverloadDrops, || self.machine.stats_ref().overload_drops());
         let free = self.chunk_alloc.available();

@@ -21,7 +21,11 @@
 //! * a post to a **full inbox** is refused with the explicit
 //!   [`SendOutcome::Overload`] — counted in `Stats::overload_drops`,
 //!   traced as [`EventKind::Overload`] — instead of growing without
-//!   bound or recursing.
+//!   bound or recursing;
+//! * a sequential caller posts and drains in one [`EventLoop::call`].
+//!   On an idle loop the event would be popped the instant it is
+//!   pushed, so `call` hands it straight to the handler, with the same
+//!   id, counters, delay sample and trace records as the queued route.
 //!
 //! Determinism: the heap orders by `(simulated time, insertion id)` with
 //! FIFO tie-break (see [`fbuf_sim::event`]), posts stamp the shared
@@ -201,18 +205,8 @@ impl<M> EventLoop<M> {
         }
         let now = self.clock.now();
         let id = self.heap.push(now, to);
-        self.inboxes[slot].push_back(Envelope {
-            from,
-            to,
-            enqueued_at: now,
-            id,
-            span: self.tracer.current_span(),
-            path,
-            msg,
-        });
-        self.enqueued += 1;
-        self.tracer
-            .instant_peer(EventKind::Enqueue, from.0, to.0, path, None);
+        let env = self.enqueue(id, now, from, to, path, msg);
+        self.inboxes[slot].push_back(env);
         SendOutcome::Queued(id)
     }
 
@@ -228,11 +222,93 @@ impl<M> EventLoop<M> {
         let Some(token) = self.heap.pop() else {
             return false;
         };
-        let dom = token.payload;
-        let env = self.inboxes[dom.0 as usize]
+        let env = self.inboxes[token.payload.0 as usize]
             .pop_front()
             .expect("a wake token always has a matching inbox entry");
         debug_assert_eq!(env.id, token.id, "tokens and envelopes stay FIFO-aligned");
+        self.dispatch(env, ctx, handler);
+        true
+    }
+
+    /// Posts one event and drains the loop: the synchronous call of a
+    /// sequential caller. Returns how many events were processed.
+    ///
+    /// It does what [`EventLoop::post_on`] followed by [`EventLoop::run`]
+    /// does, with two differences:
+    ///
+    /// * it never overloads: a full destination inbox is drained first,
+    ///   so the event always queues and the overload counter counts only
+    ///   real refusals;
+    /// * on an **idle** loop (nothing pending) the event would be popped
+    ///   the instant it is pushed, so it skips the heap and the inbox:
+    ///   it draws the id the push would have returned and hands the
+    ///   envelope straight to `handler`. The enqueue and dequeue
+    ///   bookkeeping are the same helpers `post_on` and `step` use, so
+    ///   ids, counters, the (zero) queueing-delay sample and the trace
+    ///   records are exactly those of the queued route.
+    pub fn call<C>(
+        &mut self,
+        from: DomainId,
+        to: DomainId,
+        path: Option<u64>,
+        msg: M,
+        ctx: &mut C,
+        handler: &mut impl FnMut(&mut EventLoop<M>, &mut C, Envelope<M>),
+    ) -> usize {
+        let mut n = 0;
+        if self.inbox_len(to) >= self.depth {
+            n += self.run(ctx, handler);
+        }
+        if self.heap.is_empty() {
+            let id = self.heap.draw_id();
+            let env = self.enqueue(id, self.clock.now(), from, to, path, msg);
+            self.dispatch(env, ctx, handler);
+            n += 1;
+        } else {
+            let outcome = self.post_on(from, to, path, msg);
+            debug_assert!(
+                matches!(outcome, SendOutcome::Queued(_)),
+                "an inbox below its bound accepts one event"
+            );
+        }
+        n + self.run(ctx, handler)
+    }
+
+    /// Enqueue bookkeeping for an admitted event (queued or dispatched
+    /// directly): stamps it with `now` and the ambient span, counts it,
+    /// and records its `Enqueue` trace event.
+    fn enqueue(
+        &mut self,
+        id: EventId,
+        now: Ns,
+        from: DomainId,
+        to: DomainId,
+        path: Option<u64>,
+        msg: M,
+    ) -> Envelope<M> {
+        self.enqueued += 1;
+        self.tracer
+            .instant_peer(EventKind::Enqueue, from.0, to.0, path, None);
+        Envelope {
+            from,
+            to,
+            enqueued_at: now,
+            id,
+            span: self.tracer.current_span(),
+            path,
+            msg,
+        }
+    }
+
+    /// Dequeue bookkeeping and service of one event: records its
+    /// queueing delay (overall and against the handling domain), counts
+    /// it, and runs `handler` inside the envelope's span.
+    fn dispatch<C>(
+        &mut self,
+        env: Envelope<M>,
+        ctx: &mut C,
+        handler: &mut impl FnMut(&mut EventLoop<M>, &mut C, Envelope<M>),
+    ) {
         let delay = self.clock.now() - env.enqueued_at;
         self.queue_delay.record(delay.as_ns());
         let dslot = env.to.0 as usize;
@@ -256,7 +332,6 @@ impl<M> EventLoop<M> {
         );
         handler(self, ctx, env);
         self.tracer.set_current_span(prev);
-        true
     }
 
     /// Runs [`EventLoop::step`] until the loop drains; returns how many
@@ -502,6 +577,90 @@ mod tests {
         });
         assert_eq!(e.queue_delay_by_dom().get(2), Some(&500));
         assert_eq!(e.queue_delay_by_dom().first(), Some(&0));
+    }
+
+    /// Everything the loop records about the events it served.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        ids: Vec<EventId>,
+        counters: (u64, u64, u64),
+        queue_delay: Histogram,
+        delay_by_dom: Vec<u64>,
+        trace: Vec<fbuf_sim::TraceEvent>,
+        chrome: String,
+    }
+
+    /// Runs `backlog` queued events, then `calls` sequential calls, on a
+    /// traced loop whose handler charges 100 ns per event and posts one
+    /// follow-up for each message below 10. With `direct`, each call
+    /// goes through [`EventLoop::call`]; otherwise through `post_on` +
+    /// `run`.
+    fn drive(direct: bool, backlog: u32, calls: &[(u32, u32, u32)]) -> Observed {
+        let (mut e, clock, _, tracer) = evl();
+        tracer.set_enabled(true);
+        for i in 0..backlog {
+            e.post_on(DomainId(0), DomainId(1), Some(1), 100 + i);
+        }
+        let c = clock.clone();
+        let mut handler =
+            move |evl: &mut EventLoop<u32>, ids: &mut Vec<EventId>, env: Envelope<u32>| {
+                ids.push(env.id);
+                c.charge(CostCategory::Ipc, Ns(100));
+                if env.msg < 10 {
+                    evl.post_on(env.to, DomainId(env.to.0 + 1), env.path, env.msg + 10);
+                }
+            };
+        let mut ids = Vec::new();
+        for (n, &(from, to, msg)) in calls.iter().enumerate() {
+            tracer.set_current_span(Some(n as u64));
+            let (from, to, path) = (DomainId(from), DomainId(to), Some(u64::from(msg)));
+            if direct {
+                e.call(from, to, path, msg, &mut ids, &mut handler);
+            } else {
+                assert!(!e.post_on(from, to, path, msg).is_overload());
+                e.run(&mut ids, &mut handler);
+            }
+        }
+        Observed {
+            ids,
+            counters: (e.enqueued(), e.dequeued(), e.overloads()),
+            queue_delay: e.queue_delay().clone(),
+            delay_by_dom: e.queue_delay_by_dom().to_vec(),
+            trace: tracer.events(),
+            chrome: tracer.chrome_trace().render(),
+        }
+    }
+
+    #[test]
+    fn call_matches_post_and_run_on_idle_busy_and_chaining_loops() {
+        // Messages ≥ 10 end their chain; below 10 the handler posts one
+        // follow-up to the next domain.
+        let idle = [(0, 1, 10), (1, 2, 11), (2, 0, 12)];
+        let chaining = [(0, 1, 1), (1, 3, 2), (3, 0, 13)];
+        for (backlog, calls) in [(0, &idle), (3, &idle), (0, &chaining), (2, &chaining)] {
+            let direct = drive(true, backlog, calls);
+            let queued = drive(false, backlog, calls);
+            assert_eq!(direct, queued, "backlog {backlog}, calls {calls:?}");
+            assert!(!direct.trace.is_empty());
+        }
+    }
+
+    #[test]
+    fn call_drains_a_full_inbox_instead_of_overloading() {
+        let (mut e, _, stats, _) = evl();
+        e.set_inbox_depth(1);
+        e.post(DomainId(0), DomainId(1), ());
+        let n = e.call(
+            DomainId(0),
+            DomainId(1),
+            None,
+            (),
+            &mut (),
+            &mut |_, _, _| {},
+        );
+        assert_eq!(n, 2, "the backlog and the call were both served");
+        assert_eq!((e.overloads(), stats.overload_drops()), (0, 0));
+        assert_eq!(e.pending(), 0);
     }
 
     #[test]

@@ -70,6 +70,10 @@ pub enum MErr {
     Jailed,
     /// Any machine-level fault.
     Vm,
+    /// The transfer engine refused a submission (a route too short, or
+    /// a call while it pumps). The fuzzer's commands never submit
+    /// transfers, so neither side should produce it.
+    Engine,
 }
 
 impl MErr {
@@ -85,6 +89,7 @@ impl MErr {
             FbufError::TooLarge { .. } => MErr::TooLarge,
             FbufError::TenantJailed(_) => MErr::Jailed,
             FbufError::Vm(_) => MErr::Vm,
+            FbufError::RouteTooShort { .. } | FbufError::EngineBusy => MErr::Engine,
         }
     }
 }

@@ -94,10 +94,20 @@ impl<T> EventHeap<T> {
     /// Later pushes always receive larger ids, including pushes for the
     /// same instant — that is the FIFO guarantee.
     pub fn push(&mut self, at: Ns, payload: T) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
+        let id = self.draw_id();
         self.slots.push(Entry { at, id, payload });
         self.sift_up(self.slots.len() - 1);
+        id
+    }
+
+    /// Draws the next id without scheduling anything: the id a
+    /// [`EventHeap::push`] would have returned for an event that is
+    /// popped the instant it is pushed. A caller that dispatches such an
+    /// event directly keeps the id sequence (and so every later id)
+    /// exactly as a push and pop would have left it.
+    pub fn draw_id(&mut self) -> EventId {
+        let id = EventId(self.next_id);
+        self.next_id += 1;
         id
     }
 
@@ -213,6 +223,17 @@ mod tests {
         let c = h.push(Ns(1), ());
         assert!(a < b && b < c, "ids keep growing after pops");
         assert_eq!(h.pushed(), 3);
+    }
+
+    #[test]
+    fn draw_id_advances_the_sequence_like_a_push_and_pop() {
+        let mut drawn = EventHeap::new();
+        let mut pushed = EventHeap::new();
+        assert_eq!(drawn.draw_id(), pushed.push(Ns(0), ()));
+        pushed.pop();
+        assert!(drawn.is_empty(), "drawing schedules nothing");
+        assert_eq!(drawn.push(Ns(0), ()), pushed.push(Ns(0), ()));
+        assert_eq!(drawn.pushed(), 2);
     }
 
     #[test]
