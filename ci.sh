@@ -70,7 +70,9 @@ test -s target/bench-reports/LEDGER_fleet.json
 # cores just timeslices, so the speedup/efficiency floors are only armed
 # when the host can physically show a speedup. On multi-core hosts the
 # floor is also recorded under host.scaling_floor, which every later
-# check re-enforces against the written report.
+# check re-enforces against the written report. Each point of the curve
+# is the median of seven interleaved runs (1, 2, 1, 2, ...), so one slow
+# timeslice cannot decide a gate.
 CORES=$(nproc 2>/dev/null || echo 1)
 if [ "$CORES" -ge 2 ]; then
     export FBUF_STRESS_MIN_SPEEDUP="2:1.2"

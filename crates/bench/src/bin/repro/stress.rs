@@ -15,6 +15,12 @@
 //! (ops/sec, speedup, efficiency vs linear) under `host.scaling` in
 //! `BENCH_stress.json`.
 //!
+//! One run of a sweep point lasts tens of milliseconds at small op
+//! budgets, too short to resolve on a shared host. So the sweep runs
+//! [`REPEATS`] times, interleaved (1, 2, 1, 2, …), and each point of the
+//! curve — and every gate — uses the point's median wall-clock time;
+//! `host.scaling` records the repeat count.
+//!
 //! Environment knobs:
 //!
 //! * `FBUF_STRESS_OPS`     — steady-state cycles per run, split across the
@@ -89,13 +95,18 @@ fn gated<'a>(curve: &'a [Scaled], knob: &str, threads: u64) -> Result<&'a Scaled
     })
 }
 
+/// How many times the sweep runs, its points interleaved. Odd, so the
+/// median is one measured run.
+const REPEATS: usize = 7;
+
 /// One thread count's worth of fleet results.
 struct FleetRun {
     threads: u64,
     reports: Vec<ShardReport>,
     /// Total fbuf operations across the fleet.
     ops: u64,
-    /// Fleet wall-clock: max across shards (they start barrier-aligned).
+    /// Fleet wall-clock: max across shards (they start barrier-aligned);
+    /// the median over the repeats once the sweep is done.
     host_ns: u64,
     /// Simulated time of the slowest shard.
     sim_elapsed: Ns,
@@ -182,24 +193,43 @@ pub fn run() -> Result<(), String> {
         cycles, npaths, pages, threads, cross_every
     );
 
+    // The last repeat of each point keeps its reports; every repeat
+    // keeps its wall-clock time.
     let mut runs = Vec::with_capacity(threads.len());
-    for &n in &threads {
-        let run = run_at(n, &cfg, npaths, pages, cycles, cross_every)
-            .map_err(|e| format!("at {n} thread(s): {e}"))?;
+    let mut host_ns = vec![Vec::with_capacity(REPEATS); threads.len()];
+    for repeat in 0..REPEATS {
+        for (k, &n) in threads.iter().enumerate() {
+            let run = run_at(n, &cfg, npaths, pages, cycles, cross_every)
+                .map_err(|e| format!("at {n} thread(s): {e}"))?;
+            host_ns[k].push(run.host_ns);
+            if repeat + 1 == REPEATS {
+                runs.push(run);
+            }
+        }
+    }
+    for (run, times) in runs.iter_mut().zip(&mut host_ns) {
+        times.sort_unstable();
+        run.host_ns = times[REPEATS / 2];
         println!(
-            "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host ({:.3} us/cycle simulated, {} cross-shard payloads)",
-            n,
+            "{:>2} thread(s): {:>10} fbuf ops in {:>8.1} ms host, median of {REPEATS} ({:.1}-{:.1} ms; {:.3} us/cycle simulated, {} cross-shard payloads)",
+            run.threads,
             run.ops,
             run.host_ns as f64 / 1e6,
-            run.sim_elapsed.as_us_f64() / (cycles.max(1) as f64 / n as f64),
+            times[0] as f64 / 1e6,
+            times[REPEATS - 1] as f64 / 1e6,
+            run.sim_elapsed.as_us_f64() / (cycles.max(1) as f64 / run.threads as f64),
             run.reports.iter().map(|r| r.sent).sum::<u64>(),
         );
-        runs.push(run);
     }
 
     let curve: Vec<ScalingPoint> = runs
         .iter()
-        .map(|r| ScalingPoint { threads: r.threads, ops: r.ops, elapsed_ns: r.host_ns })
+        .map(|r| ScalingPoint {
+            threads: r.threads,
+            ops: r.ops,
+            elapsed_ns: r.host_ns,
+            repeats: REPEATS as u64,
+        })
         .collect();
     let rates = scaled(&curve);
     let base_threads = runs[0].threads;

@@ -125,6 +125,8 @@ pub struct ScalingPoint {
     /// Fleet wall-clock for the measured window (max across shards; the
     /// shards start barrier-aligned).
     pub elapsed_ns: u64,
+    /// Runs measured for this point (`elapsed_ns` is their median).
+    pub repeats: u64,
 }
 
 /// A [`ScalingPoint`] with the rates derived from it.
@@ -452,6 +454,7 @@ impl BenchRunner {
                     ("threads", s.point.threads.to_json()),
                     ("ops", s.point.ops.to_json()),
                     ("elapsed_ns", s.point.elapsed_ns.to_json()),
+                    ("repeats", s.point.repeats.to_json()),
                     ("ops_per_sec", s.ops_per_sec.to_json()),
                     ("speedup_vs_1t", s.speedup.to_json()),
                     ("efficiency", s.efficiency.to_json()),
@@ -1103,16 +1106,19 @@ mod tests {
                 threads: 1,
                 ops: 1_000,
                 elapsed_ns: 1_000_000,
+                repeats: 1,
             },
             ScalingPoint {
                 threads: 2,
                 ops: 2_000,
                 elapsed_ns: 1_250_000,
+                repeats: 1,
             },
             ScalingPoint {
                 threads: 4,
                 ops: 4_000,
                 elapsed_ns: 1_600_000,
+                repeats: 1,
             },
         ]);
         let doc = r.report();
@@ -1143,6 +1149,7 @@ mod tests {
             threads: 2,
             ops: 2_000,
             elapsed_ns: 1_000_000,
+            repeats: 1,
         }]);
         r.host_scaling_floor(2, 0.6);
         let doc = r.report();
@@ -1205,11 +1212,13 @@ mod tests {
                 threads: 2,
                 ops: 2_000,
                 elapsed_ns: 1_000_000,
+                repeats: 1,
             },
             ScalingPoint {
                 threads: 4,
                 ops: 3_000,
                 elapsed_ns: 1_000_000,
+                repeats: 1,
             },
         ];
         let s = scaled(&points);
@@ -1224,6 +1233,7 @@ mod tests {
             threads: 1,
             ops: 0,
             elapsed_ns: 0,
+            repeats: 1,
         }]);
         assert_eq!((idle[0].speedup, idle[0].efficiency), (0.0, 0.0));
     }
@@ -1252,11 +1262,13 @@ mod tests {
                     threads: 1,
                     ops: 1_000,
                     elapsed_ns: 1_000_000,
+                    repeats: 1,
                 },
                 ScalingPoint {
                     threads: 2,
                     ops: 1_600,
                     elapsed_ns: 1_000_000,
+                    repeats: 1,
                 },
             ]);
             r.host_scaling_floor(2, 0.6);

@@ -33,11 +33,12 @@
 //!   [`FbufSystem::reclaim_frames`] pops victims lazily instead of
 //!   materializing a global victim vector.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cell::Cell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
-use fbuf_sim::metrics::Gauge;
+use fbuf_sim::metrics::{Gauge, Timeline};
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
@@ -93,10 +94,23 @@ pub struct FbufSystem {
     machine: Machine,
     pub(crate) rpc: Rpc,
     chunk_alloc: ChunkAllocator,
-    allocators: HashMap<(u32, Option<PathId>), LocalAllocator>,
+    /// Each path's allocator, indexed by `PathId.0`. Only the path's
+    /// originator may allocate on it, so the path alone keys it.
+    path_alloc: Vec<Option<LocalAllocator>>,
+    /// Each domain's default (uncached) allocator, indexed by
+    /// `DomainId.0`.
+    dom_alloc: Vec<Option<LocalAllocator>>,
     /// Paths indexed directly by `PathId.0` (paths are never removed, only
     /// marked dead).
     paths: Vec<DataPath>,
+    /// Paths still live — with `registered_doms`, the number of indexed
+    /// gauges a telemetry pass refuses without visiting them.
+    live_paths: u64,
+    /// Domains registered and not terminated.
+    registered_doms: u64,
+    /// Paths (by count of ids) and domains the last full telemetry
+    /// visit saw; anything newer joins at the next pass.
+    seen: Cell<(usize, usize)>,
     /// Cold fbuf halves in a generational slab; an [`FbufId`] is the
     /// arena handle, so stale ids fail instead of aliasing recycled slots.
     fbufs: Arena<Fbuf>,
@@ -174,6 +188,10 @@ pub struct FbufSystem {
     path_class: Vec<u8>,
 }
 
+/// Fixed gauges a telemetry pass holds (`live_fbufs`, `parked_fbufs`,
+/// `free_chunks`); the other two are recorded every pass.
+const HELD_FIXED: u64 = 3;
+
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReusePolicy {
@@ -249,8 +267,8 @@ impl FbufSystem {
             machine.tracer(),
             cfg.costs.clone(),
         );
-        let (machine_clock, machine_stats, machine_tracer) =
-            (machine.clock(), machine.stats(), machine.tracer());
+        let (machine_clock, machine_stats, machine_tracer, machine_metrics) =
+            (machine.clock(), machine.stats(), machine.tracer(), machine.metrics());
         let mut sys = FbufSystem {
             machine,
             rpc,
@@ -259,8 +277,12 @@ impl FbufSystem {
                 cfg.fbuf_region_size,
                 cfg.chunk_size,
             ),
-            allocators: HashMap::new(),
+            path_alloc: Vec::new(),
+            dom_alloc: Vec::new(),
             paths: Vec::new(),
+            live_paths: 0,
+            registered_doms: 0,
+            seen: Cell::new((0, 0)),
             fbufs: Arena::new(),
             hot: Vec::new(),
             registered: Vec::new(),
@@ -276,6 +298,7 @@ impl FbufSystem {
                 machine_clock,
                 machine_stats,
                 machine_tracer,
+                machine_metrics,
             ))),
             hop_notices: Vec::new(),
             xfer_completed: 0,
@@ -304,6 +327,10 @@ impl FbufSystem {
             self.registered.resize(need, false);
             self.terminated.resize(need, false);
             self.held.resize_with(need, Vec::new);
+            self.dom_alloc.resize_with(need, || None);
+        }
+        if !self.registered[dom.0 as usize] {
+            self.registered_doms += 1;
         }
         self.registered[dom.0 as usize] = true;
         self.tenants.fresh_clock(dom);
@@ -381,41 +408,126 @@ impl FbufSystem {
         self.sample_gauges_at(now);
     }
 
-    /// Records every system gauge at `now`, unconditionally. Callers
-    /// that own the cadence (the shard loop, which adds ring-occupancy
-    /// gauges of its own) use this directly; everyone else goes through
-    /// [`FbufSystem::sample_metrics`].
+    /// Takes one system telemetry pass at `now`, unconditionally.
+    /// Callers that own the cadence (the shard loop, which adds
+    /// ring-occupancy gauges of its own) use this directly; everyone
+    /// else goes through [`FbufSystem::sample_metrics`].
+    ///
+    /// Most gauges are *held*: they repeat their value until a mutation
+    /// site touches them, so a pass re-reads only what changed and
+    /// counts the gauges the series cap refused in one addition. New
+    /// paths and domains join through one full visit in first-seen order
+    /// (fixed gauges, then per path `parked`/`chunks`/`threshold`, then
+    /// `inbox<d>`), as does every pass after a
+    /// [`Metrics::clear`](fbuf_sim::Metrics::clear) or re-enable.
     pub fn sample_gauges_at(&self, now: Ns) {
         let Some(mut s) = self.machine.metrics_ref().sampler(now) else {
             return;
         };
-        s.record(Gauge::LiveFbufs, || self.fbufs.len() as u64);
-        s.record(Gauge::ParkedFbufs, || self.parked_count);
-        s.record(Gauge::EnginePending, || {
-            self.engine.as_deref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
-        });
-        s.record(Gauge::OverloadDrops, || self.machine.stats_ref().overload_drops());
+        let resync = s.resync();
         let free = self.chunk_alloc.available();
-        let quota = self.machine.config().max_chunks_per_path;
-        s.record(Gauge::FreeChunks, || free);
-        for (i, p) in self.paths.iter().enumerate() {
-            if p.live {
-                let i = i as u32;
-                s.record(Gauge::PathParked(i), || p.parked() as u64);
-                s.record(Gauge::PathChunks(i), || self.path_chunks(p.id) as u64);
-                s.record(Gauge::PathThreshold(i), || {
-                    self.policy.threshold(free, quota, self.path_class(p.id))
-                });
-            }
-        }
-        if let Some(e) = &self.engine {
-            for d in 0..self.registered.len() {
-                if self.registered[d] {
-                    let dom = DomainId(d as u32);
-                    s.record(Gauge::Inbox(dom.0), || e.inbox_len(dom) as u64);
+        // Inbox gauges are read only while the event loop is in place,
+        // i.e. not from inside one of its handlers.
+        let engine = self.engine.as_deref();
+        // Recorded every pass: the loop's depth reads 0 while it is out
+        // of place, and the drop counter lives in `Stats`, which can be
+        // reset; both are one read.
+        let pending = || engine.map_or(0, fbuf_ipc::EventLoop::pending) as u64;
+        let drops = || self.machine.stats_ref().overload_drops();
+        let (paths_seen, doms_seen) = self.seen.get();
+        let joined = self.paths.len() > paths_seen
+            || (engine.is_some() && self.registered.len() > doms_seen);
+        if resync || joined {
+            let value = |g| self.gauge_value(g, free);
+            s.hold(Gauge::LiveFbufs, || value(Gauge::LiveFbufs));
+            s.hold(Gauge::ParkedFbufs, || value(Gauge::ParkedFbufs));
+            s.record(Gauge::EnginePending, pending);
+            s.record(Gauge::OverloadDrops, drops);
+            s.hold(Gauge::FreeChunks, || value(Gauge::FreeChunks));
+            for (i, p) in self.paths.iter().enumerate() {
+                if p.live {
+                    let i = i as u32;
+                    for g in [Gauge::PathParked(i), Gauge::PathChunks(i), Gauge::PathThreshold(i)] {
+                        s.hold(g, || value(g));
+                    }
                 }
             }
+            if engine.is_some() {
+                s.tick(Timeline::Inbox);
+                for d in 0..self.registered.len() {
+                    if self.registered[d] {
+                        let g = Gauge::Inbox(d as u32);
+                        s.hold(g, || value(g));
+                    }
+                }
+            }
+            s.forget_dirty();
+            // A resync with the loop away leaves the inbox series to
+            // rejoin at the next pass that can read them.
+            let doms = match (engine, resync) {
+                (Some(_), _) => self.registered.len(),
+                (None, true) => 0,
+                (None, false) => doms_seen,
+            };
+            self.seen.set((self.paths.len(), doms));
+        } else {
+            s.record(Gauge::EnginePending, pending);
+            s.record(Gauge::OverloadDrops, drops);
+            if engine.is_some() {
+                s.tick(Timeline::Inbox);
+            }
+            s.drain_dirty(|g| self.gauge_value(g, free));
+            // Every live gauge without a held series was refused by the
+            // cap: the held fixed gauges and three per live path on the
+            // system timeline, one per registered domain on the inbox one.
+            let mut refused = HELD_FIXED + 3 * self.live_paths - s.standing(Timeline::System);
+            if engine.is_some() {
+                refused += self.registered_doms - s.standing(Timeline::Inbox);
+            }
+            s.refuse(refused);
         }
+    }
+
+    /// The current value of a held gauge, with `free` chunks left in
+    /// the region.
+    fn gauge_value(&self, g: Gauge, free: u64) -> u64 {
+        let quota = self.machine.config().max_chunks_per_path;
+        match g {
+            Gauge::LiveFbufs => self.fbufs.len() as u64,
+            Gauge::ParkedFbufs => self.parked_count,
+            Gauge::FreeChunks => free,
+            Gauge::PathParked(i) => self.paths[i as usize].parked() as u64,
+            Gauge::PathChunks(i) => self.path_chunks(PathId(u64::from(i))) as u64,
+            Gauge::PathThreshold(i) => {
+                self.policy.threshold(free, quota, self.path_class[i as usize])
+            }
+            Gauge::Inbox(d) => self
+                .engine
+                .as_deref()
+                .map_or(0, |e| e.inbox_len(DomainId(d)) as u64),
+            _ => 0,
+        }
+    }
+
+    /// Tells telemetry that a held gauge's value may have changed.
+    #[inline]
+    fn touch(&self, g: Gauge) {
+        self.machine.metrics_ref().touch(g);
+    }
+
+    /// Every path's admission threshold reads the policy, so a policy
+    /// change touches them all.
+    fn touch_thresholds(&self) {
+        self.machine
+            .metrics_ref()
+            .touch_each(|g| matches!(g, Gauge::PathThreshold(_)));
+    }
+
+    /// The free-chunk count changed: its gauge and every threshold,
+    /// which reads it.
+    fn touch_free_chunks(&self) {
+        self.touch(Gauge::FreeChunks);
+        self.touch_thresholds();
     }
 
     /// Arms a fault-injection plan across the whole engine: the fbuf
@@ -458,6 +570,8 @@ impl FbufSystem {
         let id = PathId(self.paths.len() as u64);
         self.paths.push(DataPath::new(id, domains));
         self.path_class.push(0);
+        self.path_alloc.push(None);
+        self.live_paths += 1;
         Ok(id)
     }
 
@@ -465,6 +579,7 @@ impl FbufSystem {
     /// policy is consulted per decision and keeps no state of its own.
     pub fn set_quota_policy(&mut self, policy: QuotaPolicy) {
         self.policy = policy;
+        self.touch_thresholds();
     }
 
     /// The active chunk-admission policy.
@@ -479,6 +594,7 @@ impl FbufSystem {
             return Err(FbufError::NoSuchPath(path));
         }
         self.path_class[path.0 as usize] = class;
+        self.touch(Gauge::PathThreshold(path.0 as u32));
         Ok(())
     }
 
@@ -493,16 +609,23 @@ impl FbufSystem {
         self.chunk_alloc.available()
     }
 
-    /// Chunks currently held by the (originator, path) allocator of
-    /// `path` — the per-path buffer occupancy the fan-in harness and the
-    /// `path{i}.chunks` gauge report.
+    /// Chunks currently held by the allocator of `path` — the per-path
+    /// buffer occupancy the fan-in harness and the `path{i}.chunks`
+    /// gauge report.
     pub fn path_chunks(&self, path: PathId) -> usize {
-        let Some(p) = self.paths.get(path.0 as usize) else {
-            return 0;
-        };
-        self.allocators
-            .get(&(p.originator().0, Some(path)))
+        self.path_alloc
+            .get(path.0 as usize)
+            .and_then(Option::as_ref)
             .map_or(0, LocalAllocator::chunks_held)
+    }
+
+    /// The allocator slot a build by `dom` on `path` uses: the path's
+    /// own, or the domain's default one.
+    fn allocator(&mut self, dom: DomainId, path: Option<PathId>) -> &mut Option<LocalAllocator> {
+        match path {
+            Some(p) => &mut self.path_alloc[p.0 as usize],
+            None => &mut self.dom_alloc[dom.0 as usize],
+        }
     }
 
     /// Looks up a path.
@@ -589,6 +712,7 @@ impl FbufSystem {
                     }
                 };
                 if let Some(id) = parked {
+                    self.touch(Gauge::PathParked(path_id.0 as u32));
                     self.park_unlink(id);
                     let id = match self.reuse_cached(id, dom, len) {
                         Ok(id) => id,
@@ -605,6 +729,7 @@ impl FbufSystem {
                                 .expect("parked fbuf exists")
                                 .pages;
                             self.paths[path_id.0 as usize].park(pages, id);
+                            self.touch(Gauge::PathParked(path_id.0 as u32));
                             self.park_push_tail(id);
                             return Err(e);
                         }
@@ -754,14 +879,10 @@ impl FbufSystem {
         let page_size = self.machine.page_size();
         let chunk_size = self.machine.config().chunk_size;
         let quota = self.machine.config().max_chunks_per_path;
-        self.allocators
-            .entry((dom.0, path))
-            .or_insert_with(|| LocalAllocator::new(path, chunk_size, quota));
         let va = loop {
             let allocator = self
-                .allocators
-                .get_mut(&(dom.0, path))
-                .expect("inserted above");
+                .allocator(dom, path)
+                .get_or_insert_with(|| LocalAllocator::new(path, chunk_size, quota));
             match allocator.carve(pages, page_size)? {
                 Some(va) => break va,
                 None => {
@@ -792,10 +913,13 @@ impl FbufSystem {
                         .charge(CostCategory::Alloc, self.machine.costs().chunk_request);
                     let chunk = self.chunk_alloc.grant()?;
                     self.machine.stats_ref().inc_chunks_granted();
-                    self.allocators
-                        .get_mut(&(dom.0, path))
-                        .expect("inserted above")
-                        .add_chunk(chunk);
+                    self.touch_free_chunks();
+                    if let Some(p) = path {
+                        self.touch(Gauge::PathChunks(p.0 as u32));
+                    }
+                    if let Some(alloc) = self.allocator(dom, path) {
+                        alloc.add_chunk(chunk);
+                    }
                 }
             }
         };
@@ -804,10 +928,9 @@ impl FbufSystem {
             Err(e) => {
                 // Hand the carved window back to the local allocator: a
                 // failed build leaks neither frames nor address space.
-                self.allocators
-                    .get_mut(&(dom.0, path))
-                    .expect("inserted above")
-                    .release(va, pages);
+                if let Some(alloc) = self.allocator(dom, path) {
+                    alloc.release(va, pages);
+                }
                 return Err(e);
             }
         };
@@ -827,6 +950,7 @@ impl FbufSystem {
         });
         let id = FbufId(handle);
         self.fbufs.get_mut(handle).expect("just inserted").id = id;
+        self.touch(Gauge::LiveFbufs);
         // Keep the hot lane dense over every slot the arena has ever
         // issued; a recycled slot just overwrites its stale entry.
         let slot = slot_of(handle);
@@ -1036,7 +1160,9 @@ impl FbufSystem {
             }
             self.machine
                 .charge(CostCategory::Alloc, self.machine.costs().freelist_op);
-            self.paths[path.expect("cached fbuf has a path").0 as usize].park(pages, id);
+            let path = path.expect("cached fbuf has a path");
+            self.paths[path.0 as usize].park(pages, id);
+            self.touch(Gauge::PathParked(path.0 as u32));
             self.park_push_tail(id);
             return Ok(());
         }
@@ -1052,6 +1178,7 @@ impl FbufSystem {
     pub(crate) fn retire_parked(&mut self, id: FbufId) -> FbufResult<()> {
         if let Some(p) = self.hot_of(id).path {
             self.paths[p.0 as usize].unpark(id);
+            self.touch(Gauge::PathParked(p.0 as u32));
         }
         self.retire(id)
     }
@@ -1066,6 +1193,7 @@ impl FbufSystem {
         // lane entry becomes stale the moment the arena recycles it).
         let path = self.hot_of(id).path;
         let f = self.fbufs.remove(id.0).expect("retire of live fbuf");
+        self.touch(Gauge::LiveFbufs);
         debug_assert!(f.holders.is_empty(), "retire with outstanding references");
         self.va_index.remove(&f.va);
         for dom in &f.mapped_in {
@@ -1077,7 +1205,7 @@ impl FbufSystem {
         for frame in f.frames.iter().flatten() {
             self.machine.release_frame(*frame);
         }
-        if let Some(alloc) = self.allocators.get_mut(&(f.originator.0, path)) {
+        if let Some(alloc) = self.allocator(f.originator, path) {
             alloc.release(f.va, f.pages);
         }
         self.tenants
@@ -1166,6 +1294,7 @@ impl FbufSystem {
         debug_assert!(self.fbufs.contains(id.0), "park of stale id");
         let old_tail = self.park_tail;
         self.parked_count += 1;
+        self.touch(Gauge::ParkedFbufs);
         {
             let h = &mut self.hot[slot_of(id.0)];
             debug_assert!(!h.park_linked, "double park");
@@ -1192,6 +1321,7 @@ impl FbufSystem {
             (h.park_prev.take(), h.park_next.take())
         };
         self.parked_count -= 1;
+        self.touch(Gauge::ParkedFbufs);
         match prev {
             Some(p) => self.hot[slot_of(p.0)].park_next = next,
             None => self.park_head = next,
@@ -1232,6 +1362,11 @@ impl FbufSystem {
                 p.live = false;
                 p.drain()
             };
+            self.live_paths -= 1;
+            let i = pid.0 as u32;
+            for g in [Gauge::PathParked(i), Gauge::PathChunks(i), Gauge::PathThreshold(i)] {
+                self.machine.metrics_ref().leave(g);
+            }
             for id in parked {
                 self.retire(id)?;
             }
@@ -1239,6 +1374,8 @@ impl FbufSystem {
         // 3. Machine-level teardown (regions, pmap, TLB).
         self.machine.terminate_domain(dom)?;
         self.registered[dom.0 as usize] = false;
+        self.registered_doms -= 1;
+        self.machine.metrics_ref().leave(Gauge::Inbox(dom.0));
         self.terminated[dom.0 as usize] = true;
         // 4. Release the domain's chunks now, or park them until external
         //    references drain.
@@ -1252,21 +1389,26 @@ impl FbufSystem {
         if self.charged_bytes(dom) > 0 {
             return;
         }
-        let mut keys: Vec<(u32, Option<PathId>)> = self
-            .allocators
-            .keys()
-            .filter(|(d, _)| *d == dom.0)
-            .copied()
-            .collect();
-        // HashMap iteration order is seeded per-process; sort so the order
-        // chunks return to the region allocator — and therefore every
-        // future grant — is identical across runs of the same seed.
-        keys.sort();
-        for k in keys {
-            let mut alloc = self.allocators.remove(&k).expect("key just listed");
+        // The default allocator first, then the domain's paths in id
+        // order: chunks return to the region allocator — and therefore
+        // every future grant comes out — in one fixed order.
+        let paths = self.paths.iter().filter(|p| p.originator() == dom).map(|p| p.id);
+        let owned: Vec<Option<PathId>> = std::iter::once(None).chain(paths.map(Some)).collect();
+        let mut reclaimed = false;
+        for path in owned {
+            let Some(mut alloc) = self.allocator(dom, path).take() else {
+                continue;
+            };
             for chunk in alloc.take_chunks() {
                 self.chunk_alloc.reclaim(chunk);
+                reclaimed = true;
             }
+            if let Some(p) = path {
+                self.touch(Gauge::PathChunks(p.0 as u32));
+            }
+        }
+        if reclaimed {
+            self.touch_free_chunks();
         }
     }
 
@@ -1749,5 +1891,148 @@ mod tests {
             assert!(s.fbuf(id).is_err());
         }
         assert_eq!(s.live_fbufs(), 0);
+    }
+
+    /// The reference pass: every live gauge recorded in every pass, into
+    /// a second metric set.
+    fn full_visit(s: &FbufSystem, m: &fbuf_sim::Metrics, now: Ns) {
+        let Some(mut r) = m.sampler(now) else {
+            return;
+        };
+        r.record(Gauge::LiveFbufs, || s.fbufs.len() as u64);
+        r.record(Gauge::ParkedFbufs, || s.parked_count);
+        r.record(Gauge::EnginePending, || {
+            s.engine.as_deref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
+        });
+        r.record(Gauge::OverloadDrops, || s.machine.stats_ref().overload_drops());
+        let free = s.chunk_alloc.available();
+        let quota = s.machine.config().max_chunks_per_path;
+        r.record(Gauge::FreeChunks, || free);
+        for (i, p) in s.paths.iter().enumerate() {
+            if p.live {
+                let i = i as u32;
+                r.record(Gauge::PathParked(i), || p.parked() as u64);
+                r.record(Gauge::PathChunks(i), || s.path_chunks(p.id) as u64);
+                r.record(Gauge::PathThreshold(i), || {
+                    s.policy.threshold(free, quota, s.path_class(p.id))
+                });
+            }
+        }
+        if let Some(e) = &s.engine {
+            for d in 0..s.registered.len() {
+                if s.registered[d] {
+                    r.record(Gauge::Inbox(d as u32), || e.inbox_len(DomainId(d as u32)) as u64);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn change_driven_passes_render_what_full_visits_render() {
+        // Every mutation that moves a held gauge must touch it: after
+        // each random operation both sets take a pass (sometimes with
+        // the event loop out of place, as from inside a handler) and
+        // must render identically, refusals included.
+        for case in 0..24u64 {
+            let mut rng = fbuf_sim::Rng::new(0x3c6e_f372 ^ case);
+            let mut s = FbufSystem::new(MachineConfig::tiny());
+            let m = s.machine().metrics();
+            // Only the explicit passes below sample: the checkpoints'
+            // deadline is pushed out of reach (again after each clear).
+            m.set_cadence(u64::MAX / 4);
+            m.advance(Ns(0));
+            m.set_enabled(true);
+            let reference = fbuf_sim::Metrics::new();
+            reference.set_enabled(true);
+            let mut doms: Vec<DomainId> = (0..4).map(|_| s.create_domain()).collect();
+            let mut paths: Vec<PathId> = Vec::new();
+            let mut held: Vec<(FbufId, DomainId)> = Vec::new();
+            for step in 0..250u64 {
+                let pick = |rng: &mut fbuf_sim::Rng, v: &[DomainId]| v[rng.index(v.len())];
+                match rng.below(100) {
+                    0..=4 => doms.push(s.create_domain()),
+                    5..=11 => {
+                        let route: Vec<DomainId> = (0..2 + rng.index(2)).map(|_| pick(&mut rng, &doms)).collect();
+                        if let Ok(p) = s.create_path(route) {
+                            paths.push(p);
+                        }
+                    }
+                    12..=44 if !paths.is_empty() => {
+                        let p = paths[rng.index(paths.len())];
+                        let orig = s.paths[p.0 as usize].originator();
+                        if let Ok(id) = s.alloc(orig, AllocMode::Cached(p), 4096 * (1 + rng.below(3))) {
+                            held.push((id, orig));
+                        }
+                    }
+                    45..=52 => {
+                        let d = pick(&mut rng, &doms);
+                        if let Ok(id) = s.alloc(d, AllocMode::Uncached, 4096) {
+                            held.push((id, d));
+                        }
+                    }
+                    53..=62 if !held.is_empty() => {
+                        let (id, from) = held[rng.index(held.len())];
+                        let to = pick(&mut rng, &doms);
+                        if s.send(id, from, to, SendMode::Volatile).is_ok() {
+                            held.push((id, to));
+                        }
+                    }
+                    63..=82 if !held.is_empty() => {
+                        let (id, d) = held.swap_remove(rng.index(held.len()));
+                        let _ = s.free(id, d);
+                    }
+                    83..=85 if !paths.is_empty() => {
+                        let p = paths[rng.index(paths.len())];
+                        s.set_path_class(p, rng.below(4) as u8).unwrap();
+                    }
+                    86 => s.set_quota_policy(match rng.below(3) {
+                        0 => QuotaPolicy::Static,
+                        1 => QuotaPolicy::fb_dynamic(),
+                        _ => QuotaPolicy::priority_weighted(),
+                    }),
+                    87..=88 => {
+                        let d = pick(&mut rng, &doms);
+                        let _ = s.terminate_domain(d);
+                    }
+                    89..=92 => {
+                        let (a, b) = (pick(&mut rng, &doms), pick(&mut rng, &doms));
+                        s.hop(a, b);
+                    }
+                    93..=95 if !held.is_empty() => {
+                        let (id, from) = held[rng.index(held.len())];
+                        let route = [from, pick(&mut rng, &doms), pick(&mut rng, &doms)];
+                        s.set_inbox_depth(1 + rng.index(2));
+                        let _ = s.submit_transfer(id, &route);
+                        if rng.below(2) == 0 {
+                            s.pump();
+                        }
+                    }
+                    96 => {
+                        m.set_enabled(false);
+                        reference.set_enabled(false);
+                    }
+                    97 => {
+                        m.clear();
+                        m.advance(Ns(0));
+                        reference.clear();
+                    }
+                    _ => {}
+                }
+                if rng.below(4) != 0 {
+                    m.set_enabled(true);
+                    reference.set_enabled(true);
+                }
+                let now = s.machine().now();
+                let away = rng.below(5) == 0;
+                let evl = if away { s.engine.take() } else { None };
+                s.sample_gauges_at(now);
+                full_visit(&s, &reference, now);
+                if away {
+                    s.engine = evl;
+                }
+                assert_eq!(m.series(), reference.series(), "case {case} step {step}");
+                assert_eq!(m.refused_names(), reference.refused_names(), "case {case} step {step}");
+            }
+        }
     }
 }

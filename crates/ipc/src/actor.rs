@@ -41,7 +41,8 @@
 
 use std::collections::VecDeque;
 
-use fbuf_sim::{Clock, EventHeap, EventId, EventKind, Histogram, Ns, Stats, Tracer};
+use fbuf_sim::metrics::Gauge;
+use fbuf_sim::{Clock, EventHeap, EventId, EventKind, Histogram, Metrics, Ns, Stats, Tracer};
 use fbuf_vm::DomainId;
 
 /// Default bound on each actor's inbox. Deep enough that a drained
@@ -102,7 +103,7 @@ impl SendOutcome {
 ///
 /// ```
 /// use fbuf_ipc::actor::EventLoop;
-/// use fbuf_sim::{Clock, Stats, Tracer};
+/// use fbuf_sim::{Clock, Metrics, Stats, Tracer};
 /// use fbuf_vm::DomainId;
 ///
 /// let clock = Clock::new();
@@ -110,6 +111,7 @@ impl SendOutcome {
 ///     clock.clone(),
 ///     Stats::new(),
 ///     Tracer::new(clock),
+///     Metrics::new(),
 /// );
 /// let (a, b) = (DomainId(1), DomainId(2));
 /// evl.post(a, b, "ping");
@@ -133,6 +135,9 @@ pub struct EventLoop<M> {
     clock: Clock,
     stats: Stats,
     tracer: Tracer,
+    /// Told of every inbox push and pop, so a standing `inbox<d>`
+    /// series is re-read only when its depth changed.
+    metrics: Metrics,
     queue_delay: Histogram,
     /// Queueing delay (simulated ns) accumulated per destination
     /// domain, indexed by `DomainId.0` — the ledger's "queueing delay
@@ -144,9 +149,9 @@ pub struct EventLoop<M> {
 }
 
 impl<M> EventLoop<M> {
-    /// An empty loop over the engine's shared clock/stats/tracer
+    /// An empty loop over the engine's shared clock/stats/tracer/metrics
     /// handles, with the [default inbox depth](DEFAULT_INBOX_DEPTH).
-    pub fn new(clock: Clock, stats: Stats, tracer: Tracer) -> EventLoop<M> {
+    pub fn new(clock: Clock, stats: Stats, tracer: Tracer, metrics: Metrics) -> EventLoop<M> {
         EventLoop {
             heap: EventHeap::new(),
             inboxes: Vec::new(),
@@ -154,6 +159,7 @@ impl<M> EventLoop<M> {
             clock,
             stats,
             tracer,
+            metrics,
             queue_delay: Histogram::new(),
             delay_by_dom: Vec::new(),
             overloads: 0,
@@ -207,6 +213,7 @@ impl<M> EventLoop<M> {
         let id = self.heap.push(now, to);
         let env = self.enqueue(id, now, from, to, path, msg);
         self.inboxes[slot].push_back(env);
+        self.metrics.touch(Gauge::Inbox(to.0));
         SendOutcome::Queued(id)
     }
 
@@ -225,6 +232,7 @@ impl<M> EventLoop<M> {
         let env = self.inboxes[token.payload.0 as usize]
             .pop_front()
             .expect("a wake token always has a matching inbox entry");
+        self.metrics.touch(Gauge::Inbox(token.payload.0));
         debug_assert_eq!(env.id, token.id, "tokens and envelopes stay FIFO-aligned");
         self.dispatch(env, ctx, handler);
         true
@@ -409,7 +417,7 @@ mod tests {
         let clock = Clock::new();
         let stats = Stats::new();
         let tracer = Tracer::new(clock.clone());
-        let e = EventLoop::new(clock.clone(), stats.clone(), tracer.clone());
+        let e = EventLoop::new(clock.clone(), stats.clone(), tracer.clone(), Metrics::new());
         (e, clock, stats, tracer)
     }
 

@@ -58,9 +58,9 @@
 //!   span-tagged trace events and critical-path decomposition
 //!   (queueing vs. service vs. ring-crossing, p50/p99 per stage).
 //! * [`metrics`] — time-series telemetry: gauges sampled on a
-//!   simulated-time cadence into fixed-capacity ring-buffer series,
-//!   fleet-merged and exported as the `telemetry` block of every bench
-//!   report.
+//!   simulated-time cadence into bounded series stored as runs against
+//!   a pass timeline (a pass costs what changed), fleet-merged and
+//!   exported as the `telemetry` block of every bench report.
 //!
 //! Design notes: `DESIGN.md` §6 (how the cost constants were
 //! calibrated/reconstructed), §8 (tracing, histograms, and the replay

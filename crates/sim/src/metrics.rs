@@ -9,21 +9,50 @@
 //!
 //! Instrumented code polls [`Metrics::due`] at natural checkpoints
 //! (allocation, hop dispatch, ring polls); when the simulated clock has
-//! passed the next sample deadline, it records one gauge reading per
-//! series and calls [`Metrics::advance`]. Each series is a
-//! **fixed-capacity ring**: when full, the oldest point is dropped and
-//! counted, so a long workload keeps a bounded recent window rather
-//! than growing without limit — exactly the trace-ring policy, applied
-//! to gauges.
+//! passed the next sample deadline, it opens one sampling pass
+//! ([`Metrics::sampler`]) and calls [`Metrics::advance`].
 //!
-//! Gauges are named by interned [`Gauge`] keys, not strings, and a
-//! sample is one [`Sampler`] pass that borrows the registry once. Each
-//! key owns one slot of a dense cache that remembers whether its series
-//! exists, was refused by the series cap, or is not yet seen, so a
-//! recorded gauge costs one index and one ring push, and a refused one
-//! costs one counter increment. The name is rendered once, when the
-//! series is created, and the value closure runs only for gauges that
-//! record.
+//! # What a series is
+//!
+//! Rendered, a series is the last `cap` points `(ns, value)` it was
+//! given, oldest first, plus a `dropped` count of the older points it
+//! evicted ([`Metrics::series`], [`telemetry_json`]).
+//! Stored, it is **run-length encoded against a pass timeline**:
+//!
+//! * each [`Timeline`] is one list of pass instants; a pass appends
+//!   `now` to a timeline the first time it touches a gauge of it;
+//! * a series keeps a small dense header (`retained`, `dropped`, and an
+//!   open run `{first pass, length, value}`) and writes to its cold run
+//!   log only when its value changes or it misses a pass of its
+//!   timeline; a recording that repeats the value of the previous pass
+//!   is one header update;
+//! * ring eviction is arithmetic on `retained`/`dropped`; the run log
+//!   drops evicted runs when it next grows;
+//! * a timeline keeps at most a few `cap` recent passes. Older points a
+//!   series still retains (one recorded rarely, or no longer at all) are
+//!   frozen into literal points first, so a series that stops being
+//!   recorded never pins the timeline. Memory stays O(series × cap).
+//!
+//! # Two ways to record
+//!
+//! [`Sampler::record`] adds one point in this pass. [`Sampler::hold`]
+//! does the same and makes the series **standing**: from then on it
+//! repeats its last value in every pass of its timeline without being
+//! visited, until the owner reports a change with [`Metrics::touch`]
+//! (the next pass's [`Sampler::drain_dirty`] re-reads it) or retires it
+//! with [`Metrics::leave`]. A pass then costs what changed, not what
+//! exists. Re-enabling sampling or [`Metrics::clear`] asks the owner
+//! for one full visit ([`Sampler::resync`]), since changes made while
+//! disabled were not reported.
+//!
+//! Gauges are named by interned [`Gauge`] keys, not strings. Each key
+//! owns one slot of a dense cache that remembers whether its series
+//! exists, was refused by the series cap, or is not yet seen. The name
+//! is rendered once, when the series is created, and the value closure
+//! runs only for gauges that record. Refusals count per attempt; an
+//! owner that knows how many of its live gauges hold no series (live
+//! gauges minus [`Sampler::standing`] ones) counts them in one
+//! [`Sampler::refuse`] instead of visiting them.
 //!
 //! Per-shard series are folded fleet-wide by [`merge_shards`] (names
 //! prefixed `s<shard>.`, each shard's clock is independent) and
@@ -43,7 +72,7 @@ use crate::time::Ns;
 /// full figure sweep stays a few thousand points per series.
 pub const DEFAULT_CADENCE_NS: u64 = 10_000;
 
-/// Default points retained per series before the ring evicts.
+/// Default points retained per series before the oldest is evicted.
 pub const DEFAULT_POINTS: usize = 4_096;
 
 /// Default series cap: once this many series exist, a new indexed
@@ -101,8 +130,26 @@ pub enum Gauge {
     Inbox(u32),
 }
 
+/// The pass timeline a gauge's points are stamped from. Gauges that
+/// are sampled together share one, so a series recorded in every pass
+/// of its timeline is one unbroken run per value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Timeline {
+    /// The fixed system gauges and the per-path families: every system
+    /// pass.
+    System,
+    /// `inbox<d>`: the system passes taken while the event loop is in
+    /// place (not from inside one of its handlers).
+    Inbox,
+    /// A shard's ring gauges, on the shard's own deadline.
+    Shard,
+}
+
 /// Slot-cache families: the fixed gauges, then one per indexed family.
 const FAMILIES: usize = 5;
+
+/// Number of [`Timeline`]s.
+const TIMELINES: usize = 3;
 
 impl Gauge {
     /// This key's slot in the cache: `(family, index)`. Family 0 holds
@@ -123,6 +170,19 @@ impl Gauge {
             Gauge::PathChunks(i) => (2, i as usize),
             Gauge::PathThreshold(i) => (3, i as usize),
             Gauge::Inbox(d) => (4, d as usize),
+        }
+    }
+
+    /// The timeline this gauge's points are stamped from.
+    pub fn timeline(self) -> Timeline {
+        match self {
+            Gauge::RingOut
+            | Gauge::RingIn
+            | Gauge::EgressInFlight
+            | Gauge::RingBatchOccupancy
+            | Gauge::NoticeCoalesceFactor => Timeline::Shard,
+            Gauge::Inbox(_) => Timeline::Inbox,
+            _ => Timeline::System,
         }
     }
 }
@@ -155,7 +215,7 @@ enum Slot {
     Unknown,
     /// Refused by the series cap (sticky: series only accumulate).
     Refused,
-    /// Recorded into `series[i]`.
+    /// Recorded into series `i`.
     Series(u32),
 }
 
@@ -175,17 +235,95 @@ pub struct SeriesSnapshot {
     /// Series name (e.g. `live_fbufs`; fleet-merged names are prefixed
     /// `s<shard>.`).
     pub name: String,
-    /// Points evicted from the full ring.
+    /// Points evicted once the series held `cap` of them.
     pub dropped: u64,
     /// Retained points, oldest first.
     pub points: Vec<MetricPoint>,
 }
 
+/// `len` points of one value at consecutive passes of a timeline,
+/// starting at absolute pass index `first`.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    first: u64,
+    len: u64,
+    value: u64,
+}
+
+impl Run {
+    /// One past the last pass the run covers.
+    fn end(&self) -> u64 {
+        self.first + self.len
+    }
+}
+
+/// The dense, per-pass part of a series.
 #[derive(Debug)]
-struct SeriesRing {
-    name: String,
+struct Head {
+    gauge: Gauge,
+    /// The newest run; extended in place while the value repeats.
+    open: Run,
+    /// Points a rendering shows (at most `cap`).
+    retained: u64,
+    /// Points evicted so far.
     dropped: u64,
-    points: VecDeque<MetricPoint>,
+    /// Repeats its open run's value in every pass of its timeline.
+    standing: bool,
+    /// Queued for the next [`Sampler::drain_dirty`].
+    dirty: bool,
+}
+
+impl Head {
+    /// Accounts `n` new points, evicting the oldest past `cap`.
+    fn grow(&mut self, n: u64, cap: u64) {
+        self.retained += n;
+        if self.retained > cap {
+            self.dropped += self.retained - cap;
+            self.retained = cap;
+        }
+    }
+
+    /// Materializes a standing series' implicit points for the passes
+    /// before `upto` (a no-op for a series recorded point by point).
+    fn settle(&mut self, upto: u64, cap: u64) {
+        let end = self.open.end();
+        if self.standing && upto > end {
+            self.open.len += upto - end;
+            self.grow(upto - end, cap);
+        }
+    }
+}
+
+/// The cold part of a series: its name and everything older than the
+/// open run. Points older than the timeline's first pass are literal.
+#[derive(Debug)]
+struct Log {
+    name: String,
+    frozen: VecDeque<MetricPoint>,
+    runs: VecDeque<Run>,
+    /// Points in `frozen` and `runs` together.
+    points: u64,
+}
+
+/// One timeline: the instants of its recent passes.
+#[derive(Debug, Default)]
+struct Passes {
+    at: VecDeque<Ns>,
+    /// Absolute index of `at[0]`.
+    base: u64,
+    /// Standing series stamped from this timeline.
+    standing: u64,
+}
+
+impl Passes {
+    /// The absolute index the next pass will get.
+    fn end(&self) -> u64 {
+        self.base + self.at.len() as u64
+    }
+
+    fn at(&self, pass: u64) -> Ns {
+        self.at[(pass - self.base) as usize]
+    }
 }
 
 #[derive(Debug)]
@@ -195,44 +333,241 @@ struct MetricsInner {
     /// Indexed-gauge samples refused because `max_series` was reached
     /// (counted per attempt).
     refused_names: u64,
-    series: Vec<SeriesRing>,
+    heads: Vec<Head>,
+    logs: Vec<Log>,
+    passes: [Passes; TIMELINES],
     /// Dense per-family slot cache, indexed by [`Gauge::slot`].
     slots: [Vec<Slot>; FAMILIES],
+    /// Standing series whose owner reported a change.
+    dirty: Vec<u32>,
+    /// Set by [`Metrics::clear`] and by re-enabling; taken by
+    /// [`Sampler::resync`].
+    resync: bool,
 }
 
 impl MetricsInner {
-    /// Resolves a gauge's first sample since the last clear: creates its
-    /// (empty) series and returns its index, or refuses it (`None`) if it
-    /// is indexed and the cap is reached. Runs once per gauge.
-    #[cold]
-    fn first_seen(&mut self, gauge: Gauge) -> Option<u32> {
+    fn new() -> MetricsInner {
+        MetricsInner {
+            cap: DEFAULT_POINTS,
+            max_series: DEFAULT_MAX_SERIES,
+            refused_names: 0,
+            heads: Vec::new(),
+            logs: Vec::new(),
+            passes: Default::default(),
+            slots: Default::default(),
+            dirty: Vec::new(),
+            resync: true,
+        }
+    }
+
+    /// The series a gauge records into, if it has one.
+    #[inline]
+    fn series_of(&self, gauge: Gauge) -> Option<usize> {
         let (family, i) = gauge.slot();
-        let series = (family == 0 || self.series.len() < self.max_series).then(|| {
-            self.series.push(SeriesRing {
-                name: gauge.to_string(),
+        match self.slots[family].get(i) {
+            Some(&Slot::Series(s)) => Some(s as usize),
+            _ => None,
+        }
+    }
+
+    /// The series a gauge records into, resolving its first sample
+    /// since the last clear; `None` means refused.
+    #[inline]
+    fn resolve(&mut self, gauge: Gauge) -> Option<usize> {
+        let (family, i) = gauge.slot();
+        match self.slots[family].get(i) {
+            Some(&Slot::Series(s)) => Some(s as usize),
+            Some(&Slot::Refused) => None,
+            Some(&Slot::Unknown) | None => self.first_seen(gauge),
+        }
+    }
+
+    /// Creates a gauge's (empty) series and returns its index, or
+    /// refuses it (`None`) if it is indexed and the cap is reached.
+    /// Runs once per gauge.
+    #[cold]
+    fn first_seen(&mut self, gauge: Gauge) -> Option<usize> {
+        let (family, i) = gauge.slot();
+        let series = (family == 0 || self.heads.len() < self.max_series).then(|| {
+            self.heads.push(Head {
+                gauge,
+                open: Run { first: 0, len: 0, value: 0 },
+                retained: 0,
                 dropped: 0,
-                points: VecDeque::new(),
+                standing: false,
+                dirty: false,
             });
-            self.series.len() as u32 - 1
+            self.logs.push(Log {
+                name: gauge.to_string(),
+                frozen: VecDeque::new(),
+                runs: VecDeque::new(),
+                points: 0,
+            });
+            self.heads.len() - 1
         });
         let slots = &mut self.slots[family];
         if i >= slots.len() {
             slots.resize(i + 1, Slot::Unknown);
         }
-        slots[i] = series.map_or(Slot::Refused, Slot::Series);
+        slots[i] = series.map_or(Slot::Refused, |s| Slot::Series(s as u32));
         series
     }
 
-    /// Appends a point to series `s`, evicting the oldest when full.
-    #[inline]
-    fn push(&mut self, s: u32, point: MetricPoint) {
-        let s = &mut self.series[s as usize];
-        if s.points.len() == self.cap {
-            s.points.pop_front();
-            s.dropped += 1;
+    /// Starts a pass on timeline `t` at `now` and returns its index.
+    fn tick(&mut self, t: usize, now: Ns) -> u64 {
+        let keep = self.cap as u64;
+        if self.passes[t].at.len() as u64 >= keep + keep.max(256) {
+            let below = self.passes[t].end() - keep;
+            for s in 0..self.heads.len() {
+                if self.heads[s].gauge.timeline() as usize == t {
+                    self.freeze(s, below);
+                }
+            }
+            let passes = &mut self.passes[t];
+            passes.at.drain(..(below - passes.base) as usize);
+            passes.base = below;
         }
-        s.points.push_back(point);
+        let passes = &mut self.passes[t];
+        passes.at.push_back(now);
+        passes.end() - 1
     }
+
+    /// Appends one point at pass `p`: the open run grows when it ends
+    /// at the previous pass with the same value; otherwise it moves to
+    /// the log and a new run opens.
+    #[inline]
+    fn put(&mut self, s: usize, p: u64, value: u64) {
+        let cap = self.cap as u64;
+        let h = &mut self.heads[s];
+        h.settle(p, cap);
+        if h.open.len > 0 && h.open.end() == p && h.open.value == value {
+            h.open.len += 1;
+            h.grow(1, cap);
+            return;
+        }
+        let closed = std::mem::replace(&mut h.open, Run { first: p, len: 1, value });
+        h.grow(1, cap);
+        if closed.len > 0 {
+            let log = &mut self.logs[s];
+            log.runs.push_back(closed);
+            log.points += closed.len;
+        }
+        self.trim(s);
+    }
+
+    /// Drops the evicted oldest points of series `s` from its log (and,
+    /// for a long open run, from the run's front).
+    fn trim(&mut self, s: usize) {
+        let (h, log) = (&mut self.heads[s], &mut self.logs[s]);
+        let mut evict = log.points + h.open.len - h.retained;
+        while evict > 0 && !log.frozen.is_empty() {
+            log.frozen.pop_front();
+            log.points -= 1;
+            evict -= 1;
+        }
+        while evict > 0 {
+            let Some(r) = log.runs.front_mut() else {
+                h.open.first += evict;
+                h.open.len -= evict;
+                break;
+            };
+            let k = evict.min(r.len);
+            r.first += k;
+            r.len -= k;
+            log.points -= k;
+            evict -= k;
+            if r.len == 0 {
+                log.runs.pop_front();
+            }
+        }
+    }
+
+    /// Brings series `s` up to date with every pass so far: standing
+    /// points materialized and evicted points trimmed.
+    fn settle(&mut self, s: usize) {
+        let end = self.passes[self.heads[s].gauge.timeline() as usize].end();
+        self.heads[s].settle(end, self.cap as u64);
+        self.trim(s);
+    }
+
+    /// Turns the retained points of series `s` stamped before pass
+    /// `below` into literal points, so its timeline can forget them.
+    fn freeze(&mut self, s: usize, below: u64) {
+        self.settle(s);
+        let MetricsInner {
+            heads, logs, passes, ..
+        } = self;
+        let (h, log) = (&mut heads[s], &mut logs[s]);
+        let passes = &passes[h.gauge.timeline() as usize];
+        while let Some(r) = log.runs.front_mut() {
+            freeze_run(passes, &mut log.frozen, r, below);
+            if r.len > 0 {
+                return;
+            }
+            log.runs.pop_front();
+        }
+        log.points += freeze_run(passes, &mut log.frozen, &mut h.open, below);
+    }
+
+    /// Stops series `s` standing at the end of its timeline so far.
+    fn unstand(&mut self, s: usize) {
+        if self.heads[s].standing {
+            self.settle(s);
+            self.heads[s].standing = false;
+            self.passes[self.heads[s].gauge.timeline() as usize].standing -= 1;
+        }
+    }
+
+    /// The retained points of series `s`, oldest first.
+    fn expand(&self, s: usize) -> SeriesSnapshot {
+        let (h, log) = (&self.heads[s], &self.logs[s]);
+        let passes = &self.passes[h.gauge.timeline() as usize];
+        let mut open = h.open;
+        let (mut retained, mut dropped) = (h.retained, h.dropped);
+        if h.standing && passes.end() > open.end() {
+            let extra = passes.end() - open.end();
+            open.len += extra;
+            retained += extra;
+            let cap = self.cap as u64;
+            if retained > cap {
+                dropped += retained - cap;
+                retained = cap;
+            }
+        }
+        // Skip the evicted oldest points without stamping them: their
+        // passes may already be gone from the timeline.
+        let mut skip = log.points + open.len - retained;
+        let mut points = Vec::with_capacity(retained as usize);
+        for &p in &log.frozen {
+            if skip > 0 {
+                skip -= 1;
+            } else {
+                points.push(p);
+            }
+        }
+        for r in log.runs.iter().chain(std::iter::once(&open)) {
+            let k = skip.min(r.len);
+            skip -= k;
+            let at = |p| MetricPoint { at: passes.at(p), value: r.value };
+            points.extend((r.first + k..r.end()).map(at));
+        }
+        SeriesSnapshot {
+            name: log.name.clone(),
+            dropped,
+            points,
+        }
+    }
+}
+
+/// Moves the points of run `r` stamped before pass `below` to the back
+/// of `into` as literal points; returns how many moved.
+fn freeze_run(passes: &Passes, into: &mut VecDeque<MetricPoint>, r: &mut Run, below: u64) -> u64 {
+    let k = r.len.min(below.saturating_sub(r.first));
+    let at = |p| MetricPoint { at: passes.at(p), value: r.value };
+    into.extend((r.first..r.first + k).map(at));
+    r.first += k;
+    r.len -= k;
+    k
 }
 
 #[derive(Debug)]
@@ -280,19 +615,18 @@ impl Metrics {
                 enabled: Cell::new(false),
                 cadence: Cell::new(DEFAULT_CADENCE_NS),
                 next: Cell::new(0),
-                inner: RefCell::new(MetricsInner {
-                    cap: DEFAULT_POINTS,
-                    max_series: DEFAULT_MAX_SERIES,
-                    refused_names: 0,
-                    series: Vec::new(),
-                    slots: Default::default(),
-                }),
+                inner: RefCell::new(MetricsInner::new()),
             }),
         }
     }
 
-    /// Turns sampling on or off. Recorded series are kept either way.
+    /// Turns sampling on or off. Recorded series are kept either way;
+    /// turning it back on asks the next pass for a full visit, since
+    /// changes made meanwhile were not reported.
     pub fn set_enabled(&self, on: bool) {
+        if on && !self.shared.enabled.get() {
+            self.shared.inner.borrow_mut().resync = true;
+        }
         self.shared.enabled.set(on);
     }
 
@@ -331,19 +665,73 @@ impl Metrics {
         self.shared.enabled.get().then(|| Sampler {
             now,
             inner: self.shared.inner.borrow_mut(),
+            pass: [None; TIMELINES],
         })
     }
 
-    /// Resizes every series ring (evicting oldest points if shrinking).
-    pub fn set_capacity(&self, cap: usize) {
+    /// Reports that a standing gauge's value may have changed: the next
+    /// pass's [`Sampler::drain_dirty`] re-reads it. A no-op for a gauge
+    /// without a standing series, and one `Cell` read while disabled.
+    #[inline]
+    pub fn touch(&self, gauge: Gauge) {
+        if self.shared.enabled.get() {
+            self.mark(gauge);
+        }
+    }
+
+    /// [`Metrics::touch`] past the disabled check, kept out of line so
+    /// the mutation sites inline only the check.
+    #[inline(never)]
+    fn mark(&self, gauge: Gauge) {
         let mut inner = self.shared.inner.borrow_mut();
-        inner.cap = cap.max(1);
-        let cap = inner.cap;
-        for s in &mut inner.series {
-            while s.points.len() > cap {
-                s.points.pop_front();
-                s.dropped += 1;
+        if let Some(s) = inner.series_of(gauge) {
+            let h = &mut inner.heads[s];
+            if h.standing && !h.dirty {
+                h.dirty = true;
+                inner.dirty.push(s as u32);
             }
+        }
+    }
+
+    /// [`Metrics::touch`] for every standing series whose gauge matches
+    /// `which` (an input shared by a whole family changed).
+    pub fn touch_each(&self, which: impl Fn(Gauge) -> bool) {
+        if !self.shared.enabled.get() {
+            return;
+        }
+        let inner = &mut *self.shared.inner.borrow_mut();
+        for (s, h) in inner.heads.iter_mut().enumerate() {
+            if h.standing && !h.dirty && which(h.gauge) {
+                h.dirty = true;
+                inner.dirty.push(s as u32);
+            }
+        }
+    }
+
+    /// Retires a standing gauge (its path or domain is gone): its series
+    /// keeps the points it has and stops repeating. One `Cell` read
+    /// while disabled (the next [`Sampler::resync`] catches up).
+    pub fn leave(&self, gauge: Gauge) {
+        if !self.shared.enabled.get() {
+            return;
+        }
+        let mut inner = self.shared.inner.borrow_mut();
+        if let Some(s) = inner.series_of(gauge) {
+            inner.unstand(s);
+        }
+    }
+
+    /// Resizes every series (evicting oldest points if shrinking).
+    pub fn set_capacity(&self, cap: usize) {
+        let inner = &mut *self.shared.inner.borrow_mut();
+        for s in 0..inner.heads.len() {
+            inner.settle(s);
+        }
+        inner.cap = cap.max(1);
+        let cap = inner.cap as u64;
+        for s in 0..inner.heads.len() {
+            inner.heads[s].grow(0, cap);
+            inner.trim(s);
         }
     }
 
@@ -354,26 +742,20 @@ impl Metrics {
 
     /// Owned snapshots of every series, in first-seen order.
     pub fn series(&self) -> Vec<SeriesSnapshot> {
-        self.shared
-            .inner
-            .borrow()
-            .series
-            .iter()
-            .map(|s| SeriesSnapshot {
-                name: s.name.clone(),
-                dropped: s.dropped,
-                points: s.points.iter().copied().collect(),
-            })
-            .collect()
+        let inner = self.shared.inner.borrow();
+        (0..inner.heads.len()).map(|s| inner.expand(s)).collect()
     }
 
     /// Discards every series and re-arms the sample deadline at zero
     /// (keeps enablement, cadence, and capacities).
     pub fn clear(&self) {
         let mut inner = self.shared.inner.borrow_mut();
-        inner.series.clear();
-        inner.refused_names = 0;
-        inner.slots.iter_mut().for_each(Vec::clear);
+        let (cap, max_series) = (inner.cap, inner.max_series);
+        *inner = MetricsInner {
+            cap,
+            max_series,
+            ..MetricsInner::new()
+        };
         drop(inner);
         self.shared.next.set(0);
     }
@@ -391,25 +773,121 @@ impl Metrics {
 pub struct Sampler<'a> {
     now: Ns,
     inner: RefMut<'a, MetricsInner>,
+    /// This pass's index on each timeline it has touched.
+    pass: [Option<u64>; TIMELINES],
 }
 
 impl Sampler<'_> {
+    /// Opens this pass on timeline `t` (once per pass): every standing
+    /// series stamped from it gains this pass's point unless it is
+    /// recorded anew. Returns the pass index.
+    pub fn tick(&mut self, t: Timeline) -> u64 {
+        let t = t as usize;
+        match self.pass[t] {
+            Some(p) => p,
+            None => {
+                let p = self.inner.tick(t, self.now);
+                self.pass[t] = Some(p);
+                p
+            }
+        }
+    }
+
     /// Records one gauge reading (its series is created on first use; a
     /// new indexed gauge is refused and counted once the series cap is
     /// reached). `value` runs only when the reading is recorded.
     #[inline]
     pub fn record(&mut self, gauge: Gauge, value: impl FnOnce() -> u64) {
-        let inner = &mut *self.inner;
-        let (family, i) = gauge.slot();
-        let series = match inner.slots[family].get(i) {
-            Some(&Slot::Series(s)) => Some(s),
-            Some(&Slot::Refused) => None,
-            Some(&Slot::Unknown) | None => inner.first_seen(gauge),
-        };
-        match series {
-            Some(s) => inner.push(s, MetricPoint { at: self.now, value: value() }),
-            None => inner.refused_names += 1,
+        match self.inner.resolve(gauge) {
+            Some(s) => {
+                let p = self.tick(gauge.timeline());
+                self.inner.put(s, p, value());
+            }
+            None => self.inner.refused_names += 1,
         }
+    }
+
+    /// [`Sampler::record`], and the series becomes standing: it repeats
+    /// `value` in every later pass of its timeline until a
+    /// [`Metrics::touch`] makes [`Sampler::drain_dirty`] re-read it, or
+    /// [`Metrics::leave`] retires it.
+    pub fn hold(&mut self, gauge: Gauge, value: impl FnOnce() -> u64) {
+        match self.inner.resolve(gauge) {
+            Some(s) => {
+                let t = gauge.timeline();
+                let p = self.tick(t);
+                self.inner.put(s, p, value());
+                let h = &mut self.inner.heads[s];
+                if !h.standing {
+                    h.standing = true;
+                    self.inner.passes[t as usize].standing += 1;
+                }
+            }
+            None => self.inner.refused_names += 1,
+        }
+    }
+
+    /// Re-reads every touched standing series whose timeline this pass
+    /// has opened; the rest stay queued for a later pass.
+    pub fn drain_dirty(&mut self, mut value: impl FnMut(Gauge) -> u64) {
+        self.settle_dirty(|inner, s, p| {
+            let v = value(inner.heads[s].gauge);
+            inner.put(s, p, v);
+        });
+    }
+
+    /// Forgets the touches [`Sampler::drain_dirty`] would re-read (after
+    /// a full visit already recorded every standing series).
+    pub fn forget_dirty(&mut self) {
+        self.settle_dirty(|_, _, _| {});
+    }
+
+    fn settle_dirty(&mut self, mut each: impl FnMut(&mut MetricsInner, usize, u64)) {
+        let mut dirty = std::mem::take(&mut self.inner.dirty);
+        dirty.retain(|&s| {
+            let s = s as usize;
+            let h = &self.inner.heads[s];
+            let pass = self.pass[h.gauge.timeline() as usize];
+            match pass {
+                Some(p) if h.standing => {
+                    self.inner.heads[s].dirty = false;
+                    each(&mut self.inner, s, p);
+                    false
+                }
+                None if h.standing => true,
+                _ => {
+                    self.inner.heads[s].dirty = false;
+                    false
+                }
+            }
+        });
+        self.inner.dirty = dirty;
+    }
+
+    /// Standing series stamped from timeline `t`.
+    pub fn standing(&self, t: Timeline) -> u64 {
+        self.inner.passes[t as usize].standing
+    }
+
+    /// Counts `n` refused indexed-gauge samples at once.
+    pub fn refuse(&mut self, n: u64) {
+        self.inner.refused_names += n;
+    }
+
+    /// True once after [`Metrics::clear`] or re-enabling: the owner must
+    /// visit every gauge it has (with [`Sampler::hold`]), because
+    /// changes made meanwhile were not reported. Every series stops
+    /// standing first. Call before the pass opens any timeline.
+    pub fn resync(&mut self) -> bool {
+        if !std::mem::take(&mut self.inner.resync) {
+            return false;
+        }
+        for s in 0..self.inner.heads.len() {
+            self.inner.unstand(s);
+            self.inner.heads[s].dirty = false;
+        }
+        self.inner.dirty.clear();
+        true
     }
 }
 
@@ -601,15 +1079,21 @@ mod tests {
         Gauge::NoticeCoalesceFactor,
     ];
 
-    fn random_gauge(rng: &mut crate::Rng) -> Gauge {
-        let i = rng.below(40) as u32;
-        match rng.below(5) {
-            0 => FIXED[rng.index(FIXED.len())],
-            1 => Gauge::PathParked(i),
-            2 => Gauge::PathChunks(i),
-            3 => Gauge::PathThreshold(i),
-            _ => Gauge::Inbox(i),
-        }
+    /// One small pool of gauges, so a case revisits each often enough
+    /// to build runs.
+    fn gauge_pool(rng: &mut crate::Rng) -> Vec<Gauge> {
+        (0..6)
+            .map(|_| {
+                let i = rng.below(4) as u32;
+                match rng.below(5) {
+                    0 => FIXED[rng.index(FIXED.len())],
+                    1 => Gauge::PathParked(i),
+                    2 => Gauge::PathChunks(i),
+                    3 => Gauge::PathThreshold(i),
+                    _ => Gauge::Inbox(i),
+                }
+            })
+            .collect()
     }
 
     #[test]
@@ -626,36 +1110,190 @@ mod tests {
                 refused_names: 0,
                 series: Vec::new(),
             };
-            for step in 0..400u64 {
+            let mut pool = gauge_pool(&mut rng);
+            for step in 0..700u64 {
                 let now = Ns(step * 7);
-                match rng.below(100) {
-                    0..=4 => {
-                        let cap = 1 + rng.index(6);
+                match rng.below(1_000) {
+                    0..=39 => {
+                        let cap = 1 + rng.index(8);
                         m.set_capacity(cap);
                         reference.set_capacity(cap);
                     }
-                    5..=7 => {
+                    40..=41 => {
                         m.clear();
                         reference.series.clear();
                         reference.refused_names = 0;
                     }
+                    42..=49 => pool = gauge_pool(&mut rng),
                     _ => {
-                        let g = random_gauge(&mut rng);
-                        let value = rng.next_u64() % 1_000;
-                        let mut evaluated = false;
-                        m.sampler(now).unwrap().record(g, || {
-                            evaluated = true;
-                            value
-                        });
-                        let (name, fixed) = reference_name(g);
-                        let recorded = reference.sample(now, &name, fixed, value);
-                        assert_eq!(evaluated, recorded, "case {case} step {step}: {name}");
+                        // One pass: most of the pool, a small value
+                        // alphabet so values repeat, and now and then one
+                        // gauge recorded twice.
+                        let mut pass: Vec<Gauge> =
+                            pool.iter().copied().filter(|_| rng.below(5) != 0).collect();
+                        if rng.below(10) == 0 {
+                            pass.push(pool[rng.index(pool.len())]);
+                        }
+                        let mut s = m.sampler(now).unwrap();
+                        for g in pass {
+                            let value = rng.next_u64() % 3;
+                            let mut evaluated = false;
+                            s.record(g, || {
+                                evaluated = true;
+                                value
+                            });
+                            let (name, fixed) = reference_name(g);
+                            let recorded = reference.sample(now, &name, fixed, value);
+                            assert_eq!(evaluated, recorded, "case {case} step {step}: {name}");
+                        }
                     }
                 }
+                assert_eq!(m.series(), reference.series, "case {case} step {step}");
                 assert_eq!(m.refused_names(), reference.refused_names, "case {case} step {step}");
             }
-            assert_eq!(m.series(), reference.series, "case {case}");
         }
+    }
+
+    #[test]
+    fn standing_series_match_point_by_point_recording() {
+        // An owner that holds its per-path and inbox gauges, reports
+        // changes with `touch`, retires gauges with `leave`, sometimes
+        // samples with the event loop away (no inbox pass) and sometimes
+        // while disabled, against the reference recording every live
+        // gauge in every pass.
+        let system: Vec<Gauge> = (0..5).map(Gauge::PathParked).collect();
+        let inbox: Vec<Gauge> = (0..4).map(Gauge::Inbox).collect();
+        for case in 0..100u64 {
+            let mut rng = crate::Rng::new(0xbb67_ae85 ^ case);
+            let max_series = [3, 7, DEFAULT_MAX_SERIES][rng.index(3)];
+            let m = Metrics::new();
+            m.set_enabled(true);
+            m.shared.inner.borrow_mut().max_series = max_series;
+            let mut reference = ByName {
+                cap: DEFAULT_POINTS,
+                max_series,
+                refused_names: 0,
+                series: Vec::new(),
+            };
+            let mut values = [0u64; 9];
+            let mut alive = [true; 9];
+            let mut inbox_synced = false;
+            for step in 0..700u64 {
+                let now = Ns(step * 11);
+                for (k, v) in values.iter_mut().enumerate() {
+                    if rng.below(4) == 0 {
+                        *v = rng.next_u64() % 3;
+                        let g = if k < 5 { system[k] } else { inbox[k - 5] };
+                        m.touch(g);
+                    }
+                }
+                match rng.below(1_000) {
+                    0..=29 => {
+                        let cap = 1 + rng.index(8);
+                        m.set_capacity(cap);
+                        reference.set_capacity(cap);
+                    }
+                    30..=31 => {
+                        m.clear();
+                        reference.series.clear();
+                        reference.refused_names = 0;
+                    }
+                    32..=41 => {
+                        let k = rng.index(9);
+                        alive[k] = false;
+                        m.leave(if k < 5 { system[k] } else { inbox[k - 5] });
+                    }
+                    42..=71 => {
+                        m.set_enabled(false);
+                        continue;
+                    }
+                    _ => {}
+                }
+                m.set_enabled(true);
+                let engine = rng.below(3) != 0;
+                let mut s = m.sampler(now).unwrap();
+                let resync = s.resync();
+                if resync {
+                    inbox_synced = false;
+                }
+                let live = rng.next_u64() % 3;
+                s.record(Gauge::LiveFbufs, || live);
+                reference.sample(now, "live_fbufs", true, live);
+                if engine {
+                    s.tick(Timeline::Inbox);
+                }
+                let visit: Vec<usize> = (0..9).filter(|&k| alive[k] && (k < 5 || engine)).collect();
+                if resync || (engine && !inbox_synced) {
+                    for &k in &visit {
+                        let g = if k < 5 { system[k] } else { inbox[k - 5] };
+                        s.hold(g, || values[k]);
+                    }
+                    s.forget_dirty();
+                    inbox_synced |= engine;
+                } else {
+                    s.drain_dirty(|g| match g {
+                        Gauge::PathParked(i) => values[i as usize],
+                        Gauge::Inbox(d) => values[5 + d as usize],
+                        _ => unreachable!("only held gauges are dirty"),
+                    });
+                    let owned = s.standing(Timeline::System)
+                        + if engine { s.standing(Timeline::Inbox) } else { 0 };
+                    s.refuse(visit.len() as u64 - owned);
+                }
+                drop(s);
+                for &k in &visit {
+                    let (name, _) = reference_name(if k < 5 { system[k] } else { inbox[k - 5] });
+                    reference.sample(now, &name, false, values[k]);
+                }
+                assert_eq!(m.series(), reference.series, "case {case} step {step}");
+                assert_eq!(m.refused_names(), reference.refused_names, "case {case} step {step}");
+            }
+        }
+    }
+
+    #[test]
+    fn store_memory_stays_bounded_by_the_point_cap() {
+        // A constant series, one that toggles every pass, and one that
+        // is recorded for ten passes and then never again (a retired
+        // path). The dead series must not keep the timeline from being
+        // trimmed.
+        const PASSES: u64 = 100_000;
+        let m = Metrics::new();
+        m.set_enabled(true);
+        let mut reference = ByName {
+            cap: DEFAULT_POINTS,
+            max_series: DEFAULT_MAX_SERIES,
+            refused_names: 0,
+            series: Vec::new(),
+        };
+        for p in 0..PASSES {
+            let now = Ns(p * 3);
+            let mut s = m.sampler(now).unwrap();
+            let toggle = p % 2;
+            s.record(Gauge::LiveFbufs, || 7);
+            s.record(Gauge::ParkedFbufs, || toggle);
+            reference.sample(now, "live_fbufs", true, 7);
+            reference.sample(now, "parked_fbufs", true, toggle);
+            if p < 10 {
+                s.record(Gauge::PathParked(0), || p);
+                reference.sample(now, "path0.parked", false, p);
+            }
+            drop(s);
+            let inner = m.shared.inner.borrow();
+            let timeline = inner.passes[Timeline::System as usize].at.len();
+            assert!(timeline <= 2 * DEFAULT_POINTS, "pass {p}: timeline holds {timeline} passes");
+            for (h, log) in inner.heads.iter().zip(&inner.logs) {
+                let logged = log.runs.len() + log.frozen.len();
+                assert!(logged <= DEFAULT_POINTS, "pass {p}: {} logs {logged}", log.name);
+                assert!(h.retained <= DEFAULT_POINTS as u64);
+            }
+        }
+        assert_eq!(m.series(), reference.series);
+        let inner = m.shared.inner.borrow();
+        let passes = &inner.passes[Timeline::System as usize];
+        assert!(passes.base > PASSES - 2 * DEFAULT_POINTS as u64, "timeline trimmed past the dead series");
+        assert_eq!(inner.logs[0].runs.len(), 0, "a constant series is one open run");
+        assert_eq!(inner.logs[2].frozen.len(), 10, "the dead series froze its points");
     }
 
     #[test]
