@@ -766,14 +766,18 @@ impl FbufSystem {
     /// allocated to fbufs depends on the level of I/O traffic compared to
     /// other system activity" (§3.3). The pass reclaims up to
     /// [`MachineConfig::reclaim_batch`] frames before retrying.
+    ///
+    /// The frame comes cleared, filled once; the clear is billed when
+    /// [`FbufSystem::charge_clearing`] is set.
     fn frame_with_reclaim(&mut self) -> FbufResult<FrameId> {
-        match self.machine.alloc_frame() {
+        let charge = self.charge_clearing;
+        match self.machine.alloc_zeroed_frame(charge) {
             Ok(f) => Ok(f),
             Err(fbuf_vm::Fault::OutOfMemory) => {
                 if self.reclaim_frames(self.machine.config().reclaim_batch) == 0 {
                     return Err(fbuf_vm::Fault::OutOfMemory.into());
                 }
-                Ok(self.machine.alloc_frame()?)
+                Ok(self.machine.alloc_zeroed_frame(charge)?)
             }
             Err(e) => Err(e.into()),
         }
@@ -859,11 +863,6 @@ impl FbufSystem {
                     return Err(e);
                 }
             };
-            if self.charge_clearing {
-                self.machine.zero_frame(frame);
-            } else {
-                self.machine.zero_frame_quietly(frame);
-            }
             frames.push(frame);
         }
         Ok(frames)
@@ -1453,6 +1452,39 @@ impl FbufSystem {
     ) -> FbufResult<Vec<u8>> {
         let va = self.io_va(id, off, len)?;
         Ok(self.machine.read(dom, va + off, len)?)
+    }
+
+    /// Fills `out` from an fbuf at byte offset `off` as `dom`: the same
+    /// translation, faults and charges as [`FbufSystem::read_fbuf`], into
+    /// a caller's buffer instead of a new `Vec`.
+    pub fn read_fbuf_into(
+        &mut self,
+        dom: DomainId,
+        id: FbufId,
+        off: u64,
+        out: &mut [u8],
+    ) -> FbufResult<()> {
+        let va = self.io_va(id, off, out.len() as u64)?;
+        Ok(self.machine.read_into(dom, va + off, out)?)
+    }
+
+    /// Writes `bytes` into an fbuf from offset 0 by device DMA: straight
+    /// into its frames, page by page, with no translation and no CPU
+    /// charge (the driver accounts for wire and DMA time). A page with
+    /// no frame behind it refuses the transfer as unmapped.
+    pub fn dma_into_fbuf(&mut self, id: FbufId, bytes: &[u8]) -> FbufResult<()> {
+        self.io_va(id, 0, bytes.len() as u64)?;
+        let page = self.machine.page_size();
+        let FbufSystem { fbufs, machine, .. } = self;
+        let f = fbufs.get(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
+        for (i, (slot, chunk)) in f.frames.iter().zip(bytes.chunks(page as usize)).enumerate() {
+            let frame = slot.ok_or(fbuf_vm::Fault::Unmapped {
+                domain: fbuf_vm::KERNEL_DOMAIN,
+                va: f.va + i as u64 * page,
+            })?;
+            machine.dma_write(frame, 0, chunk);
+        }
+        Ok(())
     }
 
     /// The base address of `id` once `len` bytes at `off` are checked to

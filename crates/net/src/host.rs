@@ -238,14 +238,7 @@ impl Host {
         self.fbs
             .machine_mut()
             .charge(CostCategory::Protocol, test_cost);
-        let page = self.fbs.machine().page_size();
-        for e in msg.extents() {
-            let mut off = 0;
-            while off < e.len {
-                self.fbs.read_fbuf(dom, e.fbuf, e.off + off, 1)?;
-                off += page;
-            }
-        }
+        msg.touch(&mut self.fbs, dom)?;
         self.release(dom, msg)
     }
 
@@ -276,47 +269,25 @@ impl Host {
         r
     }
 
-    /// Writes arriving payload bytes into an fbuf by DMA (no CPU charge;
-    /// the caller accounts for wire/DMA time).
-    pub fn dma_into_fbuf(&mut self, id: FbufId, bytes: &[u8]) -> FbufResult<()> {
-        let page = self.fbs.machine().page_size() as usize;
-        let frames: Vec<_> = {
-            let f = self.fbs.fbuf(id)?;
-            f.frames
-                .iter()
-                .map(|s| s.expect("rx fbuf resident"))
-                .collect()
-        };
-        for (i, chunk) in bytes.chunks(page).enumerate() {
-            self.fbs.machine_mut().dma_write(frames[i], 0, chunk);
-        }
-        Ok(())
-    }
-
-    /// Reads a message's payload out by DMA (transmit side; no CPU
-    /// charge).
-    pub fn dma_out_of_msg(&mut self, msg: &Msg) -> FbufResult<Vec<u8>> {
-        let page = self.fbs.machine().page_size();
-        let mut out = Vec::with_capacity(msg.len() as usize);
+    /// Appends a message's payload to `out` by DMA (transmit side; no
+    /// CPU charge), copying each frame's slice straight into the buffer.
+    pub fn dma_out_of_msg(&self, msg: &Msg, out: &mut Vec<u8>) -> FbufResult<()> {
+        let machine = self.fbs.machine();
+        let page = machine.page_size();
         for e in msg.extents() {
-            let (va0, frames) = {
-                let f = self.fbs.fbuf(e.fbuf)?;
-                (f.va, f.frames.clone())
-            };
+            let f = self.fbs.fbuf(e.fbuf)?;
             let mut pos = 0;
             while pos < e.len {
-                let addr = va0 + e.off + pos;
-                let page_idx = ((addr - va0) / page) as usize;
+                let addr = f.va + e.off + pos;
+                let page_idx = ((addr - f.va) / page) as usize;
                 let page_off = (addr % page) as usize;
-                let n = ((page - addr % page).min(e.len - pos)) as usize;
-                let mut buf = vec![0u8; n];
-                let frame = frames[page_idx].expect("tx fbuf resident");
-                self.fbs.machine().dma_read(frame, page_off, &mut buf);
-                out.extend(buf);
-                pos += n as u64;
+                let n = (page - addr % page).min(e.len - pos);
+                let frame = f.frames[page_idx].expect("tx fbuf resident");
+                machine.dma_read_append(frame, page_off, n as usize, out);
+                pos += n;
             }
         }
-        Ok(out)
+        Ok(())
     }
 }
 
@@ -366,7 +337,9 @@ mod tests {
         let msg = h.build_message(20_000, &Fill::Bytes(data.clone())).unwrap();
         assert_eq!(h.gather(h.app, &msg).unwrap(), data);
         // What the wire would carry matches exactly.
-        assert_eq!(h.dma_out_of_msg(&msg).unwrap(), data);
+        let mut wire = Vec::new();
+        h.dma_out_of_msg(&msg, &mut wire).unwrap();
+        assert_eq!(wire, data);
         h.release(h.app, &msg).unwrap();
     }
 
@@ -408,7 +381,7 @@ mod tests {
         let mut h = tiny_host(DomainSetup::User);
         let id = h.alloc_rx(10_000, true).unwrap();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 13) as u8).collect();
-        h.dma_into_fbuf(id, &payload).unwrap();
+        h.fbs.dma_into_fbuf(id, &payload).unwrap();
         let msg = Msg::from_fbuf(id, 0, 10_000);
         h.refs.adopt(h.kernel(), &msg);
         assert_eq!(h.gather(h.kernel(), &msg).unwrap(), payload);

@@ -6,7 +6,7 @@
 //! §4) — fragments here are zero-copy [`Msg::split`] descriptors, and
 //! reassembly is a zero-copy concatenation of fragment messages.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use fbuf_xkernel::Msg;
 
@@ -55,7 +55,8 @@ pub fn fragment(msg: &Msg, datagram: u64, pdu: u64) -> Vec<(IpHeader, Msg)> {
 
 #[derive(Debug, Default)]
 struct Partial {
-    fragments: HashMap<u64, Msg>,
+    /// Fragments by byte offset, so reassembly walks them in order.
+    fragments: BTreeMap<u64, Msg>,
     total_len: Option<u64>,
     have: u64,
 }
@@ -64,9 +65,10 @@ struct Partial {
 /// fragments.
 #[derive(Debug, Default)]
 pub struct Reassembler {
-    partials: HashMap<u64, Partial>,
-    /// Maximum concurrent partial datagrams before the oldest is dropped
-    /// (a denial-of-service bound; 0 = unlimited).
+    /// Partial datagrams by id; ids grow with age, so the first is oldest.
+    partials: BTreeMap<u64, Partial>,
+    /// Maximum concurrent partial datagrams before the oldest (lowest
+    /// datagram id) is dropped (a denial-of-service bound; 0 = unlimited).
     pub capacity: usize,
     dropped: u64,
 }
@@ -76,7 +78,7 @@ impl Reassembler {
     /// (0 = unlimited).
     pub fn new(capacity: usize) -> Reassembler {
         Reassembler {
-            partials: HashMap::new(),
+            partials: BTreeMap::new(),
             capacity,
             dropped: 0,
         }
@@ -88,9 +90,8 @@ impl Reassembler {
             && !self.partials.contains_key(&hdr.datagram)
             && self.partials.len() >= self.capacity
         {
-            // Evict an arbitrary partial (simple DoS bound).
-            if let Some(&victim) = self.partials.keys().next() {
-                self.partials.remove(&victim);
+            // Evict the oldest partial (simple DoS bound).
+            if self.partials.pop_first().is_some() {
                 self.dropped += 1;
             }
         }
@@ -101,12 +102,10 @@ impl Reassembler {
             p.have += len;
         }
         if p.total_len == Some(p.have) {
-            let p = self.partials.remove(&hdr.datagram).expect("just inserted");
-            let mut offsets: Vec<u64> = p.fragments.keys().copied().collect();
-            offsets.sort_unstable();
+            let p = self.partials.remove(&hdr.datagram)?;
             let mut msg = Msg::empty();
-            for off in offsets {
-                msg = msg.concat(&p.fragments[&off]);
+            for frag in p.fragments.values() {
+                msg = msg.concat(frag);
             }
             Some(msg)
         } else {
@@ -205,12 +204,21 @@ mod tests {
     #[test]
     fn capacity_bound_drops() {
         let mut r = Reassembler::new(2);
-        for d in 0..5u64 {
+        for d in [3u64, 0, 4, 1, 2] {
             let frags = fragment(&msg(8192), d, 4096);
             r.add(frags[0].0, frags[0].1.clone());
         }
-        assert!(r.pending() <= 2);
+        assert_eq!(r.pending(), 2);
         assert_eq!(r.dropped(), 3);
+        // Each overflow dropped the lowest id then buffered: {3, 0} → drop 0
+        // for 4 → drop 3 for 1 → drop 1 for 2. Datagrams 2 and 4 survive,
+        // and their second fragments complete them.
+        for d in [2u64, 4] {
+            let frags = fragment(&msg(8192), d, 4096);
+            let done = r.add(frags[1].0, frags[1].1.clone());
+            assert_eq!(done.map(|m| m.len()), Some(8192), "datagram {d} survives");
+        }
+        assert_eq!(r.pending(), 0);
     }
 
     #[test]

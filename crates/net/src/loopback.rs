@@ -184,7 +184,7 @@ impl LoopbackStack {
             let got = up.gather(&mut self.fbs, self.receiver)?;
             assert_eq!(got, expected, "loopback corrupted the payload");
         } else {
-            self.touch(self.receiver, &up)?;
+            up.touch(&mut self.fbs, self.receiver)?;
         }
 
         // Tear down references: receiver, netserver (up), originator.
@@ -273,18 +273,6 @@ impl LoopbackStack {
             }
         }
         self.refs.adopt(to, msg);
-        Ok(())
-    }
-
-    fn touch(&mut self, dom: DomainId, msg: &Msg) -> FbufResult<()> {
-        let page = self.fbs.machine().page_size();
-        for e in msg.extents() {
-            let mut off = 0;
-            while off < e.len {
-                self.fbs.read_fbuf(dom, e.fbuf, e.off + off, 1)?;
-                off += page;
-            }
-        }
         Ok(())
     }
 }

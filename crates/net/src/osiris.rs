@@ -156,6 +156,9 @@ pub struct EndToEnd {
     vci_table: VciTable,
     ports: PortTable<()>,
     acks: VecDeque<Ns>,
+    /// The one PDU payload buffer, reused for every PDU: the transmit DMA
+    /// fills it and the receive DMA drains it.
+    wire: Vec<u8>,
     /// Gathered payloads in verify mode.
     pub received: Vec<Vec<u8>>,
 }
@@ -194,6 +197,7 @@ impl EndToEnd {
             vci_table: VciTable::new(16),
             ports,
             acks: VecDeque::new(),
+            wire: Vec::new(),
             received: Vec::new(),
         }
     }
@@ -274,7 +278,6 @@ impl EndToEnd {
                 .charge(CostCategory::Protocol, costs.proto_frag_setup);
         }
         let frags = fragment(&msg, datagram, self.cfg.pdu);
-        let n = frags.len();
         for (i, (hdr, body)) in frags.into_iter().enumerate() {
             self.tx
                 .fbs
@@ -284,7 +287,9 @@ impl EndToEnd {
                 .fbs
                 .machine_mut()
                 .charge(CostCategory::Driver, costs.driver_pdu);
-            let payload = self.tx.dma_out_of_msg(&body)?;
+            let mut payload = std::mem::take(&mut self.wire);
+            payload.clear();
+            self.tx.dma_out_of_msg(&body, &mut payload)?;
             let pdu = WirePdu {
                 vci,
                 ip: hdr,
@@ -305,8 +310,9 @@ impl EndToEnd {
             let ready = self.tx.fbs.machine().clock().now();
             let arrive = ready.max(self.wire_free) + self.wire_time(pdu.wire_bytes());
             self.wire_free = arrive;
-            self.receive_pdu(pdu, arrive, verify, span)?;
-            let _ = n;
+            let received = self.receive_pdu(&pdu, arrive, verify, span);
+            self.wire = pdu.payload;
+            received?;
         }
 
         // The test protocol is done with the message on the TX side.
@@ -320,7 +326,13 @@ impl EndToEnd {
 
     /// Receive-side processing of one PDU arriving at `arrive`, in a
     /// child span of the TX datagram span `parent`.
-    fn receive_pdu(&mut self, pdu: WirePdu, arrive: Ns, verify: bool, parent: u64) -> FbufResult<()> {
+    fn receive_pdu(
+        &mut self,
+        pdu: &WirePdu,
+        arrive: Ns,
+        verify: bool,
+        parent: u64,
+    ) -> FbufResult<()> {
         let child = self.rx.fbs.mint_span();
         let tracer = self.rx.fbs.machine().tracer();
         tracer.span_link(child, parent, self.rx.kernel().0);
@@ -330,7 +342,7 @@ impl EndToEnd {
         out
     }
 
-    fn receive_pdu_in_span(&mut self, pdu: WirePdu, arrive: Ns, verify: bool) -> FbufResult<()> {
+    fn receive_pdu_in_span(&mut self, pdu: &WirePdu, arrive: Ns, verify: bool) -> FbufResult<()> {
         let clock = self.rx.fbs.machine().clock();
         clock.wait_until(arrive);
         let costs = self.rx.fbs.machine().costs().clone();
@@ -349,7 +361,7 @@ impl EndToEnd {
         }
         stats.inc_pdus_sent();
         let id = self.rx.alloc_rx(pdu.payload.len() as u64, cached)?;
-        self.rx.dma_into_fbuf(id, &pdu.payload)?;
+        self.rx.fbs.dma_into_fbuf(id, &pdu.payload)?;
         let m = Msg::from_fbuf(id, 0, pdu.payload.len() as u64);
         let kernel = self.rx.kernel();
         self.rx

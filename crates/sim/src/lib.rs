@@ -34,6 +34,9 @@
 //! * [`Arena`] — a generational slab arena backing the hot-path id tables
 //!   (fbufs, VM objects): O(1) index derefs, stale handles error instead
 //!   of aliasing recycled slots.
+//! * [`fxhash`] — a keyless word hasher ([`fxhash::FxHashMap`]) for the
+//!   hot tables keyed by simulator-minted integers (page tables, the TLB
+//!   index, message reference counts).
 //!
 //! And the observability layer threaded through every crate:
 //!
@@ -77,6 +80,7 @@ pub mod config;
 pub mod costs;
 pub mod event;
 pub mod fault;
+pub mod fxhash;
 pub mod hist;
 pub mod json;
 pub mod metrics;

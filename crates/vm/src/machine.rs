@@ -781,12 +781,25 @@ impl Machine {
 
     /// Allocates a frame; the caller owns one reference.
     pub fn alloc_frame(&mut self) -> VmResult<FrameId> {
-        if let Some(plan) = &self.fault {
-            if plan.fires(FaultSite::FrameAlloc) {
-                return Err(Fault::OutOfMemory);
-            }
-        }
+        self.consult_frame_fault()?;
         self.phys.alloc()
+    }
+
+    /// Allocates a cleared frame, filling it once; the caller owns one
+    /// reference. `charge_clearing` bills the page clear as
+    /// [`Machine::zero_frame`] does; without it the frame is cleared
+    /// quietly, as [`Machine::zero_frame_quietly`] does.
+    pub fn alloc_zeroed_frame(&mut self, charge_clearing: bool) -> VmResult<FrameId> {
+        self.consult_frame_fault()?;
+        self.phys.alloc_zeroed(charge_clearing)
+    }
+
+    /// The [`FaultSite::FrameAlloc`] hook: an armed plan may refuse.
+    fn consult_frame_fault(&self) -> VmResult<()> {
+        match &self.fault {
+            Some(plan) if plan.fires(FaultSite::FrameAlloc) => Err(Fault::OutOfMemory),
+            _ => Ok(()),
+        }
     }
 
     /// Zero-fills a frame (charges the page-clear cost).
@@ -825,9 +838,16 @@ impl Machine {
         self.phys.write(frame, offset, bytes);
     }
 
-    /// Direct frame read (device DMA path).
-    pub fn dma_read(&self, frame: FrameId, offset: usize, out: &mut [u8]) {
-        self.phys.read(frame, offset, out);
+    /// Direct frame read (device DMA path): appends `len` bytes at
+    /// `offset` to `out`, so a transmit gathers a PDU with no staging
+    /// buffer.
+    pub fn dma_read_append(&self, frame: FrameId, offset: usize, len: usize, out: &mut Vec<u8>) {
+        self.phys.read_append(frame, offset, len, out);
+    }
+
+    /// Pages of freed frame storage pooled for reuse (diagnostics).
+    pub fn pooled_frames(&self) -> usize {
+        self.phys.pooled()
     }
 
     // ------------------------------------------------------------------

@@ -16,16 +16,28 @@ struct Frame {
     refs: u32,
 }
 
+/// Freed frame storage kept for reuse, at most this many pages per
+/// memory. A bounded pool covers the working set of a steady send or
+/// receive without holding on to a burst's worth of pages.
+pub const POOL_FRAMES: usize = 16;
+
 /// The machine's physical memory.
 ///
 /// Frames hold real bytes so that higher layers can verify end-to-end data
 /// integrity through every mechanism. Allocation, freeing, zero-fill, and
 /// copies charge the calibrated costs.
+///
+/// The host storage of a freed frame goes to a pool of at most
+/// [`POOL_FRAMES`] pages, and the next allocation takes it from there
+/// instead of the heap. Reuse never shows: an allocation overwrites the
+/// whole page with the dirty marker or, for [`PhysMem::alloc_zeroed`],
+/// with zeros, so no byte of a frame's previous owner survives.
 #[derive(Debug)]
 pub struct PhysMem {
     page_size: usize,
     frames: Vec<Option<Frame>>,
     free: Vec<FrameId>,
+    pool: Vec<Box<[u8]>>,
     clock: Clock,
     stats: Stats,
     costs: CostModel,
@@ -44,6 +56,7 @@ impl PhysMem {
             page_size,
             frames: (0..frames).map(|_| None).collect(),
             free: (0..frames as u32).rev().map(FrameId).collect(),
+            pool: Vec::with_capacity(POOL_FRAMES),
             clock,
             stats,
             costs,
@@ -67,25 +80,59 @@ impl PhysMem {
 
     /// Allocates a frame with one reference. Contents are *not* cleared —
     /// call [`PhysMem::zero`] when security requires it (the paper counts
-    /// page clearing as a separate, avoidable cost).
+    /// page clearing as a separate, avoidable cost). The frame reads as
+    /// the dirty marker `0xA5`, whether its storage is new or pooled.
     pub fn alloc(&mut self) -> VmResult<FrameId> {
-        let id = self.free.pop().ok_or(Fault::OutOfMemory)?;
-        self.clock
-            .charge(CostCategory::Alloc, self.costs.phys_alloc);
-        self.stats.inc_frames_allocated();
-        self.frames[id.0 as usize] = Some(Frame {
-            data: vec![0xA5; self.page_size].into_boxed_slice(),
-            refs: 1,
-        });
+        self.alloc_filled(0xA5)
+    }
+
+    /// Allocates a frame with one reference and clears it, filling the
+    /// page once. `charge` decides whether the clear is billed: when set
+    /// it charges the 57 µs page clear and counts it, exactly as
+    /// [`PhysMem::alloc`] followed by [`PhysMem::zero`] would; when not,
+    /// the caller models clearing time itself and the frame is still
+    /// functionally cleared.
+    pub fn alloc_zeroed(&mut self, charge: bool) -> VmResult<FrameId> {
+        let id = self.alloc_filled(0)?;
+        if charge {
+            self.charge_zero();
+        }
         Ok(id)
     }
 
     /// Zero-fills a frame (charges the 57 µs page-clear cost).
     pub fn zero(&mut self, id: FrameId) {
+        self.charge_zero();
+        self.frame_mut(id).data.fill(0);
+    }
+
+    fn charge_zero(&mut self) {
         self.clock
             .charge(CostCategory::DataMove, self.costs.page_zero);
         self.stats.inc_pages_cleared();
-        self.frame_mut(id).data.fill(0);
+    }
+
+    /// Takes a free frame, charges the allocation, and fills the whole
+    /// page with `byte`, reusing pooled storage when there is some.
+    fn alloc_filled(&mut self, byte: u8) -> VmResult<FrameId> {
+        let id = self.free.pop().ok_or(Fault::OutOfMemory)?;
+        self.clock
+            .charge(CostCategory::Alloc, self.costs.phys_alloc);
+        self.stats.inc_frames_allocated();
+        let data = match self.pool.pop() {
+            Some(mut data) => {
+                data.fill(byte);
+                data
+            }
+            None => vec![byte; self.page_size].into_boxed_slice(),
+        };
+        self.frames[id.0 as usize] = Some(Frame { data, refs: 1 });
+        Ok(id)
+    }
+
+    /// Pages of freed storage currently pooled (at most [`POOL_FRAMES`]).
+    pub fn pooled(&self) -> usize {
+        self.pool.len()
     }
 
     /// Adds a mapping reference to `id`.
@@ -101,13 +148,16 @@ impl PhysMem {
     /// Drops one reference; frees the frame when the count reaches zero.
     /// Returns `true` if the frame was actually freed.
     pub fn drop_ref(&mut self, id: FrameId) -> bool {
-        let frame = self.frames[id.0 as usize]
-            .as_mut()
-            .expect("drop_ref on free frame");
+        let slot = &mut self.frames[id.0 as usize];
+        let frame = slot.as_mut().expect("drop_ref on free frame");
         assert!(frame.refs > 0, "reference count underflow");
         frame.refs -= 1;
         if frame.refs == 0 {
-            self.frames[id.0 as usize] = None;
+            let data = std::mem::take(&mut frame.data);
+            *slot = None;
+            if self.pool.len() < POOL_FRAMES {
+                self.pool.push(data);
+            }
             self.free.push(id);
             self.clock.charge(CostCategory::Alloc, self.costs.phys_free);
             self.stats.inc_frames_freed();
@@ -153,6 +203,12 @@ impl PhysMem {
     /// charges TLB/cache costs at the translation layer.
     pub fn read(&self, id: FrameId, offset: usize, out: &mut [u8]) {
         out.copy_from_slice(&self.frame(id).data[offset..offset + out.len()]);
+    }
+
+    /// Appends `len` bytes of a frame starting at `offset` to `out`, with
+    /// no intermediate buffer. No cost is charged (see [`PhysMem::read`]).
+    pub fn read_append(&self, id: FrameId, offset: usize, len: usize, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.frame(id).data[offset..offset + len]);
     }
 
     /// Writes bytes into a frame. No cost is charged here (see
@@ -237,6 +293,63 @@ mod tests {
         m.zero(f);
         m.read(f, 0, &mut b);
         assert_eq!(b, [0; 4]);
+    }
+
+    #[test]
+    fn recycled_storage_reads_dirty_or_zero_never_the_old_bytes() {
+        let mut m = mem();
+        let f = m.alloc().unwrap();
+        m.write(f, 0, &[0x3C; 4096]);
+        m.drop_ref(f);
+        assert_eq!(m.pooled(), 1);
+        let g = m.alloc().unwrap();
+        assert_eq!(m.pooled(), 0, "the allocation reused pooled storage");
+        let mut page = vec![0u8; 4096];
+        m.read(g, 0, &mut page);
+        assert!(
+            page.iter().all(|&b| b == 0xA5),
+            "a recycled alloc reads dirty"
+        );
+        m.write(g, 0, &[0x3C; 4096]);
+        m.drop_ref(g);
+        let h = m.alloc_zeroed(false).unwrap();
+        m.read(h, 0, &mut page);
+        assert!(
+            page.iter().all(|&b| b == 0),
+            "a recycled zeroed alloc reads zero"
+        );
+    }
+
+    #[test]
+    fn zeroed_alloc_charges_like_alloc_then_zero() {
+        let mut split = mem();
+        let f = split.alloc().unwrap();
+        split.zero(f);
+        let mut fused = mem();
+        fused.alloc_zeroed(true).unwrap();
+        assert_eq!(fused.clock.breakdown(), split.clock.breakdown());
+        assert_eq!(fused.stats.snapshot(), split.stats.snapshot());
+        let mut quiet = mem();
+        quiet.alloc_zeroed(false).unwrap();
+        assert_eq!(quiet.clock.now(), Ns(500), "only the allocation is billed");
+        assert_eq!(quiet.stats.pages_cleared(), 0);
+    }
+
+    #[test]
+    fn pool_never_exceeds_its_bound() {
+        let mut m = PhysMem::new(
+            3 * POOL_FRAMES,
+            4096,
+            Clock::new(),
+            Stats::new(),
+            CostModel::decstation_5000_200(),
+        );
+        let held: Vec<FrameId> = (0..3 * POOL_FRAMES).map(|_| m.alloc().unwrap()).collect();
+        for (i, f) in held.into_iter().enumerate() {
+            m.drop_ref(f);
+            assert_eq!(m.pooled(), (i + 1).min(POOL_FRAMES));
+        }
+        assert_eq!(m.free_frames(), 3 * POOL_FRAMES);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!
 //! This module is pure state; cost charging happens in [`crate::Machine`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
+
+use fbuf_sim::fxhash::FxHashMap;
 
 use crate::phys::FrameId;
 use crate::types::{Fault, Prot, VmResult, Vpn};
@@ -75,7 +77,7 @@ pub struct PmapEntry {
 /// The machine-dependent level: resident page → frame + protection.
 #[derive(Debug, Default)]
 pub struct Pmap {
-    entries: HashMap<u64, PmapEntry>,
+    entries: FxHashMap<u64, PmapEntry>,
 }
 
 impl Pmap {

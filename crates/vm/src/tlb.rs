@@ -10,8 +10,13 @@
 //! The TLB itself is pure state; the [`crate::Machine`] access engine
 //! charges refill and flush costs.
 
+use fbuf_sim::fxhash::FxHashMap;
+
 use crate::phys::FrameId;
 use crate::types::{DomainId, Prot, Vpn};
+
+/// End of the recency list.
+const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
@@ -19,15 +24,29 @@ struct TlbEntry {
     vpn: Vpn,
     frame: FrameId,
     prot: Prot,
-    last_used: u64,
+    /// The next more recently used entry's slot, or [`NIL`].
+    newer: u32,
+    /// The next less recently used entry's slot, or [`NIL`].
+    older: u32,
 }
 
 /// The translation lookaside buffer.
+///
+/// Entries sit densely in a `Vec`, a `(domain, vpn) → slot` index finds
+/// one in O(1), and a doubly linked recency list threaded through the
+/// slots keeps the exact least-recently-used order, so replacement
+/// evicts the same entry a scan for the oldest use would. Removing an
+/// entry `swap_remove`s it and re-points the index and the list at the
+/// entry that moved into its slot.
 #[derive(Debug)]
 pub struct Tlb {
     capacity: usize,
     entries: Vec<TlbEntry>,
-    tick: u64,
+    index: FxHashMap<(DomainId, Vpn), u32>,
+    /// Most recently used slot.
+    newest: u32,
+    /// Least recently used slot: the next victim.
+    oldest: u32,
     hits: u64,
     misses: u64,
 }
@@ -36,10 +55,14 @@ impl Tlb {
     /// Creates a TLB with `capacity` entries (R3000: 64).
     pub fn new(capacity: usize) -> Tlb {
         assert!(capacity > 0, "TLB must have at least one entry");
+        let mut index = FxHashMap::default();
+        index.reserve(capacity);
         Tlb {
             capacity,
             entries: Vec::with_capacity(capacity),
-            tick: 0,
+            index,
+            newest: NIL,
+            oldest: NIL,
             hits: 0,
             misses: 0,
         }
@@ -47,16 +70,11 @@ impl Tlb {
 
     /// Looks up a translation; refreshes the entry's LRU position on a hit.
     pub fn lookup(&mut self, domain: DomainId, vpn: Vpn) -> Option<(FrameId, Prot)> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self
-            .entries
-            .iter_mut()
-            .find(|e| e.domain == domain && e.vpn == vpn)
-        {
-            Some(e) => {
-                e.last_used = tick;
+        match self.index.get(&(domain, vpn)) {
+            Some(&slot) => {
                 self.hits += 1;
+                self.make_newest(slot);
+                let e = &self.entries[slot as usize];
                 Some((e.frame, e.prot))
             }
             None => {
@@ -68,69 +86,61 @@ impl Tlb {
 
     /// Installs (or replaces) a translation, evicting the LRU entry if full.
     pub fn insert(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, prot: Prot) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(e) = self
-            .entries
-            .iter_mut()
-            .find(|e| e.domain == domain && e.vpn == vpn)
-        {
+        if let Some(&slot) = self.index.get(&(domain, vpn)) {
+            let e = &mut self.entries[slot as usize];
             e.frame = frame;
             e.prot = prot;
-            e.last_used = tick;
+            self.make_newest(slot);
             return;
         }
         if self.entries.len() == self.capacity {
-            let lru = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(i, _)| i)
-                .expect("TLB non-empty when full");
-            self.entries.swap_remove(lru);
+            self.remove(self.oldest);
         }
+        let slot = self.entries.len() as u32;
         self.entries.push(TlbEntry {
             domain,
             vpn,
             frame,
             prot,
-            last_used: tick,
+            newer: NIL,
+            older: NIL,
         });
+        self.index.insert((domain, vpn), slot);
+        self.push_newest(slot);
     }
 
     /// Removes one translation; returns whether it was present (a present
     /// entry is what makes a consistency flush necessary and costly).
     pub fn invalidate(&mut self, domain: DomainId, vpn: Vpn) -> bool {
-        let before = self.entries.len();
-        self.entries
-            .retain(|e| !(e.domain == domain && e.vpn == vpn));
-        self.entries.len() != before
+        match self.index.get(&(domain, vpn)) {
+            Some(&slot) => {
+                self.remove(slot);
+                true
+            }
+            None => false,
+        }
     }
 
     /// Batched invalidation: removes every translation for `domain` with a
     /// VPN in `[start, start + pages)` in **one** pass over the entry
     /// array, where per-page [`Tlb::invalidate`] calls would make `pages`
-    /// passes. Returns how many entries were removed.
+    /// lookups. Returns how many entries were removed.
     pub fn invalidate_range(&mut self, domain: DomainId, start: Vpn, pages: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| {
-            !(e.domain == domain && e.vpn.0 >= start.0 && e.vpn.0 < start.0 + pages)
-        });
-        before - self.entries.len()
+        self.remove_where(|e| e.domain == domain && e.vpn.0 >= start.0 && e.vpn.0 < start.0 + pages)
     }
 
     /// Removes every translation belonging to `domain` (domain teardown).
     /// Returns how many entries were removed.
     pub fn invalidate_domain(&mut self, domain: DomainId) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.domain != domain);
-        before - self.entries.len()
+        self.remove_where(|e| e.domain == domain)
     }
 
     /// Drops everything (full flush).
     pub fn clear(&mut self) {
         self.entries.clear();
+        self.index.clear();
+        self.newest = NIL;
+        self.oldest = NIL;
     }
 
     /// Number of currently resident translations.
@@ -146,6 +156,74 @@ impl Tlb {
     /// (hits, misses) since creation.
     pub fn hit_miss(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// The resident translations as `(domain, vpn, frame, prot)`, most
+    /// recently used first (diagnostics and the reference-model test).
+    pub fn resident(&self) -> Vec<(DomainId, Vpn, FrameId, Prot)> {
+        let mut out = Vec::with_capacity(self.entries.len());
+        let mut slot = self.newest;
+        while slot != NIL {
+            let e = &self.entries[slot as usize];
+            out.push((e.domain, e.vpn, e.frame, e.prot));
+            slot = e.older;
+        }
+        out
+    }
+
+    /// Removes every entry `doomed` selects, scanning slots downward so
+    /// the entry `swap_remove` moves into a freed slot was already seen.
+    fn remove_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) -> usize {
+        let before = self.entries.len();
+        for slot in (0..before).rev() {
+            if doomed(&self.entries[slot]) {
+                self.remove(slot as u32);
+            }
+        }
+        before - self.entries.len()
+    }
+
+    /// Removes the entry in `slot`. The last entry moves into the freed
+    /// slot, so the index and its list neighbours are re-pointed at it.
+    fn remove(&mut self, slot: u32) {
+        let TlbEntry { newer, older, .. } = self.entries[slot as usize];
+        self.link(newer, older);
+        let gone = self.entries.swap_remove(slot as usize);
+        self.index.remove(&(gone.domain, gone.vpn));
+        if let Some(&moved) = self.entries.get(slot as usize) {
+            self.index.insert((moved.domain, moved.vpn), slot);
+            self.link(moved.newer, slot);
+            self.link(slot, moved.older);
+        }
+    }
+
+    /// Moves `slot` to the head of the recency list.
+    fn make_newest(&mut self, slot: u32) {
+        if self.newest != slot {
+            let TlbEntry { newer, older, .. } = self.entries[slot as usize];
+            self.link(newer, older);
+            self.push_newest(slot);
+        }
+    }
+
+    fn push_newest(&mut self, slot: u32) {
+        let head = self.newest;
+        self.link(slot, head);
+        self.link(NIL, slot);
+    }
+
+    /// Makes `older` the entry after `newer` in the recency list; [`NIL`]
+    /// on either side stands for the list's end, so the head or the tail
+    /// pointer is set instead.
+    fn link(&mut self, newer: u32, older: u32) {
+        match newer {
+            NIL => self.newest = older,
+            s => self.entries[s as usize].older = older,
+        }
+        match older {
+            NIL => self.oldest = newer,
+            s => self.entries[s as usize].newer = newer,
+        }
     }
 }
 

@@ -172,6 +172,22 @@ impl Msg {
         }
         Ok(out)
     }
+
+    /// Reads one byte in each page of every extent as `dom` — the paper's
+    /// test protocol touching its data — into a stack word, so a touch
+    /// costs translation and cache charges but no heap allocation.
+    pub fn touch(&self, fbs: &mut FbufSystem, dom: DomainId) -> FbufResult<()> {
+        let page = fbs.machine().page_size();
+        let mut word = [0u8; 1];
+        for e in &self.extents {
+            let mut off = 0;
+            while off < e.len {
+                fbs.read_fbuf_into(dom, e.fbuf, e.off + off, &mut word)?;
+                off += page;
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]

@@ -7,9 +7,8 @@
 //! holder list); this table maps many message-level references down to that
 //! single domain-level reference.
 
-use std::collections::HashMap;
-
 use fbuf::{FbufId, FbufResult, FbufSystem};
+use fbuf_sim::fxhash::FxHashMap;
 use fbuf_vm::DomainId;
 
 use crate::msg::Msg;
@@ -17,7 +16,7 @@ use crate::msg::Msg;
 /// Message-level reference counts, keyed by (domain, fbuf).
 #[derive(Debug, Default)]
 pub struct MsgRefs {
-    counts: HashMap<(u32, FbufId), usize>,
+    counts: FxHashMap<(u32, FbufId), usize>,
 }
 
 impl MsgRefs {

@@ -1,0 +1,119 @@
+//! Allocation guard for the end-to-end Osiris send.
+//!
+//! The paper's point is that fbufs move network data across domains
+//! without copying it. The simulator's end-to-end path should not undo
+//! that on the host: once warmed, a send must not push its payload
+//! through the heap. This binary installs a counting global allocator
+//! and pins the heap bytes of one warmed, unverified `send_message` to
+//! at most an eighth of its payload, and the test protocol's page touch
+//! to no allocation at all.
+//!
+//! The counters are thread-local, so the test harness's own threads do
+//! not disturb them; the binary holds a single `#[test]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use fbufs::net::{DomainSetup, EndToEnd, EndToEndConfig, Fill};
+use fbufs::sim::MachineConfig;
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call forwards to `System` unchanged; the counters are
+// const-initialised thread-local `Cell`s, which never allocate. A
+// reallocation counts its new size, since it may move the block.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + layout.size() as u64));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+        BYTES.with(|n| n.set(n.get() + new_size as u64));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations and bytes `f` makes on this thread.
+fn heap<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
+    let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
+    let out = f();
+    (ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0, out)
+}
+
+#[test]
+fn warmed_sends_allocate_at_most_an_eighth_of_their_payload() {
+    let cases = [
+        (
+            "fig5",
+            EndToEndConfig::fig5(DomainSetup::UserNetserver),
+            16u64 << 10,
+        ),
+        (
+            "fig5",
+            EndToEndConfig::fig5(DomainSetup::UserNetserver),
+            64 << 10,
+        ),
+        (
+            "fig5",
+            EndToEndConfig::fig5(DomainSetup::UserNetserver),
+            256 << 10,
+        ),
+        (
+            "fig6",
+            EndToEndConfig::fig6(DomainSetup::UserNetserver),
+            16 << 10,
+        ),
+    ];
+    let mut over = Vec::new();
+    for (name, cfg, size) in cases {
+        let mut e = EndToEnd::new(MachineConfig::decstation_5000_200(), cfg);
+        // Warm the buffer caches, the frame pool, the pipeline and every
+        // table the steady state reuses.
+        for _ in 0..4 {
+            e.send_message(size, 1, false).unwrap();
+        }
+        let (allocs, bytes, sent) = heap(|| e.send_message(size, 1, false));
+        sent.unwrap();
+        eprintln!(
+            "{name} {} KB: {allocs} allocations, {bytes} bytes",
+            size >> 10
+        );
+        if bytes > size / 8 {
+            over.push(format!(
+                "{name} at {} KB: {bytes} heap bytes in {allocs} allocations, \
+                 over payload/8 = {}",
+                size >> 10,
+                size / 8
+            ));
+        }
+    }
+    assert!(over.is_empty(), "warmed sends over budget: {over:#?}");
+
+    // The test protocol's touch reads one byte per page into a stack
+    // word: no allocation however many pages it visits.
+    let mut e = EndToEnd::new(
+        MachineConfig::decstation_5000_200(),
+        EndToEndConfig::fig5(DomainSetup::UserNetserver),
+    );
+    let app = e.tx.app;
+    let msg = e.tx.build_message(256 << 10, &Fill::Touch).unwrap();
+    let (allocs, _, touched) = heap(|| msg.touch(&mut e.tx.fbs, app));
+    touched.unwrap();
+    assert_eq!(allocs, 0, "touching 64 pages allocated");
+    e.tx.release(app, &msg).unwrap();
+}

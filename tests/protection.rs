@@ -2,7 +2,7 @@
 //! argument exercised through the public API.
 
 use fbufs::fbuf::{AllocMode, FbufError, FbufSystem, SendMode};
-use fbufs::sim::MachineConfig;
+use fbufs::sim::{CostCategory, MachineConfig};
 use fbufs::vm::{Fault, KERNEL_DOMAIN};
 use fbufs::xkernel::integrated::{self, DagBuilder, TraverseLimits};
 use fbufs::xkernel::{deliver, Msg, MsgRefs};
@@ -205,4 +205,47 @@ fn quota_denial_is_clean_and_recoverable() {
     fbs.free(held[0], producer).unwrap();
     fbs.alloc(producer, AllocMode::Cached(path), chunk).unwrap();
     assert_eq!(fbs.stats().chunks_granted(), granted);
+}
+
+#[test]
+fn pooled_frames_never_leak_a_previous_owners_bytes() {
+    // Physical memory recycles freed page storage. A frame one domain
+    // wrote and retired must reach the next domain's uncached buffer
+    // cleared, and the clear must be billed exactly as before pooling:
+    // one 57 µs page clear per page when clearing is charged, none when
+    // it is not.
+    for charge in [true, false] {
+        let mut fbs = system();
+        fbs.charge_clearing = charge;
+        let (a, b) = (fbs.create_domain(), fbs.create_domain());
+        let page = fbs.machine().page_size();
+        let pages = 4u64;
+        let len = pages * page;
+        let id = fbs.alloc(a, AllocMode::Uncached, len).unwrap();
+        fbs.write_fbuf(a, id, 0, &vec![0x5C; len as usize]).unwrap();
+        fbs.free(id, a).unwrap();
+        let pooled = fbs.machine().pooled_frames();
+        assert!(pooled >= pages as usize, "A's retired pages are pooled");
+
+        let clock = fbs.machine().clock();
+        let cleared = fbs.stats().pages_cleared();
+        let moved = clock.spent_on(CostCategory::DataMove);
+        let id = fbs.alloc(b, AllocMode::Uncached, len).unwrap();
+        assert_eq!(
+            fbs.machine().pooled_frames(),
+            pooled - pages as usize,
+            "B's buffer is built from the pooled storage"
+        );
+        let billed = if charge { pages } else { 0 };
+        assert_eq!(fbs.stats().pages_cleared() - cleared, billed);
+        assert_eq!(
+            clock.spent_on(CostCategory::DataMove) - moved,
+            fbs.machine().costs().page_zero * billed
+        );
+        assert_eq!(
+            fbs.read_fbuf(b, id, 0, len).unwrap(),
+            vec![0u8; len as usize],
+            "charge_clearing = {charge}: B reads zeros, not A's bytes"
+        );
+    }
 }
