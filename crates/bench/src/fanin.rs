@@ -383,7 +383,7 @@ fn run_shard(cfg: &FaninConfig, shard: usize, ranks: &[usize]) -> Result<ShardOu
                     sys.send(id, prod, cons, SendMode::Volatile)
                         .map_err(|e| format!("shard {shard}: send: {e}"))?;
                     // The control transfer rides the event-loop engine.
-                    let _notices = sys.hop(prod, cons);
+                    sys.hop(prod, cons);
                     out.alloc_wait.record(wait);
                     out.completed += 1;
                     out.bytes += len;

@@ -837,9 +837,9 @@ pub fn fleet_ledger(reports: &[ShardReport]) -> Ledger {
 /// Merges every shard's telemetry series into one namespace-prefixed
 /// fleet set (`s0.live_fbufs`, `s1.live_fbufs`, …).
 pub fn fleet_telemetry(reports: &[ShardReport]) -> Vec<SeriesSnapshot> {
-    let shards: Vec<(u32, Vec<SeriesSnapshot>)> = reports
+    let shards: Vec<(u32, &[SeriesSnapshot])> = reports
         .iter()
-        .map(|r| (r.shard as u32, r.telemetry.clone()))
+        .map(|r| (r.shard as u32, r.telemetry.as_slice()))
         .collect();
     metrics::merge_shards(&shards)
 }

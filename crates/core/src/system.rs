@@ -156,9 +156,9 @@ pub struct FbufSystem {
     /// handler borrows `self`; `None` only during a pump. Boxed, so
     /// taking it out and putting it back moves a pointer, not the loop.
     pub(crate) engine: Option<Box<fbuf_ipc::EventLoop<crate::engine::HopMsg>>>,
-    /// Notices drained by the most recent event-loop hop, handed back to
-    /// the [`FbufSystem::hop`](crate::engine) caller.
-    pub(crate) hop_notices: Vec<u64>,
+    /// How many notices the most recent event-loop hop drained, handed
+    /// back to the [`FbufSystem::hop`](crate::engine) caller.
+    pub(crate) hop_notices: usize,
     /// Transfers whose explicit completion event was serviced.
     pub(crate) xfer_completed: u64,
     /// Transfers aborted mid-route by an inbox overload.
@@ -300,7 +300,7 @@ impl FbufSystem {
                 machine_tracer,
                 machine_metrics,
             ))),
-            hop_notices: Vec::new(),
+            hop_notices: 0,
             xfer_completed: 0,
             xfer_aborted: 0,
             xfer_revoked: 0,

@@ -99,22 +99,21 @@ impl NoticeBoard {
             .unwrap_or(0)
     }
 
-    /// Drains every backlog owed to `owner` (RPC replies and
-    /// endpoint/domain teardown). Returns an empty `Vec` (no allocation)
-    /// when nothing is pending.
-    pub fn drain_all_for(&mut self, owner: DomainId) -> Vec<u64> {
+    /// Drains every backlog owed to `owner` (an RPC reply) onto the end
+    /// of `out`, so a caller that reuses `out` allocates nothing once it
+    /// has grown to the largest backlog.
+    pub fn drain_all_into(&mut self, owner: DomainId, out: &mut Vec<u64>) {
         let Some(board) = self.owners.get_mut(owner.0 as usize) else {
-            return Vec::new();
+            return;
         };
         if board.total == 0 {
-            return Vec::new();
+            return;
         }
-        let mut out = Vec::with_capacity(board.total);
+        out.reserve(board.total);
         for (_, list) in board.lists.iter_mut() {
             out.append(list);
         }
         board.total = 0;
-        out
     }
 }
 
@@ -169,10 +168,13 @@ mod tests {
         b.queue(o, DomainId(2), 1);
         b.queue(o, DomainId(3), 2);
         b.queue(o, DomainId(2), 3);
-        let mut all = b.drain_all_for(o);
+        let mut all = vec![9];
+        b.drain_all_into(o, &mut all);
         all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3]);
-        assert!(b.drain_all_for(o).is_empty());
+        assert_eq!(all, vec![1, 2, 3, 9], "appended to what `out` held");
+        all.clear();
+        b.drain_all_into(o, &mut all);
+        assert!(all.is_empty());
         assert_eq!(b.pending(o, DomainId(2)), 0);
         // Re-queue after a full drain works (capacity is retained).
         assert!(!b.queue(o, DomainId(2), 4));

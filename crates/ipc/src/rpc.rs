@@ -40,6 +40,8 @@ pub struct Rpc {
     /// per-tenant ledger's "ipc_calls" column (explicit notice messages
     /// count against the holder that forced them).
     calls_by_dom: Vec<u64>,
+    /// The notices the last call's reply carried; reused call to call.
+    reply: Vec<u64>,
 }
 
 impl Rpc {
@@ -53,6 +55,7 @@ impl Rpc {
             costs,
             notices: NoticeBoard::new(),
             calls_by_dom: Vec::new(),
+            reply: Vec::new(),
         }
     }
 
@@ -80,14 +83,16 @@ impl Rpc {
     /// the deallocation notices the reply carries back to `from` (tokens
     /// previously queued by receivers freeing fbufs owned by `from`; the
     /// kernel mediates every RPC, so the reply aggregates notices from all
-    /// holders).
+    /// holders). The notices are drained into a buffer the layer reuses
+    /// from call to call, so a call allocates nothing once the buffer
+    /// has grown to the largest reply.
     ///
     /// This is the per-hop *charging primitive*: the event-loop engine
     /// ([`crate::actor::EventLoop`]) invokes it from the dequeue handler
     /// of each hop, and a hop re-entered from inside a handler invokes it
     /// inline. The charge sequence is the one a recursive descent would
     /// perform (pinned by the goldens in `tests/counter_exactness.rs`).
-    pub fn call(&mut self, from: DomainId, to: DomainId) -> Vec<u64> {
+    pub fn call(&mut self, from: DomainId, to: DomainId) -> &[u64] {
         self.clock.charge(
             CostCategory::Ipc,
             self.latency(from, to) + self.costs.ipc_dispatch,
@@ -96,16 +101,17 @@ impl Rpc {
         self.count_call_from(from);
         self.tracer
             .instant_peer(EventKind::IpcCall, from.0, to.0, None, None);
-        let drained = self.notices.drain_all_for(from);
-        if !drained.is_empty() {
-            self.stats.add_piggybacked_notices(drained.len() as u64);
-            for &token in &drained {
+        self.reply.clear();
+        self.notices.drain_all_into(from, &mut self.reply);
+        if !self.reply.is_empty() {
+            self.stats.add_piggybacked_notices(self.reply.len() as u64);
+            for &token in &self.reply {
                 // The notice reaches the owner (`from`) on this reply.
                 self.tracer
                     .instant_peer(EventKind::Notice, to.0, from.0, None, Some(token));
             }
         }
-        drained
+        &self.reply
     }
 
     /// Queues a deallocation notice: `holder` has released its reference to
@@ -143,12 +149,6 @@ impl Rpc {
     /// termination.
     pub fn pending_notices(&self, owner: DomainId, holder: DomainId) -> usize {
         self.notices.pending(owner, holder)
-    }
-
-    /// Drains all pending notices owed to `owner` regardless of holder
-    /// (used during endpoint/domain teardown).
-    pub fn drain_all_for(&mut self, owner: DomainId) -> Vec<u64> {
-        self.notices.drain_all_for(owner)
     }
 
     /// Sets the explicit-message threshold (notices pending per domain pair
@@ -290,15 +290,20 @@ mod tests {
     }
 
     #[test]
-    fn drain_all_for_owner_collects_all_holders() {
-        let (mut r, _, _) = rpc();
+    fn a_reply_carries_every_holders_notices_to_the_caller() {
+        let (mut r, _, stats) = rpc();
         let owner = DomainId(1);
         r.queue_dealloc_notice(owner, DomainId(2), 10);
         r.queue_dealloc_notice(owner, DomainId(3), 11);
-        let mut all = r.drain_all_for(owner);
+        let mut all = r.call(owner, DomainId(2)).to_vec();
         all.sort_unstable();
         assert_eq!(all, vec![10, 11]);
         assert_eq!(r.pending_notices(owner, DomainId(2)), 0);
+        assert_eq!(stats.piggybacked_notices(), 2);
+        assert!(
+            r.call(owner, DomainId(2)).is_empty(),
+            "the next reply starts empty"
+        );
     }
 
     #[test]

@@ -33,6 +33,12 @@
 //!   frozen into literal points first, so a series that stops being
 //!   recorded never pins the timeline. Memory stays O(series × cap).
 //!
+//! A snapshot keeps that shape. [`Metrics::series`] copies each
+//! timeline once, as an `Arc<[Ns]>`, and each series' frozen points and
+//! retained runs into a [`Points`] that shares its timeline's copy. A
+//! snapshot therefore costs the runs, not the points, and
+//! [`Points::iter`] is the one place runs are expanded into points.
+//!
 //! # Two ways to record
 //!
 //! [`Sampler::record`] adds one point in this pass. [`Sampler::hold`]
@@ -63,6 +69,7 @@ use std::cell::{Cell, RefCell, RefMut};
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::json::{Json, ToJson};
 use crate::time::Ns;
@@ -238,7 +245,81 @@ pub struct SeriesSnapshot {
     /// Points evicted once the series held `cap` of them.
     pub dropped: u64,
     /// Retained points, oldest first.
-    pub points: Vec<MetricPoint>,
+    pub points: Points,
+}
+
+/// The retained points of a [`SeriesSnapshot`], oldest first, kept the
+/// way the store keeps them: literal points older than the timeline,
+/// then runs of one value over consecutive passes. The runs are stamped
+/// from a copy of their timeline, made once per [`Metrics::series`]
+/// call and shared by every series of that timeline. A snapshot costs
+/// its runs, not its points; [`Points::iter`] expands them.
+///
+/// Equality compares the point sequences, not the representation.
+///
+/// # Examples
+///
+/// ```
+/// use fbuf_sim::metrics::{MetricPoint, Points};
+/// use fbuf_sim::Ns;
+///
+/// let p = Points::from(vec![MetricPoint { at: Ns(5), value: 2 }]);
+/// assert_eq!(p.len(), 1);
+/// assert_eq!(p.iter().next(), Some(MetricPoint { at: Ns(5), value: 2 }));
+/// ```
+#[derive(Clone)]
+pub struct Points {
+    frozen: Vec<MetricPoint>,
+    /// Runs whose `first` indexes `passes`.
+    runs: Vec<Run>,
+    passes: Arc<[Ns]>,
+    len: usize,
+}
+
+impl Points {
+    /// Number of points.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when the series retains no point.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The points, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = MetricPoint> + '_ {
+        let runs = self.runs.iter().flat_map(move |r| {
+            let at = &self.passes[r.first as usize..r.end() as usize];
+            at.iter().map(move |&at| MetricPoint { at, value: r.value })
+        });
+        self.frozen.iter().copied().chain(runs)
+    }
+}
+
+impl From<Vec<MetricPoint>> for Points {
+    fn from(frozen: Vec<MetricPoint>) -> Points {
+        Points {
+            len: frozen.len(),
+            frozen,
+            runs: Vec::new(),
+            passes: Arc::from([]),
+        }
+    }
+}
+
+impl PartialEq for Points {
+    fn eq(&self, other: &Points) -> bool {
+        self.len == other.len && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Points {}
+
+impl fmt::Debug for Points {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// `len` points of one value at consecutive passes of a timeline,
@@ -518,8 +599,9 @@ impl MetricsInner {
         }
     }
 
-    /// The retained points of series `s`, oldest first.
-    fn expand(&self, s: usize) -> SeriesSnapshot {
+    /// The retained points of series `s`, oldest first, stamped from
+    /// `at`, a copy of its timeline's passes.
+    fn expand(&self, s: usize, at: &Arc<[Ns]>) -> SeriesSnapshot {
         let (h, log) = (&self.heads[s], &self.logs[s]);
         let passes = &self.passes[h.gauge.timeline() as usize];
         let mut open = h.open;
@@ -537,24 +619,30 @@ impl MetricsInner {
         // Skip the evicted oldest points without stamping them: their
         // passes may already be gone from the timeline.
         let mut skip = log.points + open.len - retained;
-        let mut points = Vec::with_capacity(retained as usize);
-        for &p in &log.frozen {
-            if skip > 0 {
-                skip -= 1;
-            } else {
-                points.push(p);
-            }
-        }
+        let k = skip.min(log.frozen.len() as u64);
+        skip -= k;
+        let frozen = log.frozen.iter().skip(k as usize).copied().collect();
+        let mut runs = Vec::with_capacity(log.runs.len() + 1);
         for r in log.runs.iter().chain(std::iter::once(&open)) {
             let k = skip.min(r.len);
             skip -= k;
-            let at = |p| MetricPoint { at: passes.at(p), value: r.value };
-            points.extend((r.first + k..r.end()).map(at));
+            if k < r.len {
+                runs.push(Run {
+                    first: r.first + k - passes.base,
+                    len: r.len - k,
+                    value: r.value,
+                });
+            }
         }
         SeriesSnapshot {
             name: log.name.clone(),
             dropped,
-            points,
+            points: Points {
+                frozen,
+                runs,
+                passes: Arc::clone(at),
+                len: retained as usize,
+            },
         }
     }
 }
@@ -743,7 +831,15 @@ impl Metrics {
     /// Owned snapshots of every series, in first-seen order.
     pub fn series(&self) -> Vec<SeriesSnapshot> {
         let inner = self.shared.inner.borrow();
-        (0..inner.heads.len()).map(|s| inner.expand(s)).collect()
+        let mut timelines: [Option<Arc<[Ns]>>; TIMELINES] = Default::default();
+        (0..inner.heads.len())
+            .map(|s| {
+                let t = inner.heads[s].gauge.timeline() as usize;
+                let at = timelines[t]
+                    .get_or_insert_with(|| inner.passes[t].at.iter().copied().collect());
+                inner.expand(s, at)
+            })
+            .collect()
     }
 
     /// Discards every series and re-arms the sample deadline at zero
@@ -893,11 +989,12 @@ impl Sampler<'_> {
 
 /// Folds per-shard series into one fleet-wide set: each shard's series
 /// keep their own (independent) simulated timeline and are namespaced
-/// `s<shard>.<name>`, preserving order.
-pub fn merge_shards(shards: &[(u32, Vec<SeriesSnapshot>)]) -> Vec<SeriesSnapshot> {
+/// `s<shard>.<name>`, preserving order. The merged series share their
+/// shard's timeline copies; only names and runs are copied.
+pub fn merge_shards<S: AsRef<[SeriesSnapshot]>>(shards: &[(u32, S)]) -> Vec<SeriesSnapshot> {
     let mut out = Vec::new();
     for (shard, series) in shards {
-        for s in series {
+        for s in series.as_ref() {
             out.push(SeriesSnapshot {
                 name: format!("s{shard}.{}", s.name),
                 dropped: s.dropped,
@@ -959,8 +1056,7 @@ mod tests {
         m.advance(Ns(1_000));
         let s = &m.series()[0];
         assert_eq!(s.points.len(), 2);
-        assert_eq!(s.points[1].value, 2);
-        assert_eq!(s.points[1].at, Ns(1_000));
+        assert_eq!(s.points.iter().last(), Some(MetricPoint { at: Ns(1_000), value: 2 }));
     }
 
     #[test]
@@ -1003,7 +1099,14 @@ mod tests {
         cap: usize,
         max_series: usize,
         refused_names: u64,
-        series: Vec<SeriesSnapshot>,
+        series: Vec<RefSeries>,
+    }
+
+    /// One series of the reference: its points held literally.
+    struct RefSeries {
+        name: String,
+        dropped: u64,
+        points: Vec<MetricPoint>,
     }
 
     impl ByName {
@@ -1022,7 +1125,7 @@ mod tests {
                     self.refused_names += 1;
                     return false;
                 }
-                None => self.series.push(SeriesSnapshot {
+                None => self.series.push(RefSeries {
                     name: name.to_string(),
                     dropped: 0,
                     points: vec![point],
@@ -1038,6 +1141,17 @@ mod tests {
                 s.points.drain(..excess);
                 s.dropped += excess as u64;
             }
+        }
+
+        fn snapshots(&self) -> Vec<SeriesSnapshot> {
+            self.series
+                .iter()
+                .map(|s| SeriesSnapshot {
+                    name: s.name.clone(),
+                    dropped: s.dropped,
+                    points: s.points.clone().into(),
+                })
+                .collect()
         }
     }
 
@@ -1148,7 +1262,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(m.series(), reference.series, "case {case} step {step}");
+                assert_eq!(m.series(), reference.snapshots(), "case {case} step {step}");
                 assert_eq!(m.refused_names(), reference.refused_names, "case {case} step {step}");
             }
         }
@@ -1245,7 +1359,7 @@ mod tests {
                     let (name, _) = reference_name(if k < 5 { system[k] } else { inbox[k - 5] });
                     reference.sample(now, &name, false, values[k]);
                 }
-                assert_eq!(m.series(), reference.series, "case {case} step {step}");
+                assert_eq!(m.series(), reference.snapshots(), "case {case} step {step}");
                 assert_eq!(m.refused_names(), reference.refused_names, "case {case} step {step}");
             }
         }
@@ -1288,7 +1402,7 @@ mod tests {
                 assert!(h.retained <= DEFAULT_POINTS as u64);
             }
         }
-        assert_eq!(m.series(), reference.series);
+        assert_eq!(m.series(), reference.snapshots());
         let inner = m.shared.inner.borrow();
         let passes = &inner.passes[Timeline::System as usize];
         assert!(passes.base > PASSES - 2 * DEFAULT_POINTS as u64, "timeline trimmed past the dead series");
@@ -1297,16 +1411,142 @@ mod tests {
     }
 
     #[test]
+    fn snapshots_expand_to_the_reference_across_trims_and_outlive_the_store() {
+        // Long cases with caps up to a few hundred, so timelines trim and
+        // sparse or retired series freeze many times over: standing
+        // series (touched, one retired mid-case), a slow-changing and a
+        // toggling series recorded every pass, and a sparse one. Every
+        // snapshot taken mid-case is checked again once the store has
+        // moved on, then merged.
+        let held: Vec<Gauge> = (0..3).map(Gauge::PathChunks).collect();
+        for case in 0..24u64 {
+            let mut rng = crate::Rng::new(0x3c6e_f372 ^ case);
+            let m = Metrics::new();
+            m.set_enabled(true);
+            let cap = 1 + rng.index(300);
+            m.set_capacity(cap);
+            let mut reference = ByName {
+                cap,
+                max_series: DEFAULT_MAX_SERIES,
+                refused_names: 0,
+                series: Vec::new(),
+            };
+            let mut values = [0u64; 3];
+            let mut alive = [true; 3];
+            let mut kept = Vec::new();
+            for step in 0..3_000u64 {
+                let now = Ns(step * 5);
+                match rng.below(1_000) {
+                    0..=4 => {
+                        let cap = 1 + rng.index(300);
+                        m.set_capacity(cap);
+                        reference.set_capacity(cap);
+                    }
+                    5 => {
+                        m.clear();
+                        reference.series.clear();
+                    }
+                    6 if alive[2] => {
+                        alive[2] = false;
+                        m.leave(held[2]);
+                    }
+                    _ => {}
+                }
+                for (k, v) in values.iter_mut().enumerate() {
+                    if rng.below(50) == 0 {
+                        *v = rng.next_u64() % 4;
+                        m.touch(held[k]);
+                    }
+                }
+                let mut s = m.sampler(now).unwrap();
+                let resync = s.resync();
+                s.record(Gauge::LiveFbufs, || step / 64);
+                reference.sample(now, "live_fbufs", true, step / 64);
+                let toggle = (step / 500) % 2 * (step % 2);
+                s.record(Gauge::ParkedFbufs, || toggle);
+                reference.sample(now, "parked_fbufs", true, toggle);
+                if rng.below(40) == 0 {
+                    s.record(Gauge::FreeChunks, || step);
+                    reference.sample(now, "free_chunks", true, step);
+                }
+                if resync {
+                    for k in (0..3).filter(|&k| alive[k]) {
+                        s.hold(held[k], || values[k]);
+                    }
+                    s.forget_dirty();
+                } else {
+                    s.drain_dirty(|g| match g {
+                        Gauge::PathChunks(i) => values[i as usize],
+                        _ => unreachable!("only held gauges are dirty"),
+                    });
+                }
+                drop(s);
+                for k in (0..3).filter(|&k| alive[k]) {
+                    reference.sample(now, &format!("path{k}.chunks"), false, values[k]);
+                }
+                if rng.below(100) == 0 {
+                    let (got, want) = (m.series(), reference.snapshots());
+                    assert_eq!(got, want, "case {case} step {step}");
+                    kept.push((got, want));
+                }
+            }
+            for (got, want) in &kept {
+                assert_eq!(got, want, "case {case}: a snapshot changed after it was taken");
+                for s in got {
+                    assert_eq!(s.points.len(), s.points.iter().count());
+                }
+            }
+            let shards: Vec<(u32, Vec<SeriesSnapshot>)> =
+                kept.iter().enumerate().map(|(i, (got, _))| (i as u32, got.clone())).collect();
+            let merged: Vec<(String, u64, Vec<MetricPoint>)> = merge_shards(&shards)
+                .into_iter()
+                .map(|s| (s.name, s.dropped, s.points.iter().collect()))
+                .collect();
+            let expected: Vec<(String, u64, Vec<MetricPoint>)> = kept
+                .iter()
+                .enumerate()
+                .flat_map(|(i, (_, want))| {
+                    want.iter().map(move |s| (format!("s{i}.{}", s.name), s.dropped, s.points.iter().collect()))
+                })
+                .collect();
+            assert_eq!(merged, expected, "case {case}: merged snapshots");
+        }
+    }
+
+    #[test]
+    fn points_compare_by_sequence_not_representation() {
+        let m = Metrics::new();
+        m.set_enabled(true);
+        for (i, v) in [4, 4, 4, 9].into_iter().enumerate() {
+            m.sampler(Ns(i as u64 * 10)).unwrap().record(Gauge::LiveFbufs, || v);
+        }
+        let runs = m.series().remove(0).points;
+        let literal: Vec<MetricPoint> = [4, 4, 4, 9]
+            .into_iter()
+            .enumerate()
+            .map(|(i, value)| MetricPoint { at: Ns(i as u64 * 10), value })
+            .collect();
+        assert_eq!(runs, Points::from(literal.clone()), "two runs equal four literal points");
+        let mut other = literal.clone();
+        other[3].value = 8;
+        assert_ne!(runs, Points::from(other), "same length, one value differs");
+        let mut later = literal;
+        later[0].at = Ns(1);
+        assert_ne!(runs, Points::from(later), "same values, one instant differs");
+        assert!(Points::from(Vec::new()).is_empty());
+    }
+
+    #[test]
     fn merge_prefixes_shard_names() {
         let a = vec![SeriesSnapshot {
             name: "g".into(),
             dropped: 0,
-            points: vec![MetricPoint { at: Ns(1), value: 10 }],
+            points: vec![MetricPoint { at: Ns(1), value: 10 }].into(),
         }];
         let b = vec![SeriesSnapshot {
             name: "g".into(),
             dropped: 2,
-            points: vec![],
+            points: Vec::new().into(),
         }];
         let merged = merge_shards(&[(0, a), (1, b)]);
         assert_eq!(merged.len(), 2);

@@ -356,11 +356,11 @@ impl Tracer {
     }
 
     /// Records an instant event. No-op while disabled.
+    #[inline]
     pub fn instant(&self, kind: EventKind, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
-        if !self.shared.enabled.get() {
-            return;
+        if self.shared.enabled.get() {
+            self.push(kind, dom, None, path, fbuf, None, None);
         }
-        self.push(kind, dom, None, path, fbuf, None, None);
     }
 
     /// Records one ranged VM event (`MapRange`/`UnmapRange`/
@@ -375,6 +375,7 @@ impl Tracer {
 
     /// Records an instant event with a peer domain. No-op while
     /// disabled.
+    #[inline]
     pub fn instant_peer(
         &self,
         kind: EventKind,
@@ -383,22 +384,25 @@ impl Tracer {
         path: Option<u64>,
         fbuf: Option<u64>,
     ) {
-        if !self.shared.enabled.get() {
-            return;
+        if self.shared.enabled.get() {
+            self.push(kind, dom, Some(peer), path, fbuf, None, None);
         }
-        self.push(kind, dom, Some(peer), path, fbuf, None, None);
     }
 
     /// Records a span that began at simulated time `t0` and ends now.
     /// `Alloc` spans feed the per-path allocation-service histogram and
     /// `Transfer` spans the per-path transfer-latency histogram. No-op
     /// while disabled.
+    #[inline]
     pub fn span(&self, t0: Ns, kind: EventKind, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
-        self.span_peer(t0, kind, dom, None, path, fbuf);
+        if self.shared.enabled.get() {
+            self.end_span(t0, kind, dom, None, path, fbuf);
+        }
     }
 
     /// [`Tracer::span`] with a peer domain (e.g. the receiver of a
     /// `Transfer`).
+    #[inline]
     pub fn span_peer(
         &self,
         t0: Ns,
@@ -408,9 +412,23 @@ impl Tracer {
         path: Option<u64>,
         fbuf: Option<u64>,
     ) {
-        if !self.shared.enabled.get() {
-            return;
+        if self.shared.enabled.get() {
+            self.end_span(t0, kind, dom, peer, path, fbuf);
         }
+    }
+
+    /// [`Tracer::span_peer`] past the disabled check, kept out of line
+    /// so call sites inline only the check.
+    #[inline(never)]
+    fn end_span(
+        &self,
+        t0: Ns,
+        kind: EventKind,
+        dom: u32,
+        peer: Option<u32>,
+        path: Option<u64>,
+        fbuf: Option<u64>,
+    ) {
         let dur = self.shared.clock.now() - t0;
         self.push(kind, dom, peer, path, fbuf, Some(dur), None);
         let mut inner = self.shared.inner.borrow_mut();
@@ -421,7 +439,10 @@ impl Tracer {
         }
     }
 
+    /// Records one event stamped now, in the ambient span. Out of line,
+    /// so the `#[inline]` recorders inline only their disabled check.
     #[allow(clippy::too_many_arguments)]
+    #[inline(never)]
     fn push(
         &self,
         kind: EventKind,

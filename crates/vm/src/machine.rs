@@ -4,6 +4,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use fbuf_sim::fxhash::FxHashMap;
 use fbuf_sim::{
     Arena, Clock, CostCategory, CostModel, EventKind, FaultPlan, FaultSite, MachineConfig,
     Metrics, Ns, Stats, Tracer,
@@ -96,9 +97,9 @@ pub struct Machine {
     /// slot.
     objects: Arena<VmObject>,
     /// Region start-vpn keyed object attachment: (domain, start vpn) → object.
-    region_objects: std::collections::HashMap<(u32, u64), ObjectId>,
+    region_objects: FxHashMap<(u32, u64), ObjectId>,
     /// Per-(domain, region start, page index) private post-COW frames.
-    cow_private: std::collections::HashMap<(u32, u64, u64), FrameId>,
+    cow_private: FxHashMap<(u32, u64, u64), FrameId>,
     null_template: Vec<u8>,
     /// Armed fault-injection plan, if any (`None` in production: the hook
     /// in [`Machine::alloc_frame`] is then a single branch, like `trace`).
@@ -131,8 +132,8 @@ impl Machine {
             tlb,
             domains: Vec::new(),
             objects: Arena::new(),
-            region_objects: std::collections::HashMap::new(),
-            cow_private: std::collections::HashMap::new(),
+            region_objects: FxHashMap::default(),
+            cow_private: FxHashMap::default(),
             null_template: Vec::new(),
             fault: None,
         };

@@ -174,8 +174,7 @@ impl PhysMem {
         self.clock
             .charge(CostCategory::DataMove, self.costs.page_copy);
         self.stats.inc_pages_copied();
-        let src_data = self.frame(src).data.to_vec();
-        self.frame_mut(dst).data.copy_from_slice(&src_data);
+        self.copy_bytes(src, 0, dst, 0, self.page_size);
         Ok(dst)
     }
 
@@ -195,8 +194,34 @@ impl PhysMem {
         self.clock
             .charge(CostCategory::DataMove, fbuf_sim::Ns(cost_ns));
         self.stats.inc_pages_copied();
-        let bytes = self.frame(src).data[src_off..src_off + len].to_vec();
-        self.frame_mut(dst).data[dst_off..dst_off + len].copy_from_slice(&bytes);
+        self.copy_bytes(src, src_off, dst, dst_off, len);
+    }
+
+    /// Copies `len` bytes frame to frame, with no staging buffer.
+    fn copy_bytes(
+        &mut self,
+        src: FrameId,
+        src_off: usize,
+        dst: FrameId,
+        dst_off: usize,
+        len: usize,
+    ) {
+        let (s, d) = (src.0 as usize, dst.0 as usize);
+        if s == d {
+            self.frame_mut(src)
+                .data
+                .copy_within(src_off..src_off + len, dst_off);
+            return;
+        }
+        let [from, to] = self
+            .frames
+            .get_disjoint_mut([s, d])
+            .expect("distinct frames in range");
+        let (from, to) = (
+            from.as_ref().expect("access to free frame"),
+            to.as_mut().expect("access to free frame"),
+        );
+        to.data[dst_off..dst_off + len].copy_from_slice(&from.data[src_off..src_off + len]);
     }
 
     /// Reads bytes from a frame. No cost is charged here; the access engine
@@ -406,6 +431,12 @@ mod tests {
         let mut buf = [0u8; 2048];
         m.read(b, 1024, &mut buf);
         assert_eq!(buf, [7u8; 2048]);
+        // Within one frame, overlapping ranges copy as if staged.
+        m.write(a, 0, b"abcdef");
+        m.copy_between(a, 0, a, 2, 4);
+        let mut six = [0u8; 6];
+        m.read(a, 0, &mut six);
+        assert_eq!(&six, b"ababcd");
     }
 
     #[test]
