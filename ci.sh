@@ -97,6 +97,21 @@ FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=4 FBUF_STRESS_THREADS=1,2 \
 )
 $REPRO check target/bench-reports/wide-shard
 
+# Telemetry-off stress smoke: FBUF_STRESS_METRICS=0 runs the fleet
+# without the sampler, the configuration the hop-cost gate is stated
+# in. The report records `repro.params.telemetry: false`, and the report
+# contract refuses a telemetry-off report that carries any telemetry
+# point, so the `repro check` below asserts there are none. It writes to
+# a directory of its own; a one-point sweep has no speedup to gate.
+(
+    unset FBUF_STRESS_MIN_SPEEDUP FBUF_STRESS_EFF_FLOOR
+    FBUF_STRESS_METRICS=0 FBUF_STRESS_OPS=20000 FBUF_STRESS_PATHS=4 FBUF_STRESS_THREADS=1 \
+        FBUF_BENCH_DIR=target/bench-reports/telemetry-off \
+        $REPRO stress
+)
+grep -q '"telemetry":false' target/bench-reports/telemetry-off/BENCH_stress.json
+$REPRO check target/bench-reports/telemetry-off
+
 # Queueing smoke: an offered-load sweep through the event-loop engine
 # must conserve transfers at every point (completed + aborted == offered),
 # show zero queueing delay in the drained burst-1 regime (enforced twice:

@@ -391,8 +391,9 @@ fn aggregate() -> Result<(), String> {
     let frags = ip::fragment(&msg, 1, 4096);
     let mut reasm = ip::Reassembler::new(0);
     let mut done = None;
+    let mut dropped = Vec::new();
     for (h, m) in frags.clone() {
-        if let Some(d) = reasm.add(h, m) {
+        if let Some(d) = reasm.add(h, m, &mut dropped) {
             done = Some(d);
         }
     }

@@ -36,6 +36,10 @@
 //! * `FBUF_STRESS_PAGES`   — pages per buffer (default 1);
 //! * `FBUF_STRESS_CROSS`   — send one cross-shard payload every N local
 //!   cycles (default 64; 0 disables cross-shard traffic);
+//! * `FBUF_STRESS_METRICS` — `0` turns telemetry off, so a run measures
+//!   the engine without the sampler (default on); the report records the
+//!   setting as `repro.params.telemetry` and then carries no telemetry
+//!   points;
 //! * `FBUF_STRESS_BASELINE_NS` — ns per fbuf operation of a reference
 //!   engine build; when set, the report carries the speedup against it;
 //! * `FBUF_STRESS_MIN_SPEEDUP` — `<threads>:<factor>` (e.g. `4:2.5`);
@@ -51,9 +55,9 @@
 //! * `FBUF_BENCH_DIR`      — report directory (default
 //!   `target/bench-reports`).
 //!
-//! The report must carry a scaling curve and the batched-plane gauges
-//! `ring_batch_occupancy` and `notice_coalesce_factor`
-//! (`fbuf_bench::report::check`).
+//! The report must carry a scaling curve and, with telemetry on, the
+//! batched-plane gauges `ring_batch_occupancy` and
+//! `notice_coalesce_factor` (`fbuf_bench::report::check`).
 
 use fbuf::shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, run_fleet, FleetConfig, ShardReport,
@@ -114,7 +118,15 @@ struct FleetRun {
 
 /// Runs the fleet at one thread count and asserts the per-shard
 /// steady-state invariants plus cross-shard payload conservation.
-fn run_at(threads: usize, machine: &MachineConfig, paths: usize, pages: u64, cycles: u64, cross_every: u64) -> Result<FleetRun, String> {
+fn run_at(
+    threads: usize,
+    machine: &MachineConfig,
+    paths: usize,
+    pages: u64,
+    cycles: u64,
+    cross_every: u64,
+    metrics: bool,
+) -> Result<FleetRun, String> {
     let cfg = FleetConfig {
         shards: threads,
         machine: machine.clone(),
@@ -124,11 +136,11 @@ fn run_at(threads: usize, machine: &MachineConfig, paths: usize, pages: u64, cyc
         cross_every,
         channel_capacity: 16,
         trace: false,
-        // Telemetry rides along: sampling is cadence-gated on simulated
-        // time and never touches the counters the steady-state
-        // invariant asserts (it does cost a little host time, uniformly
-        // across thread counts).
-        metrics: true,
+        // Telemetry rides along unless turned off: sampling is
+        // cadence-gated on simulated time and never touches the counters
+        // the steady-state invariant asserts (it does cost a little host
+        // time, uniformly across thread counts).
+        metrics,
         fault: None,
     };
     let reports = run_fleet(&cfg);
@@ -173,6 +185,8 @@ pub fn run() -> Result<(), String> {
     // Zero is a value here: it disables cross-shard traffic.
     let cross_every = env_parse::<u64>("FBUF_STRESS_CROSS").unwrap_or(64);
     let baseline = env_parse("FBUF_STRESS_BASELINE_NS").filter(|&n: &f64| n > 0.0);
+    // Zero is a value here too: it turns telemetry off.
+    let telemetry = env_parse::<u64>("FBUF_STRESS_METRICS").is_none_or(|n| n != 0);
 
     let mut cfg = MachineConfig::decstation_5000_200();
     // Enough physical memory and chunk space that every path's working
@@ -189,8 +203,8 @@ pub fn run() -> Result<(), String> {
     let len = pages * cfg.page_size;
 
     println!(
-        "== repro stress: {} cycles across {} path(s), {} page(s)/buffer, threads {:?}, cross-shard every {} ==",
-        cycles, npaths, pages, threads, cross_every
+        "== repro stress: {} cycles across {} path(s), {} page(s)/buffer, threads {:?}, cross-shard every {}, telemetry {} ==",
+        cycles, npaths, pages, threads, cross_every, if telemetry { "on" } else { "off" }
     );
 
     // The last repeat of each point keeps its reports; every repeat
@@ -199,7 +213,7 @@ pub fn run() -> Result<(), String> {
     let mut host_ns = vec![Vec::with_capacity(REPEATS); threads.len()];
     for repeat in 0..REPEATS {
         for (k, &n) in threads.iter().enumerate() {
-            let run = run_at(n, &cfg, npaths, pages, cycles, cross_every)
+            let run = run_at(n, &cfg, npaths, pages, cycles, cross_every, telemetry)
                 .map_err(|e| format!("at {n} thread(s): {e}"))?;
             host_ns[k].push(run.host_ns);
             if repeat + 1 == REPEATS {
@@ -270,6 +284,7 @@ pub fn run() -> Result<(), String> {
     runner.param("pages_per_buffer", pages);
     runner.param("bytes_per_buffer", len);
     runner.param("cross_every", cross_every);
+    runner.param("telemetry", telemetry);
     runner.param(
         "threads",
         Json::Arr(threads.iter().map(|&n| (n as u64).to_json()).collect()),

@@ -709,7 +709,9 @@ fn check_repro(name: &str, doc: &Json) -> Result<(), String> {
 /// each name a gauge and hold `[t, v]` points with non-decreasing
 /// timestamps. `shard_gauges` additionally requires the batched-plane
 /// gauges (per shard, namespace-prefixed `s<N>.<gauge>`) — only the
-/// stress report runs a shard fleet, so only it can carry them.
+/// stress report runs a shard fleet, so only it can carry them — unless
+/// the report says it ran with telemetry off (`repro.params.telemetry`
+/// false), in which case it must carry no points at all.
 fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), String> {
     let tel = doc
         .get("telemetry")
@@ -753,7 +755,23 @@ fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), Str
             prev = t;
         }
     }
-    if shard_gauges {
+    let off = doc
+        .get("repro")
+        .and_then(|r| r.get("params"))
+        .and_then(|p| p.get("telemetry"))
+        == Some(&Json::Bool(false));
+    if off {
+        let points: usize = series
+            .iter()
+            .filter_map(|s| s.get("points").and_then(Json::as_arr))
+            .map(<[Json]>::len)
+            .sum();
+        if points > 0 {
+            return Err(format!(
+                "{name}: telemetry off, yet the report carries {points} telemetry points"
+            ));
+        }
+    } else if shard_gauges {
         for gauge in [
             metrics::GAUGE_RING_BATCH_OCCUPANCY,
             metrics::GAUGE_NOTICE_COALESCE_FACTOR,
@@ -1244,6 +1262,9 @@ mod tests {
     fn bench_doc(stress: bool) -> Json {
         let mut r = BenchRunner::named(if stress { "stress" } else { "plain" }, 2);
         r.measure("x", Unit::SimUs, || 1.0);
+        if stress {
+            r.param("telemetry", true);
+        }
         let m = fbuf_sim::Metrics::new();
         m.set_enabled(true);
         for t in [10, 20_000] {
@@ -1334,6 +1355,16 @@ mod tests {
         ] {
             assert_eq!(check(file, &doc), Ok(()), "{file} is well-formed");
         }
+        // A stress run with telemetry off carries no series, shard
+        // gauges included.
+        let mut off = bench_doc(true);
+        edit(&mut off, "repro.params.telemetry", Some(false.to_json()));
+        edit(&mut off, "telemetry.series", Some(Json::Arr(vec![])));
+        assert_eq!(
+            check("BENCH_stress.json", &off),
+            Ok(()),
+            "telemetry off is well-formed"
+        );
 
         let s = |v: &str| Some(v.to_json());
         let n = |v: f64| Some(v.to_json());
@@ -1367,6 +1398,7 @@ mod tests {
             (plain, "telemetry.series.0.points", arr(vec![pt(20.0), pt(10.0)]), "timestamps go backwards"),
             (stress, "telemetry.series.2", None, "lacks a `notice_coalesce_factor` series"),
             (stress, "telemetry.series.1", None, "lacks a `ring_batch_occupancy` series"),
+            (stress, "repro.params.telemetry", Some(false.to_json()), "telemetry off, yet the report carries 6 telemetry points"),
             (stress, "host.scaling", arr(vec![]), "lacks a host.scaling curve"),
             (stress, "host.scaling.1.threads", None, "scaling[1] lacks a numeric `threads`"),
             (stress, "host.scaling.1.threads", n(1.0), "not strictly increasing at index 1"),

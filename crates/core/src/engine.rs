@@ -261,6 +261,9 @@ fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: 
 
 /// The per-event handler: all simulated cost charged by a hop lives here,
 /// which is what keeps the loop counter-exact with an inline descent.
+/// Marked for inlining into the loop's dispatch: as a separate call it
+/// moves the envelope through the stack on every drained hop.
+#[inline]
 fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<HopMsg>) {
     match env.msg {
         HopMsg::Call => {

@@ -34,10 +34,10 @@
 //!   materializing a global victim vector.
 
 use std::cell::Cell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use fbuf_ipc::Rpc;
+use fbuf_sim::fxhash::FxHashMap;
 use fbuf_sim::metrics::{Gauge, Timeline};
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
@@ -137,7 +137,16 @@ pub struct FbufSystem {
     park_tail: Option<FbufId>,
     /// Base virtual address → fbuf, for reverse lookups (integrated
     /// aggregate inspection needs to map DAG pointers back to buffers).
-    va_index: BTreeMap<u64, FbufId>,
+    /// A hash map keeps its table as buffers come and go, where an
+    /// ordered map would split and merge nodes on the heap.
+    va_index: FxHashMap<u64, FbufId>,
+    /// Records of retired fbufs, their lists emptied, for the next
+    /// [`FbufSystem::build`] to fill instead of allocating its own; at
+    /// most [`SPARE_RECORDS`].
+    spare_records: Vec<Fbuf>,
+    /// A frame list reused by every build and mapping install, so
+    /// neither allocates a temporary one.
+    frame_list: Vec<FrameId>,
     /// Whether page clears for freshly materialized fbuf frames are
     /// *charged* (they are always performed). Table 1 of the paper excludes
     /// clearing cost from the uncached rows, so benches set this to
@@ -192,6 +201,10 @@ pub struct FbufSystem {
 /// `free_chunks`); the other two are recorded every pass.
 const HELD_FIXED: u64 = 3;
 
+/// Retired fbuf records kept for reuse: enough for a 256 KB datagram's
+/// sixteen receive buffers and a window's worth more.
+const SPARE_RECORDS: usize = 64;
+
 /// Free-list reuse order (see [`FbufSystem::reuse_policy`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReusePolicy {
@@ -243,14 +256,17 @@ fn secure_fbuf(machine: &mut Machine, f: &Fbuf, h: &mut FbufHot) -> FbufResult<(
     Ok(())
 }
 
-/// Installs read-only mappings of every page of `f` in `dom`.
-fn map_for_read(machine: &mut Machine, f: &mut Fbuf, dom: DomainId) -> FbufResult<()> {
-    let frames: Vec<FrameId> = f
-        .frames
-        .iter()
-        .map(|s| s.expect("held fbuf is resident"))
-        .collect();
-    machine.map_range(dom, f.va, &frames, Prot::Read)?;
+/// Installs read-only mappings of every page of `f` in `dom`, listing
+/// the frames in the reused `frames`.
+fn map_for_read(
+    machine: &mut Machine,
+    f: &mut Fbuf,
+    dom: DomainId,
+    frames: &mut Vec<FrameId>,
+) -> FbufResult<()> {
+    frames.clear();
+    frames.extend(f.frames.iter().map(|s| s.expect("held fbuf is resident")));
+    machine.map_range(dom, f.va, frames, Prot::Read)?;
     f.mapped_in.push(dom);
     Ok(())
 }
@@ -290,7 +306,9 @@ impl FbufSystem {
             held: Vec::new(),
             park_head: None,
             park_tail: None,
-            va_index: BTreeMap::new(),
+            va_index: FxHashMap::default(),
+            spare_records: Vec::new(),
+            frame_list: Vec::new(),
             charge_clearing: true,
             reuse_policy: ReusePolicy::Lifo,
             fault: None,
@@ -669,9 +687,17 @@ impl FbufSystem {
     }
 
     /// The fbuf whose pages contain virtual address `va`, if any.
+    ///
+    /// An fbuf never spans more than a chunk, so its base lies at most a
+    /// chunk's pages below `va`: the nearest base found probing page by
+    /// page downwards is the only candidate.
     pub fn fbuf_at_va(&self, va: u64) -> Option<FbufId> {
         let page_size = self.machine.page_size();
-        let (_, &id) = self.va_index.range(..=va).next_back()?;
+        let chunk_pages = self.machine.config().chunk_size / page_size;
+        let top = va - va % page_size;
+        let &id = (0..chunk_pages)
+            .map_while(|i| top.checked_sub(i * page_size))
+            .find_map(|base| self.va_index.get(&base))?;
         let f = self.fbufs.get(id.0)?;
         (va < f.va + f.pages * page_size).then_some(id)
     }
@@ -824,7 +850,8 @@ impl FbufSystem {
             )
         };
         // On failure the buffer stays wholly non-resident.
-        let fresh = self.fresh_frames(missing.len())?;
+        let mut fresh = Vec::with_capacity(missing.len());
+        self.fresh_frames(missing.len(), &mut fresh)?;
         let mut i = 0usize;
         while i < missing.len() {
             let mut run = 1usize;
@@ -849,23 +876,23 @@ impl FbufSystem {
         Ok(())
     }
 
-    /// Takes `n` cleared frames for fbuf memory. Partial failure must not
-    /// strand the frames already taken, so on error they are released.
-    fn fresh_frames(&mut self, n: usize) -> FbufResult<Vec<FrameId>> {
-        let mut frames = Vec::with_capacity(n);
+    /// Appends `n` cleared frames for fbuf memory to `frames`. Partial
+    /// failure must not strand the frames already taken, so on error
+    /// they are released and `frames` is as it was.
+    fn fresh_frames(&mut self, n: usize, frames: &mut Vec<FrameId>) -> FbufResult<()> {
+        let start = frames.len();
         for _ in 0..n {
-            let frame = match self.frame_with_reclaim() {
-                Ok(f) => f,
+            match self.frame_with_reclaim() {
+                Ok(f) => frames.push(f),
                 Err(e) => {
-                    for f in frames {
+                    for f in frames.drain(start..) {
                         self.machine.release_frame(f);
                     }
                     return Err(e);
                 }
-            };
-            frames.push(frame);
+            }
         }
-        Ok(frames)
+        Ok(())
     }
 
     fn build(
@@ -922,30 +949,43 @@ impl FbufSystem {
                 }
             }
         };
-        let frames = match self.fresh_frames(pages as usize) {
-            Ok(frames) => frames,
-            Err(e) => {
-                // Hand the carved window back to the local allocator: a
-                // failed build leaks neither frames nor address space.
-                if let Some(alloc) = self.allocator(dom, path) {
-                    alloc.release(va, pages);
-                }
-                return Err(e);
+        let mut frames = std::mem::take(&mut self.frame_list);
+        frames.clear();
+        if let Err(e) = self.fresh_frames(pages as usize, &mut frames) {
+            self.frame_list = frames;
+            // Hand the carved window back to the local allocator: a
+            // failed build leaks neither frames nor address space.
+            if let Some(alloc) = self.allocator(dom, path) {
+                alloc.release(va, pages);
             }
-        };
+            return Err(e);
+        }
         // One batched mapping install for the whole buffer.
         self.machine.map_range(dom, va, &frames, Prot::ReadWrite)?;
+        let mut rec = self.spare_records.pop().unwrap_or_else(|| Fbuf {
+            id: FbufId(0),
+            va: 0,
+            pages: 0,
+            len: 0,
+            originator: dom,
+            frames: Vec::new(),
+            holders: Vec::new(),
+            held_pos: Vec::new(),
+            mapped_in: Vec::new(),
+        });
+        rec.frames.extend(frames.iter().map(|&f| Some(f)));
+        self.frame_list = frames;
         let held_pos = self.held[dom.0 as usize].len();
+        rec.holders.push(dom);
+        rec.held_pos.push(held_pos);
+        rec.mapped_in.push(dom);
         let handle = self.fbufs.insert(Fbuf {
             id: FbufId(0), // patched below once the handle is known
             va,
             pages,
             len,
             originator: dom,
-            frames: frames.into_iter().map(Some).collect(),
-            holders: vec![dom],
-            held_pos: vec![held_pos],
-            mapped_in: vec![dom],
+            ..rec
         });
         let id = FbufId(handle);
         self.fbufs.get_mut(handle).expect("just inserted").id = id;
@@ -1013,6 +1053,7 @@ impl FbufSystem {
             held,
             hot,
             tenants,
+            frame_list,
             ..
         } = self;
         let f = fbufs.get_mut(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
@@ -1031,7 +1072,7 @@ impl FbufSystem {
                 if path.is_none() {
                     machine.charge(CostCategory::Vm, machine.costs().vm_invoke);
                 }
-                map_for_read(machine, f, to)?;
+                map_for_read(machine, f, to, frame_list)?;
             }
         }
         add_holder(f, held, id, to);
@@ -1047,7 +1088,12 @@ impl FbufSystem {
     /// counterpart of the mapping normally done by [`FbufSystem::send`];
     /// charged as a fault per page plus the mapping updates).
     pub fn ensure_mapped(&mut self, id: FbufId, dom: DomainId) -> FbufResult<()> {
-        let FbufSystem { fbufs, machine, .. } = self;
+        let FbufSystem {
+            fbufs,
+            machine,
+            frame_list,
+            ..
+        } = self;
         let f = fbufs.get_mut(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
         check_holder(f, dom)?;
         if f.mapped_in.contains(&dom) {
@@ -1056,7 +1102,7 @@ impl FbufSystem {
         // Lazy mapping is driven by page faults: one trap per page, then a
         // single batched mapping install.
         machine.charge(CostCategory::Vm, machine.costs().fault_trap * f.pages);
-        map_for_read(machine, f, dom)
+        map_for_read(machine, f, dom, frame_list)
     }
 
     /// A receiver's request to make the buffer trustworthy: removes the
@@ -1209,13 +1255,26 @@ impl FbufSystem {
         }
         self.tenants
             .uncharge(f.originator, f.pages * self.machine.page_size());
+        let originator = f.originator;
+        self.spare_record(f);
         // If the originator terminated earlier, its chunks were parked
         // until all external references drained — check whether this was
         // the last one.
-        if self.terminated[f.originator.0 as usize] {
-            self.maybe_release_zombie_chunks(f.originator);
+        if self.terminated[originator.0 as usize] {
+            self.maybe_release_zombie_chunks(originator);
         }
         Ok(())
+    }
+
+    /// Keeps a retired record's lists, emptied, for a later build.
+    fn spare_record(&mut self, mut f: Fbuf) {
+        if self.spare_records.len() < SPARE_RECORDS {
+            f.frames.clear();
+            f.holders.clear();
+            f.held_pos.clear();
+            f.mapped_in.clear();
+            self.spare_records.push(f);
+        }
     }
 
     // ------------------------------------------------------------------
@@ -1473,16 +1532,27 @@ impl FbufSystem {
     /// charge (the driver accounts for wire and DMA time). A page with
     /// no frame behind it refuses the transfer as unmapped.
     pub fn dma_into_fbuf(&mut self, id: FbufId, bytes: &[u8]) -> FbufResult<()> {
-        self.io_va(id, 0, bytes.len() as u64)?;
+        self.dma_into_fbuf_at(id, 0, bytes)
+    }
+
+    /// [`FbufSystem::dma_into_fbuf`] at byte offset `off`, so a receive
+    /// can be filled piece by piece as the bytes arrive.
+    pub fn dma_into_fbuf_at(&mut self, id: FbufId, off: u64, bytes: &[u8]) -> FbufResult<()> {
+        self.io_va(id, off, bytes.len() as u64)?;
         let page = self.machine.page_size();
         let FbufSystem { fbufs, machine, .. } = self;
         let f = fbufs.get(id.0).ok_or(FbufError::NoSuchFbuf(id))?;
-        for (i, (slot, chunk)) in f.frames.iter().zip(bytes.chunks(page as usize)).enumerate() {
-            let frame = slot.ok_or(fbuf_vm::Fault::Unmapped {
+        let (mut pos, mut rest) = (off, bytes);
+        while !rest.is_empty() {
+            let (idx, in_page) = (pos / page, pos % page);
+            let n = ((page - in_page) as usize).min(rest.len());
+            let frame = f.frames[idx as usize].ok_or(fbuf_vm::Fault::Unmapped {
                 domain: fbuf_vm::KERNEL_DOMAIN,
-                va: f.va + i as u64 * page,
+                va: f.va + idx * page,
             })?;
-            machine.dma_write(frame, 0, chunk);
+            machine.dma_write(frame, in_page as usize, &rest[..n]);
+            pos += n as u64;
+            rest = &rest[n..];
         }
         Ok(())
     }

@@ -1,9 +1,11 @@
 //! A simulated host: fbuf system + protocol-stack domain placement.
 
-use fbuf::{AllocMode, FbufId, FbufResult, FbufSystem, PathId, SendMode};
+use std::ops::Deref;
+
+use fbuf::{AllocMode, FbufError, FbufId, FbufResult, FbufSystem, PathId, SendMode};
 use fbuf_sim::{CostCategory, MachineConfig};
-use fbuf_vm::{DomainId, KERNEL_DOMAIN};
-use fbuf_xkernel::{integrated, Msg, MsgRefs};
+use fbuf_vm::{DomainId, Fault, KERNEL_DOMAIN};
+use fbuf_xkernel::{integrated, Extent, Msg, MsgRefs};
 
 /// Where the protocol stack's layers live (paper §4, Figures 5/6 legends).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,6 +30,49 @@ impl DomainSetup {
             DomainSetup::User => 2,
             DomainSetup::UserNetserver => 3,
         }
+    }
+}
+
+/// A host's hop sequence through its protection domains: at most three,
+/// held inline, so naming the route of a message costs no allocation.
+/// Dereferences to the domain slice.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Route {
+    doms: [DomainId; 3],
+    len: usize,
+}
+
+impl Route {
+    fn new(doms: &[DomainId]) -> Route {
+        let mut route = Route {
+            doms: [KERNEL_DOMAIN; 3],
+            len: doms.len(),
+        };
+        route.doms[..doms.len()].copy_from_slice(doms);
+        route
+    }
+
+    /// The route walked backwards.
+    pub fn reversed(mut self) -> Route {
+        self.doms[..self.len].reverse();
+        self
+    }
+
+    /// The domains along the route, each once: a domain that repeats its
+    /// predecessor (the kernel-only `[kernel, kernel]`) is skipped.
+    pub fn distinct(&self) -> impl Iterator<Item = DomainId> + '_ {
+        self.iter()
+            .enumerate()
+            .filter(|&(i, d)| i == 0 || self[i - 1] != *d)
+            .map(|(_, &d)| d)
+    }
+}
+
+impl Deref for Route {
+    type Target = [DomainId];
+
+    fn deref(&self) -> &[DomainId] {
+        &self.doms[..self.len]
     }
 }
 
@@ -104,7 +149,7 @@ impl Host {
         if alloc == AllocStrategy::Cached {
             host.out_path = Some(
                 host.fbs
-                    .create_path(host.out_domains())
+                    .create_path(host.out_domains().to_vec())
                     .expect("fresh domains"),
             );
         }
@@ -112,7 +157,7 @@ impl Host {
         // from the PDU's VCI; whether it *uses* it is the driver's choice.
         host.in_path = Some(
             host.fbs
-                .create_path(host.in_domains())
+                .create_path(host.in_domains().to_vec())
                 .expect("fresh domains"),
         );
         host
@@ -126,23 +171,17 @@ impl Host {
     /// Outbound hop sequence: app, (netserver), kernel. Degenerates to
     /// `[kernel, kernel]` for the kernel-only setup so a data path can
     /// still be declared.
-    pub fn out_domains(&self) -> Vec<DomainId> {
-        match self.setup {
-            DomainSetup::KernelOnly => vec![KERNEL_DOMAIN, KERNEL_DOMAIN],
-            DomainSetup::User => vec![self.app, KERNEL_DOMAIN],
-            DomainSetup::UserNetserver => vec![
-                self.app,
-                self.netserver.expect("netserver setup"),
-                KERNEL_DOMAIN,
-            ],
+    pub fn out_domains(&self) -> Route {
+        match (self.setup, self.netserver) {
+            (DomainSetup::KernelOnly, _) => Route::new(&[KERNEL_DOMAIN, KERNEL_DOMAIN]),
+            (DomainSetup::UserNetserver, Some(ns)) => Route::new(&[self.app, ns, KERNEL_DOMAIN]),
+            _ => Route::new(&[self.app, KERNEL_DOMAIN]),
         }
     }
 
     /// Inbound hop sequence: kernel, (netserver), app.
-    pub fn in_domains(&self) -> Vec<DomainId> {
-        let mut v = self.out_domains();
-        v.reverse();
-        v
+    pub fn in_domains(&self) -> Route {
+        self.out_domains().reversed()
     }
 
     /// The inbound (driver-side) data path.
@@ -163,14 +202,18 @@ impl Host {
             (AllocStrategy::Cached, Some(p)) => AllocMode::Cached(p),
             _ => AllocMode::Uncached,
         };
-        let mut msg = Msg::empty();
+        let mut msg = Msg::with_capacity(size.div_ceil(max) as usize);
         let mut remaining = size;
         let mut written = 0u64;
         while remaining > 0 {
             let this = remaining.min(max);
             let id = self.fbs.alloc(self.app, mode, this)?;
             self.fill_fbuf(id, this, written, fill)?;
-            msg = msg.concat(&Msg::from_fbuf(id, 0, this));
+            msg.push(Extent {
+                fbuf: id,
+                off: 0,
+                len: this,
+            });
             remaining -= this;
             written += this;
         }
@@ -269,22 +312,37 @@ impl Host {
         r
     }
 
-    /// Appends a message's payload to `out` by DMA (transmit side; no
-    /// CPU charge), copying each frame's slice straight into the buffer.
-    pub fn dma_out_of_msg(&self, msg: &Msg, out: &mut Vec<u8>) -> FbufResult<()> {
-        let machine = self.fbs.machine();
-        let page = machine.page_size();
+    /// Receives `msg`, a message on the `src` host, into this host's
+    /// fbuf `id` by DMA: each payload byte moves once, straight from the
+    /// transmitting host's frames into the receive buffer's frames, with
+    /// no staging buffer and no CPU charge (the driver accounts for wire
+    /// and DMA time). A transmit page with no frame behind it is refused
+    /// as [`Fault::Unmapped`].
+    pub fn dma_from(&mut self, id: FbufId, src: &Host, msg: &Msg) -> FbufResult<()> {
+        let tx = src.fbs.machine();
+        let page = tx.page_size();
+        let mut at = 0u64;
         for e in msg.extents() {
-            let f = self.fbs.fbuf(e.fbuf)?;
-            let mut pos = 0;
-            while pos < e.len {
-                let addr = f.va + e.off + pos;
-                let page_idx = ((addr - f.va) / page) as usize;
-                let page_off = (addr % page) as usize;
-                let n = (page - addr % page).min(e.len - pos);
-                let frame = f.frames[page_idx].expect("tx fbuf resident");
-                machine.dma_read_append(frame, page_off, n as usize, out);
+            let f = src.fbs.fbuf(e.fbuf)?;
+            let end = e.off.saturating_add(e.len);
+            if end > f.len {
+                return Err(FbufError::TooLarge {
+                    requested: end,
+                    max: f.len,
+                });
+            }
+            let mut pos = e.off;
+            while pos < end {
+                let (idx, off) = ((pos / page) as usize, pos % page);
+                let n = (page - off).min(end - pos);
+                let frame = f.frames[idx].ok_or(Fault::Unmapped {
+                    domain: KERNEL_DOMAIN,
+                    va: f.va + pos,
+                })?;
+                let bytes = tx.dma_slice(frame, off as usize, n as usize);
+                self.fbs.dma_into_fbuf_at(id, at, bytes)?;
                 pos += n;
+                at += n;
             }
         }
         Ok(())
@@ -312,12 +370,21 @@ mod tests {
 
         let h = tiny_host(DomainSetup::User);
         assert_ne!(h.app, KERNEL_DOMAIN);
-        assert_eq!(h.out_domains(), vec![h.app, KERNEL_DOMAIN]);
+        assert_eq!(*h.out_domains(), [h.app, KERNEL_DOMAIN]);
 
         let h = tiny_host(DomainSetup::UserNetserver);
         let ns = h.netserver.unwrap();
-        assert_eq!(h.out_domains(), vec![h.app, ns, KERNEL_DOMAIN]);
-        assert_eq!(h.in_domains(), vec![KERNEL_DOMAIN, ns, h.app]);
+        assert_eq!(*h.out_domains(), [h.app, ns, KERNEL_DOMAIN]);
+        assert_eq!(*h.in_domains(), [KERNEL_DOMAIN, ns, h.app]);
+        let k = tiny_host(DomainSetup::KernelOnly);
+        assert_eq!(
+            k.out_domains().distinct().collect::<Vec<_>>(),
+            [KERNEL_DOMAIN]
+        );
+        assert_eq!(
+            h.in_domains().distinct().collect::<Vec<_>>(),
+            [KERNEL_DOMAIN, ns, h.app]
+        );
     }
 
     #[test]
@@ -326,7 +393,7 @@ mod tests {
         // tiny chunk = 16 KB; a 40 KB message needs 3 fbufs.
         let msg = h.build_message(40 << 10, &Fill::Touch).unwrap();
         assert_eq!(msg.len(), 40 << 10);
-        assert_eq!(msg.distinct_fbufs().len(), 3);
+        assert_eq!(msg.distinct_fbufs().count(), 3);
         h.release(h.app, &msg).unwrap();
     }
 
@@ -336,11 +403,49 @@ mod tests {
         let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
         let msg = h.build_message(20_000, &Fill::Bytes(data.clone())).unwrap();
         assert_eq!(h.gather(h.app, &msg).unwrap(), data);
-        // What the wire would carry matches exactly.
-        let mut wire = Vec::new();
-        h.dma_out_of_msg(&msg, &mut wire).unwrap();
-        assert_eq!(wire, data);
+        // What the receiving host's buffer gets matches exactly, from an
+        // extent that starts mid-page and spans both of the message's
+        // fbufs (the tiny chunk is 16 KB).
+        let mut rx = tiny_host(DomainSetup::User);
+        let (_, body) = msg.split(12_000);
+        assert_eq!(body.fragments(), 2);
+        let id = rx.alloc_rx(8_000, true).unwrap();
+        rx.dma_from(id, &h, &body).unwrap();
+        let got = Msg::from_fbuf(id, 0, 8_000);
+        let k = rx.kernel();
+        rx.refs.adopt(k, &got);
+        assert_eq!(rx.gather(k, &got).unwrap(), data[12_000..]);
+        rx.release(k, &got).unwrap();
+        // A receive buffer too short for the message is refused, and so
+        // is a descriptor reaching past the end of its transmit buffer.
+        let short = rx.alloc_rx(4096, false).unwrap();
+        assert!(matches!(
+            rx.dma_from(short, &h, &body),
+            Err(FbufError::TooLarge { .. })
+        ));
+        let first = msg.extents()[0];
+        let past = Msg::from_fbuf(first.fbuf, first.len - 100, 1000);
+        assert!(matches!(
+            rx.dma_from(short, &h, &past),
+            Err(FbufError::TooLarge { .. })
+        ));
         h.release(h.app, &msg).unwrap();
+    }
+
+    #[test]
+    fn dma_from_a_page_without_a_frame_is_refused_as_unmapped() {
+        let mut h = tiny_host(DomainSetup::User);
+        let msg = h.build_message(8192, &Fill::Touch).unwrap();
+        // The cached buffer parks on release, and the pageout daemon takes
+        // its frames; a descriptor still naming it reads no frame.
+        h.release(h.app, &msg).unwrap();
+        assert_eq!(h.fbs.reclaim_frames(usize::MAX), 2);
+        let mut rx = tiny_host(DomainSetup::User);
+        let id = rx.alloc_rx(8192, false).unwrap();
+        assert!(matches!(
+            rx.dma_from(id, &h, &msg),
+            Err(FbufError::Vm(Fault::Unmapped { .. }))
+        ));
     }
 
     #[test]
@@ -401,7 +506,7 @@ mod tests {
         let (app, kernel) = (h.app, h.kernel());
         h.cross(&msg, app, kernel, true).unwrap();
         // The app (a user-domain originator) has lost write access.
-        let id = msg.distinct_fbufs()[0];
+        let id = msg.distinct_fbufs().next().unwrap();
         assert!(h.fbs.write_fbuf(app, id, 0, &[2]).is_err());
         h.release(kernel, &msg).unwrap();
         h.release(app, &msg).unwrap();

@@ -13,7 +13,7 @@
 use fbuf::{AllocMode, FbufResult, FbufSystem, PathId, SendMode};
 use fbuf_sim::{CostCategory, EventKind, MachineConfig, Ns};
 use fbuf_vm::{DomainId, KERNEL_DOMAIN};
-use fbuf_xkernel::{integrated, Msg, MsgRefs};
+use fbuf_xkernel::{integrated, Extent, Msg, MsgRefs};
 
 use crate::ip::{fragment, Reassembler};
 
@@ -76,6 +76,7 @@ pub struct LoopbackStack {
     receiver: DomainId,
     path: Option<PathId>,
     datagram: u64,
+    reasm: Reassembler,
 }
 
 impl LoopbackStack {
@@ -105,6 +106,7 @@ impl LoopbackStack {
             receiver,
             path,
             datagram: 0,
+            reasm: Reassembler::new(0),
         }
     }
 
@@ -153,21 +155,25 @@ impl LoopbackStack {
         if size > self.cfg.pdu {
             self.charge(costs.proto_frag_setup);
         }
-        let frags = fragment(&msg, self.datagram, self.cfg.pdu);
         let tracer = self.fbs.machine().tracer();
         let path = self.path.map(|p| p.0);
-        let mut reasm = Reassembler::new(0);
         let mut reassembled = None;
-        for (hdr, body) in frags {
+        let mut dropped = Vec::new();
+        for (hdr, body) in fragment(&msg, self.datagram, self.cfg.pdu) {
             self.charge(costs.proto_ip_pdu); // IP send processing
             tracer.instant(EventKind::PduTx, self.netserver.0, path, None);
             self.charge(costs.proto_loopback_pdu); // loopback turnaround
             tracer.instant(EventKind::PduRx, self.netserver.0, path, None);
             self.charge(costs.proto_ip_pdu); // IP receive processing
-            if let Some(done) = reasm.add(hdr, body) {
+            if let Some(done) = self.reasm.add(hdr, body, &mut dropped) {
                 reassembled = Some(done);
             }
         }
+        // Every fragment is distinct, and one datagram is in flight at a
+        // time, so the reassembler drops nothing; fragments hold no
+        // references of their own, so there is nothing to release if it
+        // did.
+        debug_assert!(dropped.is_empty());
         let up = reassembled.expect("loopback reassembly always completes");
 
         // UDP up.
@@ -191,6 +197,7 @@ impl LoopbackStack {
         self.refs.release(&mut self.fbs, self.receiver, &up)?;
         self.refs.release(&mut self.fbs, self.netserver, &up)?;
         self.refs.release(&mut self.fbs, self.originator, &msg)?;
+        self.reasm.recycle(up);
         Ok(self.fbs.machine().clock().now() - t0)
     }
 
@@ -214,7 +221,7 @@ impl LoopbackStack {
             None => AllocMode::Uncached,
         };
         let page = self.fbs.machine().page_size();
-        let mut msg = Msg::empty();
+        let mut msg = Msg::with_capacity(size.div_ceil(granule) as usize);
         let mut pos = 0u64;
         while pos < size {
             let this = granule.min(size - pos);
@@ -237,7 +244,11 @@ impl LoopbackStack {
                     }
                 }
             }
-            msg = msg.concat(&Msg::from_fbuf(id, 0, this));
+            msg.push(Extent {
+                fbuf: id,
+                off: 0,
+                len: this,
+            });
             pos += this;
         }
         self.refs.adopt(self.originator, &msg);

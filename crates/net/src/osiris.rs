@@ -156,9 +156,6 @@ pub struct EndToEnd {
     vci_table: VciTable,
     ports: PortTable<()>,
     acks: VecDeque<Ns>,
-    /// The one PDU payload buffer, reused for every PDU: the transmit DMA
-    /// fills it and the receive DMA drains it.
-    wire: Vec<u8>,
     /// Gathered payloads in verify mode.
     pub received: Vec<Vec<u8>>,
 }
@@ -187,6 +184,8 @@ impl EndToEnd {
         rx.fbs.set_span_salt(2);
         let mut ports = PortTable::new();
         ports.bind(Self::SINK_PORT, ());
+        // At most a window of acks is ever outstanding.
+        let acks = VecDeque::with_capacity(cfg.window);
         EndToEnd {
             tx,
             rx,
@@ -196,8 +195,7 @@ impl EndToEnd {
             reasm: Reassembler::new(64),
             vci_table: VciTable::new(16),
             ports,
-            acks: VecDeque::new(),
-            wire: Vec::new(),
+            acks,
             received: Vec::new(),
         }
     }
@@ -277,8 +275,7 @@ impl EndToEnd {
                 .machine_mut()
                 .charge(CostCategory::Protocol, costs.proto_frag_setup);
         }
-        let frags = fragment(&msg, datagram, self.cfg.pdu);
-        for (i, (hdr, body)) in frags.into_iter().enumerate() {
+        for (i, (hdr, body)) in fragment(&msg, datagram, self.cfg.pdu).enumerate() {
             self.tx
                 .fbs
                 .machine_mut()
@@ -287,9 +284,6 @@ impl EndToEnd {
                 .fbs
                 .machine_mut()
                 .charge(CostCategory::Driver, costs.driver_pdu);
-            let mut payload = std::mem::take(&mut self.wire);
-            payload.clear();
-            self.tx.dma_out_of_msg(&body, &mut payload)?;
             let pdu = WirePdu {
                 vci,
                 ip: hdr,
@@ -298,7 +292,7 @@ impl EndToEnd {
                     dst_port: Self::SINK_PORT,
                     len: size,
                 }),
-                payload,
+                payload: body,
             };
             // Serialize onto the wire.
             self.tx.fbs.machine().tracer().instant(
@@ -310,15 +304,11 @@ impl EndToEnd {
             let ready = self.tx.fbs.machine().clock().now();
             let arrive = ready.max(self.wire_free) + self.wire_time(pdu.wire_bytes());
             self.wire_free = arrive;
-            let received = self.receive_pdu(&pdu, arrive, verify, span);
-            self.wire = pdu.payload;
-            received?;
+            self.receive_pdu(&pdu, arrive, verify, span)?;
         }
 
         // The test protocol is done with the message on the TX side.
-        let mut doms = out;
-        doms.dedup();
-        for dom in doms {
+        for dom in out.distinct() {
             self.tx.release(dom, &msg)?;
         }
         Ok(())
@@ -360,9 +350,10 @@ impl EndToEnd {
             stats.inc_driver_uncached_rx();
         }
         stats.inc_pdus_sent();
-        let id = self.rx.alloc_rx(pdu.payload.len() as u64, cached)?;
-        self.rx.fbs.dma_into_fbuf(id, &pdu.payload)?;
-        let m = Msg::from_fbuf(id, 0, pdu.payload.len() as u64);
+        let len = pdu.payload.len();
+        let id = self.rx.alloc_rx(len, cached)?;
+        self.rx.dma_from(id, &self.tx, &pdu.payload)?;
+        let m = Msg::from_fbuf(id, 0, len);
         let kernel = self.rx.kernel();
         self.rx
             .fbs
@@ -371,12 +362,18 @@ impl EndToEnd {
             .instant(EventKind::PduRx, kernel.0, None, Some(id.0));
         self.rx.refs.adopt(kernel, &m);
 
-        // IP up.
+        // IP up. Fragments the reassembler lets go of (a duplicate, or an
+        // evicted partial datagram) drop the kernel's references here.
         self.rx
             .fbs
             .machine_mut()
             .charge(CostCategory::Protocol, costs.proto_ip_pdu);
-        let Some(full) = self.reasm.add(pdu.ip, m) else {
+        let mut dropped = Vec::new();
+        let full = self.reasm.add(pdu.ip, m, &mut dropped);
+        for frag in &dropped {
+            self.rx.release(kernel, frag)?;
+        }
+        let Some(full) = full else {
             return Ok(());
         };
 
@@ -388,16 +385,16 @@ impl EndToEnd {
         if self.ports.demux(Self::SINK_PORT).is_none() {
             // Nobody listening: drop (releases the kernel's references).
             self.rx.release(kernel, &full)?;
+            self.reasm.recycle(full);
             return Ok(());
         }
 
         // Up through the domains; only the app touches the body.
         let in_doms = self.rx.in_domains();
-        for pair in in_doms.windows(2) {
-            let body = pair[1] == *in_doms.last().expect("non-empty");
-            self.rx.cross(&full, pair[0], pair[1], body)?;
-        }
         let app = self.rx.app;
+        for pair in in_doms.windows(2) {
+            self.rx.cross(&full, pair[0], pair[1], pair[1] == app)?;
+        }
         if verify {
             let data = self.rx.gather(app, &full)?;
             self.received.push(data);
@@ -410,16 +407,14 @@ impl EndToEnd {
         } else {
             self.rx.consume(app, &full)?;
         }
-        // Intermediate domains drop their references.
-        let mut doms = in_doms;
-        doms.dedup();
-        for dom in doms {
+        // Intermediate domains drop their references (the app released
+        // its own above; in the kernel-only setup the app is the kernel).
+        for dom in in_doms.distinct() {
             if dom != app {
                 self.rx.release(dom, &full)?;
-            } else if self.cfg.setup == DomainSetup::KernelOnly {
-                // app == kernel already released by consume.
             }
         }
+        self.reasm.recycle(full);
         self.acks.push_back(self.rx.fbs.machine().clock().now());
         Ok(())
     }
@@ -555,6 +550,53 @@ mod tests {
         e.send_message(4096, 19, false).unwrap();
         let s2 = e.rx.fbs.stats().snapshot();
         assert_eq!(s2.driver_cached_rx, s.driver_cached_rx + 1);
+    }
+
+    /// The PDUs of a `size`-byte datagram built on `e`'s sender.
+    fn pdus(e: &mut EndToEnd, size: u64, datagram: u64) -> (Msg, Vec<WirePdu>) {
+        let msg = e.tx.build_message(size, &Fill::Touch).unwrap();
+        let pdus = fragment(&msg, datagram, e.cfg.pdu)
+            .map(|(ip, payload)| WirePdu {
+                vci: 1,
+                ip,
+                udp: None,
+                payload,
+            })
+            .collect();
+        (msg, pdus)
+    }
+
+    #[test]
+    fn dropped_fragments_release_their_receive_buffers() {
+        // Uncached receive buffers retire on their last release, so any
+        // reference the kernel keeps shows in both counts.
+        let mut e = EndToEnd::new(machine(), EndToEndConfig::fig6(DomainSetup::User));
+        e.send_message(32 << 10, 1, false).unwrap();
+        let baseline = |e: &EndToEnd| (e.rx.refs.outstanding(), e.rx.fbs.live_fbufs());
+        let base = baseline(&e);
+        let arrive = |e: &EndToEnd| e.rx.fbs.machine().clock().now();
+
+        // A duplicate fragment.
+        let (msg, p) = pdus(&mut e, 32 << 10, 100);
+        for pdu in [&p[0], &p[0], &p[1]] {
+            e.receive_pdu(pdu, arrive(&e), false, 0).unwrap();
+        }
+        assert_eq!(e.reasm.pending(), 0);
+        assert_eq!(baseline(&e), base, "after a duplicate");
+        e.tx.release(e.tx.app, &msg).unwrap();
+
+        // A partial datagram evicted by the capacity bound.
+        e.reasm.capacity = 1;
+        let (old, a) = pdus(&mut e, 32 << 10, 101);
+        let (new, b) = pdus(&mut e, 32 << 10, 102);
+        for pdu in [&a[0], &b[0], &b[1]] {
+            e.receive_pdu(pdu, arrive(&e), false, 0).unwrap();
+        }
+        assert_eq!(e.reasm.dropped(), 1);
+        assert_eq!(e.reasm.pending(), 0);
+        assert_eq!(baseline(&e), base, "after an eviction");
+        e.tx.release(e.tx.app, &old).unwrap();
+        e.tx.release(e.tx.app, &new).unwrap();
     }
 
     #[test]

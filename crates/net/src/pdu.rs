@@ -1,10 +1,13 @@
 //! Wire-format protocol data units.
 //!
-//! A [`WirePdu`] is what travels between the two simulated hosts (or
-//! around the loopback): an ATM-level VCI for demultiplexing, the IP
-//! fragment header, the UDP header on the first fragment, and the payload
-//! bytes. On the wire the payload is plain bytes — it left the sender's
-//! frames by DMA and will enter the receiver's fbuf frames by DMA.
+//! A [`WirePdu`] is what travels between the two simulated hosts: an
+//! ATM-level VCI for demultiplexing, the IP fragment header, the UDP
+//! header on the first fragment, and the payload. The payload is the
+//! sender's fragment descriptor: the null modem's DMA reads its bytes
+//! straight out of the sender's frames into the receiver's fbuf frames,
+//! so each byte is copied once.
+
+use fbuf_xkernel::Msg;
 
 use crate::ip::IpHeader;
 use crate::udp::UdpHeader;
@@ -22,21 +25,23 @@ pub struct WirePdu {
     /// UDP header (first fragment of each datagram only, as in real IP
     /// fragmentation).
     pub udp: Option<UdpHeader>,
-    /// Payload bytes.
-    pub payload: Vec<u8>,
+    /// The payload: the fragment of the sender's message whose bytes the
+    /// receive DMA copies.
+    pub payload: Msg,
 }
 
 impl WirePdu {
     /// Bytes this PDU occupies on the wire (payload + header overhead).
     pub fn wire_bytes(&self) -> u64 {
         // 20-byte IP header per fragment + 8-byte UDP header on the first.
-        self.payload.len() as u64 + 20 + if self.udp.is_some() { 8 } else { 0 }
+        self.payload.len() + 20 + if self.udp.is_some() { 8 } else { 0 }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbuf::FbufId;
 
     #[test]
     fn wire_bytes_counts_headers() {
@@ -54,7 +59,7 @@ mod tests {
                 dst_port: 2,
                 len: 100,
             }),
-            payload: vec![0; 100],
+            payload: Msg::from_fbuf(FbufId(1), 0, 100),
         };
         assert_eq!(with_udp.wire_bytes(), 128);
         let without = WirePdu {

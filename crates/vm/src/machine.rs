@@ -106,6 +106,15 @@ pub struct Machine {
     fault: Option<Rc<FaultPlan>>,
 }
 
+/// The live domain `dom` in `domains`, borrowed apart from the rest of
+/// the machine.
+fn live_domain(domains: &mut [Domain], dom: DomainId) -> VmResult<&mut Domain> {
+    domains
+        .get_mut(dom.0 as usize)
+        .filter(|d| d.alive)
+        .ok_or(Fault::BadDomain(dom))
+}
+
 impl Machine {
     /// Builds a machine from `cfg` with the kernel (domain 0) created.
     pub fn new(cfg: MachineConfig) -> Machine {
@@ -264,10 +273,7 @@ impl Machine {
     }
 
     fn domain_mut(&mut self, dom: DomainId) -> VmResult<&mut Domain> {
-        self.domains
-            .get_mut(dom.0 as usize)
-            .filter(|d| d.alive)
-            .ok_or(Fault::BadDomain(dom))
+        live_domain(&mut self.domains, dom)
     }
 
     // ------------------------------------------------------------------
@@ -640,16 +646,20 @@ impl Machine {
             return Ok(0);
         }
         let start = self.vpn_of(va);
-        let mut dropped: Vec<FrameId> = Vec::new();
+        let mut n = 0u64;
         {
-            let d = self.domain_mut(dom)?;
+            let Machine { domains, phys, .. } = self;
+            let d = live_domain(domains, dom)?;
             for i in 0..pages {
                 if let Some(old) = d.space.pmap.remove(Vpn(start.0 + i)) {
-                    dropped.push(old.frame);
+                    // Dropping the frame reference before the charges and
+                    // the TLB sweep below changes no total: charges add,
+                    // and nothing reads the frame in between.
+                    phys.drop_ref(old.frame);
+                    n += 1;
                 }
             }
         }
-        let n = dropped.len() as u64;
         if n == 0 {
             return Ok(0);
         }
@@ -661,9 +671,6 @@ impl Machine {
         // resident or not, exactly as the per-page loop does.
         self.tlb.invalidate_range(dom, start, pages);
         self.charge_tlb_flushes(n);
-        for f in dropped {
-            self.phys.drop_ref(f);
-        }
         self.tracer.range_op(EventKind::UnmapRange, dom.0, n);
         Ok(n)
     }
@@ -686,21 +693,25 @@ impl Machine {
             return Ok(());
         }
         let start = self.vpn_of(va);
+        let mut downs = 0u64;
         {
             let d = self.domain(dom)?;
             for i in 0..pages {
-                if d.space.pmap.lookup(Vpn(start.0 + i)).is_none() {
-                    return Err(Fault::Unmapped {
-                        domain: dom,
-                        va: va + i * self.cfg.page_size,
-                    });
+                match d.space.pmap.lookup(Vpn(start.0 + i)) {
+                    None => {
+                        return Err(Fault::Unmapped {
+                            domain: dom,
+                            va: va + i * self.cfg.page_size,
+                        })
+                    }
+                    Some(e) if prot < e.prot => downs += 1,
+                    Some(_) => {}
                 }
             }
         }
-        let mut downgrades: Vec<Vpn> = Vec::new();
-        let mut upgrades = 0u64;
         {
-            let d = self.domain_mut(dom)?;
+            let Machine { domains, tlb, .. } = self;
+            let d = live_domain(domains, dom)?;
             for i in 0..pages {
                 let vpn = Vpn(start.0 + i);
                 let old = d
@@ -708,28 +719,24 @@ impl Machine {
                     .pmap
                     .protect(vpn, prot)
                     .expect("validated resident above");
-                if prot < old {
-                    downgrades.push(vpn);
-                } else {
-                    upgrades += 1;
+                // A partial downgrade flushes page by page; a whole one
+                // sweeps the TLB once below.
+                if prot < old && downs < pages {
+                    tlb.invalidate(dom, vpn);
                 }
             }
         }
         self.stats.add_pte_updates(pages);
+        let upgrades = pages - downs;
         if upgrades > 0 {
             self.clock
                 .charge(CostCategory::Vm, self.cfg.costs.pte_unprotect * upgrades);
         }
-        let downs = downgrades.len() as u64;
         if downs > 0 {
             self.clock
                 .charge(CostCategory::Vm, self.cfg.costs.pte_protect * downs);
             if downs == pages {
                 self.tlb.invalidate_range(dom, start, pages);
-            } else {
-                for vpn in downgrades {
-                    self.tlb.invalidate(dom, vpn);
-                }
             }
             self.charge_tlb_flushes(downs);
         }
@@ -839,11 +846,11 @@ impl Machine {
         self.phys.write(frame, offset, bytes);
     }
 
-    /// Direct frame read (device DMA path): appends `len` bytes at
-    /// `offset` to `out`, so a transmit gathers a PDU with no staging
-    /// buffer.
-    pub fn dma_read_append(&self, frame: FrameId, offset: usize, len: usize, out: &mut Vec<u8>) {
-        self.phys.read_append(frame, offset, len, out);
+    /// Direct frame read (device DMA path): the `len` bytes of `frame`
+    /// at `offset`, borrowed in place, so a transfer to another machine's
+    /// frames copies each byte once. No cost is charged.
+    pub fn dma_slice(&self, frame: FrameId, offset: usize, len: usize) -> &[u8] {
+        self.phys.slice(frame, offset, len)
     }
 
     /// Pages of freed frame storage pooled for reuse (diagnostics).
@@ -1532,6 +1539,39 @@ mod tests {
         assert_eq!(m.unmap_range(d, 0x20000, 8).unwrap(), 0);
         assert_eq!(m.clock().now(), t1);
         m.release_frame(f);
+    }
+
+    #[test]
+    fn protect_range_flushes_exactly_the_downgraded_pages() {
+        let mut m = machine_costed();
+        let d = m.create_domain();
+        let page = m.page_size();
+        m.map_explicit_region(d, 0x20000, 4, Prot::ReadWrite)
+            .unwrap();
+        // Pages 0 and 1 writable, 2 and 3 read-only; all four cached in
+        // the TLB by a read.
+        let frames: Vec<FrameId> = (0..4).map(|_| m.alloc_frame().unwrap()).collect();
+        m.map_range(d, 0x20000, &frames[..2], Prot::ReadWrite)
+            .unwrap();
+        m.map_range(d, 0x20000 + 2 * page, &frames[2..], Prot::Read)
+            .unwrap();
+        for i in 0..4 {
+            m.read(d, 0x20000 + i * page, 1).unwrap();
+        }
+        m.protect_range(d, 0x20000, 4, Prot::Read).unwrap();
+        // Only the two downgraded pages lost their TLB entries.
+        let (_, misses) = m.tlb_hit_miss();
+        for i in 0..4 {
+            m.read(d, 0x20000 + i * page, 1).unwrap();
+        }
+        assert_eq!(m.tlb_hit_miss().1, misses + 2);
+        assert!(
+            m.write(d, 0x20000, &[1]).is_err(),
+            "no stale writable entry"
+        );
+        for f in frames {
+            m.release_frame(f);
+        }
     }
 
     #[test]

@@ -230,10 +230,10 @@ impl PhysMem {
         out.copy_from_slice(&self.frame(id).data[offset..offset + out.len()]);
     }
 
-    /// Appends `len` bytes of a frame starting at `offset` to `out`, with
-    /// no intermediate buffer. No cost is charged (see [`PhysMem::read`]).
-    pub fn read_append(&self, id: FrameId, offset: usize, len: usize, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.frame(id).data[offset..offset + len]);
+    /// The `len` bytes of a frame starting at `offset`, borrowed in
+    /// place. No cost is charged (see [`PhysMem::read`]).
+    pub fn slice(&self, id: FrameId, offset: usize, len: usize) -> &[u8] {
+        &self.frame(id).data[offset..offset + len]
     }
 
     /// Writes bytes into a frame. No cost is charged here (see

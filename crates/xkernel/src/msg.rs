@@ -19,10 +19,101 @@ pub struct Extent {
     pub len: u64,
 }
 
+/// Extents a message holds in place; a longer one spills to the heap.
+///
+/// Four covers every fragment and every message of up to four chunks
+/// (256 KB at the calibrated 64 KB chunk) without a heap allocation.
+pub const INLINE_EXTENTS: usize = 4;
+
+const NO_EXTENT: Extent = Extent {
+    fbuf: FbufId(0),
+    off: 0,
+    len: 0,
+};
+
+/// A message's extent list: the first [`INLINE_EXTENTS`] in place, more
+/// in a heap `Vec`.
+enum Extents {
+    Inline {
+        len: u8,
+        buf: [Extent; INLINE_EXTENTS],
+    },
+    Heap(Vec<Extent>),
+}
+
+impl Extents {
+    fn with_capacity(n: usize) -> Extents {
+        if n <= INLINE_EXTENTS {
+            Extents::Inline {
+                len: 0,
+                buf: [NO_EXTENT; INLINE_EXTENTS],
+            }
+        } else {
+            Extents::Heap(Vec::with_capacity(n))
+        }
+    }
+
+    fn as_slice(&self) -> &[Extent] {
+        match self {
+            Extents::Inline { len, buf } => &buf[..*len as usize],
+            Extents::Heap(v) => v,
+        }
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [Extent] {
+        match self {
+            Extents::Inline { len, buf } => &mut buf[..*len as usize],
+            Extents::Heap(v) => v,
+        }
+    }
+
+    fn push(&mut self, e: Extent) {
+        match self {
+            Extents::Inline { len, buf } if (*len as usize) < INLINE_EXTENTS => {
+                buf[*len as usize] = e;
+                *len += 1;
+            }
+            Extents::Inline { buf, .. } => {
+                let mut v = Vec::with_capacity(2 * INLINE_EXTENTS);
+                v.extend_from_slice(buf);
+                v.push(e);
+                *self = Extents::Heap(v);
+            }
+            Extents::Heap(v) => v.push(e),
+        }
+    }
+
+    fn extend_from_slice(&mut self, extents: &[Extent]) {
+        for &e in extents {
+            self.push(e);
+        }
+    }
+
+    fn truncate(&mut self, n: usize) {
+        match self {
+            Extents::Inline { len, .. } => *len = (*len).min(n as u8),
+            Extents::Heap(v) => v.truncate(n),
+        }
+    }
+}
+
+impl Clone for Extents {
+    /// A clone of up to [`INLINE_EXTENTS`] extents is inline, whatever
+    /// the original's storage.
+    fn clone(&self) -> Extents {
+        let ext = self.as_slice();
+        let mut out = Extents::with_capacity(ext.len());
+        out.extend_from_slice(ext);
+        out
+    }
+}
+
 /// An immutable message: an ordered aggregate of extents.
 ///
-/// Cheap to clone (descriptors only). Reference counting of the underlying
-/// fbufs is explicit via [`crate::refs::MsgRefs`].
+/// Cheap to clone (descriptors only): up to [`INLINE_EXTENTS`] extents
+/// live in the message itself, so fragments and short messages never
+/// touch the heap. Reference counting of the underlying fbufs is
+/// explicit via [`crate::refs::MsgRefs`].
 ///
 /// # Examples
 ///
@@ -41,9 +132,33 @@ pub struct Extent {
 /// assert_eq!(head.len(), 64);
 /// assert_eq!(head.concat(&tail).len(), 108);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct Msg {
-    extents: Vec<Extent>,
+    extents: Extents,
+}
+
+impl Default for Msg {
+    fn default() -> Msg {
+        Msg {
+            extents: Extents::with_capacity(0),
+        }
+    }
+}
+
+impl PartialEq for Msg {
+    fn eq(&self, other: &Msg) -> bool {
+        self.extents() == other.extents()
+    }
+}
+
+impl Eq for Msg {}
+
+impl std::fmt::Debug for Msg {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Msg")
+            .field("extents", &self.extents())
+            .finish()
+    }
 }
 
 impl Msg {
@@ -52,98 +167,144 @@ impl Msg {
         Msg::default()
     }
 
-    /// A message covering `[off, off+len)` of one fbuf.
-    pub fn from_fbuf(fbuf: FbufId, off: u64, len: u64) -> Msg {
-        if len == 0 {
-            return Msg::empty();
-        }
+    /// An empty message with room for `n` extents (inline up to
+    /// [`INLINE_EXTENTS`]), for building with [`Msg::push`].
+    pub fn with_capacity(n: usize) -> Msg {
         Msg {
-            extents: vec![Extent { fbuf, off, len }],
+            extents: Extents::with_capacity(n),
         }
     }
 
-    /// Builds a message from raw extents (zero-length extents dropped).
-    pub fn from_extents(extents: Vec<Extent>) -> Msg {
+    /// An empty message built in `storage`, emptied first: the heap list
+    /// of an earlier message, handed back by [`Msg::into_storage`], so a
+    /// long message need not allocate.
+    pub fn with_storage(mut storage: Vec<Extent>) -> Msg {
+        storage.clear();
         Msg {
-            extents: extents.into_iter().filter(|e| e.len > 0).collect(),
+            extents: Extents::Heap(storage),
+        }
+    }
+
+    /// The message's heap extent list, emptied, for reuse by
+    /// [`Msg::with_storage`]; `None` when the extents were inline.
+    pub fn into_storage(self) -> Option<Vec<Extent>> {
+        match self.extents {
+            Extents::Inline { .. } => None,
+            Extents::Heap(mut v) => {
+                v.clear();
+                Some(v)
+            }
+        }
+    }
+
+    /// A message covering `[off, off+len)` of one fbuf.
+    pub fn from_fbuf(fbuf: FbufId, off: u64, len: u64) -> Msg {
+        let mut msg = Msg::empty();
+        msg.push(Extent { fbuf, off, len });
+        msg
+    }
+
+    /// Builds a message from raw extents (zero-length extents dropped).
+    pub fn from_extents(mut extents: Vec<Extent>) -> Msg {
+        extents.retain(|e| e.len > 0);
+        if extents.len() > INLINE_EXTENTS {
+            return Msg {
+                extents: Extents::Heap(extents),
+            };
+        }
+        let mut msg = Msg::empty();
+        msg.extents.extend_from_slice(&extents);
+        msg
+    }
+
+    /// Appends one extent (dropped if zero-length): how a protocol
+    /// builds a message buffer by buffer without re-joining it.
+    pub fn push(&mut self, e: Extent) {
+        if e.len > 0 {
+            self.extents.push(e);
         }
     }
 
     /// Total length in bytes.
     pub fn len(&self) -> u64 {
-        self.extents.iter().map(|e| e.len).sum()
+        self.extents().iter().map(|e| e.len).sum()
     }
 
     /// True when the message carries no bytes.
     pub fn is_empty(&self) -> bool {
-        self.extents.is_empty()
+        self.extents().is_empty()
     }
 
     /// The extent list.
     pub fn extents(&self) -> &[Extent] {
-        &self.extents
+        self.extents.as_slice()
     }
 
     /// Number of fragments (extents).
     pub fn fragments(&self) -> usize {
-        self.extents.len()
+        self.extents().len()
     }
 
-    /// The distinct fbufs referenced, in first-appearance order.
-    pub fn distinct_fbufs(&self) -> Vec<FbufId> {
-        let mut seen = Vec::new();
-        for e in &self.extents {
-            if !seen.contains(&e.fbuf) {
-                seen.push(e.fbuf);
-            }
-        }
-        seen
+    /// The distinct fbufs referenced, in first-appearance order, without
+    /// building a list.
+    pub fn distinct_fbufs(&self) -> impl Iterator<Item = FbufId> + '_ {
+        let ext = self.extents();
+        ext.iter()
+            .enumerate()
+            .filter(move |&(i, e)| ext[..i].iter().all(|p| p.fbuf != e.fbuf))
+            .map(|(_, e)| e.fbuf)
     }
 
     /// Logical join: `self` followed by `other` (x-kernel `msgJoin`).
     pub fn concat(&self, other: &Msg) -> Msg {
-        let mut extents = self.extents.clone();
-        extents.extend(other.extents.iter().copied());
-        Msg { extents }
+        let mut out = Msg::with_capacity(self.fragments() + other.fragments());
+        out.extents.extend_from_slice(self.extents());
+        out.extents.extend_from_slice(other.extents());
+        out
     }
 
     /// Prepends a header extent (protocols pushing a header allocate a new
     /// buffer and join it in front).
     pub fn push_header(&self, header: Extent) -> Msg {
-        Msg::from_extents(
-            std::iter::once(header)
-                .chain(self.extents.iter().copied())
-                .collect(),
-        )
+        let mut out = Msg::with_capacity(1 + self.fragments());
+        out.push(header);
+        out.extents.extend_from_slice(self.extents());
+        out
+    }
+
+    /// Where byte `at` falls: the index of the first extent that ends
+    /// past it, and how many of that extent's bytes lie before it
+    /// (`None` when `at` is at or past the end).
+    fn locate(&self, at: u64) -> Option<(usize, u64)> {
+        let mut pos = 0u64;
+        for (i, e) in self.extents().iter().enumerate() {
+            if pos + e.len > at {
+                return Some((i, at.saturating_sub(pos)));
+            }
+            pos += e.len;
+        }
+        None
     }
 
     /// Splits at byte position `at`: returns (`[0, at)`, `[at, len)`)
     /// (x-kernel `msgSplit` / `msgBreak`).
     pub fn split(&self, at: u64) -> (Msg, Msg) {
-        let mut head = Vec::new();
-        let mut tail = Vec::new();
-        let mut pos = 0u64;
-        for e in &self.extents {
-            if pos >= at {
-                tail.push(*e);
-            } else if pos + e.len <= at {
-                head.push(*e);
-            } else {
-                let take = at - pos;
-                head.push(Extent {
-                    fbuf: e.fbuf,
-                    off: e.off,
-                    len: take,
-                });
-                tail.push(Extent {
-                    fbuf: e.fbuf,
-                    off: e.off + take,
-                    len: e.len - take,
-                });
-            }
-            pos += e.len;
-        }
-        (Msg { extents: head }, Msg { extents: tail })
+        let ext = self.extents();
+        let Some((i, take)) = self.locate(at) else {
+            return (self.clone(), Msg::empty());
+        };
+        let mut head = Msg::with_capacity(i + 1);
+        head.extents.extend_from_slice(&ext[..i]);
+        let mut tail = Msg::with_capacity(ext.len() - i);
+        let e = ext[i];
+        head.push(Extent { len: take, ..e });
+        tail.push(Extent {
+            off: e.off + take,
+            len: e.len - take,
+            ..e
+        });
+        tail.extents.extend_from_slice(&ext[i + 1..]);
+        (head, tail)
     }
 
     /// Removes and returns the first `n` bytes (x-kernel `msgPop`, used to
@@ -157,17 +318,24 @@ impl Msg {
         Some(head)
     }
 
-    /// Keeps only the first `n` bytes (x-kernel `msgTruncate`).
+    /// Keeps only the first `n` bytes (x-kernel `msgTruncate`), in place.
     pub fn truncate(&mut self, n: u64) {
-        let (head, _) = self.split(n);
-        *self = head;
+        let Some((i, take)) = self.locate(n) else {
+            return;
+        };
+        if take == 0 {
+            self.extents.truncate(i);
+        } else {
+            self.extents.truncate(i + 1);
+            self.extents.as_mut_slice()[i].len = take;
+        }
     }
 
     /// Gathers the message contents by reading through `dom`'s mappings
     /// (charged like any other access; faults if `dom` lacks permission).
     pub fn gather(&self, fbs: &mut FbufSystem, dom: DomainId) -> FbufResult<Vec<u8>> {
         let mut out = Vec::with_capacity(self.len() as usize);
-        for e in &self.extents {
+        for e in self.extents() {
             out.extend(fbs.read_fbuf(dom, e.fbuf, e.off, e.len)?);
         }
         Ok(out)
@@ -179,7 +347,7 @@ impl Msg {
     pub fn touch(&self, fbs: &mut FbufSystem, dom: DomainId) -> FbufResult<()> {
         let page = fbs.machine().page_size();
         let mut word = [0u8; 1];
-        for e in &self.extents {
+        for e in self.extents() {
             let mut off = 0;
             while off < e.len {
                 fbs.read_fbuf_into(dom, e.fbuf, e.off + off, &mut word)?;
@@ -277,7 +445,8 @@ mod tests {
     #[test]
     fn distinct_fbufs_dedupes() {
         let m = Msg::from_extents(vec![ext(1, 0, 4), ext(2, 0, 4), ext(1, 8, 4)]);
-        assert_eq!(m.distinct_fbufs(), vec![FbufId(1), FbufId(2)]);
+        let ids: Vec<FbufId> = m.distinct_fbufs().collect();
+        assert_eq!(ids, vec![FbufId(1), FbufId(2)]);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! holder list); this table maps many message-level references down to that
 //! single domain-level reference.
 
-use fbuf::{FbufId, FbufResult, FbufSystem};
+use fbuf::{FbufError, FbufId, FbufResult, FbufSystem};
 use fbuf_sim::fxhash::FxHashMap;
 use fbuf_vm::DomainId;
 
@@ -39,12 +39,20 @@ impl MsgRefs {
     /// in `msg`; fbufs whose count reaches zero are freed in the fbuf
     /// system (which may trigger deallocation notices, free-list parking,
     /// or full retirement).
+    ///
+    /// A message `dom` never adopted is refused with
+    /// [`FbufError::NotHolder`] before any count changes: a confused or
+    /// hostile caller cannot panic the facility or release references it
+    /// does not hold.
     pub fn release(&mut self, fbs: &mut FbufSystem, dom: DomainId, msg: &Msg) -> FbufResult<()> {
+        if let Some(fbuf) = msg
+            .distinct_fbufs()
+            .find(|&id| !self.counts.contains_key(&(dom.0, id)))
+        {
+            return Err(FbufError::NotHolder { domain: dom, fbuf });
+        }
         for id in msg.distinct_fbufs() {
-            let count = self
-                .counts
-                .get_mut(&(dom.0, id))
-                .unwrap_or_else(|| panic!("release without adopt: {dom} fbuf {}", id.0));
+            let count = self.counts.get_mut(&(dom.0, id)).expect("checked above");
             *count -= 1;
             if *count == 0 {
                 self.counts.remove(&(dom.0, id));
@@ -121,12 +129,33 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "release without adopt")]
-    fn release_without_adopt_panics() {
+    fn release_without_adopt_is_refused() {
         let mut fbs = FbufSystem::new(MachineConfig::tiny());
         let a = fbs.create_domain();
         let id = fbs.alloc(a, AllocMode::Uncached, 64).unwrap();
-        let msg = Msg::from_fbuf(id, 0, 64);
-        MsgRefs::new().release(&mut fbs, a, &msg).unwrap();
+        let other = fbs.alloc(a, AllocMode::Uncached, 64).unwrap();
+        let mut refs = MsgRefs::new();
+        let held = Msg::from_fbuf(id, 0, 64);
+        refs.adopt(a, &held);
+        // One adopted fbuf and one never adopted: the release is refused
+        // whole, and the adopted count is untouched.
+        let mut msg = held.clone();
+        msg.push(crate::msg::Extent {
+            fbuf: other,
+            off: 0,
+            len: 64,
+        });
+        let err = refs.release(&mut fbs, a, &msg).unwrap_err();
+        assert_eq!(
+            err,
+            FbufError::NotHolder {
+                domain: a,
+                fbuf: other
+            }
+        );
+        assert_eq!(refs.count(a, id), 1);
+        assert!(fbs.fbuf(id).is_ok());
+        refs.release(&mut fbs, a, &held).unwrap();
+        assert_eq!(refs.outstanding(), 0);
     }
 }

@@ -1,21 +1,25 @@
 //! Allocation guard for the end-to-end Osiris send.
 //!
 //! The paper's point is that fbufs move network data across domains
-//! without copying it. The simulator's end-to-end path should not undo
-//! that on the host: once warmed, a send must not push its payload
-//! through the heap. This binary installs a counting global allocator
-//! and pins the heap bytes of one warmed, unverified `send_message` to
-//! at most an eighth of its payload, and the test protocol's page touch
-//! to no allocation at all.
+//! without copying it, and without allocating in the common case. The
+//! simulator's end-to-end path should not undo that on the host: once
+//! warmed, a send must not push its payload through the heap, nor churn
+//! the heap for its descriptors. This binary installs a counting global
+//! allocator and pins, for one warmed, unverified `send_message`, its
+//! heap bytes to at most an eighth of its payload, its number of
+//! allocations to at most eight, and a receive larger than the frame
+//! pool to nothing but the frame storage the pool cannot hold; and the
+//! test protocol's page touch to no allocation at all.
 //!
-//! The counters are thread-local, so the test harness's own threads do
-//! not disturb them; the binary holds a single `#[test]`.
+//! The counters are thread-local, so the test harness's own threads, and
+//! the other tests running beside one, do not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use fbufs::net::{DomainSetup, EndToEnd, EndToEndConfig, Fill};
 use fbufs::sim::MachineConfig;
+use fbufs::vm::phys::POOL_FRAMES;
 
 struct Counting;
 
@@ -53,6 +57,77 @@ fn heap<T>(f: impl FnOnce() -> T) -> (u64, u64, T) {
     let (a0, b0) = (ALLOCS.with(Cell::get), BYTES.with(Cell::get));
     let out = f();
     (ALLOCS.with(Cell::get) - a0, BYTES.with(Cell::get) - b0, out)
+}
+
+/// A user-netserver-user pair in `cfg`, warmed by four sends of `size`
+/// bytes: the buffer caches, the frame pool, the pipeline and every table
+/// the steady state reuses.
+fn warmed(cfg: EndToEndConfig, size: u64) -> EndToEnd {
+    let mut e = EndToEnd::new(MachineConfig::decstation_5000_200(), cfg);
+    for _ in 0..4 {
+        e.send_message(size, 1, false).unwrap();
+    }
+    e
+}
+
+/// Heap allocations and bytes of one warmed, unverified send.
+fn one_send(e: &mut EndToEnd, size: u64) -> (u64, u64) {
+    let (allocs, bytes, sent) = heap(|| e.send_message(size, 1, false));
+    sent.unwrap();
+    (allocs, bytes)
+}
+
+#[test]
+fn warmed_sends_make_at_most_eight_allocations() {
+    let fig5 = || EndToEndConfig::fig5(DomainSetup::UserNetserver);
+    let fig6 = || EndToEndConfig::fig6(DomainSetup::UserNetserver);
+    let mut over = Vec::new();
+    for (name, cfg, size) in [
+        ("fig5", fig5(), 4u64 << 10),
+        ("fig5", fig5(), 16 << 10),
+        ("fig5", fig5(), 64 << 10),
+        ("fig5", fig5(), 256 << 10),
+        ("fig6", fig6(), 4 << 10),
+        ("fig6", fig6(), 16 << 10),
+        ("fig6", fig6(), 64 << 10),
+    ] {
+        let mut e = warmed(cfg, size);
+        let (allocs, bytes) = one_send(&mut e, size);
+        eprintln!(
+            "{name} {} KB: {allocs} allocations, {bytes} bytes",
+            size >> 10
+        );
+        if allocs > 8 {
+            over.push(format!(
+                "{name} at {} KB: {allocs} allocations ({bytes} bytes), over 8",
+                size >> 10
+            ));
+        }
+    }
+    assert!(over.is_empty(), "warmed sends over budget: {over:#?}");
+}
+
+#[test]
+fn an_uncached_receive_past_the_frame_pool_allocates_only_frame_storage() {
+    // Figure 6 receives into uncached buffers: a 256 KB datagram holds 64
+    // fresh frames until it is reassembled and consumed. The frame pool
+    // serves the first POOL_FRAMES of them; every other allocation of the
+    // send must be a page of frame storage, one per frame past the pool.
+    let size = 256u64 << 10;
+    let mut e = warmed(EndToEndConfig::fig6(DomainSetup::UserNetserver), size);
+    let page = e.rx.fbs.machine().page_size();
+    let frames = size / page;
+    let (allocs, bytes) = one_send(&mut e, size);
+    eprintln!("fig6 256 KB: {allocs} allocations, {bytes} bytes");
+    assert_eq!(
+        bytes,
+        allocs * page,
+        "an allocation other than a frame page"
+    );
+    assert!(
+        allocs <= frames - POOL_FRAMES as u64,
+        "{allocs} frame pages for {frames} frames and a pool of {POOL_FRAMES}"
+    );
 }
 
 #[test]

@@ -81,6 +81,144 @@ fn truncate_is_a_prefix() {
         });
 }
 
+/// The reference `Msg` for the edit-sequence property: a plain extent
+/// list, edited the simplest way.
+mod model {
+    use fbufs::xkernel::Extent;
+
+    pub fn split(m: &[Extent], at: u64) -> (Vec<Extent>, Vec<Extent>) {
+        let (mut head, mut tail) = (Vec::new(), Vec::new());
+        let mut pos = 0u64;
+        for e in m {
+            if pos >= at {
+                tail.push(*e);
+            } else if pos + e.len <= at {
+                head.push(*e);
+            } else {
+                let take = at - pos;
+                head.push(Extent { len: take, ..*e });
+                tail.push(Extent {
+                    off: e.off + take,
+                    len: e.len - take,
+                    ..*e
+                });
+            }
+            pos += e.len;
+        }
+        (head, tail)
+    }
+
+    pub fn len(m: &[Extent]) -> u64 {
+        m.iter().map(|e| e.len).sum()
+    }
+
+    /// First-appearance order of the fbufs.
+    pub fn distinct(m: &[Extent]) -> Vec<u64> {
+        let mut seen = Vec::new();
+        for e in m {
+            if !seen.contains(&e.fbuf.0) {
+                seen.push(e.fbuf.0);
+            }
+        }
+        seen
+    }
+}
+
+#[test]
+fn msg_edit_sequences_match_a_plain_extent_list() {
+    // Random edit sequences on a message and on a plain `Vec<Extent>`
+    // model must agree on the extents after every step. Messages hold
+    // up to four extents inline and spill to the heap past that; the
+    // lists here run from empty to a few dozen extents, so sequences
+    // cross that boundary both ways, including through recycled heap
+    // storage.
+    Checker::new("msg_edit_sequences_match_a_plain_extent_list")
+        .cases(CASES * 4)
+        .run(|rng| {
+            let mut want: Vec<Extent> = arb_extents(rng);
+            let mut msg = Msg::from_extents(want.clone());
+            for _ in 0..rng.range(1, 24) {
+                let len = model::len(&want);
+                match rng.below(7) {
+                    0 => {
+                        let at = rng.below(len + 2);
+                        let (h, t) = msg.split(at);
+                        let (mh, mt) = model::split(&want, at);
+                        assert_eq!((h.extents(), t.extents()), (&mh[..], &mt[..]));
+                        // Continue with either half.
+                        (msg, want) = if rng.chance(0.5) { (h, mh) } else { (t, mt) };
+                    }
+                    1 => {
+                        let other = arb_extents(rng);
+                        let o = Msg::from_extents(other.clone());
+                        msg = if rng.chance(0.5) {
+                            want.extend(&other);
+                            msg.concat(&o)
+                        } else {
+                            want.splice(0..0, other);
+                            o.concat(&msg)
+                        };
+                    }
+                    2 => {
+                        let hdr = Extent {
+                            fbuf: FbufId(rng.below(8)),
+                            off: rng.below(100),
+                            len: rng.below(3) * 8,
+                        };
+                        msg = msg.push_header(hdr);
+                        if hdr.len > 0 {
+                            want.insert(0, hdr);
+                        }
+                    }
+                    3 => {
+                        let n = rng.below(len + 2);
+                        let popped = msg.pop(n);
+                        if n > len {
+                            assert!(popped.is_none());
+                        } else {
+                            let (mh, mt) = model::split(&want, n);
+                            assert_eq!(popped.unwrap().extents(), &mh[..]);
+                            want = mt;
+                        }
+                    }
+                    4 => {
+                        let n = rng.below(len + 2);
+                        msg.truncate(n);
+                        want = model::split(&want, n).0;
+                    }
+                    5 => {
+                        let e = Extent {
+                            fbuf: FbufId(rng.below(8)),
+                            off: rng.below(10_000),
+                            len: rng.below(4_000),
+                        };
+                        msg.push(e);
+                        if e.len > 0 {
+                            want.push(e);
+                        }
+                    }
+                    _ => {
+                        // Rebuild in the storage of a spilled message.
+                        let spilled = Msg::from_extents(arb_extents(rng));
+                        let mut again = match spilled.into_storage() {
+                            Some(storage) => Msg::with_storage(storage),
+                            None => Msg::empty(),
+                        };
+                        for &e in msg.extents() {
+                            again.push(e);
+                        }
+                        msg = again;
+                    }
+                }
+                assert_eq!(msg.extents(), &want[..]);
+                assert_eq!(msg.len(), model::len(&want));
+                assert_eq!(msg.clone(), msg);
+                let ids: Vec<u64> = msg.distinct_fbufs().map(|id| id.0).collect();
+                assert_eq!(ids, model::distinct(&want));
+            }
+        });
+}
+
 #[test]
 fn fragmentation_reassembly_roundtrip() {
     Checker::new("fragmentation_reassembly_roundtrip")
@@ -89,7 +227,7 @@ fn fragmentation_reassembly_roundtrip() {
             let extents = arb_extents(rng);
             let pdu = rng.range(1, 9_000);
             let msg = Msg::from_extents(extents);
-            let frags = ip::fragment(&msg, 1, pdu);
+            let frags: Vec<_> = ip::fragment(&msg, 1, pdu).collect();
             // Every fragment respects the PDU bound.
             for (h, body) in &frags {
                 assert!(body.len() <= pdu);
@@ -100,14 +238,16 @@ fn fragmentation_reassembly_roundtrip() {
             rng.shuffle(&mut order);
             let mut r = ip::Reassembler::new(0);
             let mut done = None;
+            let mut dropped = Vec::new();
             for (k, &i) in order.iter().enumerate() {
-                let out = r.add(frags[i].0, frags[i].1.clone());
+                let out = r.add(frags[i].0, frags[i].1.clone(), &mut dropped);
                 if k + 1 < order.len() {
                     assert!(out.is_none(), "completed early");
                 } else {
                     done = out;
                 }
             }
+            assert!(dropped.is_empty(), "distinct fragments are never dropped");
             if msg.is_empty() {
                 assert!(frags.is_empty());
             } else {
