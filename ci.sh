@@ -34,6 +34,14 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+# Examples: the test runs above compile them but never run them, and
+# examples/image_retrieval.rs is the only caller of net::reliable,
+# net::transform and xkernel::hbio. Each runs to completion in release
+# mode; a nonzero exit fails CI.
+for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
+
 # Every harness is a subcommand of the one binary, `repro`; each checks
 # its report against the report contract before it writes it, and the
 # `repro check` pass at the end re-reads every report written here.

@@ -238,15 +238,15 @@ pub fn notice_thresholds(thresholds: &[usize], frees: u64, rpc_every: u64) -> Ve
     thresholds
         .iter()
         .map(|&threshold| {
-            let m = Machine::new(machine_cfg());
-            let mut rpc = Rpc::new(m.clock(), m.stats(), m.tracer(), m.costs().clone());
+            let mut m = Machine::new(machine_cfg());
+            let mut rpc = Rpc::new(m.costs().clone());
             rpc.set_notice_threshold(threshold);
             let owner = DomainId(1);
             let holder = DomainId(2);
             for i in 0..frees {
-                rpc.queue_dealloc_notice(owner, holder, i);
+                rpc.queue_dealloc_notice(&mut m, owner, holder, i);
                 if i % rpc_every == rpc_every - 1 {
-                    rpc.call(owner, holder);
+                    rpc.call(&mut m, owner, holder);
                 }
             }
             NoticeRow {

@@ -28,7 +28,7 @@ pub fn run() -> Result<(), String> {
     let mut cfg = MachineConfig::decstation_5000_200();
     cfg.phys_mem = 24 << 20;
     let mut stack = LoopbackStack::new(cfg, LoopbackConfig::paper(true, true));
-    let tracer = stack.fbs.machine().tracer();
+    let tracer = stack.fbs.machine().tracer().clone();
     tracer.set_enabled(true);
 
     // Warm the per-path cache, then the measured section.

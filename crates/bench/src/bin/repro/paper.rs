@@ -440,7 +440,7 @@ fn aggregate() -> Result<(), String> {
     // Observability blocks: counters over a traced traverse (DagVisit
     // heavy) and the alloc service latency of one more node allocation.
     let (mut fbs, dom, node) = build_dag();
-    let tracer = fbs.machine().tracer();
+    let tracer = fbs.machine().tracer().clone();
     tracer.set_enabled(true);
     let mark = fbs.stats().snapshot();
     integrated::traverse(&mut fbs, dom, node, TraverseLimits::default()).expect("traverse");

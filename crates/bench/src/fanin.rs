@@ -297,7 +297,7 @@ fn run_shard(cfg: &FaninConfig, shard: usize, ranks: &[usize]) -> Result<ShardOu
         // Gauge telemetry from one shard is representative; the series
         // registry's capacity bounds the per-path explosion by refusing
         // (and counting) the excess.
-        let m = sys.machine().metrics_ref();
+        let m = sys.machine().metrics();
         m.set_enabled(true);
         m.set_cadence(DEFAULT_CADENCE_NS);
     }
@@ -427,7 +427,7 @@ fn run_shard(cfg: &FaninConfig, shard: usize, ranks: &[usize]) -> Result<ShardOu
     out.sim_ns = sys.machine().now().0;
     out.counters = sys.stats().snapshot();
     if shard == 0 {
-        out.telemetry = sys.machine().metrics_ref().series();
+        out.telemetry = sys.machine().metrics().series();
     }
     Ok(out)
 }

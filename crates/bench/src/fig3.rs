@@ -78,7 +78,7 @@ pub fn mach_throughput(size: u64, iters: usize) -> f64 {
     let mut m = Machine::new(bench_config());
     let a = m.create_domain();
     let b = m.create_domain();
-    let mut rpc = Rpc::new(m.clock(), m.stats(), m.tracer(), m.costs().clone());
+    let mut rpc = Rpc::new(m.costs().clone());
     let mut mech = MachNative::new();
     let page = m.page_size();
     let mut cycle = |m: &mut Machine| {
@@ -91,7 +91,7 @@ pub fn mach_throughput(size: u64, iters: usize) -> f64 {
             }
             off += page;
         }
-        rpc.call(a, b);
+        rpc.call(m, a, b);
         let rva = mech.transfer(m, a, va, size, b).expect("transfer");
         let mut off = 0;
         loop {

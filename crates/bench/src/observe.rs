@@ -73,7 +73,7 @@ pub fn crossing(cached: bool, send: SendMode, size: u64, iters: usize) -> Observ
     for _ in 0..2 {
         cycle(&mut s);
     }
-    let tracer = s.machine().tracer();
+    let tracer = s.machine().tracer().clone();
     tracer.set_enabled(true);
     let mark = s.stats().snapshot();
     for _ in 0..iters {
@@ -92,7 +92,7 @@ pub fn loopback(cfg: LoopbackConfig, size: u64, msgs: usize) -> Observation {
     for _ in 0..2 {
         s.send_message(size, false).expect("warm-up");
     }
-    let tracer = s.fbs.machine().tracer();
+    let tracer = s.fbs.machine().tracer().clone();
     tracer.set_enabled(true);
     let mark = s.fbs.stats().snapshot();
     for _ in 0..msgs {
@@ -110,7 +110,7 @@ pub fn loopback(cfg: LoopbackConfig, size: u64, msgs: usize) -> Observation {
 pub fn endtoend(cfg: EndToEndConfig, size: u64, msgs: usize) -> Observation {
     let mut e = EndToEnd::new(bench_config(), cfg);
     e.send_message(size, 0, false).expect("warm-up");
-    let (tx, rx) = (e.tx.fbs.machine().tracer(), e.rx.fbs.machine().tracer());
+    let (tx, rx) = (e.tx.fbs.machine().tracer().clone(), e.rx.fbs.machine().tracer().clone());
     tx.set_enabled(true);
     rx.set_enabled(true);
     let tx_mark = e.tx.fbs.stats().snapshot();
@@ -151,7 +151,7 @@ pub fn facility(mech: &mut dyn TransferMechanism, pages: u64, rounds: usize) -> 
         mech.free(m, b, rva, len).expect("free");
     };
     cycle(&mut m);
-    let tracer = m.tracer();
+    let tracer = m.tracer().clone();
     tracer.set_enabled(true);
     let mark = m.stats().snapshot();
     for _ in 0..rounds {

@@ -965,7 +965,7 @@ mod tests {
         let mut r = BenchRunner::named("observed", 1);
         r.measure("x", Unit::SimUs, || 1.0);
         // Counter delta over a fake measured section.
-        let s = Stats::new();
+        let mut s = Stats::new();
         let before = s.snapshot();
         s.inc_fbuf_cache_hits();
         s.inc_fbuf_cache_hits();

@@ -42,7 +42,7 @@
 
 use std::rc::Rc;
 
-use fbuf_ipc::{Envelope, EventLoop, SendOutcome};
+use fbuf_ipc::{Envelope, EventLoop, Now, SendOutcome};
 use fbuf_sim::{EventId, Histogram, MachineConfig, Ns};
 use fbuf_vm::DomainId;
 
@@ -117,6 +117,13 @@ impl SubmitOutcome {
     }
 }
 
+/// The loop reads the simulated now from the machine the system owns.
+impl Now for FbufSystem {
+    fn now(&self) -> Ns {
+        self.machine.now()
+    }
+}
+
 impl FbufSystem {
     /// Sets the bounded per-domain inbox depth (see
     /// [`fbuf_ipc::actor::EventLoop::set_inbox_depth`]).
@@ -131,7 +138,7 @@ impl FbufSystem {
     ///
     /// The hop is a [`HopMsg::Call`] event that [`EventLoop::call`]
     /// posts and drains: the charges and counters of one
-    /// `rpc_mut().call(from, to)`, plus an Enqueue/Dequeue audit trail
+    /// [`Rpc::call`](fbuf_ipc::Rpc::call), plus an Enqueue/Dequeue audit trail
     /// and a (zero, when drained) queueing-delay sample. A full inbox is
     /// drained first, so a hop never overloads. On an idle loop the
     /// event goes straight to the handler without touching the heap or
@@ -144,7 +151,7 @@ impl FbufSystem {
     /// already.
     pub fn hop(&mut self, from: DomainId, to: DomainId) -> usize {
         let Some(mut evl) = self.engine.take() else {
-            return self.rpc_mut().call(from, to).len();
+            return self.rpc.call(&mut self.machine, from, to).len();
         };
         evl.call(from, to, None, HopMsg::Call, self, &mut handle_hop);
         self.engine = Some(evl);
@@ -165,11 +172,10 @@ impl FbufSystem {
         };
         let span = self.mint_span();
         let path = self.fbuf_path_raw(fbuf);
-        let tracer = self.machine().tracer();
-        tracer.span_start(span, route[0].0, path, Some(fbuf.0));
-        let deadline = self
-            .revoke_timeout()
-            .map(|t| Ns(self.machine().now().as_ns() + t.as_ns()));
+        let now = self.machine.now();
+        let tracer = self.machine.tracer();
+        tracer.span_start(now, span, route[0].0, path, Some(fbuf.0));
+        let deadline = self.revoke_timeout().map(|t| Ns(now.as_ns() + t.as_ns()));
         let msg = HopMsg::Transfer {
             fbuf,
             route: Rc::from(route),
@@ -181,8 +187,8 @@ impl FbufSystem {
         // Overload refusal) attributable to this transfer; the envelope
         // then carries it hop to hop.
         let prev = tracer.set_current_span(Some(span));
-        let outcome = evl.post_on(route[0], route[1], path, msg);
-        tracer.set_current_span(prev);
+        let outcome = post_leg(&mut evl, self, route[0], route[1], path, msg);
+        self.machine.tracer().set_current_span(prev);
         self.engine = Some(evl);
         match outcome {
             SendOutcome::Queued(id) => SubmitOutcome::Queued(id),
@@ -259,6 +265,24 @@ fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: 
     }
 }
 
+/// Posts one transfer event stamped with the simulated now. A refusal
+/// is counted in `Stats::overload_drops` here, the one place the engine
+/// turns the loop's [`SendOutcome::Overload`] into the machine counter.
+fn post_leg(
+    evl: &mut EventLoop<HopMsg>,
+    sys: &mut FbufSystem,
+    from: DomainId,
+    to: DomainId,
+    path: Option<u64>,
+    msg: HopMsg,
+) -> SendOutcome {
+    let outcome = evl.post_on(sys.machine.now(), from, to, path, msg);
+    if outcome.is_overload() {
+        sys.machine.stats_mut().inc_overload_drops();
+    }
+    outcome
+}
+
 /// The per-event handler: all simulated cost charged by a hop lives here,
 /// which is what keeps the loop counter-exact with an inline descent.
 /// Marked for inlining into the loop's dispatch: as a separate call it
@@ -269,7 +293,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
         HopMsg::Call => {
             // Only `hop` posts a `Call`, one per drain, and it takes the
             // count right after.
-            sys.hop_notices = sys.rpc_mut().call(env.from, env.to).len();
+            sys.hop_notices = sys.rpc.call(&mut sys.machine, env.from, env.to).len();
         }
         HopMsg::Transfer {
             fbuf,
@@ -281,7 +305,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
             // The loop restored the envelope's span around this handler,
             // so it must agree with the one the message carries.
             debug_assert_eq!(
-                sys.machine().tracer_ref().current_span().or(Some(span)),
+                sys.machine().tracer().current_span().or(Some(span)),
                 Some(span),
                 "envelope span and message span diverged"
             );
@@ -298,7 +322,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                 sys.sample_metrics();
                 return;
             }
-            sys.rpc_mut().call(env.from, env.to);
+            sys.rpc.call(&mut sys.machine, env.from, env.to);
             if let Err(e) = sys.send(fbuf, env.from, env.to, SendMode::Volatile) {
                 // The leg could not be delivered (e.g. the receiver was
                 // torn down while it sat queued): abort the transfer,
@@ -318,7 +342,7 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                     span,
                     deadline,
                 };
-                if evl.post_on(nf, nt, path, msg).is_overload() {
+                if post_leg(evl, sys, nf, nt, path, msg).is_overload() {
                     // The next inbox refused the leg: abort the transfer,
                     // releasing every reference taken so far, receiver
                     // back to originator.
@@ -336,18 +360,17 @@ fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<H
                 // inbox depth, so the originator's inbox always has room
                 // for completions; if a caller engineers one anyway, the
                 // completion is counted inline rather than lost.
-                if evl
-                    .post_on(from, origin, path, HopMsg::Complete { fbuf: fbuf.0 })
-                    .is_overload()
-                {
+                let done = HopMsg::Complete { fbuf: fbuf.0 };
+                if post_leg(evl, sys, from, origin, path, done).is_overload() {
                     sys.xfer_completed += 1;
                 }
             }
             // Everything this hop charged between t0 and now is its
             // service stage in the span's critical-path decomposition.
-            sys.machine()
-                .tracer_ref()
-                .span(t0, fbuf_sim::EventKind::HopService, env.to.0, path, Some(fbuf.0));
+            let now = sys.machine.now();
+            sys.machine
+                .tracer()
+                .span(t0, now, fbuf_sim::EventKind::HopService, env.to.0, path, Some(fbuf.0));
             sys.sample_metrics();
         }
         HopMsg::Complete { .. } => {
@@ -427,7 +450,7 @@ pub fn run_offered_load(cfg: &QueueConfig) -> FbufResult<QueueReport> {
     sys.set_inbox_depth(cfg.inbox_depth);
     // Telemetry and span tracing ride along: neither ever charges the
     // simulated clock, so the measured times are unchanged.
-    sys.machine().metrics_ref().set_enabled(true);
+    sys.machine().metrics().set_enabled(true);
     sys.machine().tracer().set_enabled(true);
 
     let mut route = vec![fbuf_vm::KERNEL_DOMAIN];
@@ -472,7 +495,7 @@ pub fn run_offered_load(cfg: &QueueConfig) -> FbufResult<QueueReport> {
         queue_delay: sys.queue_delay(),
         elapsed: sys.machine().now() - t0,
         bytes_delivered: completed * len,
-        telemetry: sys.machine().metrics_ref().series(),
+        telemetry: sys.machine().metrics().series(),
         spans: fbuf_sim::spans::decompose(&sys.machine().tracer().events()),
     })
 }

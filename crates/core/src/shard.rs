@@ -368,8 +368,8 @@ impl Shard {
         // shard links its child span to it, which is the only causal
         // edge that survives the thread boundary (plain data, no Rc).
         let span = CrossShardMsg::span_of_token(token);
-        let tracer = self.sys.machine().tracer();
-        tracer.span_start(span, t.originator.0, Some(t.path.0), None);
+        let tracer = self.sys.machine().tracer().clone();
+        tracer.span_start(self.sys.machine().now(), span, t.originator.0, Some(t.path.0), None);
         let prev = tracer.set_current_span(Some(span));
         self.sys
             .write_fbuf(t.originator, id, 0, &token.to_le_bytes())
@@ -484,6 +484,7 @@ impl Shard {
                 // nothing leaks) but flag the ordering violation.
                 self.orphan_notices += 1;
                 self.sys.machine().tracer().instant(
+                    self.sys.machine().now(),
                     EventKind::NoticeOrphan,
                     self.egress.originator.0,
                     None,
@@ -497,6 +498,7 @@ impl Shard {
             None => {
                 self.orphan_notices += 1;
                 self.sys.machine().tracer().instant(
+                    self.sys.machine().now(),
                     EventKind::NoticeOrphan,
                     self.egress.originator.0,
                     None,
@@ -562,10 +564,10 @@ impl Shard {
         // minted here, linked to the sender's token-derived root, with
         // the whole materialization (the ring-crossing stage) timed.
         let child = self.sys.mint_span();
-        let tracer = self.sys.machine().tracer();
-        tracer.span_link(child, CrossShardMsg::span_of_token(msg.token), t.originator.0);
-        let prev = tracer.set_current_span(Some(child));
+        let tracer = self.sys.machine().tracer().clone();
         let t0 = self.sys.machine().now();
+        tracer.span_link(t0, child, CrossShardMsg::span_of_token(msg.token), t.originator.0);
+        let prev = tracer.set_current_span(Some(child));
         let s = &mut self.sys;
         let id = s
             .alloc(t.originator, AllocMode::Cached(t.path), self.len)
@@ -593,7 +595,7 @@ impl Shard {
         // Everything charged since t0 is this transfer's ring-crossing
         // stage (the sender's clock is independent, so receiver-side
         // ingest cost is the honest cross-shard measure — DESIGN §13).
-        tracer.ring_cross(t0, t.originator.0, occupancy);
+        tracer.ring_cross(t0, self.sys.machine().now(), t.originator.0, occupancy);
         tracer.set_current_span(prev);
         assert!(
             links.notice_tx.is_some(),
@@ -619,7 +621,7 @@ impl Shard {
     /// same cadence so they cannot be starved by those checkpoints.
     pub fn sample_telemetry(&self, links: &Links) {
         let now = self.sys.machine().now();
-        let m = self.sys.machine().metrics_ref();
+        let m = self.sys.machine().metrics();
         if m.due(now) {
             m.advance(now);
             self.sys.sample_gauges_at(now);
@@ -961,7 +963,7 @@ fn shard_main(spec: ShardSpec, barrier: &Barrier) -> ShardReport {
         sh.sys.machine().tracer().set_enabled(true);
     }
     if metrics {
-        sh.sys.machine().metrics_ref().set_enabled(true);
+        sh.sys.machine().metrics().set_enabled(true);
     }
     if let Some(spec) = &fault {
         // The plan is built inside the thread, like everything else
@@ -1026,7 +1028,7 @@ fn shard_main(spec: ShardSpec, barrier: &Barrier) -> ShardReport {
         events: sh.sys.machine().tracer().events(),
         events_dropped: sh.sys.machine().tracer().dropped(),
         ledger: sh.sys.ledger_snapshot(),
-        telemetry: sh.sys.machine().metrics_ref().series(),
+        telemetry: sh.sys.machine().metrics().series(),
         faults_injected: sh
             .sys
             .fault_plan()

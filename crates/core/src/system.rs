@@ -91,7 +91,7 @@ pub enum SendMode {
 /// The fast-buffer facility.
 #[derive(Debug)]
 pub struct FbufSystem {
-    machine: Machine,
+    pub(crate) machine: Machine,
     pub(crate) rpc: Rpc,
     chunk_alloc: ChunkAllocator,
     /// Each path's allocator, indexed by `PathId.0`. Only the path's
@@ -245,8 +245,9 @@ fn secure_fbuf(machine: &mut Machine, f: &Fbuf, h: &mut FbufHot) -> FbufResult<(
         return Ok(());
     }
     machine.protect_range(f.originator, f.va, f.pages, Prot::Read)?;
-    machine.stats_ref().inc_fbufs_secured();
-    machine.tracer_ref().instant(
+    machine.stats_mut().inc_fbufs_secured();
+    machine.tracer().instant(
+        machine.now(),
         EventKind::Secure,
         f.originator.0,
         h.path.map(|p| p.0),
@@ -277,14 +278,8 @@ impl FbufSystem {
     pub fn new(cfg: MachineConfig) -> FbufSystem {
         let machine = Machine::new(cfg);
         let cfg = machine.config().clone();
-        let rpc = Rpc::new(
-            machine.clock(),
-            machine.stats(),
-            machine.tracer(),
-            cfg.costs.clone(),
-        );
-        let (machine_clock, machine_stats, machine_tracer, machine_metrics) =
-            (machine.clock(), machine.stats(), machine.tracer(), machine.metrics());
+        let rpc = Rpc::new(cfg.costs.clone());
+        let engine = fbuf_ipc::EventLoop::new(machine.tracer().clone(), machine.metrics().clone());
         let mut sys = FbufSystem {
             machine,
             rpc,
@@ -312,12 +307,7 @@ impl FbufSystem {
             charge_clearing: true,
             reuse_policy: ReusePolicy::Lifo,
             fault: None,
-            engine: Some(Box::new(fbuf_ipc::EventLoop::new(
-                machine_clock,
-                machine_stats,
-                machine_tracer,
-                machine_metrics,
-            ))),
+            engine: Some(Box::new(engine)),
             hop_notices: 0,
             xfer_completed: 0,
             xfer_aborted: 0,
@@ -385,8 +375,8 @@ impl FbufSystem {
         &mut self.rpc
     }
 
-    /// Shared statistics handle.
-    pub fn stats(&self) -> Stats {
+    /// The machine's operation counters.
+    pub fn stats(&self) -> &Stats {
         self.machine.stats()
     }
 
@@ -418,7 +408,7 @@ impl FbufSystem {
     /// disabled, and never any simulated cost).
     pub fn sample_metrics(&self) {
         let now = self.machine.now();
-        let m = self.machine.metrics_ref();
+        let m = self.machine.metrics();
         if !m.due(now) {
             return;
         }
@@ -439,7 +429,7 @@ impl FbufSystem {
     /// `inbox<d>`), as does every pass after a
     /// [`Metrics::clear`](fbuf_sim::Metrics::clear) or re-enable.
     pub fn sample_gauges_at(&self, now: Ns) {
-        let Some(mut s) = self.machine.metrics_ref().sampler(now) else {
+        let Some(mut s) = self.machine.metrics().sampler(now) else {
             return;
         };
         let resync = s.resync();
@@ -451,7 +441,7 @@ impl FbufSystem {
         // of place, and the drop counter lives in `Stats`, which can be
         // reset; both are one read.
         let pending = || engine.map_or(0, fbuf_ipc::EventLoop::pending) as u64;
-        let drops = || self.machine.stats_ref().overload_drops();
+        let drops = || self.machine.stats().overload_drops();
         let (paths_seen, doms_seen) = self.seen.get();
         let joined = self.paths.len() > paths_seen
             || (engine.is_some() && self.registered.len() > doms_seen);
@@ -530,14 +520,14 @@ impl FbufSystem {
     /// Tells telemetry that a held gauge's value may have changed.
     #[inline]
     fn touch(&self, g: Gauge) {
-        self.machine.metrics_ref().touch(g);
+        self.machine.metrics().touch(g);
     }
 
     /// Every path's admission threshold reads the policy, so a policy
     /// change touches them all.
     fn touch_thresholds(&self) {
         self.machine
-            .metrics_ref()
+            .metrics()
             .touch_each(|g| matches!(g, Gauge::PathThreshold(_)));
     }
 
@@ -762,7 +752,7 @@ impl FbufSystem {
                     };
                     (id, Some(EventKind::CacheHit))
                 } else {
-                    self.machine.stats_ref().inc_fbuf_cache_misses();
+                    self.machine.stats_mut().inc_fbuf_cache_misses();
                     let id = self.build(dom, Some(path_id), pages, len)?;
                     (id, Some(EventKind::CacheMiss))
                 }
@@ -778,11 +768,11 @@ impl FbufSystem {
         // accounting measures from.
         let path = mode.path();
         self.tenants.ledger.bill(dom, path, |r| r.allocs += 1);
-        let tr = self.machine.tracer_ref();
+        let (tr, now) = (self.machine.tracer(), self.machine.now());
         if let Some(kind) = cache_event {
-            tr.instant(kind, dom.0, path.map(|p| p.0), Some(id.0));
+            tr.instant(now, kind, dom.0, path.map(|p| p.0), Some(id.0));
         }
-        tr.span(t0, EventKind::Alloc, dom.0, path.map(|p| p.0), Some(id.0));
+        tr.span(t0, now, EventKind::Alloc, dom.0, path.map(|p| p.0), Some(id.0));
         self.sample_metrics();
         Ok(id)
     }
@@ -813,7 +803,7 @@ impl FbufSystem {
     /// hit path — a free-list charge and O(1) bookkeeping, no mapping work
     /// and no allocation.
     fn reuse_cached(&mut self, id: FbufId, dom: DomainId, len: u64) -> FbufResult<FbufId> {
-        self.machine.stats_ref().inc_fbuf_cache_hits();
+        self.machine.stats_mut().inc_fbuf_cache_hits();
         self.machine
             .charge(CostCategory::Alloc, self.machine.costs().freelist_op);
         if !self.fbufs.get(id.0).expect("parked fbuf exists").resident() {
@@ -920,7 +910,7 @@ impl FbufSystem {
                         // An organic admission denial: the policy refused
                         // growth. Only these count as quota denials —
                         // injected ones are the fault plan's to tally.
-                        self.machine.stats_ref().inc_chunk_quota_denials();
+                        self.machine.stats_mut().inc_chunk_quota_denials();
                         Some(FbufError::QuotaExceeded { path })
                     } else if self.fault_fires(FaultSite::QuotaExhausted) {
                         Some(FbufError::QuotaExceeded { path })
@@ -938,7 +928,7 @@ impl FbufSystem {
                     self.machine
                         .charge(CostCategory::Alloc, self.machine.costs().chunk_request);
                     let chunk = self.chunk_alloc.grant()?;
-                    self.machine.stats_ref().inc_chunks_granted();
+                    self.machine.stats_mut().inc_chunks_granted();
                     self.touch_free_chunks();
                     if let Some(p) = path {
                         self.touch(Gauge::PathChunks(p.0 as u32));
@@ -1060,7 +1050,7 @@ impl FbufSystem {
         check_holder(f, from)?;
         let h = &mut hot[slot_of(id.0)];
         let path = h.path;
-        tenants.bill_transfer(machine.stats_ref(), from, path, f.len);
+        tenants.bill_transfer(machine.stats_mut(), from, path, f.len);
         if let Some(mode) = mapped {
             if mode == SendMode::Secure {
                 secure_fbuf(machine, f, h)?;
@@ -1076,10 +1066,12 @@ impl FbufSystem {
             }
         }
         add_holder(f, held, id, to);
-        let (tracer, p) = (machine.tracer_ref(), path.map(|p| p.0));
+        let (tracer, now, p) = (machine.tracer(), machine.now(), path.map(|p| p.0));
         match mapped {
-            Some(_) => tracer.span_peer(t0, EventKind::Transfer, from.0, Some(to.0), p, Some(id.0)),
-            None => tracer.instant_peer(EventKind::Transfer, from.0, to.0, p, Some(id.0)),
+            Some(_) => {
+                tracer.span_peer(t0, now, EventKind::Transfer, from.0, Some(to.0), p, Some(id.0))
+            }
+            None => tracer.instant_peer(now, EventKind::Transfer, from.0, to.0, p, Some(id.0)),
         }
         Ok(())
     }
@@ -1164,13 +1156,13 @@ impl FbufSystem {
             mf.held_pos[j] = pos;
         }
         machine
-            .tracer_ref()
-            .instant(EventKind::Free, dom.0, path.map(|p| p.0), Some(id.0));
+            .tracer()
+            .instant(machine.now(), EventKind::Free, dom.0, path.map(|p| p.0), Some(id.0));
         if dom != originator {
             // An external reference was dropped: queue a deallocation
             // notice for the owner (it rides the next RPC reply, or an
             // explicit message when the backlog grows too long).
-            let _ = rpc.queue_dealloc_notice(originator, dom, id.0);
+            let _ = rpc.queue_dealloc_notice(machine, originator, dom, id.0);
         }
         if now_empty {
             // The buffer's whole incarnation ends here: bill its hold time
@@ -1329,8 +1321,9 @@ impl FbufSystem {
                 }
             }
             if took > 0 {
-                machine.stats_ref().add_frames_reclaimed(took);
-                machine.tracer_ref().instant(
+                machine.stats_mut().add_frames_reclaimed(took);
+                machine.tracer().instant(
+                    machine.now(),
                     EventKind::Reclaim,
                     originator.0,
                     path.map(|p| p.0),
@@ -1423,7 +1416,7 @@ impl FbufSystem {
             self.live_paths -= 1;
             let i = pid.0 as u32;
             for g in [Gauge::PathParked(i), Gauge::PathChunks(i), Gauge::PathThreshold(i)] {
-                self.machine.metrics_ref().leave(g);
+                self.machine.metrics().leave(g);
             }
             for id in parked {
                 self.retire(id)?;
@@ -1433,7 +1426,7 @@ impl FbufSystem {
         self.machine.terminate_domain(dom)?;
         self.registered[dom.0 as usize] = false;
         self.registered_doms -= 1;
-        self.machine.metrics_ref().leave(Gauge::Inbox(dom.0));
+        self.machine.metrics().leave(Gauge::Inbox(dom.0));
         self.terminated[dom.0 as usize] = true;
         // 4. Release the domain's chunks now, or park them until external
         //    references drain.
@@ -1496,8 +1489,8 @@ impl FbufSystem {
         let path = self.hot_of(id).path;
         self.machine.write(dom, va + off, bytes)?;
         self.machine
-            .tracer_ref()
-            .instant(EventKind::Write, dom.0, path.map(|p| p.0), Some(id.0));
+            .tracer()
+            .instant(self.machine.now(), EventKind::Write, dom.0, path.map(|p| p.0), Some(id.0));
         Ok(())
     }
 
@@ -2006,7 +1999,7 @@ mod tests {
         r.record(Gauge::EnginePending, || {
             s.engine.as_deref().map_or(0, fbuf_ipc::EventLoop::pending) as u64
         });
-        r.record(Gauge::OverloadDrops, || s.machine.stats_ref().overload_drops());
+        r.record(Gauge::OverloadDrops, || s.machine.stats().overload_drops());
         let free = s.chunk_alloc.available();
         let quota = s.machine.config().max_chunks_per_path;
         r.record(Gauge::FreeChunks, || free);
@@ -2038,7 +2031,7 @@ mod tests {
         for case in 0..24u64 {
             let mut rng = fbuf_sim::Rng::new(0x3c6e_f372 ^ case);
             let mut s = FbufSystem::new(MachineConfig::tiny());
-            let m = s.machine().metrics();
+            let m = s.machine().metrics().clone();
             // Only the explicit passes below sample: the checkpoints'
             // deadline is pushed out of reach (again after each clear).
             m.set_cadence(u64::MAX / 4);

@@ -159,7 +159,7 @@ impl Tenants {
     /// conserves by construction.
     pub(crate) fn bill_transfer(
         &mut self,
-        stats: &Stats,
+        stats: &mut Stats,
         from: DomainId,
         path: Option<PathId>,
         len: u64,
@@ -249,7 +249,7 @@ impl FbufSystem {
         }
         a.strikes += 1;
         let escalate = a.strikes >= cfg.revoke_strikes;
-        self.machine().stats_ref().inc_jail_denials();
+        self.machine.stats_mut().inc_jail_denials();
         self.tenants.ledger.bill(dom, mode.path(), |r| r.faults += 1);
         if escalate {
             self.revoke_hoard(dom)?;
@@ -295,11 +295,10 @@ impl FbufSystem {
     /// counter, the tenant's `revocations` column, and a `Revoked` trace
     /// instant.
     fn bill_revocation(&mut self, id: FbufId, dom: DomainId, path: Option<PathId>) {
-        self.machine().stats_ref().inc_fbufs_revoked();
+        self.machine.stats_mut().inc_fbufs_revoked();
         self.tenants.ledger.bill(dom, path, |r| r.revocations += 1);
-        self.machine()
-            .tracer_ref()
-            .instant(EventKind::Revoked, dom.0, path.map(|p| p.0), Some(id.0));
+        let (tracer, now) = (self.machine.tracer(), self.machine.now());
+        tracer.instant(now, EventKind::Revoked, dom.0, path.map(|p| p.0), Some(id.0));
     }
 
     /// Validates a raw fbuf handle presented by (or on behalf of) `dom`
@@ -324,10 +323,9 @@ impl FbufSystem {
     /// Records one forged/stale-token rejection against `dom` (and
     /// `path`, when the token arrived on a ring bound to one).
     pub fn reject_token(&mut self, dom: DomainId, path: Option<PathId>, raw: u64) {
-        self.machine().stats_ref().inc_tokens_rejected();
+        self.machine.stats_mut().inc_tokens_rejected();
         self.tenants.ledger.bill(dom, path, |r| r.rejected_tokens += 1);
-        self.machine()
-            .tracer_ref()
-            .instant(EventKind::TokenReject, dom.0, path.map(|p| p.0), Some(raw));
+        let (tracer, now) = (self.machine.tracer(), self.machine.now());
+        tracer.instant(now, EventKind::TokenReject, dom.0, path.map(|p| p.0), Some(raw));
     }
 }

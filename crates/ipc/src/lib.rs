@@ -13,21 +13,19 @@
 //!   this list. When too many freed references have accumulated, an explicit
 //!   message must be sent" (paper §3.3; [`NoticeBoard`]).
 //!
-//! Two execution models share those charging primitives:
-//!
-//! * [`Rpc::call`] alone models the original **synchronous** descent — the
-//!   caller charges the full round trip inline, matching a single-CPU
-//!   DecStation where caller and callee cannot overlap;
-//! * [`actor::EventLoop`] schedules hops as **events** against bounded
-//!   per-domain inboxes, with [`Rpc::call`] invoked from the event handler
-//!   so each hop charges identically — plus explicit queueing delay,
-//!   backpressure, and [`actor::SendOutcome::Overload`] that the recursive
-//!   model cannot express. See `DESIGN.md` §12.
+//! Hops run on one execution model, [`actor::EventLoop`] dispatch: each
+//! hop is an event posted to the destination domain's bounded inbox and
+//! handled in deterministic `(time, id)` order. [`Rpc::call`] is the
+//! per-hop charging primitive: the handler invokes it on the machine that
+//! owns the clock and counters, so a drained hop charges exactly the full
+//! round trip of a synchronous call on the single-CPU DecStation, and the
+//! loop adds queueing delay, backpressure and the explicit
+//! [`actor::SendOutcome::Overload`]. See `DESIGN.md` §12.
 
 pub mod actor;
 pub mod notice;
 pub mod rpc;
 
-pub use actor::{Envelope, EventLoop, SendOutcome, DEFAULT_INBOX_DEPTH};
+pub use actor::{Envelope, EventLoop, Now, SendOutcome, DEFAULT_INBOX_DEPTH};
 pub use notice::NoticeBoard;
 pub use rpc::{Payload, Rpc};

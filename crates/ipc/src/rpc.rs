@@ -1,7 +1,7 @@
 //! Synchronous RPC with calibrated control-transfer latency.
 
-use fbuf_sim::{Clock, CostCategory, CostModel, EventKind, Ns, Stats, Tracer};
-use fbuf_vm::DomainId;
+use fbuf_sim::{CostCategory, CostModel, EventKind, Ns};
+use fbuf_vm::{DomainId, Machine};
 
 use crate::notice::NoticeBoard;
 
@@ -27,13 +27,10 @@ pub enum Payload {
     AggregateRoot(u64),
 }
 
-/// The RPC layer: charges per-call latency and drains deallocation notices
-/// into replies.
+/// The RPC layer: charges per-call latency to the machine its caller
+/// passes in and drains deallocation notices into replies.
 #[derive(Debug)]
 pub struct Rpc {
-    clock: Clock,
-    stats: Stats,
-    tracer: Tracer,
     costs: CostModel,
     notices: NoticeBoard,
     /// IPC calls originated per domain, indexed by `DomainId.0` — the
@@ -45,13 +42,11 @@ pub struct Rpc {
 }
 
 impl Rpc {
-    /// Creates the RPC layer over the shared clock/stats/tracer handles
-    /// and cost model.
-    pub fn new(clock: Clock, stats: Stats, tracer: Tracer, costs: CostModel) -> Rpc {
+    /// Creates the RPC layer with the machine's cost model. It holds no
+    /// clock, counters or tracer: each call charges, counts and traces
+    /// on the machine it is given.
+    pub fn new(costs: CostModel) -> Rpc {
         Rpc {
-            clock,
-            stats,
-            tracer,
             costs,
             notices: NoticeBoard::new(),
             calls_by_dom: Vec::new(),
@@ -78,8 +73,9 @@ impl Rpc {
         }
     }
 
-    /// Performs a synchronous RPC from `from` to `to`: charges the control
-    /// transfer and per-message dispatch, counts the message, and returns
+    /// Performs a synchronous RPC from `from` to `to` on `m`: charges the
+    /// control transfer and per-message dispatch, counts the message, and
+    /// returns
     /// the deallocation notices the reply carries back to `from` (tokens
     /// previously queued by receivers freeing fbufs owned by `from`; the
     /// kernel mediates every RPC, so the reply aggregates notices from all
@@ -92,23 +88,24 @@ impl Rpc {
     /// of each hop, and a hop re-entered from inside a handler invokes it
     /// inline. The charge sequence is the one a recursive descent would
     /// perform (pinned by the goldens in `tests/counter_exactness.rs`).
-    pub fn call(&mut self, from: DomainId, to: DomainId) -> &[u64] {
-        self.clock.charge(
+    pub fn call(&mut self, m: &mut Machine, from: DomainId, to: DomainId) -> &[u64] {
+        m.charge(
             CostCategory::Ipc,
             self.latency(from, to) + self.costs.ipc_dispatch,
         );
-        self.stats.inc_ipc_messages();
+        m.stats_mut().inc_ipc_messages();
         self.count_call_from(from);
-        self.tracer
-            .instant_peer(EventKind::IpcCall, from.0, to.0, None, None);
+        let now = m.now();
+        m.tracer()
+            .instant_peer(now, EventKind::IpcCall, from.0, to.0, None, None);
         self.reply.clear();
         self.notices.drain_all_into(from, &mut self.reply);
         if !self.reply.is_empty() {
-            self.stats.add_piggybacked_notices(self.reply.len() as u64);
+            m.stats_mut().add_piggybacked_notices(self.reply.len() as u64);
             for &token in &self.reply {
                 // The notice reaches the owner (`from`) on this reply.
-                self.tracer
-                    .instant_peer(EventKind::Notice, to.0, from.0, None, Some(token));
+                m.tracer()
+                    .instant_peer(now, EventKind::Notice, to.0, from.0, None, Some(token));
             }
         }
         &self.reply
@@ -124,21 +121,22 @@ impl Rpc {
     /// `None` — the backlog will ride a future reply.
     pub fn queue_dealloc_notice(
         &mut self,
+        m: &mut Machine,
         owner: DomainId,
         holder: DomainId,
         token: u64,
     ) -> Option<Vec<u64>> {
         if self.notices.queue(owner, holder, token) {
             // Threshold exceeded: explicit message.
-            self.clock.charge(
+            m.charge(
                 CostCategory::Ipc,
                 self.latency(holder, owner) + self.costs.ipc_dispatch,
             );
-            self.stats.inc_ipc_messages();
+            m.stats_mut().inc_ipc_messages();
             self.count_call_from(holder);
-            self.stats.inc_explicit_notice_messages();
-            self.tracer
-                .instant_peer(EventKind::Notice, holder.0, owner.0, None, Some(token));
+            m.stats_mut().inc_explicit_notice_messages();
+            m.tracer()
+                .instant_peer(m.now(), EventKind::Notice, holder.0, owner.0, None, Some(token));
             Some(self.notices.drain(owner, holder))
         } else {
             None
@@ -162,47 +160,35 @@ impl Rpc {
     pub fn calls_by_dom(&self) -> &[u64] {
         &self.calls_by_dom
     }
-
-    /// The shared clock (for callers that need to idle).
-    pub fn clock(&self) -> Clock {
-        self.clock.clone()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbuf_sim::MachineConfig;
     use fbuf_vm::KERNEL_DOMAIN;
 
-    fn rpc() -> (Rpc, Clock, Stats) {
-        let clock = Clock::new();
-        let stats = Stats::new();
-        let tracer = Tracer::new(clock.clone());
-        let r = Rpc::new(
-            clock.clone(),
-            stats.clone(),
-            tracer,
-            CostModel::decstation_5000_200(),
-        );
-        (r, clock, stats)
+    fn rpc() -> (Rpc, Machine) {
+        let m = Machine::new(MachineConfig::decstation_5000_200());
+        (Rpc::new(m.costs().clone()), m)
     }
 
     #[test]
     fn kernel_user_cheaper_than_user_user() {
-        let (mut r, clock, stats) = rpc();
+        let (mut r, mut m) = rpc();
         let u1 = DomainId(1);
         let u2 = DomainId(2);
-        r.call(KERNEL_DOMAIN, u1);
-        let ku = clock.now();
-        r.call(u1, u2);
-        let uu = clock.now() - ku;
+        r.call(&mut m, KERNEL_DOMAIN, u1);
+        let ku = m.now();
+        r.call(&mut m, u1, u2);
+        let uu = m.now() - ku;
         assert!(uu > ku, "user-user {uu} should exceed kernel-user {ku}");
-        assert_eq!(stats.ipc_messages(), 2);
+        assert_eq!(m.stats().ipc_messages(), 2);
     }
 
     #[test]
     fn latency_is_symmetric() {
-        let (r, _, _) = rpc();
+        let (r, _) = rpc();
         assert_eq!(
             r.latency(KERNEL_DOMAIN, DomainId(1)),
             r.latency(DomainId(1), KERNEL_DOMAIN)
@@ -215,34 +201,34 @@ mod tests {
 
     #[test]
     fn notices_ride_the_next_reply_to_the_owner() {
-        let (mut r, _, stats) = rpc();
+        let (mut r, mut m) = rpc();
         let owner = DomainId(1);
         let holder = DomainId(2);
-        assert!(r.queue_dealloc_notice(owner, holder, 7).is_none());
-        assert!(r.queue_dealloc_notice(owner, holder, 8).is_none());
+        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 7).is_none());
+        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 8).is_none());
         // A call from someone else's pair carries nothing.
-        assert!(r.call(DomainId(3), holder).is_empty());
+        assert!(r.call(&mut m, DomainId(3), holder).is_empty());
         // The owner's next call to the holder gets both notices in the
         // reply.
-        let got = r.call(owner, holder);
+        let got = r.call(&mut m, owner, holder);
         assert_eq!(got, vec![7, 8]);
-        assert_eq!(stats.piggybacked_notices(), 2);
-        assert_eq!(stats.explicit_notice_messages(), 0);
+        assert_eq!(m.stats().piggybacked_notices(), 2);
+        assert_eq!(m.stats().explicit_notice_messages(), 0);
         // Drained: nothing left.
-        assert!(r.call(owner, holder).is_empty());
+        assert!(r.call(&mut m, owner, holder).is_empty());
     }
 
     #[test]
     fn explicit_message_after_threshold() {
-        let (mut r, _, stats) = rpc();
+        let (mut r, mut m) = rpc();
         r.set_notice_threshold(3);
         let owner = DomainId(1);
         let holder = DomainId(2);
-        assert!(r.queue_dealloc_notice(owner, holder, 1).is_none());
-        assert!(r.queue_dealloc_notice(owner, holder, 2).is_none());
-        let flushed = r.queue_dealloc_notice(owner, holder, 3).unwrap();
+        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 1).is_none());
+        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 2).is_none());
+        let flushed = r.queue_dealloc_notice(&mut m, owner, holder, 3).unwrap();
         assert_eq!(flushed, vec![1, 2, 3]);
-        assert_eq!(stats.explicit_notice_messages(), 1);
+        assert_eq!(m.stats().explicit_notice_messages(), 1);
     }
 
     #[test]
@@ -250,58 +236,58 @@ mod tests {
         // The paper: "in practice, it is rarely necessary to send
         // additional messages for the purpose of deallocation" — because
         // steady RPC traffic keeps draining the list.
-        let (mut r, _, stats) = rpc();
+        let (mut r, mut m) = rpc();
         r.set_notice_threshold(8);
         let owner = DomainId(1);
         let holder = DomainId(2);
         for i in 0..1000 {
-            let flushed = r.queue_dealloc_notice(owner, holder, i);
+            let flushed = r.queue_dealloc_notice(&mut m, owner, holder, i);
             assert!(flushed.is_none());
             // Steady traffic: the owner RPCs the holder after every couple
             // of frees.
             if i % 2 == 0 {
-                r.call(owner, holder);
+                r.call(&mut m, owner, holder);
             }
         }
-        assert_eq!(stats.explicit_notice_messages(), 0);
+        assert_eq!(m.stats().explicit_notice_messages(), 0);
         assert_eq!(
-            stats.piggybacked_notices(),
+            m.stats().piggybacked_notices(),
             1000 - r.pending_notices(owner, holder) as u64
         );
     }
 
     #[test]
     fn calls_are_attributed_to_the_originating_domain() {
-        let (mut r, _, stats) = rpc();
-        r.call(DomainId(1), DomainId(2));
-        r.call(DomainId(1), DomainId(2));
-        r.call(DomainId(2), DomainId(1));
+        let (mut r, mut m) = rpc();
+        r.call(&mut m, DomainId(1), DomainId(2));
+        r.call(&mut m, DomainId(1), DomainId(2));
+        r.call(&mut m, DomainId(2), DomainId(1));
         // Forced explicit notice counts against the holder who sent it.
         r.set_notice_threshold(1);
-        r.queue_dealloc_notice(DomainId(1), DomainId(3), 99).unwrap();
+        r.queue_dealloc_notice(&mut m, DomainId(1), DomainId(3), 99).unwrap();
         assert_eq!(r.calls_by_dom().get(1), Some(&2));
         assert_eq!(r.calls_by_dom().get(2), Some(&1));
         assert_eq!(r.calls_by_dom().get(3), Some(&1));
         assert_eq!(
             r.calls_by_dom().iter().sum::<u64>(),
-            stats.ipc_messages(),
+            m.stats().ipc_messages(),
             "per-domain attribution conserves the fleet counter"
         );
     }
 
     #[test]
     fn a_reply_carries_every_holders_notices_to_the_caller() {
-        let (mut r, _, stats) = rpc();
+        let (mut r, mut m) = rpc();
         let owner = DomainId(1);
-        r.queue_dealloc_notice(owner, DomainId(2), 10);
-        r.queue_dealloc_notice(owner, DomainId(3), 11);
-        let mut all = r.call(owner, DomainId(2)).to_vec();
+        r.queue_dealloc_notice(&mut m, owner, DomainId(2), 10);
+        r.queue_dealloc_notice(&mut m, owner, DomainId(3), 11);
+        let mut all = r.call(&mut m, owner, DomainId(2)).to_vec();
         all.sort_unstable();
         assert_eq!(all, vec![10, 11]);
         assert_eq!(r.pending_notices(owner, DomainId(2)), 0);
-        assert_eq!(stats.piggybacked_notices(), 2);
+        assert_eq!(m.stats().piggybacked_notices(), 2);
         assert!(
-            r.call(owner, DomainId(2)).is_empty(),
+            r.call(&mut m, owner, DomainId(2)).is_empty(),
             "the next reply starts empty"
         );
     }

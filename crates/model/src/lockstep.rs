@@ -151,7 +151,7 @@ impl Harness {
         // model predicts exactly.
         cfg.phys_mem = 16 << 20;
         let mut sys = FbufSystem::new(cfg.clone());
-        sys.machine().tracer_ref().set_enabled(true);
+        sys.machine().tracer().set_enabled(true);
         sys.set_quota_policy(policy);
         let mut model = Oracle::new(OracleConfig {
             page_size: cfg.page_size,
@@ -279,7 +279,7 @@ impl Harness {
     /// included — an adversarial run that unbalanced either is a bug),
     /// and the final states must still agree.
     pub fn finish_case(&mut self) -> Result<(), String> {
-        let report = audit_tracer(self.sys.machine().tracer_ref());
+        let report = audit_tracer(self.sys.machine().tracer());
         if !report.is_clean() {
             let list: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
             return Err(format!(
@@ -439,7 +439,7 @@ impl Harness {
                 self.sys.engine_pending()
             ));
         }
-        if self.sys.stats().overload_drops() != 0 {
+        if self.sys.engine_overloads() != 0 || self.sys.stats().overload_drops() != 0 {
             return Err("a sequential hop tripped the overload path".to_string());
         }
         self.feed.finish()

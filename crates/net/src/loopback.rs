@@ -123,8 +123,9 @@ impl LoopbackStack {
     /// tagged with it, so a trace decomposes per message.
     pub fn send_message(&mut self, size: u64, verify: bool) -> FbufResult<Ns> {
         let span = self.fbs.mint_span();
-        let tracer = self.fbs.machine().tracer();
-        tracer.span_start(span, self.originator.0, self.path.map(|p| p.0), None);
+        let tracer = self.fbs.machine().tracer().clone();
+        let now = self.fbs.machine().now();
+        tracer.span_start(now, span, self.originator.0, self.path.map(|p| p.0), None);
         let prev = tracer.set_current_span(Some(span));
         let out = self.send_message_in_span(size, verify);
         tracer.set_current_span(prev);
@@ -155,15 +156,17 @@ impl LoopbackStack {
         if size > self.cfg.pdu {
             self.charge(costs.proto_frag_setup);
         }
-        let tracer = self.fbs.machine().tracer();
+        let tracer = self.fbs.machine().tracer().clone();
         let path = self.path.map(|p| p.0);
         let mut reassembled = None;
         let mut dropped = Vec::new();
         for (hdr, body) in fragment(&msg, self.datagram, self.cfg.pdu) {
             self.charge(costs.proto_ip_pdu); // IP send processing
-            tracer.instant(EventKind::PduTx, self.netserver.0, path, None);
+            let now = self.fbs.machine().now();
+            tracer.instant(now, EventKind::PduTx, self.netserver.0, path, None);
             self.charge(costs.proto_loopback_pdu); // loopback turnaround
-            tracer.instant(EventKind::PduRx, self.netserver.0, path, None);
+            let now = self.fbs.machine().now();
+            tracer.instant(now, EventKind::PduRx, self.netserver.0, path, None);
             self.charge(costs.proto_ip_pdu); // IP receive processing
             if let Some(done) = self.reasm.add(hdr, body, &mut dropped) {
                 reassembled = Some(done);

@@ -217,8 +217,8 @@ impl EndToEnd {
     /// merged trace decomposes per datagram across both machines.
     pub fn send_message(&mut self, size: u64, vci: u32, verify: bool) -> FbufResult<()> {
         let span = self.tx.fbs.mint_span();
-        let tracer = self.tx.fbs.machine().tracer();
-        tracer.span_start(span, self.tx.app.0, None, None);
+        let tracer = self.tx.fbs.machine().tracer().clone();
+        tracer.span_start(self.tx.fbs.machine().now(), span, self.tx.app.0, None, None);
         let prev = tracer.set_current_span(Some(span));
         let out = self.send_message_in_span(size, vci, verify, span);
         tracer.set_current_span(prev);
@@ -235,7 +235,7 @@ impl EndToEnd {
         // Sliding window: block until an ack frees a slot.
         while self.acks.len() >= self.cfg.window {
             let done = self.acks.pop_front().expect("non-empty");
-            self.tx.fbs.machine().clock().wait_until(done + ACK_LATENCY);
+            self.tx.fbs.machine_mut().clock_mut().wait_until(done + ACK_LATENCY);
         }
         self.datagram += 1;
         let datagram = self.datagram;
@@ -296,6 +296,7 @@ impl EndToEnd {
             };
             // Serialize onto the wire.
             self.tx.fbs.machine().tracer().instant(
+                self.tx.fbs.machine().now(),
                 EventKind::PduTx,
                 self.tx.kernel().0,
                 None,
@@ -324,8 +325,8 @@ impl EndToEnd {
         parent: u64,
     ) -> FbufResult<()> {
         let child = self.rx.fbs.mint_span();
-        let tracer = self.rx.fbs.machine().tracer();
-        tracer.span_link(child, parent, self.rx.kernel().0);
+        let tracer = self.rx.fbs.machine().tracer().clone();
+        tracer.span_link(self.rx.fbs.machine().now(), child, parent, self.rx.kernel().0);
         let prev = tracer.set_current_span(Some(child));
         let out = self.receive_pdu_in_span(pdu, arrive, verify);
         tracer.set_current_span(prev);
@@ -333,8 +334,7 @@ impl EndToEnd {
     }
 
     fn receive_pdu_in_span(&mut self, pdu: &WirePdu, arrive: Ns, verify: bool) -> FbufResult<()> {
-        let clock = self.rx.fbs.machine().clock();
-        clock.wait_until(arrive);
+        self.rx.fbs.machine_mut().clock_mut().wait_until(arrive);
         let costs = self.rx.fbs.machine().costs().clone();
         self.rx.fbs.machine_mut().charge(
             CostCategory::Driver,
@@ -343,7 +343,7 @@ impl EndToEnd {
 
         // VCI demux before DMA: cached per-path queue or uncached pool.
         let cached = self.cfg.rx_cached && self.vci_table.touch(pdu.vci);
-        let stats = self.rx.fbs.stats();
+        let stats = self.rx.fbs.machine_mut().stats_mut();
         if cached {
             stats.inc_driver_cached_rx();
         } else {
@@ -355,11 +355,9 @@ impl EndToEnd {
         self.rx.dma_from(id, &self.tx, &pdu.payload)?;
         let m = Msg::from_fbuf(id, 0, len);
         let kernel = self.rx.kernel();
-        self.rx
-            .fbs
-            .machine()
-            .tracer()
-            .instant(EventKind::PduRx, kernel.0, None, Some(id.0));
+        let rx = self.rx.fbs.machine();
+        rx.tracer()
+            .instant(rx.now(), EventKind::PduRx, kernel.0, None, Some(id.0));
         self.rx.refs.adopt(kernel, &m);
 
         // IP up. Fragments the reassembler lets go of (a duplicate, or an

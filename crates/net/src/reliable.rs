@@ -179,7 +179,7 @@ impl ReliableChannel {
                         });
                     }
                     // Timeout, then retransmit *the same fbuf*.
-                    fbs.machine().clock().idle_for(RTO);
+                    fbs.machine_mut().clock_mut().idle_for(RTO);
                     self.stats.retransmissions += 1;
                     continue;
                 }

@@ -156,11 +156,6 @@ impl<T> Arena<T> {
         self.live == 0
     }
 
-    /// Total slots ever allocated (live + recyclable).
-    pub fn capacity_slots(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Iterates live `(handle, &value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, slot)| {

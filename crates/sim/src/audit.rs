@@ -532,12 +532,11 @@ mod tests {
 
     #[test]
     fn overflowed_ring_audit_carries_an_explicit_warning() {
-        use crate::time::Clock;
-        let t = Tracer::new(Clock::new());
+        let t = Tracer::new();
         t.set_enabled(true);
         t.set_capacity(2);
         for i in 0..5u64 {
-            t.instant(EventKind::Notice, 0, None, Some(i));
+            t.instant(crate::Ns(i), EventKind::Notice, 0, None, Some(i));
         }
         let r = audit_tracer(&t);
         assert!(!r.complete);
@@ -545,9 +544,9 @@ mod tests {
         assert_eq!(r.warnings.len(), 1);
         assert!(r.warnings[0].contains("overflowed"));
         // An untruncated ring warns about nothing.
-        let t2 = Tracer::new(Clock::new());
+        let t2 = Tracer::new();
         t2.set_enabled(true);
-        t2.instant(EventKind::Notice, 0, None, Some(1));
+        t2.instant(crate::Ns(0), EventKind::Notice, 0, None, Some(1));
         let r2 = audit_tracer(&t2);
         assert_eq!(r2.dropped, 0);
         assert!(r2.warnings.is_empty());

@@ -243,12 +243,6 @@ impl CostModel {
     pub fn dma_time_uncontended(&self, bytes: u64) -> Ns {
         bps_time(bytes, self.dma_ceiling_bps)
     }
-
-    /// Simulated serialization time of `bytes` on the link at the net (post
-    /// cell tax) rate (516 Mb/s).
-    pub fn link_time(&self, bytes: u64) -> Ns {
-        bps_time(bytes, self.link_net_bps)
-    }
 }
 
 impl Default for CostModel {

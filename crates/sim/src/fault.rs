@@ -143,7 +143,7 @@ impl FaultSpec {
 
 /// Runtime fault schedule, shared by `Rc` between the layers of one
 /// engine (machine, fbuf system, shard). Single-threaded by design, like
-/// `Clock` and `Tracer`.
+/// `Tracer`.
 #[derive(Debug)]
 pub struct FaultPlan {
     state: Cell<u64>,

@@ -61,11 +61,6 @@ impl SpanTree {
         self.nodes.iter().find(|n| n.span == span)
     }
 
-    /// Total events across every node of the tree.
-    pub fn total_events(&self) -> usize {
-        self.nodes.iter().map(|n| n.events.len()).sum()
-    }
-
     /// True when every node is reachable from the root via parent
     /// links — i.e. the transfer reconstructed as one connected tree,
     /// not a forest of orphaned fragments.

@@ -6,9 +6,7 @@
 //! two, irrespective of the number of transfers" (paper §3.2.2) exactly,
 //! independent of any calibration.
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use crate::json::{Json, ToJson};
 
@@ -85,12 +83,12 @@ macro_rules! stats_impl {
             $(
                 $(#[$doc])*
                 pub fn $name(&self) -> u64 {
-                    self.inner.borrow().$name
+                    self.counts.$name
                 }
 
                 /// Increments the corresponding counter by one.
-                pub fn $inc(&self) {
-                    self.inner.borrow_mut().$name += 1;
+                pub fn $inc(&mut self) {
+                    self.counts.$name += 1;
                 }
             )*
         }
@@ -176,13 +174,19 @@ stats_impl! {
     tokens_rejected: inc_tokens_rejected,
 }
 
-/// Shared operation counters.
+/// Operation counters.
 ///
-/// Like [`crate::Clock`], `Stats` is a cheap cloneable handle; every layer of
-/// the stack increments the same underlying counters.
-#[derive(Debug, Clone, Default)]
+/// Like [`crate::Clock`], `Stats` has one owner, the simulated machine;
+/// every layer of the stack increments the counters through it, and a
+/// [`StatsSnapshot`] keeps their values. It cannot be cloned:
+///
+/// ```compile_fail
+/// let stats = fbuf_sim::Stats::new();
+/// let alias = stats.clone(); // must not compile: one owner
+/// ```
+#[derive(Debug, Default)]
 pub struct Stats {
-    inner: Rc<RefCell<StatsSnapshot>>,
+    counts: StatsSnapshot,
 }
 
 impl Stats {
@@ -194,41 +198,41 @@ impl Stats {
     /// Bulk-increments `pte_updates` by `n`. Used by the batched VM range
     /// operations, whose counter totals must be identical to the per-page
     /// sequences they replace (`n` single increments).
-    pub fn add_pte_updates(&self, n: u64) {
-        self.inner.borrow_mut().pte_updates += n;
+    pub fn add_pte_updates(&mut self, n: u64) {
+        self.counts.pte_updates += n;
     }
 
     /// Bulk-increments `tlb_flushes` by `n` (see [`Stats::add_pte_updates`]).
-    pub fn add_tlb_flushes(&self, n: u64) {
-        self.inner.borrow_mut().tlb_flushes += n;
+    pub fn add_tlb_flushes(&mut self, n: u64) {
+        self.counts.tlb_flushes += n;
     }
 
     /// Bulk-increments `frames_reclaimed` by `n` (one per frame taken from
     /// a parked buffer by the pageout daemon).
-    pub fn add_frames_reclaimed(&self, n: u64) {
-        self.inner.borrow_mut().frames_reclaimed += n;
+    pub fn add_frames_reclaimed(&mut self, n: u64) {
+        self.counts.frames_reclaimed += n;
     }
 
     /// Bulk-increments `piggybacked_notices` by `n` (one per token drained
     /// into an RPC reply).
-    pub fn add_piggybacked_notices(&self, n: u64) {
-        self.inner.borrow_mut().piggybacked_notices += n;
+    pub fn add_piggybacked_notices(&mut self, n: u64) {
+        self.counts.piggybacked_notices += n;
     }
 
     /// Bulk-increments `bytes_transferred` by `n` (the byte length of one
     /// cross-domain transfer).
-    pub fn add_bytes_transferred(&self, n: u64) {
-        self.inner.borrow_mut().bytes_transferred += n;
+    pub fn add_bytes_transferred(&mut self, n: u64) {
+        self.counts.bytes_transferred += n;
     }
 
     /// Copies out the current values.
     pub fn snapshot(&self) -> StatsSnapshot {
-        self.inner.borrow().clone()
+        self.counts.clone()
     }
 
     /// Resets every counter to zero.
-    pub fn reset(&self) {
-        *self.inner.borrow_mut() = StatsSnapshot::default();
+    pub fn reset(&mut self) {
+        self.counts = StatsSnapshot::default();
     }
 }
 
@@ -263,7 +267,7 @@ mod tests {
 
     #[test]
     fn counters_increment_and_snapshot() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_pte_updates();
         s.inc_pte_updates();
         s.inc_tlb_flushes();
@@ -275,17 +279,8 @@ mod tests {
     }
 
     #[test]
-    fn handles_share_storage() {
-        let a = Stats::new();
-        let b = a.clone();
-        a.inc_fbuf_cache_hits();
-        b.inc_fbuf_cache_hits();
-        assert_eq!(a.fbuf_cache_hits(), 2);
-    }
-
-    #[test]
     fn delta_subtracts_fieldwise() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_pages_cleared();
         let before = s.snapshot();
         s.inc_pages_cleared();
@@ -298,7 +293,7 @@ mod tests {
 
     #[test]
     fn merge_is_plus_with_zero_identity() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_fbuf_cache_hits();
         s.inc_pte_updates();
         let a = s.snapshot();
@@ -318,7 +313,7 @@ mod tests {
 
     #[test]
     fn reset_zeroes() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_cow_faults();
         s.reset();
         assert_eq!(s.snapshot().total(), 0);
@@ -326,7 +321,7 @@ mod tests {
 
     #[test]
     fn display_skips_zero_counters() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_soft_faults();
         let text = s.snapshot().to_string();
         assert!(text.contains("soft_faults"));
@@ -335,7 +330,7 @@ mod tests {
 
     #[test]
     fn json_snapshot_lists_every_counter() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_pte_updates();
         let j = s.snapshot().to_json();
         assert_eq!(j.get("pte_updates").and_then(Json::as_f64), Some(1.0));
@@ -348,7 +343,7 @@ mod tests {
 
     #[test]
     fn counters_listing_has_names() {
-        let s = Stats::new();
+        let mut s = Stats::new();
         s.inc_dag_cycles_detected();
         let list = s.snapshot().counters();
         let c = list

@@ -3,8 +3,6 @@
 use core::fmt;
 use core::iter::Sum;
 use core::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A span (or instant) of simulated time, in nanoseconds.
 ///
@@ -183,13 +181,6 @@ impl CostCategory {
     }
 }
 
-#[derive(Debug, Default)]
-struct ClockInner {
-    now: Ns,
-    busy: Ns,
-    by_category: [Ns; CostCategory::ALL.len()],
-}
-
 /// The simulated CPU clock.
 ///
 /// Time advances in two ways:
@@ -204,13 +195,20 @@ struct ClockInner {
 /// reports ("CPU load was derived from the rate of a counter that is updated
 /// by a low-priority background thread").
 ///
-/// `Clock` is a cheap cloneable handle (`Rc<RefCell<...>>`): the machine, the
-/// IPC layer, and the drivers all charge the same underlying clock. The
-/// simulation is single-threaded by design, mirroring the uniprocessor
-/// DecStation.
-#[derive(Debug, Clone, Default)]
+/// A `Clock` has one owner, the simulated machine, mirroring the
+/// uniprocessor DecStation: the layers above charge it through that
+/// owner, and keep a [`ClockMark`] to measure an interval. It cannot be
+/// cloned:
+///
+/// ```compile_fail
+/// let clock = fbuf_sim::Clock::new();
+/// let alias = clock.clone(); // must not compile: one owner
+/// ```
+#[derive(Debug, Default)]
 pub struct Clock {
-    inner: Rc<RefCell<ClockInner>>,
+    now: Ns,
+    busy: Ns,
+    by_category: [Ns; CostCategory::ALL.len()],
 }
 
 impl Clock {
@@ -221,52 +219,46 @@ impl Clock {
 
     /// Current simulated time.
     pub fn now(&self) -> Ns {
-        self.inner.borrow().now
+        self.now
     }
 
     /// Total CPU-busy time charged so far.
     pub fn busy(&self) -> Ns {
-        self.inner.borrow().busy
+        self.busy
     }
 
     /// Total idle (waited) time so far.
     pub fn idle(&self) -> Ns {
-        let inner = self.inner.borrow();
-        inner.now - inner.busy
+        self.now - self.busy
     }
 
     /// Charges `span` of CPU work attributed to `category`.
-    pub fn charge(&self, category: CostCategory, span: Ns) {
-        let mut inner = self.inner.borrow_mut();
-        inner.now += span;
-        inner.busy += span;
-        inner.by_category[category as usize] += span;
+    pub fn charge(&mut self, category: CostCategory, span: Ns) {
+        self.now += span;
+        self.busy += span;
+        self.by_category[category as usize] += span;
     }
 
     /// Idles (without CPU work) for `span`.
-    pub fn idle_for(&self, span: Ns) {
-        self.inner.borrow_mut().now += span;
+    pub fn idle_for(&mut self, span: Ns) {
+        self.now += span;
     }
 
     /// Idles until the instant `t`; no-op if `t` is in the past.
-    pub fn wait_until(&self, t: Ns) {
-        let mut inner = self.inner.borrow_mut();
-        if t > inner.now {
-            inner.now = t;
-        }
+    pub fn wait_until(&mut self, t: Ns) {
+        self.now = self.now.max(t);
     }
 
     /// Time charged to `category` so far.
     pub fn spent_on(&self, category: CostCategory) -> Ns {
-        self.inner.borrow().by_category[category as usize]
+        self.by_category[category as usize]
     }
 
     /// Snapshot of the per-category breakdown.
     pub fn breakdown(&self) -> Vec<(CostCategory, Ns)> {
-        let inner = self.inner.borrow();
         CostCategory::ALL
             .iter()
-            .map(|&c| (c, inner.by_category[c as usize]))
+            .map(|&c| (c, self.by_category[c as usize]))
             .collect()
     }
 
@@ -276,16 +268,15 @@ impl Clock {
     /// means no work was measured, and the guard keeps the 0/0 case from
     /// surfacing as NaN in reports.
     pub fn utilization(&self) -> f64 {
-        let inner = self.inner.borrow();
-        if inner.now.0 == 0 {
+        if self.now.0 == 0 {
             return 0.0;
         }
-        inner.busy.0 as f64 / inner.now.0 as f64
+        self.busy.0 as f64 / self.now.0 as f64
     }
 
     /// Resets the clock to time zero, clearing all accounting.
-    pub fn reset(&self) {
-        *self.inner.borrow_mut() = ClockInner::default();
+    pub fn reset(&mut self) {
+        *self = Clock::default();
     }
 }
 
@@ -299,10 +290,9 @@ pub struct ClockMark {
 impl Clock {
     /// Captures the current instant for later [`Clock::since`].
     pub fn mark(&self) -> ClockMark {
-        let inner = self.inner.borrow();
         ClockMark {
-            now: inner.now,
-            busy: inner.busy,
+            now: self.now,
+            busy: self.busy,
         }
     }
 
@@ -364,7 +354,7 @@ mod tests {
 
     #[test]
     fn clock_charges_and_categorizes() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         clock.charge(CostCategory::Vm, Ns(100));
         clock.charge(CostCategory::Tlb, Ns(50));
         clock.charge(CostCategory::Vm, Ns(25));
@@ -377,7 +367,7 @@ mod tests {
 
     #[test]
     fn clock_idle_does_not_count_as_busy() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         clock.charge(CostCategory::Driver, Ns(300));
         clock.idle_for(Ns(700));
         assert_eq!(clock.now(), Ns(1_000));
@@ -388,7 +378,7 @@ mod tests {
 
     #[test]
     fn utilization_over_zero_elapsed_is_zero_not_nan() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         assert_eq!(clock.utilization(), 0.0, "fresh clock");
         let mark = clock.mark();
         let u = clock.utilization_since(mark);
@@ -401,7 +391,7 @@ mod tests {
 
     #[test]
     fn clock_wait_until_never_rewinds() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         clock.charge(CostCategory::Other, Ns(500));
         clock.wait_until(Ns(400));
         assert_eq!(clock.now(), Ns(500));
@@ -411,7 +401,7 @@ mod tests {
 
     #[test]
     fn clock_marks_measure_deltas() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         clock.charge(CostCategory::Vm, Ns(100));
         let mark = clock.mark();
         clock.charge(CostCategory::Vm, Ns(40));
@@ -422,18 +412,8 @@ mod tests {
     }
 
     #[test]
-    fn clock_handles_are_shared() {
-        let a = Clock::new();
-        let b = a.clone();
-        a.charge(CostCategory::Ipc, Ns(10));
-        b.charge(CostCategory::Ipc, Ns(5));
-        assert_eq!(a.now(), Ns(15));
-        assert_eq!(b.now(), Ns(15));
-    }
-
-    #[test]
     fn clock_reset_clears_everything() {
-        let clock = Clock::new();
+        let mut clock = Clock::new();
         clock.charge(CostCategory::Vm, Ns(10));
         clock.idle_for(Ns(10));
         clock.reset();

@@ -1,16 +1,16 @@
 //! Structured lifecycle tracing: a bounded ring buffer of typed events.
 //!
-//! The [`Tracer`] is a cheap-clone shared handle, distributed the same
-//! way as [`Clock`] and `Stats`: the machine creates one and every layer
-//! borrows it. It is **disabled by default** and gated on a single
-//! `Cell<bool>` read, and recording never charges the clock, so enabling
-//! it observes a run without perturbing a single simulated nanosecond —
-//! the "zero-cost-by-default" contract the bench suite pins.
+//! The [`Tracer`] is a cheap-clone shared handle: the machine creates one
+//! and every layer borrows it. It keeps no clock: each recorder takes the
+//! simulated now from its caller. It is **disabled by default** and gated
+//! on a single `Cell<bool>` read, and recording never charges the clock,
+//! so enabling it observes a run without perturbing a single simulated
+//! nanosecond — the "zero-cost-by-default" contract the bench suite pins.
 //!
 //! Each [`TraceEvent`] carries the simulated time, the acting domain,
 //! and the path/fbuf it concerns. Instant events mark points
 //! (`CacheHit`, `Fault`, `PduRx`, ...); span events additionally carry a
-//! duration measured from a caller-captured start time (`Alloc`,
+//! duration from a caller-captured start time to now (`Alloc`,
 //! `Transfer`), and those two span kinds feed per-path
 //! [`Histogram`]s of allocation service time and transfer latency
 //! as a side effect of being recorded.
@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use crate::hist::Histogram;
 use crate::json::{Json, ToJson};
-use crate::time::{Clock, Ns};
+use crate::time::Ns;
 
 /// Default ring capacity: enough for every integration-test workload to
 /// fit untruncated, small enough to be negligible next to simulated
@@ -224,7 +224,6 @@ fn hist_entry(
 #[derive(Debug)]
 struct TracerShared {
     enabled: Cell<bool>,
-    clock: Clock,
     /// The transfer span currently in scope: every event recorded while
     /// it is set is tagged with it. Propagated by the caller across
     /// enqueue/dequeue and ring crossings; orthogonal to `enabled` so
@@ -238,15 +237,13 @@ struct TracerShared {
 /// # Examples
 ///
 /// ```
-/// use fbuf_sim::{Clock, EventKind, Tracer};
+/// use fbuf_sim::{EventKind, Ns, Tracer};
 ///
-/// let clock = Clock::new();
-/// let t = Tracer::new(clock.clone());
-/// t.instant(EventKind::CacheHit, 1, Some(7), Some(3)); // disabled: no-op
+/// let t = Tracer::new();
+/// t.instant(Ns(0), EventKind::CacheHit, 1, Some(7), Some(3)); // disabled: no-op
 /// assert_eq!(t.len(), 0);
 /// t.set_enabled(true);
-/// let t0 = clock.now();
-/// t.span(t0, EventKind::Alloc, 1, Some(7), Some(3));
+/// t.span(Ns(0), Ns(500), EventKind::Alloc, 1, Some(7), Some(3));
 /// assert_eq!(t.len(), 1);
 /// assert_eq!(t.alloc_latency(Some(7)).expect("recorded").count(), 1);
 /// ```
@@ -255,14 +252,18 @@ pub struct Tracer {
     shared: Rc<TracerShared>,
 }
 
+impl Default for Tracer {
+    fn default() -> Tracer {
+        Tracer::new()
+    }
+}
+
 impl Tracer {
-    /// A disabled tracer stamping events from `clock`, with the
-    /// [default ring capacity](DEFAULT_CAPACITY).
-    pub fn new(clock: Clock) -> Tracer {
+    /// A disabled tracer with the [default ring capacity](DEFAULT_CAPACITY).
+    pub fn new() -> Tracer {
         Tracer {
             shared: Rc::new(TracerShared {
                 enabled: Cell::new(false),
-                clock,
                 current_span: Cell::new(None),
                 inner: RefCell::new(TracerInner {
                     cap: DEFAULT_CAPACITY,
@@ -307,11 +308,6 @@ impl Tracer {
         inner.transfer_hist.clear();
     }
 
-    /// The simulated now, for capturing a span start.
-    pub fn now(&self) -> Ns {
-        self.shared.clock.now()
-    }
-
     /// Sets (or clears) the ambient transfer span: every event recorded
     /// while it is set carries it in [`TraceEvent::span`]. Returns the
     /// previous value so callers can scope-restore. A single `Cell`
@@ -325,59 +321,68 @@ impl Tracer {
         self.shared.current_span.get()
     }
 
-    /// Records the root of a new transfer span tree. No-op while
-    /// disabled; does **not** change the ambient span.
-    pub fn span_start(&self, span: u64, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
+    /// Records the root of a new transfer span tree at `now`. No-op
+    /// while disabled; does **not** change the ambient span.
+    pub fn span_start(&self, now: Ns, span: u64, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
         if !self.shared.enabled.get() {
             return;
         }
-        self.push_span(EventKind::SpanStart, dom, None, path, fbuf, None, None, Some(span));
+        self.push_span(now, EventKind::SpanStart, dom, None, path, fbuf, None, None, Some(span));
     }
 
     /// Records a parent/child span edge: the transfer identified by
     /// `parent` continues under `child` in a new context (the `fbuf`
     /// field carries the parent id). No-op while disabled.
-    pub fn span_link(&self, child: u64, parent: u64, dom: u32) {
+    pub fn span_link(&self, now: Ns, child: u64, parent: u64, dom: u32) {
         if !self.shared.enabled.get() {
             return;
         }
-        self.push_span(EventKind::SpanLink, dom, None, None, Some(parent), None, None, Some(child));
+        let link = EventKind::SpanLink;
+        self.push_span(now, link, dom, None, None, Some(parent), None, None, Some(child));
     }
 
-    /// Records a receiver-side ring-crossing span that began at local
-    /// time `t0`: `occupancy` is the SPSC ring depth observed at the
+    /// Records a receiver-side ring-crossing span from local time `t0`
+    /// to `now`: `occupancy` is the SPSC ring depth observed at the
     /// crossing. Tagged with the ambient span. No-op while disabled.
-    pub fn ring_cross(&self, t0: Ns, dom: u32, occupancy: u64) {
+    pub fn ring_cross(&self, t0: Ns, now: Ns, dom: u32, occupancy: u64) {
         if !self.shared.enabled.get() {
             return;
         }
-        let dur = self.shared.clock.now() - t0;
-        self.push(EventKind::RingCross, dom, None, None, None, Some(dur), Some(occupancy));
+        let dur = Some(now - t0);
+        self.push(now, EventKind::RingCross, dom, None, None, None, dur, Some(occupancy));
     }
 
-    /// Records an instant event. No-op while disabled.
+    /// Records an instant event at `now`. No-op while disabled.
     #[inline]
-    pub fn instant(&self, kind: EventKind, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
+    pub fn instant(
+        &self,
+        now: Ns,
+        kind: EventKind,
+        dom: u32,
+        path: Option<u64>,
+        fbuf: Option<u64>,
+    ) {
         if self.shared.enabled.get() {
-            self.push(kind, dom, None, path, fbuf, None, None);
+            self.push(now, kind, dom, None, path, fbuf, None, None);
         }
     }
 
     /// Records one ranged VM event (`MapRange`/`UnmapRange`/
     /// `ProtectRange`) covering `pages` pages — the batched replacement
     /// for N per-page events. No-op while disabled.
-    pub fn range_op(&self, kind: EventKind, dom: u32, pages: u64) {
+    pub fn range_op(&self, now: Ns, kind: EventKind, dom: u32, pages: u64) {
         if !self.shared.enabled.get() {
             return;
         }
-        self.push(kind, dom, None, None, None, None, Some(pages));
+        self.push(now, kind, dom, None, None, None, None, Some(pages));
     }
 
-    /// Records an instant event with a peer domain. No-op while
+    /// Records an instant event with a peer domain at `now`. No-op while
     /// disabled.
     #[inline]
     pub fn instant_peer(
         &self,
+        now: Ns,
         kind: EventKind,
         dom: u32,
         peer: u32,
@@ -385,27 +390,37 @@ impl Tracer {
         fbuf: Option<u64>,
     ) {
         if self.shared.enabled.get() {
-            self.push(kind, dom, Some(peer), path, fbuf, None, None);
+            self.push(now, kind, dom, Some(peer), path, fbuf, None, None);
         }
     }
 
-    /// Records a span that began at simulated time `t0` and ends now.
-    /// `Alloc` spans feed the per-path allocation-service histogram and
-    /// `Transfer` spans the per-path transfer-latency histogram. No-op
-    /// while disabled.
+    /// Records a span that began at simulated time `t0` and ends at
+    /// `now`. `Alloc` spans feed the per-path allocation-service
+    /// histogram and `Transfer` spans the per-path transfer-latency
+    /// histogram. No-op while disabled.
     #[inline]
-    pub fn span(&self, t0: Ns, kind: EventKind, dom: u32, path: Option<u64>, fbuf: Option<u64>) {
+    pub fn span(
+        &self,
+        t0: Ns,
+        now: Ns,
+        kind: EventKind,
+        dom: u32,
+        path: Option<u64>,
+        fbuf: Option<u64>,
+    ) {
         if self.shared.enabled.get() {
-            self.end_span(t0, kind, dom, None, path, fbuf);
+            self.end_span(t0, now, kind, dom, None, path, fbuf);
         }
     }
 
     /// [`Tracer::span`] with a peer domain (e.g. the receiver of a
     /// `Transfer`).
     #[inline]
+    #[allow(clippy::too_many_arguments)]
     pub fn span_peer(
         &self,
         t0: Ns,
+        now: Ns,
         kind: EventKind,
         dom: u32,
         peer: Option<u32>,
@@ -413,24 +428,26 @@ impl Tracer {
         fbuf: Option<u64>,
     ) {
         if self.shared.enabled.get() {
-            self.end_span(t0, kind, dom, peer, path, fbuf);
+            self.end_span(t0, now, kind, dom, peer, path, fbuf);
         }
     }
 
     /// [`Tracer::span_peer`] past the disabled check, kept out of line
     /// so call sites inline only the check.
+    #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn end_span(
         &self,
         t0: Ns,
+        now: Ns,
         kind: EventKind,
         dom: u32,
         peer: Option<u32>,
         path: Option<u64>,
         fbuf: Option<u64>,
     ) {
-        let dur = self.shared.clock.now() - t0;
-        self.push(kind, dom, peer, path, fbuf, Some(dur), None);
+        let dur = now - t0;
+        self.push(now, kind, dom, peer, path, fbuf, Some(dur), None);
         let mut inner = self.shared.inner.borrow_mut();
         match kind {
             EventKind::Alloc => hist_entry(&mut inner.alloc_hist, path).record(dur.0),
@@ -439,12 +456,14 @@ impl Tracer {
         }
     }
 
-    /// Records one event stamped now, in the ambient span. Out of line,
-    /// so the `#[inline]` recorders inline only their disabled check.
+    /// Records one event stamped `now`, in the ambient span. Out of
+    /// line, so the `#[inline]` recorders inline only their disabled
+    /// check.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
     fn push(
         &self,
+        now: Ns,
         kind: EventKind,
         dom: u32,
         peer: Option<u32>,
@@ -453,12 +472,14 @@ impl Tracer {
         dur: Option<Ns>,
         pages: Option<u64>,
     ) {
-        self.push_span(kind, dom, peer, path, fbuf, dur, pages, self.shared.current_span.get());
+        let span = self.shared.current_span.get();
+        self.push_span(now, kind, dom, peer, path, fbuf, dur, pages, span);
     }
 
     #[allow(clippy::too_many_arguments)]
     fn push_span(
         &self,
+        now: Ns,
         kind: EventKind,
         dom: u32,
         peer: Option<u32>,
@@ -470,7 +491,7 @@ impl Tracer {
     ) {
         self.shared.inner.borrow_mut().push(TraceEvent {
             seq: 0, // assigned by TracerInner::push
-            at: self.shared.clock.now(),
+            at: now,
             kind,
             dom,
             peer,
@@ -655,29 +676,24 @@ pub fn merge_rings(rings: &[(u32, Vec<TraceEvent>)]) -> Vec<TraceEvent> {
 mod tests {
     use super::*;
 
-    fn tracer() -> (Clock, Tracer) {
-        let clock = Clock::new();
-        let t = Tracer::new(clock.clone());
-        (clock, t)
-    }
-
     #[test]
     fn disabled_tracer_records_nothing() {
-        let (clock, t) = tracer();
-        t.instant(EventKind::Fault, 2, None, Some(5));
-        t.span(clock.now(), EventKind::Alloc, 1, Some(1), Some(1));
+        let t = Tracer::new();
+        t.instant(Ns(0), EventKind::Fault, 2, None, Some(5));
+        t.span(Ns(0), Ns(10), EventKind::Alloc, 1, Some(1), Some(1));
         assert!(t.is_empty());
         assert!(t.merged_alloc_latency().is_empty());
     }
 
     #[test]
     fn span_measures_simulated_duration() {
-        use crate::time::CostCategory;
-        let (clock, t) = tracer();
+        use crate::time::{Clock, CostCategory};
+        let mut clock = Clock::new();
+        let t = Tracer::new();
         t.set_enabled(true);
         let t0 = clock.now();
         clock.charge(CostCategory::Vm, Ns(2_500));
-        t.span(t0, EventKind::Transfer, 3, Some(9), Some(4));
+        t.span(t0, clock.now(), EventKind::Transfer, 3, Some(9), Some(4));
         let e = t.events()[0];
         assert_eq!(e.dur, Some(Ns(2_500)));
         assert_eq!(e.at, Ns(2_500));
@@ -690,9 +706,9 @@ mod tests {
 
     #[test]
     fn range_op_records_one_event_with_page_count() {
-        let (_, t) = tracer();
+        let t = Tracer::new();
         t.set_enabled(true);
-        t.range_op(EventKind::MapRange, 3, 16);
+        t.range_op(Ns(0), EventKind::MapRange, 3, 16);
         assert_eq!(t.len(), 1, "one event for the whole range");
         let e = t.events()[0];
         assert_eq!(e.kind, EventKind::MapRange);
@@ -707,11 +723,11 @@ mod tests {
 
     #[test]
     fn ring_evicts_oldest_and_counts_drops() {
-        let (_, t) = tracer();
+        let t = Tracer::new();
         t.set_enabled(true);
         t.set_capacity(3);
         for i in 0..5u64 {
-            t.instant(EventKind::Free, 0, None, Some(i));
+            t.instant(Ns(i), EventKind::Free, 0, None, Some(i));
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -721,13 +737,10 @@ mod tests {
 
     #[test]
     fn chrome_trace_round_trips_through_parser() {
-        use crate::time::CostCategory;
-        let (clock, t) = tracer();
+        let t = Tracer::new();
         t.set_enabled(true);
-        let t0 = clock.now();
-        clock.charge(CostCategory::Ipc, Ns(10_000));
-        t.span_peer(t0, EventKind::Transfer, 1, Some(2), Some(7), Some(3));
-        t.instant(EventKind::CacheHit, 2, Some(7), Some(3));
+        t.span_peer(Ns(0), Ns(10_000), EventKind::Transfer, 1, Some(2), Some(7), Some(3));
+        t.instant(Ns(10_000), EventKind::CacheHit, 2, Some(7), Some(3));
         let rendered = t.chrome_trace().render();
         let parsed = Json::parse(&rendered).expect("chrome trace parses");
         let events = parsed
@@ -751,17 +764,14 @@ mod tests {
 
     #[test]
     fn merge_rings_interleaves_by_time_and_offsets_domains() {
-        use crate::time::CostCategory;
         // Shard A records at t=0 and t=200; shard B at t=100.
-        let (clock_a, ta) = tracer();
+        let ta = Tracer::new();
         ta.set_enabled(true);
-        ta.instant(EventKind::CacheHit, 0, Some(0), Some(1));
-        clock_a.charge(CostCategory::Vm, Ns(200));
-        ta.instant(EventKind::Free, 1, Some(0), Some(1));
-        let (clock_b, tb) = tracer();
+        ta.instant(Ns(0), EventKind::CacheHit, 0, Some(0), Some(1));
+        ta.instant(Ns(200), EventKind::Free, 1, Some(0), Some(1));
+        let tb = Tracer::new();
         tb.set_enabled(true);
-        clock_b.charge(CostCategory::Vm, Ns(100));
-        tb.instant_peer(EventKind::Transfer, 0, 2, Some(1), Some(9));
+        tb.instant_peer(Ns(100), EventKind::Transfer, 0, 2, Some(1), Some(9));
         let merged = merge_rings(&[(0, ta.events()), (10, tb.events())]);
         assert_eq!(merged.len(), 3);
         let kinds: Vec<EventKind> = merged.iter().map(|e| e.kind).collect();
@@ -778,10 +788,10 @@ mod tests {
 
     #[test]
     fn merge_rings_is_stable_for_equal_timestamps() {
-        let (_, ta) = tracer();
+        let ta = Tracer::new();
         ta.set_enabled(true);
-        ta.instant(EventKind::CacheHit, 0, None, Some(1));
-        ta.instant(EventKind::Free, 0, None, Some(1));
+        ta.instant(Ns(0), EventKind::CacheHit, 0, None, Some(1));
+        ta.instant(Ns(0), EventKind::Free, 0, None, Some(1));
         let merged = merge_rings(&[(0, ta.events()), (5, ta.events())]);
         // Both rings sit at t=0; within a ring the recorded order must
         // survive the merge.
@@ -792,11 +802,11 @@ mod tests {
 
     #[test]
     fn clear_keeps_sequence_monotone() {
-        let (_, t) = tracer();
+        let t = Tracer::new();
         t.set_enabled(true);
-        t.instant(EventKind::Free, 0, None, None);
+        t.instant(Ns(0), EventKind::Free, 0, None, None);
         t.clear();
-        t.instant(EventKind::Free, 0, None, None);
+        t.instant(Ns(0), EventKind::Free, 0, None, None);
         assert_eq!(t.events()[0].seq, 1, "seq not reused after clear");
     }
 }

@@ -76,13 +76,13 @@ impl TransferMechanism for CopyFacility {
         let pages = m.config().pages_for(len).max(1);
         if let Some(va) = self.cache.get_mut(&(dom.0, pages)).and_then(|v| v.pop()) {
             self.live.insert((dom.0, va), pages);
-            m.tracer_ref().span(t0, EventKind::Alloc, dom.0, None, None);
+            m.tracer().span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
             return Ok(va);
         }
         let va = self.carve(m, dom, len)?;
         m.map_anon_region(dom, va, pages)?;
         self.live.insert((dom.0, va), pages);
-        m.tracer_ref().span(t0, EventKind::Alloc, dom.0, None, None);
+        m.tracer().span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
         Ok(va)
     }
 
@@ -97,8 +97,8 @@ impl TransferMechanism for CopyFacility {
         let t0 = m.now();
         let dst_va = self.alloc(m, dst, len)?;
         m.copy_data(src, va, dst, dst_va, len)?;
-        m.tracer_ref()
-            .span_peer(t0, EventKind::Transfer, src.0, Some(dst.0), None, None);
+        m.tracer()
+            .span_peer(t0, m.now(), EventKind::Transfer, src.0, Some(dst.0), None, None);
         Ok(dst_va)
     }
 
@@ -108,7 +108,7 @@ impl TransferMechanism for CopyFacility {
             .remove(&(dom.0, va))
             .ok_or(Fault::NoSuchRegion { va })?;
         self.cache.entry((dom.0, pages)).or_default().push(va);
-        m.tracer_ref().instant(EventKind::Free, dom.0, None, None);
+        m.tracer().instant(m.now(), EventKind::Free, dom.0, None, None);
         Ok(())
     }
 }

@@ -126,7 +126,7 @@ impl TransferMechanism for RemapFacility {
                 holder: dom,
             },
         );
-        m.tracer_ref().span(t0, EventKind::Alloc, dom.0, None, None);
+        m.tracer().span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
         Ok(va)
     }
 
@@ -159,8 +159,8 @@ impl TransferMechanism for RemapFacility {
         m.unmap_range(src, va, n)?;
         m.charge(CostCategory::Vm, Self::extra_map(m) * n);
         m.map_range(dst, va, frames, Prot::ReadWrite)?;
-        m.tracer_ref()
-            .span_peer(t0, EventKind::Transfer, src.0, Some(dst.0), None, None);
+        m.tracer()
+            .span_peer(t0, m.now(), EventKind::Transfer, src.0, Some(dst.0), None, None);
         Ok(va)
     }
 
@@ -176,7 +176,7 @@ impl TransferMechanism for RemapFacility {
         for frame in &buf.frames {
             m.release_frame(*frame);
         }
-        m.tracer_ref().instant(EventKind::Free, dom.0, None, None);
+        m.tracer().instant(m.now(), EventKind::Free, dom.0, None, None);
         Ok(())
     }
 }

@@ -15,7 +15,7 @@
 //!   data integrity and protection are *testable*, not assumed.
 //!
 //! Every operation charges calibrated costs from [`fbuf_sim::CostModel`] to
-//! the shared [`fbuf_sim::Clock`] and bumps [`fbuf_sim::Stats`] counters.
+//! the machine's [`fbuf_sim::Clock`] and bumps its [`fbuf_sim::Stats`] counters.
 //!
 //! The [`facility`] module implements the paper's three baseline transfer
 //! mechanisms over this substrate — bounded copy, DASH-style page remapping,
@@ -33,7 +33,7 @@ pub mod space;
 pub mod tlb;
 pub mod types;
 
-pub use machine::{Machine, MachineRef, ObjectId};
+pub use machine::{Machine, ObjectId};
 pub use phys::{FrameId, PhysMem};
 pub use space::{AddressSpace, MapEntry, Pmap, RegionPolicy};
 pub use types::{Access, DomainId, Fault, Prot, VmResult, Vpn, KERNEL_DOMAIN};

@@ -1,7 +1,6 @@
 //! The simulated machine: domains, translation, faults, and charged
 //! mapping primitives.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 
 use fbuf_sim::fxhash::FxHashMap;
@@ -14,10 +13,6 @@ use crate::phys::{FrameId, PhysMem};
 use crate::space::{AddressSpace, RegionPolicy};
 use crate::tlb::Tlb;
 use crate::types::{Access, DomainId, Fault, Prot, VmResult, Vpn};
-
-/// A shared handle to a [`Machine`]. The simulation is single-threaded;
-/// layers take short-lived borrows for individual operations.
-pub type MachineRef = Rc<RefCell<Machine>>;
 
 #[derive(Debug)]
 struct Domain {
@@ -42,7 +37,7 @@ struct VmObject {
 pub struct ObjectId(u64);
 
 /// The simulated machine: physical memory, TLB, and per-domain address
-/// spaces, with every operation charged to the shared clock.
+/// spaces, with every operation charged to the machine's clock.
 ///
 /// # Examples
 ///
@@ -68,12 +63,15 @@ pub struct ObjectId(u64);
 ///
 /// # Threading
 ///
-/// A `Machine` is **intentionally `!Send`**: its clock, counters, and
-/// tracer are `Rc`-shared with the layers above, so a whole engine is
-/// pinned to the thread that built it. The sharded multi-core design
-/// (`fbuf::shard`) relies on this — each OS thread constructs its own
-/// `Machine` *inside* the thread, and only plain data (config, snapshots,
-/// trace events, payload bytes) ever crosses a thread boundary:
+/// The `Machine` owns the simulated clock and counters: the layers above
+/// read them through [`Machine::clock`] and [`Machine::stats`] and charge
+/// them through `&mut Machine`. A `Machine` is **intentionally `!Send`**:
+/// its tracer and telemetry sampler are `Rc`-shared with the layers
+/// above, so a whole engine is pinned to the thread that built it. The
+/// sharded multi-core design (`fbuf::shard`) relies on this — each OS
+/// thread constructs its own `Machine` *inside* the thread, and only
+/// plain data (config, snapshots, trace events, payload bytes) ever
+/// crosses a thread boundary:
 ///
 /// ```compile_fail
 /// fn assert_send<T: Send>() {}
@@ -119,24 +117,14 @@ impl Machine {
     /// Builds a machine from `cfg` with the kernel (domain 0) created.
     pub fn new(cfg: MachineConfig) -> Machine {
         cfg.validate().expect("invalid machine configuration");
-        let clock = Clock::new();
-        let stats = Stats::new();
-        let tracer = Tracer::new(clock.clone());
-        let metrics = Metrics::new();
-        let phys = PhysMem::new(
-            cfg.frames(),
-            cfg.page_size as usize,
-            clock.clone(),
-            stats.clone(),
-            cfg.costs.clone(),
-        );
+        let phys = PhysMem::new(cfg.frames(), cfg.page_size as usize, cfg.costs.clone());
         let tlb = Tlb::new(cfg.tlb_entries);
         let mut m = Machine {
             cfg,
-            clock,
-            stats,
-            tracer,
-            metrics,
+            clock: Clock::new(),
+            stats: Stats::new(),
+            tracer: Tracer::new(),
+            metrics: Metrics::new(),
             phys,
             tlb,
             domains: Vec::new(),
@@ -151,11 +139,6 @@ impl Machine {
         m
     }
 
-    /// Convenience: a shared handle.
-    pub fn new_ref(cfg: MachineConfig) -> MachineRef {
-        Rc::new(RefCell::new(Machine::new(cfg)))
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
@@ -166,43 +149,45 @@ impl Machine {
         &self.cfg.costs
     }
 
-    /// The shared clock handle.
-    pub fn clock(&self) -> Clock {
-        self.clock.clone()
+    /// The machine's clock.
+    pub fn clock(&self) -> &Clock {
+        &self.clock
     }
 
-    /// The shared statistics handle.
-    pub fn stats(&self) -> Stats {
-        self.stats.clone()
+    /// The machine's clock, to charge or idle.
+    pub fn clock_mut(&mut self) -> &mut Clock {
+        &mut self.clock
     }
 
-    /// The shared lifecycle tracer handle (disabled by default).
-    pub fn tracer(&self) -> Tracer {
-        self.tracer.clone()
-    }
-
-    /// The shared telemetry sampler handle (disabled by default).
-    pub fn metrics(&self) -> Metrics {
-        self.metrics.clone()
-    }
-
-    /// Borrowed statistics handle — the hot-path alternative to
-    /// [`Machine::stats`], which clones an `Rc` per call.
-    pub fn stats_ref(&self) -> &Stats {
+    /// The machine's operation counters.
+    pub fn stats(&self) -> &Stats {
         &self.stats
     }
 
-    /// Borrowed tracer handle (see [`Machine::stats_ref`]).
-    pub fn tracer_ref(&self) -> &Tracer {
+    /// The machine's operation counters, to count on.
+    pub fn stats_mut(&mut self) -> &mut Stats {
+        &mut self.stats
+    }
+
+    /// The lifecycle tracer (disabled by default). A holder that keeps it
+    /// clones the handle.
+    pub fn tracer(&self) -> &Tracer {
         &self.tracer
     }
 
-    /// Borrowed telemetry sampler handle (see [`Machine::stats_ref`]).
+    /// The telemetry sampler (disabled by default). A holder that keeps
+    /// it clones the handle.
+    pub fn metrics(&self) -> &Metrics {
+        &self.metrics
+    }
+
+    /// [`Machine::metrics`] under its former name, which the benchmark
+    /// package (`fbufbench/`) still calls.
     pub fn metrics_ref(&self) -> &Metrics {
         &self.metrics
     }
 
-    /// Current simulated time, without cloning the clock handle.
+    /// Current simulated time.
     pub fn now(&self) -> Ns {
         self.clock.now()
     }
@@ -214,7 +199,7 @@ impl Machine {
 
     /// Charges an arbitrary cost (used by higher layers for their own
     /// primitives, e.g. protocol processing).
-    pub fn charge(&self, category: CostCategory, cost: Ns) {
+    pub fn charge(&mut self, category: CostCategory, cost: Ns) {
         self.clock.charge(category, cost);
     }
 
@@ -341,7 +326,7 @@ impl Machine {
             .collect();
         for k in keys {
             let frame = self.cow_private.remove(&k).expect("key just listed");
-            self.phys.drop_ref(frame);
+            self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
         }
         // Drop the object reference.
         if let Some(obj) = self.region_objects.remove(&(dom.0, entry.start.0)) {
@@ -371,7 +356,7 @@ impl Machine {
         if obj.refs == 0 {
             let obj = self.objects.remove(id.0).expect("live object");
             for f in obj.frames.into_iter().flatten() {
-                self.phys.drop_ref(f);
+                self.phys.drop_ref(&mut self.clock, &mut self.stats, f);
             }
         }
     }
@@ -516,7 +501,7 @@ impl Machine {
             if self.tlb.invalidate(dom, vpn) {
                 self.charge_tlb_flush();
             }
-            self.phys.drop_ref(old.frame);
+            self.phys.drop_ref(&mut self.clock, &mut self.stats, old.frame);
         }
         Ok(())
     }
@@ -536,7 +521,7 @@ impl Machine {
         self.tlb.invalidate(dom, vpn);
         self.charge_tlb_flush();
         let frame = old.frame;
-        self.phys.drop_ref(frame);
+        self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
         Ok(Some(frame))
     }
 
@@ -625,12 +610,12 @@ impl Machine {
             if self.tlb.invalidate(dom, vpn) {
                 flushes += 1;
             }
-            self.phys.drop_ref(old_frame);
+            self.phys.drop_ref(&mut self.clock, &mut self.stats, old_frame);
         }
         if flushes > 0 {
             self.charge_tlb_flushes(flushes);
         }
-        self.tracer.range_op(EventKind::MapRange, dom.0, n);
+        self.tracer.range_op(self.clock.now(), EventKind::MapRange, dom.0, n);
         Ok(())
     }
 
@@ -648,14 +633,14 @@ impl Machine {
         let start = self.vpn_of(va);
         let mut n = 0u64;
         {
-            let Machine { domains, phys, .. } = self;
+            let Machine { domains, phys, clock, stats, .. } = self;
             let d = live_domain(domains, dom)?;
             for i in 0..pages {
                 if let Some(old) = d.space.pmap.remove(Vpn(start.0 + i)) {
                     // Dropping the frame reference before the charges and
                     // the TLB sweep below changes no total: charges add,
                     // and nothing reads the frame in between.
-                    phys.drop_ref(old.frame);
+                    phys.drop_ref(clock, stats, old.frame);
                     n += 1;
                 }
             }
@@ -671,7 +656,7 @@ impl Machine {
         // resident or not, exactly as the per-page loop does.
         self.tlb.invalidate_range(dom, start, pages);
         self.charge_tlb_flushes(n);
-        self.tracer.range_op(EventKind::UnmapRange, dom.0, n);
+        self.tracer.range_op(self.clock.now(), EventKind::UnmapRange, dom.0, n);
         Ok(n)
     }
 
@@ -740,7 +725,7 @@ impl Machine {
             }
             self.charge_tlb_flushes(downs);
         }
-        self.tracer.range_op(EventKind::ProtectRange, dom.0, pages);
+        self.tracer.range_op(self.clock.now(), EventKind::ProtectRange, dom.0, pages);
         Ok(())
     }
 
@@ -790,7 +775,7 @@ impl Machine {
     /// Allocates a frame; the caller owns one reference.
     pub fn alloc_frame(&mut self) -> VmResult<FrameId> {
         self.consult_frame_fault()?;
-        self.phys.alloc()
+        self.phys.alloc(&mut self.clock, &mut self.stats)
     }
 
     /// Allocates a cleared frame, filling it once; the caller owns one
@@ -799,7 +784,7 @@ impl Machine {
     /// quietly, as [`Machine::zero_frame_quietly`] does.
     pub fn alloc_zeroed_frame(&mut self, charge_clearing: bool) -> VmResult<FrameId> {
         self.consult_frame_fault()?;
-        self.phys.alloc_zeroed(charge_clearing)
+        self.phys.alloc_zeroed(&mut self.clock, &mut self.stats, charge_clearing)
     }
 
     /// The [`FaultSite::FrameAlloc`] hook: an armed plan may refuse.
@@ -812,7 +797,7 @@ impl Machine {
 
     /// Zero-fills a frame (charges the page-clear cost).
     pub fn zero_frame(&mut self, frame: FrameId) {
-        self.phys.zero(frame);
+        self.phys.zero(&mut self.clock, &mut self.stats, frame);
     }
 
     /// Zero-fills a frame *without* charging the page-clear cost, for
@@ -826,12 +811,7 @@ impl Machine {
 
     /// Drops a caller-held frame reference.
     pub fn release_frame(&mut self, frame: FrameId) {
-        self.phys.drop_ref(frame);
-    }
-
-    /// Adds a caller-held frame reference.
-    pub fn retain_frame(&mut self, frame: FrameId) {
-        self.phys.add_ref(frame);
+        self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
     }
 
     /// Number of free physical frames (for pageout-pressure tests).
@@ -957,12 +937,12 @@ impl Machine {
         };
         let Some(region) = region else {
             self.stats.inc_access_violations();
-            self.tracer.instant(EventKind::Fault, dom.0, None, None);
+            self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
             return Err(Fault::Unmapped { domain: dom, va });
         };
         if !region.max_prot.allows(access) {
             self.stats.inc_access_violations();
-            self.tracer.instant(EventKind::Fault, dom.0, None, None);
+            self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
             return Err(Fault::AccessViolation {
                 domain: dom,
                 va,
@@ -990,7 +970,7 @@ impl Machine {
                 }
                 self.clock.charge(CostCategory::Vm, trap);
                 self.stats.inc_soft_faults();
-                self.tracer.instant(EventKind::Fault, dom.0, None, None);
+                self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
                 // A domain that privatized this page post-COW must keep
                 // seeing its private copy, not the shared object page.
                 let frame = match self.cow_private.get(&(dom.0, region.start.0, idx)).copied() {
@@ -1009,7 +989,7 @@ impl Machine {
             RegionPolicy::NullRead => {
                 if access == Access::Write {
                     self.stats.inc_access_violations();
-                    self.tracer.instant(EventKind::Fault, dom.0, None, None);
+                    self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
                     return Err(Fault::AccessViolation {
                         domain: dom,
                         va,
@@ -1022,19 +1002,19 @@ impl Machine {
                 self.clock
                     .charge(CostCategory::Vm, self.cfg.costs.fault_trap);
                 self.stats.inc_wild_reads_nullified();
-                self.tracer.instant(EventKind::Fault, dom.0, None, None);
-                let frame = self.phys.alloc()?;
+                self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
+                let frame = self.phys.alloc(&mut self.clock, &mut self.stats)?;
                 let template = self.null_template.clone();
                 self.phys.fill_with_template(frame, &template);
                 self.map_page(dom, vpn.base(self.cfg.page_size), frame, Prot::Read)?;
                 // The mapping holds the only reference.
-                self.phys.drop_ref(frame);
+                self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
                 self.tlb.insert(dom, vpn, frame, Prot::Read);
                 Ok(frame)
             }
             RegionPolicy::Explicit => {
                 self.stats.inc_access_violations();
-                self.tracer.instant(EventKind::Fault, dom.0, None, None);
+                self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
                 Err(Fault::AccessViolation {
                     domain: dom,
                     va,
@@ -1060,7 +1040,7 @@ impl Machine {
             self.cfg.costs.fault_trap + self.cfg.costs.cow_fault,
         );
         self.stats.inc_cow_faults();
-        self.tracer.instant(EventKind::Fault, dom.0, None, None);
+        self.tracer.instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
         let key = (dom.0, region_start.0, idx);
         let candidate = match self.cow_private.get(&key).copied() {
             Some(p) => p,
@@ -1074,9 +1054,9 @@ impl Machine {
         let frame = if !obj_shared && !frame_shared {
             candidate
         } else {
-            let fresh = self.phys.fork(candidate)?;
+            let fresh = self.phys.fork(&mut self.clock, &mut self.stats, candidate)?;
             if let Some(old) = self.cow_private.remove(&key) {
-                self.phys.drop_ref(old);
+                self.phys.drop_ref(&mut self.clock, &mut self.stats, old);
             }
             self.cow_private.insert(key, fresh);
             fresh
@@ -1095,8 +1075,8 @@ impl Machine {
         if let Some(f) = existing {
             return Ok(f);
         }
-        let f = self.phys.alloc()?;
-        self.phys.zero(f);
+        let f = self.phys.alloc(&mut self.clock, &mut self.stats)?;
+        self.phys.zero(&mut self.clock, &mut self.stats, f);
         self.object_mut(obj).frames[idx as usize] = Some(f);
         Ok(f)
     }
@@ -1138,11 +1118,6 @@ impl Machine {
     /// TLB hit/miss counters (diagnostics).
     pub fn tlb_hit_miss(&self) -> (u64, u64) {
         self.tlb.hit_miss()
-    }
-
-    /// Flushes the whole TLB (used by context-switch-heavy experiments).
-    pub fn flush_tlb(&mut self) {
-        self.tlb.clear();
     }
 }
 

@@ -25,40 +25,42 @@ pub const POOL_FRAMES: usize = 16;
 ///
 /// Frames hold real bytes so that higher layers can verify end-to-end data
 /// integrity through every mechanism. Allocation, freeing, zero-fill, and
-/// copies charge the calibrated costs.
+/// copies charge the calibrated costs to the clock and counters their
+/// caller (the machine) passes in.
 ///
 /// The host storage of a freed frame goes to a pool of at most
 /// [`POOL_FRAMES`] pages, and the next allocation takes it from there
 /// instead of the heap. Reuse never shows: an allocation overwrites the
 /// whole page with the dirty marker or, for [`PhysMem::alloc_zeroed`],
 /// with zeros, so no byte of a frame's previous owner survives.
+///
+/// The frame table grows as frames are first handed out, so a large
+/// simulated memory costs the host only the frames a run touches. An
+/// allocation takes the most recently freed frame, else the lowest id
+/// never used: the order of a free stack that starts full, lowest id on
+/// top.
 #[derive(Debug)]
 pub struct PhysMem {
     page_size: usize,
+    /// The frames handed out so far, by id; `None` while free.
     frames: Vec<Option<Frame>>,
+    /// Frames in the memory, used or not.
+    capacity: usize,
+    /// Freed frames, the most recent last.
     free: Vec<FrameId>,
     pool: Vec<Box<[u8]>>,
-    clock: Clock,
-    stats: Stats,
     costs: CostModel,
 }
 
 impl PhysMem {
     /// Creates a physical memory of `frames` frames of `page_size` bytes.
-    pub fn new(
-        frames: usize,
-        page_size: usize,
-        clock: Clock,
-        stats: Stats,
-        costs: CostModel,
-    ) -> PhysMem {
+    pub fn new(frames: usize, page_size: usize, costs: CostModel) -> PhysMem {
         PhysMem {
             page_size,
-            frames: (0..frames).map(|_| None).collect(),
-            free: (0..frames as u32).rev().map(FrameId).collect(),
+            frames: Vec::new(),
+            capacity: frames,
+            free: Vec::new(),
             pool: Vec::with_capacity(POOL_FRAMES),
-            clock,
-            stats,
             costs,
         }
     }
@@ -70,20 +72,15 @@ impl PhysMem {
 
     /// Number of free frames.
     pub fn free_frames(&self) -> usize {
-        self.free.len()
-    }
-
-    /// Total frames.
-    pub fn total_frames(&self) -> usize {
-        self.frames.len()
+        self.free.len() + self.capacity - self.frames.len()
     }
 
     /// Allocates a frame with one reference. Contents are *not* cleared —
     /// call [`PhysMem::zero`] when security requires it (the paper counts
     /// page clearing as a separate, avoidable cost). The frame reads as
     /// the dirty marker `0xA5`, whether its storage is new or pooled.
-    pub fn alloc(&mut self) -> VmResult<FrameId> {
-        self.alloc_filled(0xA5)
+    pub fn alloc(&mut self, clock: &mut Clock, stats: &mut Stats) -> VmResult<FrameId> {
+        self.alloc_filled(clock, stats, 0xA5)
     }
 
     /// Allocates a frame with one reference and clears it, filling the
@@ -92,33 +89,48 @@ impl PhysMem {
     /// [`PhysMem::alloc`] followed by [`PhysMem::zero`] would; when not,
     /// the caller models clearing time itself and the frame is still
     /// functionally cleared.
-    pub fn alloc_zeroed(&mut self, charge: bool) -> VmResult<FrameId> {
-        let id = self.alloc_filled(0)?;
+    pub fn alloc_zeroed(
+        &mut self,
+        clock: &mut Clock,
+        stats: &mut Stats,
+        charge: bool,
+    ) -> VmResult<FrameId> {
+        let id = self.alloc_filled(clock, stats, 0)?;
         if charge {
-            self.charge_zero();
+            self.charge_zero(clock, stats);
         }
         Ok(id)
     }
 
     /// Zero-fills a frame (charges the 57 µs page-clear cost).
-    pub fn zero(&mut self, id: FrameId) {
-        self.charge_zero();
+    pub fn zero(&mut self, clock: &mut Clock, stats: &mut Stats, id: FrameId) {
+        self.charge_zero(clock, stats);
         self.frame_mut(id).data.fill(0);
     }
 
-    fn charge_zero(&mut self) {
-        self.clock
-            .charge(CostCategory::DataMove, self.costs.page_zero);
-        self.stats.inc_pages_cleared();
+    fn charge_zero(&self, clock: &mut Clock, stats: &mut Stats) {
+        clock.charge(CostCategory::DataMove, self.costs.page_zero);
+        stats.inc_pages_cleared();
     }
 
     /// Takes a free frame, charges the allocation, and fills the whole
     /// page with `byte`, reusing pooled storage when there is some.
-    fn alloc_filled(&mut self, byte: u8) -> VmResult<FrameId> {
-        let id = self.free.pop().ok_or(Fault::OutOfMemory)?;
-        self.clock
-            .charge(CostCategory::Alloc, self.costs.phys_alloc);
-        self.stats.inc_frames_allocated();
+    fn alloc_filled(
+        &mut self,
+        clock: &mut Clock,
+        stats: &mut Stats,
+        byte: u8,
+    ) -> VmResult<FrameId> {
+        let id = match self.free.pop() {
+            Some(id) => id,
+            None if self.frames.len() < self.capacity => {
+                self.frames.push(None);
+                FrameId(self.frames.len() as u32 - 1)
+            }
+            None => return Err(Fault::OutOfMemory),
+        };
+        clock.charge(CostCategory::Alloc, self.costs.phys_alloc);
+        stats.inc_frames_allocated();
         let data = match self.pool.pop() {
             Some(mut data) => {
                 data.fill(byte);
@@ -147,7 +159,7 @@ impl PhysMem {
 
     /// Drops one reference; frees the frame when the count reaches zero.
     /// Returns `true` if the frame was actually freed.
-    pub fn drop_ref(&mut self, id: FrameId) -> bool {
+    pub fn drop_ref(&mut self, clock: &mut Clock, stats: &mut Stats, id: FrameId) -> bool {
         let slot = &mut self.frames[id.0 as usize];
         let frame = slot.as_mut().expect("drop_ref on free frame");
         assert!(frame.refs > 0, "reference count underflow");
@@ -159,8 +171,8 @@ impl PhysMem {
                 self.pool.push(data);
             }
             self.free.push(id);
-            self.clock.charge(CostCategory::Alloc, self.costs.phys_free);
-            self.stats.inc_frames_freed();
+            clock.charge(CostCategory::Alloc, self.costs.phys_free);
+            stats.inc_frames_freed();
             true
         } else {
             false
@@ -169,59 +181,26 @@ impl PhysMem {
 
     /// Copies the contents of `src` into a newly allocated frame (the COW
     /// fault resolution path). Charges the page-copy cost.
-    pub fn fork(&mut self, src: FrameId) -> VmResult<FrameId> {
-        let dst = self.alloc()?;
-        self.clock
-            .charge(CostCategory::DataMove, self.costs.page_copy);
-        self.stats.inc_pages_copied();
-        self.copy_bytes(src, 0, dst, 0, self.page_size);
-        Ok(dst)
-    }
-
-    /// Copies `len` bytes between frames (used by the bounded-copy transfer
-    /// facility); charges proportionally to whole pages.
-    pub fn copy_between(
+    pub fn fork(
         &mut self,
+        clock: &mut Clock,
+        stats: &mut Stats,
         src: FrameId,
-        src_off: usize,
-        dst: FrameId,
-        dst_off: usize,
-        len: usize,
-    ) {
-        assert!(src_off + len <= self.page_size && dst_off + len <= self.page_size);
-        let cost_ns =
-            (self.costs.page_copy.as_ns() as u128 * len as u128 / self.page_size as u128) as u64;
-        self.clock
-            .charge(CostCategory::DataMove, fbuf_sim::Ns(cost_ns));
-        self.stats.inc_pages_copied();
-        self.copy_bytes(src, src_off, dst, dst_off, len);
-    }
-
-    /// Copies `len` bytes frame to frame, with no staging buffer.
-    fn copy_bytes(
-        &mut self,
-        src: FrameId,
-        src_off: usize,
-        dst: FrameId,
-        dst_off: usize,
-        len: usize,
-    ) {
-        let (s, d) = (src.0 as usize, dst.0 as usize);
-        if s == d {
-            self.frame_mut(src)
-                .data
-                .copy_within(src_off..src_off + len, dst_off);
-            return;
-        }
+    ) -> VmResult<FrameId> {
+        let dst = self.alloc(clock, stats)?;
+        clock.charge(CostCategory::DataMove, self.costs.page_copy);
+        stats.inc_pages_copied();
+        // Frame to frame, with no staging buffer.
         let [from, to] = self
             .frames
-            .get_disjoint_mut([s, d])
+            .get_disjoint_mut([src.0 as usize, dst.0 as usize])
             .expect("distinct frames in range");
-        let (from, to) = (
-            from.as_ref().expect("access to free frame"),
-            to.as_mut().expect("access to free frame"),
-        );
-        to.data[dst_off..dst_off + len].copy_from_slice(&from.data[src_off..src_off + len]);
+        let from = from.as_ref().expect("access to free frame");
+        to.as_mut()
+            .expect("access to free frame")
+            .data
+            .copy_from_slice(&from.data);
+        Ok(dst)
     }
 
     /// Reads bytes from a frame. No cost is charged here; the access engine
@@ -273,25 +252,48 @@ mod tests {
     use super::*;
     use fbuf_sim::Ns;
 
-    fn mem() -> PhysMem {
-        PhysMem::new(
-            8,
-            4096,
-            Clock::new(),
-            Stats::new(),
-            CostModel::decstation_5000_200(),
-        )
+    /// A memory with the clock and counters its machine would own.
+    struct Mem {
+        phys: PhysMem,
+        clock: Clock,
+        stats: Stats,
+    }
+
+    fn mem_of(frames: usize) -> Mem {
+        Mem {
+            phys: PhysMem::new(frames, 4096, CostModel::decstation_5000_200()),
+            clock: Clock::new(),
+            stats: Stats::new(),
+        }
+    }
+
+    fn mem() -> Mem {
+        mem_of(8)
     }
 
     #[test]
     fn alloc_and_free_cycle() {
         let mut m = mem();
-        assert_eq!(m.free_frames(), 8);
-        let f = m.alloc().unwrap();
-        assert_eq!(m.free_frames(), 7);
-        assert_eq!(m.refs(f), 1);
-        assert!(m.drop_ref(f));
-        assert_eq!(m.free_frames(), 8);
+        assert_eq!(m.phys.free_frames(), 8);
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        assert_eq!(m.phys.free_frames(), 7);
+        assert_eq!(m.phys.refs(f), 1);
+        assert!(m.phys.drop_ref(&mut m.clock, &mut m.stats, f));
+        assert_eq!(m.phys.free_frames(), 8);
+    }
+
+    #[test]
+    fn frames_come_lowest_id_first_and_freed_ones_most_recent_first() {
+        let mut m = mem();
+        let alloc = |m: &mut Mem| m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        let ids: Vec<FrameId> = (0..3).map(|_| alloc(&mut m)).collect();
+        assert_eq!(ids, [FrameId(0), FrameId(1), FrameId(2)]);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, ids[1]);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, ids[0]);
+        assert_eq!(m.phys.free_frames(), 7);
+        let again: Vec<FrameId> = (0..3).map(|_| alloc(&mut m)).collect();
+        assert_eq!(again, [FrameId(0), FrameId(1), FrameId(3)]);
+        assert_eq!(m.phys.free_frames(), 4);
     }
 
     #[test]
@@ -299,11 +301,11 @@ mod tests {
         let mut m = mem();
         let mut held = Vec::new();
         for _ in 0..8 {
-            held.push(m.alloc().unwrap());
+            held.push(m.phys.alloc(&mut m.clock, &mut m.stats).unwrap());
         }
-        assert_eq!(m.alloc(), Err(Fault::OutOfMemory));
-        m.drop_ref(held.pop().unwrap());
-        assert!(m.alloc().is_ok());
+        assert_eq!(m.phys.alloc(&mut m.clock, &mut m.stats), Err(Fault::OutOfMemory));
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, held.pop().unwrap());
+        assert!(m.phys.alloc(&mut m.clock, &mut m.stats).is_ok());
     }
 
     #[test]
@@ -311,34 +313,34 @@ mod tests {
         // The allocator deliberately hands out dirty frames so tests can
         // catch a mechanism that skips a required clear.
         let mut m = mem();
-        let f = m.alloc().unwrap();
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
         let mut b = [0u8; 4];
-        m.read(f, 0, &mut b);
+        m.phys.read(f, 0, &mut b);
         assert_eq!(b, [0xA5; 4]);
-        m.zero(f);
-        m.read(f, 0, &mut b);
+        m.phys.zero(&mut m.clock, &mut m.stats, f);
+        m.phys.read(f, 0, &mut b);
         assert_eq!(b, [0; 4]);
     }
 
     #[test]
     fn recycled_storage_reads_dirty_or_zero_never_the_old_bytes() {
         let mut m = mem();
-        let f = m.alloc().unwrap();
-        m.write(f, 0, &[0x3C; 4096]);
-        m.drop_ref(f);
-        assert_eq!(m.pooled(), 1);
-        let g = m.alloc().unwrap();
-        assert_eq!(m.pooled(), 0, "the allocation reused pooled storage");
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        m.phys.write(f, 0, &[0x3C; 4096]);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, f);
+        assert_eq!(m.phys.pooled(), 1);
+        let g = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        assert_eq!(m.phys.pooled(), 0, "the allocation reused pooled storage");
         let mut page = vec![0u8; 4096];
-        m.read(g, 0, &mut page);
+        m.phys.read(g, 0, &mut page);
         assert!(
             page.iter().all(|&b| b == 0xA5),
             "a recycled alloc reads dirty"
         );
-        m.write(g, 0, &[0x3C; 4096]);
-        m.drop_ref(g);
-        let h = m.alloc_zeroed(false).unwrap();
-        m.read(h, 0, &mut page);
+        m.phys.write(g, 0, &[0x3C; 4096]);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, g);
+        let h = m.phys.alloc_zeroed(&mut m.clock, &mut m.stats, false).unwrap();
+        m.phys.read(h, 0, &mut page);
         assert!(
             page.iter().all(|&b| b == 0),
             "a recycled zeroed alloc reads zero"
@@ -348,41 +350,37 @@ mod tests {
     #[test]
     fn zeroed_alloc_charges_like_alloc_then_zero() {
         let mut split = mem();
-        let f = split.alloc().unwrap();
-        split.zero(f);
+        let f = split.phys.alloc(&mut split.clock, &mut split.stats).unwrap();
+        split.phys.zero(&mut split.clock, &mut split.stats, f);
         let mut fused = mem();
-        fused.alloc_zeroed(true).unwrap();
+        fused.phys.alloc_zeroed(&mut fused.clock, &mut fused.stats, true).unwrap();
         assert_eq!(fused.clock.breakdown(), split.clock.breakdown());
         assert_eq!(fused.stats.snapshot(), split.stats.snapshot());
         let mut quiet = mem();
-        quiet.alloc_zeroed(false).unwrap();
+        quiet.phys.alloc_zeroed(&mut quiet.clock, &mut quiet.stats, false).unwrap();
         assert_eq!(quiet.clock.now(), Ns(500), "only the allocation is billed");
         assert_eq!(quiet.stats.pages_cleared(), 0);
     }
 
     #[test]
     fn pool_never_exceeds_its_bound() {
-        let mut m = PhysMem::new(
-            3 * POOL_FRAMES,
-            4096,
-            Clock::new(),
-            Stats::new(),
-            CostModel::decstation_5000_200(),
-        );
-        let held: Vec<FrameId> = (0..3 * POOL_FRAMES).map(|_| m.alloc().unwrap()).collect();
+        let mut m = mem_of(3 * POOL_FRAMES);
+        let held: Vec<FrameId> = (0..3 * POOL_FRAMES)
+            .map(|_| m.phys.alloc(&mut m.clock, &mut m.stats).unwrap())
+            .collect();
         for (i, f) in held.into_iter().enumerate() {
-            m.drop_ref(f);
-            assert_eq!(m.pooled(), (i + 1).min(POOL_FRAMES));
+            m.phys.drop_ref(&mut m.clock, &mut m.stats, f);
+            assert_eq!(m.phys.pooled(), (i + 1).min(POOL_FRAMES));
         }
-        assert_eq!(m.free_frames(), 3 * POOL_FRAMES);
+        assert_eq!(m.phys.free_frames(), 3 * POOL_FRAMES);
     }
 
     #[test]
     fn zero_charges_57us_and_counts() {
         let mut m = mem();
-        let f = m.alloc().unwrap();
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
         let before = m.clock.now();
-        m.zero(f);
+        m.phys.zero(&mut m.clock, &mut m.stats, f);
         assert_eq!(m.clock.now() - before, Ns::from_us(57));
         assert_eq!(m.stats.pages_cleared(), 1);
     }
@@ -390,65 +388,43 @@ mod tests {
     #[test]
     fn shared_frame_survives_until_last_ref() {
         let mut m = mem();
-        let f = m.alloc().unwrap();
-        m.write(f, 0, b"abc");
-        m.add_ref(f);
-        assert!(!m.drop_ref(f));
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        m.phys.write(f, 0, b"abc");
+        m.phys.add_ref(f);
+        assert!(!m.phys.drop_ref(&mut m.clock, &mut m.stats, f));
         let mut b = [0u8; 3];
-        m.read(f, 0, &mut b);
+        m.phys.read(f, 0, &mut b);
         assert_eq!(&b, b"abc");
-        assert!(m.drop_ref(f));
+        assert!(m.phys.drop_ref(&mut m.clock, &mut m.stats, f));
     }
 
     #[test]
     fn fork_copies_contents_and_charges() {
         let mut m = mem();
-        let a = m.alloc().unwrap();
-        m.write(a, 100, b"hello");
+        let a = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        m.phys.write(a, 100, b"hello");
         let copies_before = m.stats.pages_copied();
-        let b = m.fork(a).unwrap();
+        let b = m.phys.fork(&mut m.clock, &mut m.stats, a).unwrap();
         assert_eq!(m.stats.pages_copied(), copies_before + 1);
         let mut buf = [0u8; 5];
-        m.read(b, 100, &mut buf);
+        m.phys.read(b, 100, &mut buf);
         assert_eq!(&buf, b"hello");
         // The copy is by value: mutating the original leaves the fork alone.
-        m.write(a, 100, b"world");
-        m.read(b, 100, &mut buf);
+        m.phys.write(a, 100, b"world");
+        m.phys.read(b, 100, &mut buf);
         assert_eq!(&buf, b"hello");
-    }
-
-    #[test]
-    fn copy_between_charges_proportionally() {
-        let mut m = mem();
-        let a = m.alloc().unwrap();
-        let b = m.alloc().unwrap();
-        m.write(a, 0, &[7u8; 2048]);
-        let t0 = m.clock.now();
-        m.copy_between(a, 0, b, 1024, 2048);
-        let cost = m.clock.now() - t0;
-        // Half a page should cost half of page_copy.
-        assert_eq!(cost, Ns(115_000 / 2));
-        let mut buf = [0u8; 2048];
-        m.read(b, 1024, &mut buf);
-        assert_eq!(buf, [7u8; 2048]);
-        // Within one frame, overlapping ranges copy as if staged.
-        m.write(a, 0, b"abcdef");
-        m.copy_between(a, 0, a, 2, 4);
-        let mut six = [0u8; 6];
-        m.read(a, 0, &mut six);
-        assert_eq!(&six, b"ababcd");
     }
 
     #[test]
     fn template_fill_repeats_pattern() {
         let mut m = mem();
-        let f = m.alloc().unwrap();
-        m.fill_with_template(f, &[1, 2, 3]);
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        m.phys.fill_with_template(f, &[1, 2, 3]);
         let mut b = [0u8; 6];
-        m.read(f, 0, &mut b);
+        m.phys.read(f, 0, &mut b);
         assert_eq!(b, [1, 2, 3, 1, 2, 3]);
-        m.fill_with_template(f, &[]);
-        m.read(f, 0, &mut b);
+        m.phys.fill_with_template(f, &[]);
+        m.phys.read(f, 0, &mut b);
         assert_eq!(b, [0; 6]);
     }
 
@@ -456,10 +432,10 @@ mod tests {
     #[should_panic(expected = "drop_ref on free frame")]
     fn double_free_panics() {
         let mut m = mem();
-        let f = m.alloc().unwrap();
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
         let copy = f;
-        m.drop_ref(f);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, f);
         // Frame is free now; a second drop must be caught.
-        m.drop_ref(copy);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, copy);
     }
 }

@@ -203,11 +203,6 @@ impl AddressSpace {
     pub fn regions(&self) -> impl Iterator<Item = &MapEntry> {
         self.regions.values()
     }
-
-    /// Number of regions.
-    pub fn region_count(&self) -> usize {
-        self.regions.len()
-    }
 }
 
 #[cfg(test)]

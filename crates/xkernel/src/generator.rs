@@ -97,7 +97,7 @@ fn slice_unit(
             return Ok(DataUnit::Borrowed { va, len });
         }
         // Straddles: gather with a real copy.
-        fbs.stats().inc_generator_copies();
+        fbs.machine_mut().stats_mut().inc_generator_copies();
         let (_, tail) = msg.split(pos);
         let (unit, _) = tail.split(len);
         return Ok(DataUnit::Copied(unit.gather(fbs, dom)?));

@@ -174,7 +174,6 @@ pub fn traverse(
     // Explicit stack of node addresses; children pushed right-first so the
     // left child is processed first (in-order data).
     let mut stack = vec![root];
-    let stats = fbs.stats();
     while let Some(va) = stack.pop() {
         if out.nodes >= limits.max_nodes {
             out.truncated = true;
@@ -183,20 +182,20 @@ pub fn traverse(
         // Defense 1: range check before dereferencing anything.
         if !fbs.machine().config().in_fbuf_region(va, NODE_SIZE) {
             out.range_failures += 1;
-            stats.inc_dag_range_check_failures();
+            fbs.machine_mut().stats_mut().inc_dag_range_check_failures();
             continue;
         }
         // Defense 2: cycle check.
         if !visited.insert(va) {
             out.cycle_detected = true;
-            stats.inc_dag_cycles_detected();
+            fbs.machine_mut().stats_mut().inc_dag_cycles_detected();
             continue;
         }
         out.nodes += 1;
-        stats.inc_dag_nodes_visited();
-        fbs.machine()
-            .tracer()
-            .instant(EventKind::DagVisit, dom.0, None, fbs.fbuf_at_va(va).map(|f| f.0));
+        fbs.machine_mut().stats_mut().inc_dag_nodes_visited();
+        let m = fbs.machine();
+        m.tracer()
+            .instant(m.now(), EventKind::DagVisit, dom.0, None, fbs.fbuf_at_va(va).map(|f| f.0));
         // Defense 3 happens inside the VM: if `dom` has no mapping, the
         // read faults to a null page stamped with empty leaves.
         let bytes = fbs.machine_mut().read(dom, va, NODE_SIZE)?;
@@ -214,7 +213,7 @@ pub fn traverse(
                 }
                 if !fbs.machine().config().in_fbuf_region(data_va, len) {
                     out.range_failures += 1;
-                    stats.inc_dag_range_check_failures();
+                    fbs.machine_mut().stats_mut().inc_dag_range_check_failures();
                     continue;
                 }
                 out.extents.push((data_va, len));

@@ -29,7 +29,6 @@
 //! inventory) and §12 (how proxy hops are scheduled).
 
 pub mod generator;
-pub mod graph;
 pub mod hbio;
 pub mod integrated;
 pub mod msg;
@@ -37,7 +36,6 @@ pub mod proxy;
 pub mod refs;
 
 pub use generator::{DataUnit, Generator};
-pub use graph::{Ctx, Graph, Protocol, Verdict};
 pub use hbio::{HbioEndpoint, WriteBuffer};
 pub use integrated::{IntegratedMsg, TraverseLimits, TraverseOutcome};
 pub use msg::{Extent, Msg};

@@ -80,7 +80,7 @@ fn uncached_steady_state_pays_vm_work_every_message() {
 #[test]
 fn traced_cached_run_audits_clean_with_expected_events() {
     let mut s = LoopbackStack::new(machine(), LoopbackConfig::paper(true, true));
-    let tracer = s.fbs.machine().tracer();
+    let tracer = s.fbs.machine().tracer().clone();
     tracer.set_enabled(true);
     for _ in 0..4 {
         s.send_message(16 << 10, false).unwrap();
@@ -220,7 +220,7 @@ impl Config {
             Config::Traced => fbs.machine().tracer().set_enabled(true),
             Config::TracedMetered => {
                 fbs.machine().tracer().set_enabled(true);
-                fbs.machine().metrics_ref().set_enabled(true);
+                fbs.machine().metrics().set_enabled(true);
             }
             Config::ContainmentArmed => {
                 fbs.set_jail(Some(JailConfig::default()));
@@ -322,6 +322,7 @@ fn cached_loopback(cfg: Config) -> Option<Pin> {
     let h = s.fbs.queue_delay();
     assert!(h.count() > 0, "hops flowed through the loop");
     assert_eq!(h.max(), 0, "a drained pipeline queues nothing");
+    assert_eq!(s.fbs.engine_overloads(), 0, "no post was refused");
     assert_eq!(s.fbs.stats().overload_drops(), 0);
     Some(Pin::new(cfg).sys(&s.fbs))
 }
@@ -569,7 +570,7 @@ fn overload_is_explicit_counted_and_audited() {
     // and traced, and the trace still audits clean (rule 5: an Overload
     // leaves inbox balance untouched).
     let mut fbs = FbufSystem::new(machine());
-    let tracer = fbs.machine().tracer();
+    let tracer = fbs.machine().tracer().clone();
     tracer.set_enabled(true);
     fbs.set_inbox_depth(1);
     let a = fbs.create_domain();
@@ -595,6 +596,36 @@ fn overload_is_explicit_counted_and_audited() {
     assert_eq!(fbs.transfers_completed(), 1);
     // The refused transfer never started: its buffer is still ours.
     fbs.free(b2, KERNEL_DOMAIN).unwrap();
+    audit_tracer(&tracer).assert_clean();
+}
+
+#[test]
+fn a_mid_route_overload_is_counted_once_in_the_machine_stats() {
+    // The second leg of a started transfer finds its inbox full: the
+    // engine aborts the transfer, the loop counts the refusal, and the
+    // machine's `overload_drops` counts it exactly once.
+    let mut fbs = FbufSystem::new(machine());
+    let tracer = fbs.machine().tracer().clone();
+    tracer.set_enabled(true);
+    fbs.set_inbox_depth(1);
+    let (a, b, c) = (fbs.create_domain(), fbs.create_domain(), fbs.create_domain());
+    let long = vec![KERNEL_DOMAIN, a, b];
+    let short = vec![c, b];
+    let p_long = fbs.create_path(long.clone()).unwrap();
+    let p_short = fbs.create_path(short.clone()).unwrap();
+    let x = fbs.alloc(KERNEL_DOMAIN, AllocMode::Cached(p_long), 4096).unwrap();
+    let y = fbs.alloc(c, AllocMode::Cached(p_short), 4096).unwrap();
+    // `x`'s first leg is dequeued first; its handler posts the second
+    // leg to `b`, whose one slot `y`'s leg still holds.
+    assert!(!fbs.submit_transfer(x, &long).is_overload());
+    assert!(!fbs.submit_transfer(y, &short).is_overload());
+    assert_eq!(fbs.engine_overloads(), 0);
+    fbs.pump();
+    assert_eq!(fbs.engine_overloads(), 1, "the second leg was refused");
+    assert_eq!(fbs.stats().overload_drops(), fbs.engine_overloads());
+    assert_eq!(tracer.count_of(EventKind::Overload), 1);
+    assert_eq!(fbs.transfers_aborted(), 1);
+    assert_eq!(fbs.transfers_completed(), 1);
     audit_tracer(&tracer).assert_clean();
 }
 

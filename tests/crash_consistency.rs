@@ -18,7 +18,7 @@ use fbufs::sim::{audit_tracer, FaultSite, FaultSpec, MachineConfig, Ns};
 #[test]
 fn terminate_with_held_and_parked_buffers_reclaims_frames_exactly_once() {
     let mut sys = FbufSystem::new(MachineConfig::tiny());
-    sys.machine().tracer_ref().set_enabled(true);
+    sys.machine().tracer().set_enabled(true);
     let a = sys.create_domain();
     let b = sys.create_domain();
     let p = sys.create_path(vec![a, b]).unwrap();
@@ -59,13 +59,13 @@ fn terminate_with_held_and_parked_buffers_reclaims_frames_exactly_once() {
         frames0,
         "every frame reclaimed exactly once"
     );
-    audit_tracer(sys.machine().tracer_ref()).assert_clean();
+    audit_tracer(sys.machine().tracer()).assert_clean();
 }
 
 #[test]
 fn terminate_the_receiver_keeps_the_path_dead_and_frames_balanced() {
     let mut sys = FbufSystem::new(MachineConfig::tiny());
-    sys.machine().tracer_ref().set_enabled(true);
+    sys.machine().tracer().set_enabled(true);
     let a = sys.create_domain();
     let b = sys.create_domain();
     let p = sys.create_path(vec![a, b]).unwrap();
@@ -83,7 +83,7 @@ fn terminate_the_receiver_keeps_the_path_dead_and_frames_balanced() {
     sys.free(id, a).unwrap();
     assert!(sys.fbuf(id).is_err(), "dead path ⇒ retire, not park");
     assert_eq!(sys.machine().free_frames(), frames0);
-    audit_tracer(sys.machine().tracer_ref()).assert_clean();
+    audit_tracer(sys.machine().tracer()).assert_clean();
 }
 
 #[test]
@@ -124,7 +124,7 @@ fn revocation_deadline_mid_route_reclaims_frames_exactly_once() {
     // included. (The paper machine, not `tiny`: deadline expiry needs a
     // clock that actually charges for work.)
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-    sys.machine().tracer_ref().set_enabled(true);
+    sys.machine().tracer().set_enabled(true);
     let a = sys.create_domain();
     let b = sys.create_domain();
     let c = sys.create_domain();
@@ -166,7 +166,7 @@ fn revocation_deadline_mid_route_reclaims_frames_exactly_once() {
         frames0,
         "every frame reclaimed exactly once"
     );
-    audit_tracer(sys.machine().tracer_ref()).assert_clean();
+    audit_tracer(sys.machine().tracer()).assert_clean();
 }
 
 #[test]
@@ -177,7 +177,7 @@ fn revocation_deadline_during_terminate_reclaims_frames_exactly_once() {
     // the same buffers; each frame must still be reclaimed exactly
     // once, with a clean audit and a conserving ledger.
     let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-    sys.machine().tracer_ref().set_enabled(true);
+    sys.machine().tracer().set_enabled(true);
     let a = sys.create_domain();
     let b = sys.create_domain();
     let route = vec![a, b];
@@ -209,7 +209,7 @@ fn revocation_deadline_during_terminate_reclaims_frames_exactly_once() {
         frames0,
         "every frame reclaimed exactly once"
     );
-    audit_tracer(sys.machine().tracer_ref()).assert_clean();
+    audit_tracer(sys.machine().tracer()).assert_clean();
 }
 
 #[test]
@@ -222,7 +222,7 @@ fn receiver_death_releases_queued_transfers_at_the_next_pump() {
     // hoard bytes, until the originator itself dies.
     for domains in [2, 3] {
         let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
-        sys.machine().tracer_ref().set_enabled(true);
+        sys.machine().tracer().set_enabled(true);
         let route: Vec<_> = (0..domains).map(|_| sys.create_domain()).collect();
         let (origin, receiver) = (route[0], route[domains - 1]);
         let p = sys.create_path(route.clone()).unwrap();
@@ -246,7 +246,7 @@ fn receiver_death_releases_queued_transfers_at_the_next_pump() {
             frames0,
             "every frame reclaimed exactly once"
         );
-        audit_tracer(sys.machine().tracer_ref()).assert_clean();
+        audit_tracer(sys.machine().tracer()).assert_clean();
     }
 }
 

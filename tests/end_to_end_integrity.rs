@@ -45,8 +45,8 @@ fn osiris_delivers_every_configuration() {
             assert_ne!(e.received[2], e.received[3][..4096].to_vec());
             // The traced event streams obey the lifecycle invariants on
             // both hosts.
-            audit_tracer(&e.tx.fbs.machine().tracer()).assert_clean();
-            audit_tracer(&e.rx.fbs.machine().tracer()).assert_clean();
+            audit_tracer(e.tx.fbs.machine().tracer()).assert_clean();
+            audit_tracer(e.rx.fbs.machine().tracer()).assert_clean();
         }
     }
 }
@@ -61,7 +61,7 @@ fn loopback_delivers_all_configurations() {
                 s.send_message(size, true)
                     .unwrap_or_else(|err| panic!("three={three} cached={cached}: {err}"));
             }
-            audit_tracer(&s.fbs.machine().tracer()).assert_clean();
+            audit_tracer(s.fbs.machine().tracer()).assert_clean();
         }
     }
 }

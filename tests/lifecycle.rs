@@ -67,7 +67,7 @@ fn pageout_keeps_io_running_under_memory_pressure() {
     );
     // The full alloc/transfer/free/reclaim stream obeys the lifecycle
     // invariants.
-    audit_tracer(&fbs.machine().tracer()).assert_clean();
+    audit_tracer(fbs.machine().tracer()).assert_clean();
 }
 
 #[test]
@@ -115,7 +115,7 @@ fn notices_flow_back_through_regular_traffic() {
     let consumer = fbs.create_domain();
     for _ in 0..200 {
         let id = fbs.alloc(producer, AllocMode::Uncached, 4096).unwrap();
-        fbs.rpc_mut().call(producer, consumer);
+        fbs.hop(producer, consumer);
         fbs.send(id, producer, consumer, SendMode::Volatile)
             .unwrap();
         fbs.free(id, consumer).unwrap();

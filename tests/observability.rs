@@ -58,7 +58,7 @@ fn merged_fleet_trace_is_lossless_and_time_ordered() {
 #[test]
 fn chrome_trace_export_has_the_documented_schema() {
     let mut s = FbufSystem::new(fleet_machine());
-    let tracer = s.machine().tracer();
+    let tracer = s.machine().tracer().clone();
     tracer.set_enabled(true);
     let a = s.create_domain();
     let b = s.create_domain();
@@ -208,7 +208,7 @@ fn fanin_telemetry_block_is_byte_identical_to_its_golden_digest() {
     cfg.fbuf_region_size = 6 << 20;
     let mut sys = FbufSystem::new(cfg);
     sys.set_quota_policy(QuotaPolicy::fb_dynamic());
-    let m = sys.machine().metrics();
+    let m = sys.machine().metrics().clone();
     m.set_enabled(true);
     let paths: Vec<_> = (0..PATHS)
         .map(|_| {

@@ -714,7 +714,7 @@ impl MiniEngine {
             .sys
             .alloc(a, AllocMode::Cached(p), 4096)
             .expect("cached alloc");
-        self.sys.rpc_mut().call(a, b);
+        self.sys.hop(a, b);
         self.sys.send(id, a, b, SendMode::Volatile).expect("send");
         self.sys.free(id, b).expect("free b");
         self.sys.free(id, a).expect("free a");

@@ -227,9 +227,8 @@ fn pooled_frames_never_leak_a_previous_owners_bytes() {
         let pooled = fbs.machine().pooled_frames();
         assert!(pooled >= pages as usize, "A's retired pages are pooled");
 
-        let clock = fbs.machine().clock();
         let cleared = fbs.stats().pages_cleared();
-        let moved = clock.spent_on(CostCategory::DataMove);
+        let moved = fbs.machine().clock().spent_on(CostCategory::DataMove);
         let id = fbs.alloc(b, AllocMode::Uncached, len).unwrap();
         assert_eq!(
             fbs.machine().pooled_frames(),
@@ -239,7 +238,7 @@ fn pooled_frames_never_leak_a_previous_owners_bytes() {
         let billed = if charge { pages } else { 0 };
         assert_eq!(fbs.stats().pages_cleared() - cleared, billed);
         assert_eq!(
-            clock.spent_on(CostCategory::DataMove) - moved,
+            fbs.machine().clock().spent_on(CostCategory::DataMove) - moved,
             fbs.machine().costs().page_zero * billed
         );
         assert_eq!(

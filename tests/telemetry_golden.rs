@@ -38,7 +38,7 @@ fn self_links() -> Links {
 fn shard_telemetry_block_is_byte_identical_to_its_golden_digest() {
     let mut shard = Shard::new(0, MachineConfig::decstation_5000_200(), 24, 1);
     let mut links = self_links();
-    let m = shard.sys.machine().metrics();
+    let m = shard.sys.machine().metrics().clone();
     m.set_enabled(true);
     m.set_capacity(600);
     shard.warm_local();
