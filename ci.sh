@@ -7,12 +7,8 @@ set -eu
 export CARGO_NET_OFFLINE=true
 
 cargo build --release --workspace
+# Unit, integration and property tests, plus every crate's doctests.
 cargo test -q --workspace
-
-# Doctests: every crate-level example and API doctest must run (the
-# workspace test run above covers unit/integration tests; `--doc` is a
-# separate compile mode).
-cargo test -q --doc --workspace
 
 # Documentation gate: rustdoc must build clean with warnings denied
 # (broken intra-doc links, missing docs on public items, bad code fences
@@ -34,10 +30,11 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
-# Examples: the test runs above compile them but never run them, and
-# examples/image_retrieval.rs is the only caller of net::reliable,
-# net::transform and xkernel::hbio. Each runs to completion in release
-# mode; a nonzero exit fails CI.
+# Examples: the test run above compiles them but never runs them, and
+# each one asserts the story it tells (examples/image_retrieval.rs is
+# the only run of §5.2 fill-in-place I/O and of resending from a held
+# fbuf). Each runs to completion in release mode; a nonzero exit fails
+# CI.
 for example in examples/*.rs; do
     cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
 done

@@ -125,7 +125,7 @@ pub fn endtoend(cfg: EndToEndConfig, size: u64, msgs: usize) -> Observation {
     let mut transfer = tx.merged_transfer_latency();
     transfer.merge(&rx.merged_transfer_latency());
     Observation {
-        counters: tx_delta.plus(&rx_delta),
+        counters: tx_delta.merge(&rx_delta),
         alloc,
         transfer,
     }

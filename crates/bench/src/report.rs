@@ -356,7 +356,7 @@ impl BenchRunner {
     pub fn counters(&mut self, delta: &StatsSnapshot) {
         self.counters = Some(match &self.counters {
             None => delta.clone(),
-            Some(acc) => acc.plus(delta),
+            Some(acc) => acc.merge(delta),
         });
     }
 

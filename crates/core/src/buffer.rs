@@ -116,12 +116,6 @@ impl Fbuf {
         self.frames.iter().all(|f| f.is_some())
     }
 
-    /// Virtual address of page `i`.
-    pub fn page_va(&self, i: u64, page_size: u64) -> u64 {
-        debug_assert!(i < self.pages);
-        self.va + i * page_size
-    }
-
     /// The byte range `[va, va+len)` as a tuple.
     pub fn extent(&self) -> (u64, u64) {
         (self.va, self.len)
@@ -152,7 +146,6 @@ mod tests {
         assert!(f.held_by(DomainId(1)));
         assert!(!f.held_by(DomainId(2)));
         assert!(!f.resident());
-        assert_eq!(f.page_va(1, 4096), 0x4000_1000);
         assert_eq!(f.extent(), (0x4000_0000, 5000));
     }
 

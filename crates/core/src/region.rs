@@ -81,20 +81,17 @@ pub struct LocalAllocator {
     chunk_size: u64,
     /// Free (va, pages) slots from released uncached fbufs.
     free_slots: Vec<(u64, u64)>,
-    /// Maximum chunks this allocator may hold.
-    quota: usize,
 }
 
 impl LocalAllocator {
     /// Creates an empty allocator.
-    pub fn new(path: Option<PathId>, chunk_size: u64, quota: usize) -> LocalAllocator {
+    pub fn new(path: Option<PathId>, chunk_size: u64) -> LocalAllocator {
         LocalAllocator {
             path,
             chunks: Vec::new(),
             bump: 0,
             chunk_size,
             free_slots: Vec::new(),
-            quota,
         }
     }
 
@@ -122,14 +119,6 @@ impl LocalAllocator {
             }
         }
         Ok(None)
-    }
-
-    /// True if granting one more chunk would exceed the *static* quota.
-    /// Under [`crate::QuotaPolicy::Static`] this is the admission
-    /// decision; dynamic policies may admit growth past it while the
-    /// region has slack, so it is advisory for them.
-    pub fn at_quota(&self) -> bool {
-        self.chunks.len() >= self.quota
     }
 
     /// Accepts a freshly granted chunk. Admission is the caller's job:
@@ -180,7 +169,7 @@ mod tests {
 
     #[test]
     fn local_allocator_bump_and_refill() {
-        let mut a = LocalAllocator::new(None, 4 * 4096, 2);
+        let mut a = LocalAllocator::new(None, 4 * 4096);
         // No chunk yet.
         assert_eq!(a.carve(1, 4096).unwrap(), None);
         a.add_chunk(0x4000_0000);
@@ -188,15 +177,13 @@ mod tests {
         assert_eq!(a.carve(2, 4096).unwrap(), Some(0x4000_2000));
         // Chunk full.
         assert_eq!(a.carve(1, 4096).unwrap(), None);
-        assert!(!a.at_quota());
         a.add_chunk(0x4100_0000);
         assert_eq!(a.carve(1, 4096).unwrap(), Some(0x4100_0000));
-        assert!(a.at_quota());
     }
 
     #[test]
     fn local_allocator_reuses_released_slots() {
-        let mut a = LocalAllocator::new(None, 16 * 4096, 4);
+        let mut a = LocalAllocator::new(None, 16 * 4096);
         a.add_chunk(0x4000_0000);
         let va = a.carve(3, 4096).unwrap().unwrap();
         a.release(va, 3);
@@ -210,24 +197,24 @@ mod tests {
 
     #[test]
     fn oversized_request_rejected() {
-        let mut a = LocalAllocator::new(None, 4 * 4096, 2);
+        let mut a = LocalAllocator::new(None, 4 * 4096);
         assert!(matches!(a.carve(5, 4096), Err(FbufError::TooLarge { .. })));
     }
 
     #[test]
     fn add_chunk_past_the_static_quota_is_advisory() {
-        // Dynamic policies may admit growth past the static quota; the
-        // allocator records the overage, it does not police it.
-        let mut a = LocalAllocator::new(None, 4096, 1);
+        // Dynamic policies may admit growth past the static quota. The
+        // allocator knows no quota (admission is `QuotaPolicy::admits`
+        // in `FbufSystem::build`); it holds every chunk it is granted.
+        let mut a = LocalAllocator::new(None, 4096);
         a.add_chunk(0x4000_0000);
-        assert!(a.at_quota());
         a.add_chunk(0x4000_1000);
         assert_eq!(a.chunks_held(), 2);
     }
 
     #[test]
     fn take_chunks_resets() {
-        let mut a = LocalAllocator::new(Some(PathId(1)), 4 * 4096, 2);
+        let mut a = LocalAllocator::new(Some(PathId(1)), 4 * 4096);
         a.add_chunk(0x4000_0000);
         a.carve(1, 4096).unwrap();
         let chunks = a.take_chunks();

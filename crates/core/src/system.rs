@@ -898,7 +898,7 @@ impl FbufSystem {
         let va = loop {
             let allocator = self
                 .allocator(dom, path)
-                .get_or_insert_with(|| LocalAllocator::new(path, chunk_size, quota));
+                .get_or_insert_with(|| LocalAllocator::new(path, chunk_size));
             match allocator.carve(pages, page_size)? {
                 Some(va) => break va,
                 None => {
@@ -1607,7 +1607,12 @@ mod tests {
         let (mut s, a, b, _) = sys();
         let id = s.alloc(a, AllocMode::Uncached, 100).unwrap();
         s.write_fbuf(a, id, 0, b"v1").unwrap();
+        let copies = s.stats().pages_copied();
         s.send(id, a, b, SendMode::Volatile).unwrap();
+        // Copy semantics (§2.1.3): the sender still holds its bytes, say
+        // to retransmit them, and the send copied nothing.
+        assert_eq!(s.read_fbuf(a, id, 0, 2).unwrap(), b"v1");
+        assert_eq!(s.stats().pages_copied(), copies);
         // Volatile: the write succeeds and is visible to the receiver.
         s.write_fbuf(a, id, 0, b"v2").unwrap();
         assert_eq!(s.read_fbuf(b, id, 0, 2).unwrap(), b"v2");

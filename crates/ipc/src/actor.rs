@@ -408,17 +408,6 @@ impl<M> EventLoop<M> {
     pub fn queue_delay_by_dom(&self) -> &[u64] {
         &self.delay_by_dom
     }
-
-    /// Resets the queueing-delay histogram and the overload/enqueue/
-    /// dequeue counters (pending events are untouched) — used by bench
-    /// sweeps that measure each offered-load point separately.
-    pub fn reset_metrics(&mut self) {
-        self.queue_delay = Histogram::new();
-        self.delay_by_dom.clear();
-        self.overloads = 0;
-        self.enqueued = 0;
-        self.dequeued = 0;
-    }
 }
 
 #[cfg(test)]
@@ -674,20 +663,5 @@ mod tests {
         assert_eq!(n, 2, "the backlog and the call were both served");
         assert_eq!(e.overloads(), 0);
         assert_eq!(e.pending(), 0);
-    }
-
-    #[test]
-    fn reset_metrics_clears_measurements_only() {
-        let (mut e, mut clock, _) = evl();
-        e.set_inbox_depth(1);
-        e.post(Ns::ZERO, DomainId(0), DomainId(1), ());
-        e.post(Ns::ZERO, DomainId(0), DomainId(1), ());
-        e.run(&mut clock, &mut |_, _, _| {});
-        e.reset_metrics();
-        assert_eq!(e.overloads(), 0);
-        assert_eq!(e.enqueued(), 0);
-        assert_eq!(e.dequeued(), 0);
-        assert!(e.queue_delay().is_empty());
-        assert!(e.queue_delay_by_dom().is_empty());
     }
 }

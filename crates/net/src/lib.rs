@@ -21,7 +21,12 @@
 //! * [`osiris`] — the Osiris driver model (per-VCI queues of preallocated
 //!   cached fbufs for the 16 most recent paths, per-cell DMA ceilings, bus
 //!   contention) and the two-host end-to-end harness with sliding-window
-//!   flow control (Figures 5 and 6, and the §4 CPU-load experiment).
+//!   flow control (Figures 5 and 6, and the §4 CPU-load experiment);
+//! * [`pdu`] — the unit the null modem carries between the two hosts.
+//!
+//! Retransmission from the fbuf a sender still holds (§2.1.3) is not a
+//! layer of this stack; `examples/image_retrieval.rs` shows it on the
+//! facility directly.
 //!
 //! Every cross-domain hop in this stack goes through
 //! `fbuf::FbufSystem::hop`, i.e. the event-loop transfer engine, whose
@@ -36,12 +41,9 @@ pub mod ip;
 pub mod loopback;
 pub mod osiris;
 pub mod pdu;
-pub mod reliable;
-pub mod transform;
 pub mod udp;
 
 pub use host::{AllocStrategy, DomainSetup, Fill, Host};
 pub use loopback::{LoopbackConfig, LoopbackStack};
 pub use osiris::{EndToEnd, EndToEndConfig, EndToEndReport};
 pub use pdu::WirePdu;
-pub use reliable::{ReliableChannel, ReliableConfig, ReliableStats, TransportError};

@@ -49,11 +49,6 @@ impl<T> PortTable<T> {
         true
     }
 
-    /// Unbinds a port, returning its endpoint.
-    pub fn unbind(&mut self, port: u16) -> Option<T> {
-        self.ports.remove(&port)
-    }
-
     /// Demuxes a datagram; `None` counts a drop.
     pub fn demux(&mut self, port: u16) -> Option<&T> {
         if self.ports.contains_key(&port) {
@@ -92,15 +87,13 @@ mod tests {
     use fbuf_sim::MachineConfig;
 
     #[test]
-    fn bind_demux_unbind() {
+    fn bind_and_demux() {
         let mut t: PortTable<u32> = PortTable::new();
         assert!(t.bind(53, 1));
         assert!(!t.bind(53, 2), "double bind rejected");
         assert_eq!(t.demux(53), Some(&1));
         assert_eq!(t.demux(99), None);
         assert_eq!(t.dropped, 1);
-        assert_eq!(t.unbind(53), Some(1));
-        assert_eq!(t.demux(53), None);
     }
 
     #[test]

@@ -71,11 +71,6 @@ impl MachineConfig {
         (self.phys_mem / self.page_size) as usize
     }
 
-    /// Number of pages per allocation chunk.
-    pub fn pages_per_chunk(&self) -> u64 {
-        self.chunk_size / self.page_size
-    }
-
     /// Rounds `bytes` up to a whole number of pages.
     pub fn pages_for(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.page_size)
@@ -135,7 +130,6 @@ mod tests {
     fn geometry_helpers() {
         let c = MachineConfig::decstation_5000_200();
         assert_eq!(c.frames(), 8192);
-        assert_eq!(c.pages_per_chunk(), 16);
         assert_eq!(c.pages_for(1), 1);
         assert_eq!(c.pages_for(4096), 1);
         assert_eq!(c.pages_for(4097), 2);

@@ -129,11 +129,6 @@ impl<T> EventHeap<T> {
         })
     }
 
-    /// The `(at, id)` key of the earliest event, without removing it.
-    pub fn peek(&self) -> Option<(Ns, EventId)> {
-        self.slots.first().map(Entry::key)
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -234,17 +229,6 @@ mod tests {
         assert!(drawn.is_empty(), "drawing schedules nothing");
         assert_eq!(drawn.push(Ns(0), ()), pushed.push(Ns(0), ()));
         assert_eq!(drawn.pushed(), 2);
-    }
-
-    #[test]
-    fn peek_matches_next_pop() {
-        let mut h = EventHeap::new();
-        h.push(Ns(9), "x");
-        h.push(Ns(3), "y");
-        let (at, id) = h.peek().expect("nonempty");
-        let popped = h.pop().expect("nonempty");
-        assert_eq!((at, id), (popped.at, popped.id));
-        assert_eq!(h.len(), 1);
     }
 
     #[test]

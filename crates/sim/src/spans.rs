@@ -80,26 +80,6 @@ impl SpanTree {
             true
         })
     }
-
-    /// Sums this tree's stage durations: `(queueing, service,
-    /// ring_crossing)` in simulated ns.
-    pub fn stage_totals(&self) -> (u64, u64, u64) {
-        let mut q = 0u64;
-        let mut s = 0u64;
-        let mut r = 0u64;
-        for n in &self.nodes {
-            for e in &n.events {
-                let d = e.dur.map(|d| d.0).unwrap_or(0);
-                match e.kind {
-                    EventKind::Dequeue => q += d,
-                    EventKind::HopService => s += d,
-                    EventKind::RingCross => r += d,
-                    _ => {}
-                }
-            }
-        }
-        (q, s, r)
-    }
 }
 
 /// Reconstructs every transfer's span tree from an event stream.
@@ -250,7 +230,6 @@ mod tests {
         assert_eq!(tree.nodes.len(), 2);
         assert!(tree.is_connected());
         assert_eq!(tree.node(20).and_then(|n| n.parent), Some(10));
-        assert_eq!(tree.stage_totals(), (40, 160, 7));
     }
 
     #[test]

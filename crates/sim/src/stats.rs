@@ -40,12 +40,10 @@ macro_rules! stats_impl {
                 }
             }
 
-            /// Per-field sum `self + other` (saturating), for accumulating
-            /// deltas across workloads.
+            /// [`StatsSnapshot::merge`] under the name the benchmark
+            /// package (`fbufbench/src/workload.rs`) calls it by.
             pub fn plus(&self, other: &StatsSnapshot) -> StatsSnapshot {
-                StatsSnapshot {
-                    $( $name: self.$name.saturating_add(other.$name), )*
-                }
+                self.merge(other)
             }
 
             /// Sum of all counters; handy as a quick "anything happened?"
@@ -54,17 +52,17 @@ macro_rules! stats_impl {
                 0 $( + self.$name )*
             }
 
-            /// Combines two shards' snapshots into one fleet snapshot.
+            /// Combines two snapshots into one: two shards' into a
+            /// fleet's, or a workload's deltas into their total.
             ///
             /// Counters are additive, so merging is fieldwise saturating
             /// addition — associative, commutative, with the zeroed
             /// snapshot as identity (properties pinned in
-            /// `tests/properties.rs`). [`StatsSnapshot::plus`] is the
-            /// same operation under its workload-accumulation name; this
-            /// alias exists so sharded-fleet call sites read as what they
-            /// are.
+            /// `tests/properties.rs`).
             pub fn merge(&self, other: &StatsSnapshot) -> StatsSnapshot {
-                self.plus(other)
+                StatsSnapshot {
+                    $( $name: self.$name.saturating_add(other.$name), )*
+                }
             }
 
             /// Merges any number of shard snapshots ([`StatsSnapshot::merge`]

@@ -20,7 +20,10 @@
 //!
 //! [`generator`] implements the §5.2 application interface: retrieving
 //! application-defined data units from an aggregate with copies only at
-//! fragment boundaries. [`proxy`] moves messages across domains, charging
+//! fragment boundaries. The rest of §5.2's high-bandwidth I/O interface
+//! is the facility's own API (fill a path-allocated fbuf in place, wrap
+//! it with [`Msg::from_fbuf`], read it back through a [`Generator`]);
+//! `examples/image_retrieval.rs` shows it end to end. [`proxy`] moves messages across domains, charging
 //! IPC and using the configured transfer regime — its hops route through
 //! the event-loop transfer engine (`fbuf::engine`). [`refs::MsgRefs`]
 //! gives messages x-kernel reference-counting semantics per domain.
@@ -29,14 +32,12 @@
 //! inventory) and §12 (how proxy hops are scheduled).
 
 pub mod generator;
-pub mod hbio;
 pub mod integrated;
 pub mod msg;
 pub mod proxy;
 pub mod refs;
 
 pub use generator::{DataUnit, Generator};
-pub use hbio::{HbioEndpoint, WriteBuffer};
 pub use integrated::{IntegratedMsg, TraverseLimits, TraverseOutcome};
 pub use msg::{Extent, Msg};
 pub use proxy::deliver;
