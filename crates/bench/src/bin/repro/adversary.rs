@@ -100,7 +100,10 @@ fn schedule(cfg: &Config, hostile: bool) -> Result<RunReport, FbufError> {
             let a = sys.create_domain();
             let b = sys.create_domain();
             let path = sys.create_path(vec![a, b])?;
-            Ok(Tenant { route: [a, b], path })
+            Ok(Tenant {
+                route: [a, b],
+                path,
+            })
         })
         .collect::<Result<_, FbufError>>()?;
 

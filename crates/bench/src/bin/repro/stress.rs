@@ -71,7 +71,9 @@ use fbuf_sim::{metrics, Json, MachineConfig, Ns, ToJson};
 /// scaling curve is well-ordered.
 fn thread_counts() -> Vec<usize> {
     env_list("FBUF_STRESS_THREADS", || {
-        let cores = std::thread::available_parallelism().map(usize::from).unwrap_or(1);
+        let cores = std::thread::available_parallelism()
+            .map(usize::from)
+            .unwrap_or(1);
         [1, 2, 4, 8].into_iter().filter(|&n| n <= cores).collect()
     })
 }
@@ -93,10 +95,13 @@ fn parse_gate(raw: &str) -> Option<(u64, f64)> {
 
 /// The point of the scaling curve a gate knob names.
 fn gated<'a>(curve: &'a [Scaled], knob: &str, threads: u64) -> Result<&'a Scaled, String> {
-    curve.iter().find(|s| s.point.threads == threads).ok_or_else(|| {
-        let swept: Vec<u64> = curve.iter().map(|s| s.point.threads).collect();
-        format!("{knob} names {threads} thread(s), but the sweep ran {swept:?}")
-    })
+    curve
+        .iter()
+        .find(|s| s.point.threads == threads)
+        .ok_or_else(|| {
+            let swept: Vec<u64> = curve.iter().map(|s| s.point.threads).collect();
+            format!("{knob} names {threads} thread(s), but the sweep ran {swept:?}")
+        })
 }
 
 /// How many times the sweep runs, its points interleaved. Odd, so the
@@ -199,7 +204,9 @@ pub fn run() -> Result<(), String> {
     // path on the busiest shard (the lowest thread count), which keeps
     // the default 64 chunks up to 32 paths.
     let paths_per_shard = npaths.div_ceil(threads[0]) as u64;
-    cfg.fbuf_region_size = cfg.fbuf_region_size.max(2 * paths_per_shard * cfg.chunk_size);
+    cfg.fbuf_region_size = cfg
+        .fbuf_region_size
+        .max(2 * paths_per_shard * cfg.chunk_size);
     let len = pages * cfg.page_size;
 
     println!(
@@ -274,8 +281,8 @@ pub fn run() -> Result<(), String> {
     }
 
     let first = &runs[0];
-    let sim_us_per_cycle = first.sim_elapsed.as_us_f64()
-        / (cycles.max(1) as f64 / first.threads as f64);
+    let sim_us_per_cycle =
+        first.sim_elapsed.as_us_f64() / (cycles.max(1) as f64 / first.threads as f64);
 
     let mut runner = BenchRunner::new("stress");
     runner.set_threads(max_threads as u64);
@@ -306,7 +313,10 @@ pub fn run() -> Result<(), String> {
     // One coherent fleet snapshot: the counter merge of the largest run.
     let widest = runs.last().expect("at least one run");
     runner.counters(&fleet_snapshot(&widest.reports));
-    runner.telemetry(metrics::DEFAULT_CADENCE_NS, &fleet_telemetry(&widest.reports));
+    runner.telemetry(
+        metrics::DEFAULT_CADENCE_NS,
+        &fleet_telemetry(&widest.reports),
+    );
     runner.artifact("ledger", fleet_ledger(&widest.reports).to_json());
     let per_run: Vec<Json> = runs
         .iter()

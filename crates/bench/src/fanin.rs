@@ -236,9 +236,7 @@ pub fn run_fanin(cfg: &FaninConfig) -> Result<FaninReport, String> {
         let handles: Vec<_> = shard_flows
             .into_iter()
             .enumerate()
-            .map(|(shard, ranks)| {
-                scope.spawn(move || run_shard(cfg, shard, &ranks))
-            })
+            .map(|(shard, ranks)| scope.spawn(move || run_shard(cfg, shard, &ranks)))
             .collect();
         handles
             .into_iter()
@@ -387,8 +385,11 @@ fn run_shard(cfg: &FaninConfig, shard: usize, ranks: &[usize]) -> Result<ShardOu
                     out.alloc_wait.record(wait);
                     out.completed += 1;
                     out.bytes += len;
-                    release_ring[((step + cfg.hold_steps) as usize) % ring_len]
-                        .push(Held { id, prod, cons });
+                    release_ring[((step + cfg.hold_steps) as usize) % ring_len].push(Held {
+                        id,
+                        prod,
+                        cons,
+                    });
                 }
                 Err(FbufError::QuotaExceeded { .. }) | Err(FbufError::RegionExhausted) => {
                     if arrival.tries >= cfg.retries {

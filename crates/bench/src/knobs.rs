@@ -75,7 +75,11 @@ mod tests {
         std::env::set_var("KNOBS_TEST_U64", "0x10");
         assert_eq!(env_u64("KNOBS_TEST_U64", 7), 7, "decimal only");
         std::env::set_var("KNOBS_TEST_U64", "0");
-        assert_eq!(env_parse::<u64>("KNOBS_TEST_U64"), Some(0), "raw parse keeps zero");
+        assert_eq!(
+            env_parse::<u64>("KNOBS_TEST_U64"),
+            Some(0),
+            "raw parse keeps zero"
+        );
     }
 
     #[test]

@@ -81,7 +81,10 @@ impl QuotaPolicy {
     /// The FB-style dynamic policy at alpha = 1 (a path may hold as many
     /// chunks as remain free — the FB paper's classic operating point).
     pub fn fb_dynamic() -> QuotaPolicy {
-        QuotaPolicy::FbDynamic { alpha_num: 1, alpha_den: 1 }
+        QuotaPolicy::FbDynamic {
+            alpha_num: 1,
+            alpha_den: 1,
+        }
     }
 
     /// The priority-weighted dynamic policy at alpha = 1 with the
@@ -101,10 +104,15 @@ impl QuotaPolicy {
     pub fn threshold(&self, free_chunks: u64, quota: usize, class: u8) -> u64 {
         match *self {
             QuotaPolicy::Static => quota as u64,
-            QuotaPolicy::FbDynamic { alpha_num, alpha_den } => {
-                (alpha_num * free_chunks / alpha_den.max(1)).max(1)
-            }
-            QuotaPolicy::PriorityWeighted { alpha_num, alpha_den, weights } => {
+            QuotaPolicy::FbDynamic {
+                alpha_num,
+                alpha_den,
+            } => (alpha_num * free_chunks / alpha_den.max(1)).max(1),
+            QuotaPolicy::PriorityWeighted {
+                alpha_num,
+                alpha_den,
+                weights,
+            } => {
                 let w = weights[class as usize % PRIORITY_CLASSES];
                 (alpha_num * free_chunks * w / (alpha_den.max(1) * 100)).max(1)
             }
@@ -163,7 +171,10 @@ mod tests {
         assert_eq!(p.threshold(1, 8, 0), 1);
         // Floored at one chunk even with zero supply.
         assert_eq!(p.threshold(0, 8, 0), 1);
-        let half = QuotaPolicy::FbDynamic { alpha_num: 1, alpha_den: 2 };
+        let half = QuotaPolicy::FbDynamic {
+            alpha_num: 1,
+            alpha_den: 2,
+        };
         assert_eq!(half.threshold(100, 8, 0), 50);
         assert_eq!(half.threshold(1, 8, 0), 1);
     }

@@ -107,7 +107,10 @@ struct Account {
 impl Tenants {
     /// `dom`'s account; zero for a domain never registered.
     fn account(&self, dom: DomainId) -> Account {
-        self.accounts.get(dom.0 as usize).copied().unwrap_or_default()
+        self.accounts
+            .get(dom.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Register hook: covers `dom` and starts it on a clean hoard clock,
@@ -250,7 +253,9 @@ impl FbufSystem {
         a.strikes += 1;
         let escalate = a.strikes >= cfg.revoke_strikes;
         self.machine.stats_mut().inc_jail_denials();
-        self.tenants.ledger.bill(dom, mode.path(), |r| r.faults += 1);
+        self.tenants
+            .ledger
+            .bill(dom, mode.path(), |r| r.faults += 1);
         if escalate {
             self.revoke_hoard(dom)?;
             self.tenants.fresh_clock(dom);
@@ -298,7 +303,13 @@ impl FbufSystem {
         self.machine.stats_mut().inc_fbufs_revoked();
         self.tenants.ledger.bill(dom, path, |r| r.revocations += 1);
         let (tracer, now) = (self.machine.tracer(), self.machine.now());
-        tracer.instant(now, EventKind::Revoked, dom.0, path.map(|p| p.0), Some(id.0));
+        tracer.instant(
+            now,
+            EventKind::Revoked,
+            dom.0,
+            path.map(|p| p.0),
+            Some(id.0),
+        );
     }
 
     /// Validates a raw fbuf handle presented by (or on behalf of) `dom`
@@ -324,8 +335,16 @@ impl FbufSystem {
     /// `path`, when the token arrived on a ring bound to one).
     pub fn reject_token(&mut self, dom: DomainId, path: Option<PathId>, raw: u64) {
         self.machine.stats_mut().inc_tokens_rejected();
-        self.tenants.ledger.bill(dom, path, |r| r.rejected_tokens += 1);
+        self.tenants
+            .ledger
+            .bill(dom, path, |r| r.rejected_tokens += 1);
         let (tracer, now) = (self.machine.tracer(), self.machine.now());
-        tracer.instant(now, EventKind::TokenReject, dom.0, path.map(|p| p.0), Some(raw));
+        tracer.instant(
+            now,
+            EventKind::TokenReject,
+            dom.0,
+            path.map(|p| p.0),
+            Some(raw),
+        );
     }
 }

@@ -101,7 +101,8 @@ impl Rpc {
         self.reply.clear();
         self.notices.drain_all_into(from, &mut self.reply);
         if !self.reply.is_empty() {
-            m.stats_mut().add_piggybacked_notices(self.reply.len() as u64);
+            m.stats_mut()
+                .add_piggybacked_notices(self.reply.len() as u64);
             for &token in &self.reply {
                 // The notice reaches the owner (`from`) on this reply.
                 m.tracer()
@@ -135,8 +136,14 @@ impl Rpc {
             m.stats_mut().inc_ipc_messages();
             self.count_call_from(holder);
             m.stats_mut().inc_explicit_notice_messages();
-            m.tracer()
-                .instant_peer(m.now(), EventKind::Notice, holder.0, owner.0, None, Some(token));
+            m.tracer().instant_peer(
+                m.now(),
+                EventKind::Notice,
+                holder.0,
+                owner.0,
+                None,
+                Some(token),
+            );
             Some(self.notices.drain(owner, holder))
         } else {
             None
@@ -264,7 +271,8 @@ mod tests {
         r.call(&mut m, DomainId(2), DomainId(1));
         // Forced explicit notice counts against the holder who sent it.
         r.set_notice_threshold(1);
-        r.queue_dealloc_notice(&mut m, DomainId(1), DomainId(3), 99).unwrap();
+        r.queue_dealloc_notice(&mut m, DomainId(1), DomainId(3), 99)
+            .unwrap();
         assert_eq!(r.calls_by_dom().get(1), Some(&2));
         assert_eq!(r.calls_by_dom().get(2), Some(&1));
         assert_eq!(r.calls_by_dom().get(3), Some(&1));

@@ -172,8 +172,12 @@ pub fn generate_adversarial(seed: u64, n: usize, k: u32) -> Vec<Cmd> {
                 slot: sel(&mut rng),
                 pages: rng.range(1, 4) as u8,
             },
-            1 => Cmd::Expire { slot: sel(&mut rng) },
-            _ => Cmd::Forge { salt: sel(&mut rng) },
+            1 => Cmd::Expire {
+                slot: sel(&mut rng),
+            },
+            _ => Cmd::Forge {
+                salt: sel(&mut rng),
+            },
         };
     }
     cmds
@@ -270,7 +274,10 @@ pub fn policy_spec(seed: u64) -> QuotaPolicy {
         0..=4 => QuotaPolicy::Static,
         5..=7 => {
             let (alpha_num, alpha_den) = menu[rng.index(menu.len())];
-            QuotaPolicy::FbDynamic { alpha_num, alpha_den }
+            QuotaPolicy::FbDynamic {
+                alpha_num,
+                alpha_den,
+            }
         }
         _ => {
             let (alpha_num, alpha_den) = menu[rng.index(menu.len())];
@@ -345,7 +352,10 @@ mod tests {
                 }
             }
         }
-        assert!(hoard > 0 && expire > 0 && forge > 0, "{hoard}/{expire}/{forge}");
+        assert!(
+            hoard > 0 && expire > 0 && forge > 0,
+            "{hoard}/{expire}/{forge}"
+        );
         assert!(benign > adv.len() / 2, "adversaries ride a benign majority");
         // Deterministic: same seed, same overlay.
         assert_eq!(adv, generate_adversarial(42, 2000, 3));

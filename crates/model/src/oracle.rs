@@ -853,7 +853,13 @@ impl Oracle {
             .park
             .iter()
             .copied()
-            .filter(|&ix| self.bufs[ix].as_ref().expect("parked buf exists").originator == dom)
+            .filter(|&ix| {
+                self.bufs[ix]
+                    .as_ref()
+                    .expect("parked buf exists")
+                    .originator
+                    == dom
+            })
             .collect();
         for ix in victims {
             let path = self.bufs[ix]
@@ -998,13 +1004,7 @@ impl Oracle {
     }
 
     fn maybe_release_zombie_chunks(&mut self, dom: u32) {
-        if self
-            .originated_live
-            .get(dom as usize)
-            .copied()
-            .unwrap_or(0)
-            > 0
-        {
+        if self.originated_live.get(dom as usize).copied().unwrap_or(0) > 0 {
             return;
         }
         // BTreeMap range iteration is sorted, matching the real system's

@@ -78,12 +78,20 @@ pub struct Arena<T> {
 impl<T> Arena<T> {
     /// An empty arena.
     pub fn new() -> Arena<T> {
-        Arena { slots: Vec::new(), free: Vec::new(), live: 0 }
+        Arena {
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
     /// An empty arena with room for `cap` values before reallocating.
     pub fn with_capacity(cap: usize) -> Arena<T> {
-        Arena { slots: Vec::with_capacity(cap), free: Vec::new(), live: 0 }
+        Arena {
+            slots: Vec::with_capacity(cap),
+            free: Vec::new(),
+            live: 0,
+        }
     }
 
     /// Stores `value`, returning its handle. Reuses the most recently
@@ -98,7 +106,10 @@ impl<T> Arena<T> {
             return pack(index, slot.generation);
         }
         let index = u32::try_from(self.slots.len()).expect("arena slot count fits u32");
-        self.slots.push(Slot { generation: 0, value: Some(value) });
+        self.slots.push(Slot {
+            generation: 0,
+            value: Some(value),
+        });
         pack(index, 0)
     }
 
@@ -159,7 +170,9 @@ impl<T> Arena<T> {
     /// Iterates live `(handle, &value)` pairs in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         self.slots.iter().enumerate().filter_map(|(i, slot)| {
-            slot.value.as_ref().map(|v| (pack(i as u32, slot.generation), v))
+            slot.value
+                .as_ref()
+                .map(|v| (pack(i as u32, slot.generation), v))
         })
     }
 
@@ -167,7 +180,9 @@ impl<T> Arena<T> {
     pub fn iter_mut(&mut self) -> impl Iterator<Item = (u64, &mut T)> {
         self.slots.iter_mut().enumerate().filter_map(|(i, slot)| {
             let generation = slot.generation;
-            slot.value.as_mut().map(move |v| (pack(i as u32, generation), v))
+            slot.value
+                .as_mut()
+                .map(move |v| (pack(i as u32, generation), v))
         })
     }
 }
@@ -238,36 +253,38 @@ mod tests {
         // across arbitrary insert/remove interleavings, every retired
         // handle stays dead forever (even after its slot is recycled many
         // times) and `len()` matches a naive model.
-        Checker::new("arena_generation_safety").cases(128).run(|rng| {
-            let mut arena: Arena<u64> = Arena::new();
-            let mut live: Vec<(u64, u64)> = Vec::new();
-            let mut retired: Vec<u64> = Vec::new();
-            let mut next_value = 0u64;
-            for _ in 0..rng.range(10, 200) {
-                if live.is_empty() || rng.below(100) < 60 {
-                    let value = next_value;
-                    next_value += 1;
-                    let handle = arena.insert(value);
-                    assert!(
-                        !live.iter().any(|&(h, _)| h == handle),
-                        "handle reuse while live"
-                    );
-                    assert!(!retired.contains(&handle), "retired handle re-issued");
-                    live.push((handle, value));
-                } else {
-                    let pick = rng.below(live.len() as u64) as usize;
-                    let (handle, value) = live.swap_remove(pick);
-                    assert_eq!(arena.remove(handle), Some(value));
-                    retired.push(handle);
+        Checker::new("arena_generation_safety")
+            .cases(128)
+            .run(|rng| {
+                let mut arena: Arena<u64> = Arena::new();
+                let mut live: Vec<(u64, u64)> = Vec::new();
+                let mut retired: Vec<u64> = Vec::new();
+                let mut next_value = 0u64;
+                for _ in 0..rng.range(10, 200) {
+                    if live.is_empty() || rng.below(100) < 60 {
+                        let value = next_value;
+                        next_value += 1;
+                        let handle = arena.insert(value);
+                        assert!(
+                            !live.iter().any(|&(h, _)| h == handle),
+                            "handle reuse while live"
+                        );
+                        assert!(!retired.contains(&handle), "retired handle re-issued");
+                        live.push((handle, value));
+                    } else {
+                        let pick = rng.below(live.len() as u64) as usize;
+                        let (handle, value) = live.swap_remove(pick);
+                        assert_eq!(arena.remove(handle), Some(value));
+                        retired.push(handle);
+                    }
+                    assert_eq!(arena.len(), live.len(), "live count matches model");
+                    for &(handle, value) in &live {
+                        assert_eq!(arena.get(handle), Some(&value));
+                    }
+                    for &handle in &retired {
+                        assert_eq!(arena.get(handle), None, "retired handle must stay dead");
+                    }
                 }
-                assert_eq!(arena.len(), live.len(), "live count matches model");
-                for &(handle, value) in &live {
-                    assert_eq!(arena.get(handle), Some(&value));
-                }
-                for &handle in &retired {
-                    assert_eq!(arena.get(handle), None, "retired handle must stay dead");
-                }
-            }
-        });
+            });
     }
 }

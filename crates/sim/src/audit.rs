@@ -231,23 +231,18 @@ pub fn audit(events: &[TraceEvent]) -> AuditReport {
                     report.complete = false;
                 }
             }
-            EventKind::Write => {
-                match fbufs.get(&id) {
-                    Some(st) if st.secured => report.violations.push(Violation {
-                        seq: e.seq,
-                        rule: "write-after-secure",
-                        detail: format!(
-                            "domain {} wrote fbuf {id} after it was secured",
-                            e.dom
-                        ),
-                    }),
-                    Some(_) => {}
-                    None => {
-                        report.skipped_unknown += 1;
-                        report.complete = false;
-                    }
+            EventKind::Write => match fbufs.get(&id) {
+                Some(st) if st.secured => report.violations.push(Violation {
+                    seq: e.seq,
+                    rule: "write-after-secure",
+                    detail: format!("domain {} wrote fbuf {id} after it was secured", e.dom),
+                }),
+                Some(_) => {}
+                None => {
+                    report.skipped_unknown += 1;
+                    report.complete = false;
                 }
-            }
+            },
             EventKind::Transfer => {
                 let Some(st) = fbufs.get_mut(&id) else {
                     report.skipped_unknown += 1;

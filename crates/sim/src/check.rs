@@ -105,13 +105,10 @@ impl Checker {
                 replay: true,
             };
         }
-        let env_seed = seed_knob.map(|s| {
-            parse_u64(s).unwrap_or_else(|| panic!("FBUF_PROP_SEED={s:?} is not a u64"))
-        });
+        let env_seed = seed_knob
+            .map(|s| parse_u64(s).unwrap_or_else(|| panic!("FBUF_PROP_SEED={s:?} is not a u64")));
         let cases = cases_knob
-            .map(|s| {
-                parse_u64(s).unwrap_or_else(|| panic!("FBUF_PROP_CASES={s:?} is not a u64"))
-            })
+            .map(|s| parse_u64(s).unwrap_or_else(|| panic!("FBUF_PROP_CASES={s:?} is not a u64")))
             .unwrap_or(DEFAULT_CASES);
         Checker {
             name: name.to_string(),
@@ -308,7 +305,10 @@ mod tests {
         let c = Checker::from_env_values("x", None, Some("0x9"), Some("3"));
         assert_eq!((c.seed, c.cases, c.replay), (9, 3, true));
         let d = Checker::from_env_values("x", None, None, None);
-        assert_eq!((d.seed, d.cases, d.replay), (DEFAULT_SEED, DEFAULT_CASES, false));
+        assert_eq!(
+            (d.seed, d.cases, d.replay),
+            (DEFAULT_SEED, DEFAULT_CASES, false)
+        );
     }
 
     #[test]

@@ -249,41 +249,46 @@ mod tests {
     /// no event is lost or invented.
     #[test]
     fn property_random_interleavings_pop_sorted_and_fifo() {
-        Checker::new("event_heap_order").cases(128).run(|rng: &mut Rng| {
-            let mut heap = EventHeap::new();
-            let mut reference: Vec<(Ns, u64)> = Vec::new(); // (at, id), kept unsorted
-            let mut popped: Vec<(Ns, EventId)> = Vec::new();
-            // The simulator contract: nothing is ever scheduled earlier
-            // than the instant the loop is currently processing (the
-            // clock is monotone), so pushes draw `at >= now`.
-            let mut now = Ns::ZERO;
-            let ops = rng.range(1, 200);
-            for _ in 0..ops {
-                if rng.chance(0.6) || heap.is_empty() {
-                    // Small offset domain forces plenty of ties.
-                    let at = now + Ns(rng.below(4));
-                    let id = heap.push(at, ());
-                    reference.push((at, id.0));
-                } else {
-                    let s = heap.pop().expect("nonempty branch");
-                    now = s.at;
+        Checker::new("event_heap_order")
+            .cases(128)
+            .run(|rng: &mut Rng| {
+                let mut heap = EventHeap::new();
+                let mut reference: Vec<(Ns, u64)> = Vec::new(); // (at, id), kept unsorted
+                let mut popped: Vec<(Ns, EventId)> = Vec::new();
+                // The simulator contract: nothing is ever scheduled earlier
+                // than the instant the loop is currently processing (the
+                // clock is monotone), so pushes draw `at >= now`.
+                let mut now = Ns::ZERO;
+                let ops = rng.range(1, 200);
+                for _ in 0..ops {
+                    if rng.chance(0.6) || heap.is_empty() {
+                        // Small offset domain forces plenty of ties.
+                        let at = now + Ns(rng.below(4));
+                        let id = heap.push(at, ());
+                        reference.push((at, id.0));
+                    } else {
+                        let s = heap.pop().expect("nonempty branch");
+                        now = s.at;
+                        popped.push((s.at, s.id));
+                    }
+                }
+                while let Some(s) = heap.pop() {
                     popped.push((s.at, s.id));
                 }
-            }
-            while let Some(s) = heap.pop() {
-                popped.push((s.at, s.id));
-            }
-            // Everything pushed comes back out, exactly once, in global
-            // (at, id) order — nondecreasing time, FIFO within a time.
-            reference.sort_unstable();
-            let got: Vec<(Ns, u64)> = popped.iter().map(|&(at, id)| (at, id.0)).collect();
-            assert_eq!(got, reference, "pop order must be the sorted (at, id) sequence");
-            for w in popped.windows(2) {
-                assert!(w[0].0 <= w[1].0, "time went backwards: {w:?}");
-                if w[0].0 == w[1].0 {
-                    assert!(w[0].1 < w[1].1, "FIFO broken at equal timestamps: {w:?}");
+                // Everything pushed comes back out, exactly once, in global
+                // (at, id) order — nondecreasing time, FIFO within a time.
+                reference.sort_unstable();
+                let got: Vec<(Ns, u64)> = popped.iter().map(|&(at, id)| (at, id.0)).collect();
+                assert_eq!(
+                    got, reference,
+                    "pop order must be the sorted (at, id) sequence"
+                );
+                for w in popped.windows(2) {
+                    assert!(w[0].0 <= w[1].0, "time went backwards: {w:?}");
+                    if w[0].0 == w[1].0 {
+                        assert!(w[0].1 < w[1].1, "FIFO broken at equal timestamps: {w:?}");
+                    }
                 }
-            }
-        });
+            });
     }
 }

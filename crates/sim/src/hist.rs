@@ -368,8 +368,16 @@ mod tests {
         h.record(2_000);
         let j = h.to_json();
         for key in [
-            "count", "p50_ns", "p90_ns", "p99_ns", "min_ns", "max_ns", "p50_lo_ns", "p50_hi_ns",
-            "p99_lo_ns", "p99_hi_ns",
+            "count",
+            "p50_ns",
+            "p90_ns",
+            "p99_ns",
+            "min_ns",
+            "max_ns",
+            "p50_lo_ns",
+            "p50_hi_ns",
+            "p99_lo_ns",
+            "p99_hi_ns",
         ] {
             assert!(j.get(key).is_some(), "missing {key}");
         }

@@ -368,10 +368,7 @@ mod tests {
 
     #[test]
     fn escapes_strings() {
-        assert_eq!(
-            Json::Str("a\"b\\c\nd".into()).render(),
-            r#""a\"b\\c\nd""#
-        );
+        assert_eq!(Json::Str("a\"b\\c\nd".into()).render(), r#""a\"b\\c\nd""#);
     }
 
     #[test]

@@ -101,7 +101,7 @@ pub use event::{EventHeap, EventId, Scheduled};
 pub use fault::{FaultDecision, FaultPlan, FaultSite, FaultSpec};
 pub use hist::Histogram;
 pub use json::{Json, ToJson};
-pub use metrics::{Metrics, MetricPoint, SeriesSnapshot};
+pub use metrics::{MetricPoint, Metrics, SeriesSnapshot};
 pub use rng::Rng;
 pub use spans::{SpanNode, SpanTree, StageDecomposition};
 pub use stats::{Counter, Stats, StatsSnapshot};

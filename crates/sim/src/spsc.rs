@@ -169,8 +169,16 @@ pub fn ring<T: Send>(capacity: usize) -> (Producer<T>, Consumer<T>) {
         tail: AtomicUsize::new(0),
     });
     (
-        Producer { ring: ring.clone(), tail: 0, head_cache: 0 },
-        Consumer { ring, head: 0, tail_cache: 0 },
+        Producer {
+            ring: ring.clone(),
+            tail: 0,
+            head_cache: 0,
+        },
+        Consumer {
+            ring,
+            head: 0,
+            tail_cache: 0,
+        },
     )
 }
 
@@ -258,7 +266,8 @@ impl<T> Producer<T> {
     /// never over-report queued items from the consumer's side or free
     /// slots from the producer's side.
     pub fn len(&self) -> usize {
-        self.tail.wrapping_sub(self.ring.head.load(Ordering::Acquire))
+        self.tail
+            .wrapping_sub(self.ring.head.load(Ordering::Acquire))
     }
 
     /// True when nothing is queued.
@@ -345,7 +354,10 @@ impl<T> Consumer<T> {
     /// from the exact private mirror, peer index (`tail`) with one
     /// `Acquire` load pairing with the producer's release publication.
     pub fn len(&self) -> usize {
-        self.ring.tail.load(Ordering::Acquire).wrapping_sub(self.head)
+        self.ring
+            .tail
+            .load(Ordering::Acquire)
+            .wrapping_sub(self.head)
     }
 
     /// True when nothing is queued.
@@ -589,7 +601,10 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(rx.pop(), None);
-        assert!(got.iter().copied().eq(0..N), "bursts arrive in order, exactly once");
+        assert!(
+            got.iter().copied().eq(0..N),
+            "bursts arrive in order, exactly once"
+        );
     }
 
     #[test]

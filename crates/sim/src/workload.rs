@@ -174,10 +174,7 @@ mod tests {
                 counts[zipf.sample(&mut rng)] += 1;
             }
             let fitted = fitted_skew(&counts, 30);
-            assert!(
-                (fitted - s).abs() < 0.1,
-                "requested s={s}, fitted {fitted}"
-            );
+            assert!((fitted - s).abs() < 0.1, "requested s={s}, fitted {fitted}");
             // The analytic mass of the head matches the sample within
             // sampling noise.
             let head = counts[0] as f64 / 200_000.0;

@@ -66,7 +66,8 @@ impl TransferMechanism for CowFacility {
         let pages = m.config().pages_for(len).max(1);
         if let Some(va) = self.cache.get_mut(&(dom.0, pages)).and_then(|v| v.pop()) {
             self.live.insert((dom.0, va), Role::Owner);
-            m.tracer().span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
+            m.tracer()
+                .span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
             return Ok(va);
         }
         let bump = self.bump.entry(dom.0).or_insert(0);
@@ -78,7 +79,8 @@ impl TransferMechanism for CowFacility {
         *bump += need;
         m.map_anon_region(dom, va, pages)?;
         self.live.insert((dom.0, va), Role::Owner);
-        m.tracer().span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
+        m.tracer()
+            .span(t0, m.now(), EventKind::Alloc, dom.0, None, None);
         Ok(va)
     }
 
@@ -97,8 +99,15 @@ impl TransferMechanism for CowFacility {
         m.charge(CostCategory::Vm, m.costs().vm_invoke);
         m.cow_share_region(src, va, dst)?;
         self.live.insert((dst.0, va), Role::Receiver);
-        m.tracer()
-            .span_peer(t0, m.now(), EventKind::Transfer, src.0, Some(dst.0), None, None);
+        m.tracer().span_peer(
+            t0,
+            m.now(),
+            EventKind::Transfer,
+            src.0,
+            Some(dst.0),
+            None,
+            None,
+        );
         Ok(va)
     }
 
@@ -107,7 +116,8 @@ impl TransferMechanism for CowFacility {
             .live
             .remove(&(dom.0, va))
             .ok_or(Fault::NoSuchRegion { va })?;
-        m.tracer().instant(m.now(), EventKind::Free, dom.0, None, None);
+        m.tracer()
+            .instant(m.now(), EventKind::Free, dom.0, None, None);
         match role {
             Role::Receiver => m.unmap_region(dom, va),
             Role::Owner => {

@@ -303,8 +303,12 @@ mod tests {
         for _ in 0..8 {
             held.push(m.phys.alloc(&mut m.clock, &mut m.stats).unwrap());
         }
-        assert_eq!(m.phys.alloc(&mut m.clock, &mut m.stats), Err(Fault::OutOfMemory));
-        m.phys.drop_ref(&mut m.clock, &mut m.stats, held.pop().unwrap());
+        assert_eq!(
+            m.phys.alloc(&mut m.clock, &mut m.stats),
+            Err(Fault::OutOfMemory)
+        );
+        m.phys
+            .drop_ref(&mut m.clock, &mut m.stats, held.pop().unwrap());
         assert!(m.phys.alloc(&mut m.clock, &mut m.stats).is_ok());
     }
 
@@ -339,7 +343,10 @@ mod tests {
         );
         m.phys.write(g, 0, &[0x3C; 4096]);
         m.phys.drop_ref(&mut m.clock, &mut m.stats, g);
-        let h = m.phys.alloc_zeroed(&mut m.clock, &mut m.stats, false).unwrap();
+        let h = m
+            .phys
+            .alloc_zeroed(&mut m.clock, &mut m.stats, false)
+            .unwrap();
         m.phys.read(h, 0, &mut page);
         assert!(
             page.iter().all(|&b| b == 0),
@@ -350,14 +357,23 @@ mod tests {
     #[test]
     fn zeroed_alloc_charges_like_alloc_then_zero() {
         let mut split = mem();
-        let f = split.phys.alloc(&mut split.clock, &mut split.stats).unwrap();
+        let f = split
+            .phys
+            .alloc(&mut split.clock, &mut split.stats)
+            .unwrap();
         split.phys.zero(&mut split.clock, &mut split.stats, f);
         let mut fused = mem();
-        fused.phys.alloc_zeroed(&mut fused.clock, &mut fused.stats, true).unwrap();
+        fused
+            .phys
+            .alloc_zeroed(&mut fused.clock, &mut fused.stats, true)
+            .unwrap();
         assert_eq!(fused.clock.breakdown(), split.clock.breakdown());
         assert_eq!(fused.stats.snapshot(), split.stats.snapshot());
         let mut quiet = mem();
-        quiet.phys.alloc_zeroed(&mut quiet.clock, &mut quiet.stats, false).unwrap();
+        quiet
+            .phys
+            .alloc_zeroed(&mut quiet.clock, &mut quiet.stats, false)
+            .unwrap();
         assert_eq!(quiet.clock.now(), Ns(500), "only the allocation is billed");
         assert_eq!(quiet.stats.pages_cleared(), 0);
     }

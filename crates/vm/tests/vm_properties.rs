@@ -108,7 +108,14 @@ fn machine_matches_reference_model() {
                             .get(&(dom, page))
                             .map(|p| p.allows(fbuf_vm::Access::Write))
                             .unwrap_or(false);
-                        assert_eq!(res.is_ok(), allowed, "write d{} p{}: {:?}", dom, page, model);
+                        assert_eq!(
+                            res.is_ok(),
+                            allowed,
+                            "write d{} p{}: {:?}",
+                            dom,
+                            page,
+                            model
+                        );
                     }
                 }
             }
@@ -131,7 +138,9 @@ fn data_written_is_data_read_across_domains() {
     Checker::new("data_written_is_data_read_across_domains")
         .cases(CASES)
         .run(|rng| {
-            let writes = rng.vec_with(1, 20, |r| (r.below(4), r.below(4000), r.range(1, 64) as usize));
+            let writes = rng.vec_with(1, 20, |r| {
+                (r.below(4), r.below(4000), r.range(1, 64) as usize)
+            });
             // Writes through one domain's RW mappings are visible through
             // another domain's RO mappings of the same frames, byte-exactly.
             let mut m = Machine::new(MachineConfig::tiny());
@@ -142,7 +151,8 @@ fn data_written_is_data_read_across_domains() {
             for page in 0..4u64 {
                 let f = m.alloc_frame().unwrap();
                 m.zero_frame(f);
-                m.map_page(w, BASE + page * 4096, f, Prot::ReadWrite).unwrap();
+                m.map_page(w, BASE + page * 4096, f, Prot::ReadWrite)
+                    .unwrap();
                 m.map_page(r, BASE + page * 4096, f, Prot::Read).unwrap();
                 m.release_frame(f);
             }

@@ -194,8 +194,13 @@ pub fn traverse(
         out.nodes += 1;
         fbs.machine_mut().stats_mut().inc_dag_nodes_visited();
         let m = fbs.machine();
-        m.tracer()
-            .instant(m.now(), EventKind::DagVisit, dom.0, None, fbs.fbuf_at_va(va).map(|f| f.0));
+        m.tracer().instant(
+            m.now(),
+            EventKind::DagVisit,
+            dom.0,
+            None,
+            fbs.fbuf_at_va(va).map(|f| f.0),
+        );
         // Defense 3 happens inside the VM: if `dom` has no mapping, the
         // read faults to a null page stamped with empty leaves.
         let bytes = fbs.machine_mut().read(dom, va, NODE_SIZE)?;

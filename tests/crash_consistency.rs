@@ -151,9 +151,15 @@ fn revocation_deadline_mid_route_reclaims_frames_exactly_once() {
         sys.transfers_revoked() > 0,
         "the burst tail must blow the 400 µs deadline"
     );
-    assert_eq!(sys.stats().snapshot().fbufs_revoked, sys.transfers_revoked());
+    assert_eq!(
+        sys.stats().snapshot().fbufs_revoked,
+        sys.transfers_revoked()
+    );
     let violations = sys.ledger_snapshot().conserves(&sys.stats().snapshot());
-    assert!(violations.is_empty(), "ledger must conserve: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "ledger must conserve: {violations:?}"
+    );
 
     // Tear the chain down: parked buffers retire with their path, and
     // the physical frame count returns to its pre-workload baseline.
@@ -201,7 +207,10 @@ fn revocation_deadline_during_terminate_reclaims_frames_exactly_once() {
     }
 
     let violations = sys.ledger_snapshot().conserves(&sys.stats().snapshot());
-    assert!(violations.is_empty(), "ledger must conserve: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "ledger must conserve: {violations:?}"
+    );
     sys.terminate_domain(a).unwrap();
     assert_eq!(sys.live_fbufs(), 0);
     assert_eq!(
@@ -235,11 +244,22 @@ fn receiver_death_releases_queued_transfers_at_the_next_pump() {
         sys.terminate_domain(receiver).unwrap();
         sys.pump();
 
-        assert_eq!(sys.live_fbufs(), 0, "{domains}-domain route: queued transfers leaked");
-        assert_eq!(sys.charged_bytes(origin), 0, "{domains}-domain route: origin still charged");
+        assert_eq!(
+            sys.live_fbufs(),
+            0,
+            "{domains}-domain route: queued transfers leaked"
+        );
+        assert_eq!(
+            sys.charged_bytes(origin),
+            0,
+            "{domains}-domain route: origin still charged"
+        );
         assert_eq!(sys.transfers_aborted(), 4);
         let violations = sys.ledger_snapshot().conserves(&sys.stats().snapshot());
-        assert!(violations.is_empty(), "ledger must conserve: {violations:?}");
+        assert!(
+            violations.is_empty(),
+            "ledger must conserve: {violations:?}"
+        );
         sys.terminate_domain(origin).unwrap();
         assert_eq!(
             sys.machine().free_frames(),

@@ -83,15 +83,27 @@ fn adversarial_corpus_cases_exercise_the_containment_paths() {
     let a = fuzz::replay(&jail, None).expect("jail pin replays clean");
     let b = fuzz::replay(&jail, None).expect("jail pin replays clean twice");
     assert_eq!(a.containment, b.containment, "replay is deterministic");
-    assert!(a.containment[0] >= 1, "jail pin no longer trips the jail: {:?}", a.containment);
+    assert!(
+        a.containment[0] >= 1,
+        "jail pin no longer trips the jail: {:?}",
+        a.containment
+    );
 
     let rev = load("adv-revoke-000000000000001b.case");
     assert_eq!(rev.adv, 3);
     let a = fuzz::replay(&rev, None).expect("revocation pin replays clean");
     let b = fuzz::replay(&rev, None).expect("revocation pin replays clean twice");
     assert_eq!(a.containment, b.containment, "replay is deterministic");
-    assert!(a.containment[1] >= 1, "revocation pin no longer revokes: {:?}", a.containment);
-    assert_eq!(a.containment[0], 0, "revocation pin must not involve the jail: {:?}", a.containment);
+    assert!(
+        a.containment[1] >= 1,
+        "revocation pin no longer revokes: {:?}",
+        a.containment
+    );
+    assert_eq!(
+        a.containment[0], 0,
+        "revocation pin must not involve the jail: {:?}",
+        a.containment
+    );
 }
 
 #[test]

@@ -269,7 +269,11 @@ fn allocator_never_overlaps_live_buffers() {
             // it has one — the zombie-chunk check relies on that).
             let ops = rng.vec_with(1, 40, |r| (r.below(3), r.range(1, 40_000)));
             let mut fbs = FbufSystem::new(MachineConfig::decstation_5000_200());
-            let doms = [fbs.create_domain(), fbs.create_domain(), fbs.create_domain()];
+            let doms = [
+                fbs.create_domain(),
+                fbs.create_domain(),
+                fbs.create_domain(),
+            ];
             let mut live: Vec<(u64, u64, FbufId, usize)> = Vec::new();
             let page = fbs.machine().page_size();
             for (which, len) in ops {
@@ -318,7 +322,9 @@ fn no_writable_mapping_of_secured_pages_outside_originator() {
             let origin = fbs.create_domain();
             let doms: Vec<_> = (0..receivers).map(|_| fbs.create_domain()).collect();
             let page = fbs.machine().page_size();
-            let id = fbs.alloc(origin, AllocMode::Uncached, pages * page).unwrap();
+            let id = fbs
+                .alloc(origin, AllocMode::Uncached, pages * page)
+                .unwrap();
             fbs.write_fbuf(origin, id, 0, &[1u8]).unwrap();
             let mut prev = origin;
             for &d in &doms {
@@ -688,7 +694,11 @@ fn snapshot_merge_is_associative_and_commutative_with_identity() {
 /// the stress harness uses.
 struct MiniEngine {
     sys: FbufSystem,
-    paths: Vec<(fbufs::fbuf::PathId, fbufs::vm::DomainId, fbufs::vm::DomainId)>,
+    paths: Vec<(
+        fbufs::fbuf::PathId,
+        fbufs::vm::DomainId,
+        fbufs::vm::DomainId,
+    )>,
 }
 
 impl MiniEngine {
@@ -745,8 +755,11 @@ fn merged_shard_snapshots_equal_single_engine_over_concatenated_workload() {
             // fleet's round-robin scheme) and running its share.
             let mut engines: Vec<MiniEngine> = (0..shards)
                 .map(|s| {
-                    MiniEngine::new((0..npaths).filter(|&p| shard_of_path(p, shards) == s).count()
-                        as u64)
+                    MiniEngine::new(
+                        (0..npaths)
+                            .filter(|&p| shard_of_path(p, shards) == s)
+                            .count() as u64,
+                    )
                 })
                 .collect();
             for &p in &workload {
