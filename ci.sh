@@ -30,6 +30,13 @@ if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets -- -D warnings
 fi
 
+# Formatting gate when the toolchain ships rustfmt; skip silently
+# otherwise. The benchmark package is its own workspace and is not
+# checked here.
+if cargo fmt --version >/dev/null 2>&1; then
+    cargo fmt --all -- --check
+fi
+
 # Examples: the test run above compiles them but never runs them, and
 # each one asserts the story it tells (examples/image_retrieval.rs is
 # the only run of §5.2 fill-in-place I/O and of resending from a held

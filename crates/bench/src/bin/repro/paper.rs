@@ -440,13 +440,13 @@ fn aggregate() -> Result<(), String> {
     // Observability blocks: counters over a traced traverse (DagVisit
     // heavy) and the alloc service latency of one more node allocation.
     let (mut fbs, dom, node) = build_dag();
-    let tracer = fbs.machine().tracer().clone();
-    tracer.set_enabled(true);
+    fbs.machine().tracer().set_enabled(true);
     let mark = fbs.stats().snapshot();
     integrated::traverse(&mut fbs, dom, node, TraverseLimits::default()).expect("traverse");
     r.counters(&fbs.stats().snapshot().delta(&mark));
     let extra = fbs.alloc(dom, AllocMode::Uncached, 4096).expect("alloc");
     fbs.free(extra, dom).expect("free");
-    r.latency("alloc_uncached_4k", &tracer.merged_alloc_latency());
+    let alloc = fbs.machine().tracer().merged_alloc_latency();
+    r.latency("alloc_uncached_4k", &alloc);
     r.finish().map(drop)
 }

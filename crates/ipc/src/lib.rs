@@ -26,6 +26,6 @@ pub mod actor;
 pub mod notice;
 pub mod rpc;
 
-pub use actor::{Envelope, EventLoop, Now, SendOutcome, DEFAULT_INBOX_DEPTH};
+pub use actor::{Envelope, EventLoop, LoopContext, SendOutcome, DEFAULT_INBOX_DEPTH};
 pub use notice::NoticeBoard;
 pub use rpc::{Payload, Rpc};

@@ -76,15 +76,6 @@ impl Deref for Route {
     }
 }
 
-/// Which allocator the app's outgoing buffers come from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocStrategy {
-    /// Per-path allocator (cached fbufs).
-    Cached,
-    /// Default allocator (uncached fbufs).
-    Uncached,
-}
-
 /// How outgoing messages are filled.
 #[derive(Debug, Clone)]
 pub enum Fill {
@@ -93,6 +84,16 @@ pub enum Fill {
     Touch,
     /// Write real payload bytes (integrity tests).
     Bytes(Vec<u8>),
+}
+
+/// The outbound hop sequence of a host placed by `setup`: app,
+/// (netserver), kernel, or `[kernel, kernel]` for the kernel-only setup.
+fn out_route(setup: DomainSetup, app: DomainId, netserver: Option<DomainId>) -> Route {
+    match (setup, netserver) {
+        (DomainSetup::KernelOnly, _) => Route::new(&[KERNEL_DOMAIN, KERNEL_DOMAIN]),
+        (DomainSetup::UserNetserver, Some(ns)) => Route::new(&[app, ns, KERNEL_DOMAIN]),
+        _ => Route::new(&[app, KERNEL_DOMAIN]),
+    }
 }
 
 /// One simulated host.
@@ -104,26 +105,21 @@ pub struct Host {
     pub refs: MsgRefs,
     /// Domain placement.
     pub setup: DomainSetup,
-    /// Outgoing-buffer allocation strategy.
-    pub alloc: AllocStrategy,
     /// Outgoing-transfer protection mode (volatile vs eagerly secured).
     pub send_mode: SendMode,
     /// The application domain (== kernel for [`DomainSetup::KernelOnly`]).
     pub app: DomainId,
     /// The network-server domain, if any.
     pub netserver: Option<DomainId>,
-    out_path: Option<PathId>,
-    in_path: Option<PathId>,
+    /// The outbound data path: the app's outgoing buffers are cached
+    /// fbufs from its allocator.
+    out_path: PathId,
+    in_path: PathId,
 }
 
 impl Host {
-    /// Builds a host with the given placement and buffer regime.
-    pub fn new(
-        cfg: MachineConfig,
-        setup: DomainSetup,
-        alloc: AllocStrategy,
-        send_mode: SendMode,
-    ) -> Host {
+    /// Builds a host with the given placement and protection mode.
+    pub fn new(cfg: MachineConfig, setup: DomainSetup, send_mode: SendMode) -> Host {
         let mut fbs = FbufSystem::new(cfg);
         integrated::install_null_template(&mut fbs);
         let (app, netserver) = match setup {
@@ -135,32 +131,23 @@ impl Host {
                 (app, Some(ns))
             }
         };
-        let mut host = Host {
+        let out = out_route(setup, app, netserver);
+        let out_path = fbs.create_path(out.to_vec()).expect("fresh domains");
+        // The inbound path is always available: the driver identifies it
+        // from the PDU's VCI; whether it *uses* it is the driver's choice.
+        let in_path = fbs
+            .create_path(out.reversed().to_vec())
+            .expect("fresh domains");
+        Host {
             fbs,
             refs: MsgRefs::new(),
             setup,
-            alloc,
             send_mode,
             app,
             netserver,
-            out_path: None,
-            in_path: None,
-        };
-        if alloc == AllocStrategy::Cached {
-            host.out_path = Some(
-                host.fbs
-                    .create_path(host.out_domains().to_vec())
-                    .expect("fresh domains"),
-            );
+            out_path,
+            in_path,
         }
-        // The inbound path is always available: the driver identifies it
-        // from the PDU's VCI; whether it *uses* it is the driver's choice.
-        host.in_path = Some(
-            host.fbs
-                .create_path(host.in_domains().to_vec())
-                .expect("fresh domains"),
-        );
-        host
     }
 
     /// The kernel domain.
@@ -172,11 +159,7 @@ impl Host {
     /// `[kernel, kernel]` for the kernel-only setup so a data path can
     /// still be declared.
     pub fn out_domains(&self) -> Route {
-        match (self.setup, self.netserver) {
-            (DomainSetup::KernelOnly, _) => Route::new(&[KERNEL_DOMAIN, KERNEL_DOMAIN]),
-            (DomainSetup::UserNetserver, Some(ns)) => Route::new(&[self.app, ns, KERNEL_DOMAIN]),
-            _ => Route::new(&[self.app, KERNEL_DOMAIN]),
-        }
+        out_route(self.setup, self.app, self.netserver)
     }
 
     /// Inbound hop sequence: kernel, (netserver), app.
@@ -186,7 +169,7 @@ impl Host {
 
     /// The inbound (driver-side) data path.
     pub fn in_path(&self) -> PathId {
-        self.in_path.expect("in path always created")
+        self.in_path
     }
 
     /// Maximum bytes per fbuf (one chunk).
@@ -198,10 +181,7 @@ impl Host {
     /// spread over as many fbufs as the chunk size requires, and fills it.
     pub fn build_message(&mut self, size: u64, fill: &Fill) -> FbufResult<Msg> {
         let max = self.max_fbuf();
-        let mode = match (self.alloc, self.out_path) {
-            (AllocStrategy::Cached, Some(p)) => AllocMode::Cached(p),
-            _ => AllocMode::Uncached,
-        };
+        let mode = AllocMode::Cached(self.out_path);
         let mut msg = Msg::with_capacity(size.div_ceil(max) as usize);
         let mut remaining = size;
         let mut written = 0u64;
@@ -354,12 +334,7 @@ mod tests {
     use super::*;
 
     fn tiny_host(setup: DomainSetup) -> Host {
-        Host::new(
-            MachineConfig::tiny(),
-            setup,
-            AllocStrategy::Cached,
-            SendMode::Volatile,
-        )
+        Host::new(MachineConfig::tiny(), setup, SendMode::Volatile)
     }
 
     #[test]
@@ -496,12 +471,7 @@ mod tests {
 
     #[test]
     fn secure_mode_protects_after_first_cross() {
-        let mut h = Host::new(
-            MachineConfig::tiny(),
-            DomainSetup::User,
-            AllocStrategy::Cached,
-            SendMode::Secure,
-        );
+        let mut h = Host::new(MachineConfig::tiny(), DomainSetup::User, SendMode::Secure);
         let msg = h.build_message(100, &Fill::Bytes(vec![1; 100])).unwrap();
         let (app, kernel) = (h.app, h.kernel());
         h.cross(&msg, app, kernel, true).unwrap();

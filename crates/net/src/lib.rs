@@ -43,7 +43,7 @@ pub mod osiris;
 pub mod pdu;
 pub mod udp;
 
-pub use host::{AllocStrategy, DomainSetup, Fill, Host};
+pub use host::{DomainSetup, Fill, Host};
 pub use loopback::{LoopbackConfig, LoopbackStack};
 pub use osiris::{EndToEnd, EndToEndConfig, EndToEndReport};
 pub use pdu::WirePdu;

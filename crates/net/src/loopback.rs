@@ -17,7 +17,13 @@ use fbuf_xkernel::{integrated, Extent, Msg, MsgRefs};
 
 use crate::ip::{fragment, Reassembler};
 
-/// Configuration of one loopback experiment.
+/// IP PDU size: "IP fragments large messages into PDUs of 4 KBytes".
+/// Outgoing buffers are allocated at the same granularity ("an incoming
+/// ADU is typically stored as a sequence of non-contiguous, PDU-sized
+/// buffers"), so uncached per-buffer costs scale with it.
+pub const PDU: u64 = 4096;
+
+/// Configuration of one loopback experiment. Transfers are volatile.
 #[derive(Debug, Clone)]
 pub struct LoopbackConfig {
     /// Three protection domains (originator / network server / receiver)
@@ -25,14 +31,6 @@ pub struct LoopbackConfig {
     pub three_domains: bool,
     /// Cached (per-path) versus uncached (default-allocator) fbufs.
     pub cached: bool,
-    /// Volatile versus eagerly secured transfers.
-    pub send_mode: SendMode,
-    /// IP PDU size (the paper uses 4 KB here).
-    pub pdu: u64,
-    /// Outgoing buffers are allocated at PDU granularity ("an incoming ADU
-    /// is typically stored as a sequence of non-contiguous, PDU-sized
-    /// buffers"); uncached per-buffer costs scale accordingly.
-    pub fbuf_granularity: u64,
 }
 
 impl LoopbackConfig {
@@ -41,9 +39,6 @@ impl LoopbackConfig {
         LoopbackConfig {
             three_domains,
             cached,
-            send_mode: SendMode::Volatile,
-            pdu: 4096,
-            fbuf_granularity: 4096,
         }
     }
 }
@@ -123,12 +118,13 @@ impl LoopbackStack {
     /// tagged with it, so a trace decomposes per message.
     pub fn send_message(&mut self, size: u64, verify: bool) -> FbufResult<Ns> {
         let span = self.fbs.mint_span();
-        let tracer = self.fbs.machine().tracer().clone();
-        let now = self.fbs.machine().now();
-        tracer.span_start(now, span, self.originator.0, self.path.map(|p| p.0), None);
-        let prev = tracer.set_current_span(Some(span));
+        let m = self.fbs.machine();
+        let path = self.path.map(|p| p.0);
+        m.tracer()
+            .span_start(m.now(), span, self.originator.0, path, None);
+        let prev = m.tracer().set_current_span(Some(span));
         let out = self.send_message_in_span(size, verify);
-        tracer.set_current_span(prev);
+        self.fbs.machine().tracer().set_current_span(prev);
         out
     }
 
@@ -153,20 +149,17 @@ impl LoopbackStack {
 
         // IP down: fragment.
         self.datagram += 1;
-        if size > self.cfg.pdu {
+        if size > PDU {
             self.charge(costs.proto_frag_setup);
         }
-        let tracer = self.fbs.machine().tracer().clone();
         let path = self.path.map(|p| p.0);
         let mut reassembled = None;
         let mut dropped = Vec::new();
-        for (hdr, body) in fragment(&msg, self.datagram, self.cfg.pdu) {
+        for (hdr, body) in fragment(&msg, self.datagram, PDU) {
             self.charge(costs.proto_ip_pdu); // IP send processing
-            let now = self.fbs.machine().now();
-            tracer.instant(now, EventKind::PduTx, self.netserver.0, path, None);
+            self.trace_pdu(EventKind::PduTx, path);
             self.charge(costs.proto_loopback_pdu); // loopback turnaround
-            let now = self.fbs.machine().now();
-            tracer.instant(now, EventKind::PduRx, self.netserver.0, path, None);
+            self.trace_pdu(EventKind::PduRx, path);
             self.charge(costs.proto_ip_pdu); // IP receive processing
             if let Some(done) = self.reasm.add(hdr, body, &mut dropped) {
                 reassembled = Some(done);
@@ -217,17 +210,23 @@ impl LoopbackStack {
         Ok(dt.mbps(size * iters as u64))
     }
 
+    /// Records a PDU event in the network server at the simulated now.
+    fn trace_pdu(&self, kind: EventKind, path: Option<u64>) {
+        let m = self.fbs.machine();
+        m.tracer()
+            .instant(m.now(), kind, self.netserver.0, path, None);
+    }
+
     fn build(&mut self, size: u64, payload: Option<&[u8]>) -> FbufResult<Msg> {
-        let granule = self.cfg.fbuf_granularity;
         let mode = match self.path {
             Some(p) => AllocMode::Cached(p),
             None => AllocMode::Uncached,
         };
         let page = self.fbs.machine().page_size();
-        let mut msg = Msg::with_capacity(size.div_ceil(granule) as usize);
+        let mut msg = Msg::with_capacity(size.div_ceil(PDU) as usize);
         let mut pos = 0u64;
         while pos < size {
-            let this = granule.min(size - pos);
+            let this = PDU.min(size - pos);
             let id = self.fbs.alloc(self.originator, mode, this)?;
             match payload {
                 Some(data) => {
@@ -281,9 +280,6 @@ impl LoopbackStack {
                 self.fbs.send(id, from, to, SendMode::Volatile)?;
             } else {
                 self.fbs.send_reference(id, from, to)?;
-            }
-            if self.cfg.send_mode == SendMode::Secure {
-                self.fbs.secure(id, to)?;
             }
         }
         self.refs.adopt(to, msg);

@@ -43,8 +43,10 @@ mod send_audit {
     //! The sharded multi-core engine (`fbuf::shard`) moves only plain
     //! data between threads. This pins the `Send` story at compile time:
     //! everything that crosses a shard boundary is `Send` (and stays
-    //! that way), while `Machine` itself is `!Send` — see the
-    //! `compile_fail` doctest on [`crate::Machine`].
+    //! that way), and so is the `Machine`, which owns its simulated state
+    //! by value. The engine built on it, `fbuf::FbufSystem`, is `!Send`
+    //! (see the `compile_fail` doctest there), so each shard builds its
+    //! own engine inside its thread.
 
     fn crosses_threads<T: Send>() {}
 
@@ -60,5 +62,10 @@ mod send_audit {
         crosses_threads::<crate::FrameId>();
         crosses_threads::<crate::Prot>();
         crosses_threads::<crate::Fault>();
+    }
+
+    #[test]
+    fn the_machine_is_send() {
+        crosses_threads::<crate::Machine>();
     }
 }
