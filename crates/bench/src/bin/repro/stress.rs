@@ -39,7 +39,10 @@
 //! * `FBUF_STRESS_METRICS` — `0` turns telemetry off, so a run measures
 //!   the engine without the sampler (default on); the report records the
 //!   setting as `repro.params.telemetry` and then carries no telemetry
-//!   points;
+//!   points. With telemetry on, every repeat also runs the first
+//!   (lowest) thread count with telemetry off, right after the run with
+//!   it on, and the report carries the median ratio of the two host
+//!   times as `host.telemetry_overhead`;
 //! * `FBUF_STRESS_BASELINE_NS` — ns per fbuf operation of a reference
 //!   engine build; when set, the report carries the speedup against it;
 //! * `FBUF_STRESS_MIN_SPEEDUP` — `<threads>:<factor>` (e.g. `4:2.5`);
@@ -57,7 +60,8 @@
 //!
 //! The report must carry a scaling curve and, with telemetry on, the
 //! batched-plane gauges `ring_batch_occupancy` and
-//! `notice_coalesce_factor` (`fbuf_bench::report::check`).
+//! `notice_coalesce_factor` and the telemetry overhead
+//! (`fbuf_bench::report::check`).
 
 use fbuf::shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, run_fleet, FleetConfig, ShardReport,
@@ -218,11 +222,19 @@ pub fn run() -> Result<(), String> {
     // keeps its wall-clock time.
     let mut runs = Vec::with_capacity(threads.len());
     let mut host_ns = vec![Vec::with_capacity(REPEATS); threads.len()];
+    // With telemetry on: host time on over off at the first thread
+    // count, one ratio per repeat.
+    let mut overhead = Vec::with_capacity(REPEATS);
     for repeat in 0..REPEATS {
         for (k, &n) in threads.iter().enumerate() {
             let run = run_at(n, &cfg, npaths, pages, cycles, cross_every, telemetry)
                 .map_err(|e| format!("at {n} thread(s): {e}"))?;
             host_ns[k].push(run.host_ns);
+            if telemetry && k == 0 {
+                let off = run_at(n, &cfg, npaths, pages, cycles, cross_every, false)
+                    .map_err(|e| format!("at {n} thread(s), telemetry off: {e}"))?;
+                overhead.push(run.host_ns as f64 / off.host_ns as f64);
+            }
             if repeat + 1 == REPEATS {
                 runs.push(run);
             }
@@ -309,6 +321,17 @@ pub fn run() -> Result<(), String> {
     runner.host_scaling(&curve);
     if let Some((gate_threads, floor)) = eff_floor {
         runner.host_scaling_floor(gate_threads, floor);
+    }
+    if !overhead.is_empty() {
+        overhead.sort_unstable_by(f64::total_cmp);
+        let ratio = overhead[REPEATS / 2];
+        println!(
+            "telemetry overhead: {ratio:.3}x host time at {} thread(s), median of {REPEATS} on/off pairs ({:.3}-{:.3})",
+            threads[0],
+            overhead[0],
+            overhead[REPEATS - 1]
+        );
+        runner.host_telemetry_overhead(ratio);
     }
     // One coherent fleet snapshot: the counter merge of the largest run.
     let widest = runs.last().expect("at least one run");

@@ -221,6 +221,9 @@ pub struct BenchRunner {
     /// (`host.scaling_floor`): [`check`] re-enforces it against the
     /// scaling curve.
     host_scaling_floor: Option<(u64, f64)>,
+    /// Host time with telemetry on over host time with it off, for runs
+    /// that measured both (`host.telemetry_overhead`).
+    host_telemetry_overhead: Option<f64>,
     /// RNG seed the workload ran under (the `repro` header).
     seed: u64,
     /// OS threads the workload ran across (the `repro` header).
@@ -254,6 +257,7 @@ impl BenchRunner {
             host_throughput: Vec::new(),
             host_scaling: Vec::new(),
             host_scaling_floor: None,
+            host_telemetry_overhead: None,
             seed: knobs::bench_seed(),
             threads: 1,
             params: vec![(
@@ -342,6 +346,13 @@ impl BenchRunner {
     /// with the report, so every later [`check`] re-enforces it.
     pub fn host_scaling_floor(&mut self, threads: u64, efficiency: f64) {
         self.host_scaling_floor = Some((threads, efficiency));
+    }
+
+    /// Records what telemetry costs the run's host time, under
+    /// `host.telemetry_overhead`: host time with telemetry on over host
+    /// time with it off (1.0 = free).
+    pub fn host_telemetry_overhead(&mut self, ratio: f64) {
+        self.host_telemetry_overhead = Some(ratio);
     }
 
     /// Attaches a regenerated paper artifact (table rows, figure curves) to
@@ -467,6 +478,9 @@ impl BenchRunner {
             ("throughput", Json::Arr(host_tp)),
             ("scaling", Json::Arr(host_scaling)),
         ];
+        if let Some(ratio) = self.host_telemetry_overhead {
+            host_fields.push(("telemetry_overhead", ratio.to_json()));
+        }
         if let Some((threads, efficiency)) = self.host_scaling_floor {
             host_fields.push((
                 "scaling_floor",
@@ -709,9 +723,11 @@ fn check_repro(name: &str, doc: &Json) -> Result<(), String> {
 /// each name a gauge and hold `[t, v]` points with non-decreasing
 /// timestamps. `shard_gauges` additionally requires the batched-plane
 /// gauges (per shard, namespace-prefixed `s<N>.<gauge>`) — only the
-/// stress report runs a shard fleet, so only it can carry them — unless
-/// the report says it ran with telemetry off (`repro.params.telemetry`
-/// false), in which case it must carry no points at all.
+/// stress report runs a shard fleet, so only it can carry them — and
+/// what telemetry cost the run (`host.telemetry_overhead`, a positive
+/// ratio), unless the report says it ran with telemetry off
+/// (`repro.params.telemetry` false), in which case it must carry no
+/// points at all.
 fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), String> {
     let tel = doc
         .get("telemetry")
@@ -779,6 +795,14 @@ fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), Str
             if !names.iter().any(|n| n.ends_with(gauge)) {
                 return Err(format!("{name}: telemetry lacks a `{gauge}` series"));
             }
+        }
+        let overhead = doc
+            .get("host")
+            .and_then(|h| h.get("telemetry_overhead"))
+            .and_then(Json::as_f64)
+            .ok_or(format!("{name}: `host.telemetry_overhead` is not a number"))?;
+        if overhead <= 0.0 {
+            return Err(format!("{name}: telemetry overhead {overhead} (want > 0)"));
         }
     }
     Ok(())
@@ -1293,6 +1317,7 @@ mod tests {
                 },
             ]);
             r.host_scaling_floor(2, 0.6);
+            r.host_telemetry_overhead(1.1);
         }
         Json::parse(&r.report().render()).expect("report parses")
     }
@@ -1399,6 +1424,8 @@ mod tests {
             (stress, "telemetry.series.2", None, "lacks a `notice_coalesce_factor` series"),
             (stress, "telemetry.series.1", None, "lacks a `ring_batch_occupancy` series"),
             (stress, "repro.params.telemetry", Some(false.to_json()), "telemetry off, yet the report carries 6 telemetry points"),
+            (stress, "host.telemetry_overhead", None, "`host.telemetry_overhead` is not a number"),
+            (stress, "host.telemetry_overhead", n(0.0), "telemetry overhead 0"),
             (stress, "host.scaling", arr(vec![]), "lacks a host.scaling curve"),
             (stress, "host.scaling.1.threads", None, "scaling[1] lacks a numeric `threads`"),
             (stress, "host.scaling.1.threads", n(1.0), "not strictly increasing at index 1"),

@@ -129,8 +129,8 @@ impl LoopContext for FbufSystem {
         self.machine.tracer()
     }
 
-    fn metrics(&self) -> &Metrics {
-        self.machine.metrics()
+    fn metrics_mut(&mut self) -> &mut Metrics {
+        self.machine.metrics_mut()
     }
 }
 

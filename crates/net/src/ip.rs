@@ -123,6 +123,7 @@ pub struct Reassembler {
     /// datagram id) is dropped (a denial-of-service bound; 0 = unlimited).
     pub capacity: usize,
     dropped: u64,
+    malformed: u64,
 }
 
 /// Recycled lists a reassembler keeps, of each kind.
@@ -140,12 +141,30 @@ impl Reassembler {
 
     /// Offers a fragment; returns the reassembled datagram when complete.
     ///
+    /// The headers come off the wire, so they are checked: a fragment
+    /// must be non-empty, lie inside the datagram's total length, agree
+    /// with the datagram's other fragments on that length, and overlap
+    /// none of them. One that fails is **malformed**: it is dropped and
+    /// counted ([`Reassembler::malformed`]), and the partial datagram
+    /// keeps the fragments it holds. So a datagram is delivered only
+    /// when fragments that agree cover it exactly once.
+    ///
     /// Fragments the reassembler lets go of without delivering them — a
-    /// duplicate of a fragment it already holds, or every fragment of a
-    /// partial datagram the capacity bound evicts — are pushed onto
-    /// `dropped`, so the caller can release the references it adopted for
-    /// them.
+    /// malformed one, a duplicate of a fragment it already holds, or
+    /// every fragment of a partial datagram the capacity bound evicts —
+    /// are pushed onto `dropped`, so the caller can release the
+    /// references it adopted for them.
     pub fn add(&mut self, hdr: IpHeader, body: Msg, dropped: &mut Vec<Msg>) -> Option<Msg> {
+        let len = body.len();
+        let inside = hdr
+            .offset
+            .checked_add(len)
+            .is_some_and(|end| end <= hdr.total_len);
+        if len == 0 || !inside {
+            self.malformed += 1;
+            dropped.push(body);
+            return None;
+        }
         let mut at = self
             .partials
             .binary_search_by_key(&hdr.datagram, |p| p.datagram);
@@ -168,6 +187,7 @@ impl Reassembler {
                     i,
                     Partial {
                         datagram: hdr.datagram,
+                        total_len: hdr.total_len,
                         fragments,
                         ..Partial::default()
                     },
@@ -176,14 +196,36 @@ impl Reassembler {
             }
         };
         let p = &mut self.partials[i];
-        p.total_len = hdr.total_len;
-        match p.fragments.binary_search_by_key(&hdr.offset, |f| f.0) {
-            Ok(_) => dropped.push(body),
-            Err(j) => {
-                p.have += body.len();
-                p.fragments.insert(j, (hdr.offset, body));
+        let fits = if hdr.total_len != p.total_len {
+            None
+        } else {
+            match p.fragments.binary_search_by_key(&hdr.offset, |f| f.0) {
+                // The same fragment again: a retransmission, not an attack.
+                Ok(j) if p.fragments[j].1.len() == len => {
+                    dropped.push(body);
+                    return None;
+                }
+                Ok(_) => None,
+                Err(j) => {
+                    let after = j == 0 || {
+                        let (off, prev) = &p.fragments[j - 1];
+                        off + prev.len() <= hdr.offset
+                    };
+                    let before = p
+                        .fragments
+                        .get(j)
+                        .is_none_or(|&(off, _)| hdr.offset + len <= off);
+                    (after && before).then_some(j)
+                }
             }
-        }
+        };
+        let Some(j) = fits else {
+            self.malformed += 1;
+            dropped.push(body);
+            return None;
+        };
+        p.have += len;
+        p.fragments.insert(j, (hdr.offset, body));
         if p.have != p.total_len {
             return None;
         }
@@ -222,6 +264,13 @@ impl Reassembler {
     /// Datagrams dropped by the capacity bound.
     pub fn dropped(&self) -> u64 {
         self.dropped
+    }
+
+    /// Fragments dropped as malformed: empty, past their datagram's total
+    /// length, disagreeing with its other fragments on that length, or
+    /// overlapping one of them.
+    pub fn malformed(&self) -> u64 {
+        self.malformed
     }
 
     /// Partial datagrams currently buffered.
@@ -347,6 +396,68 @@ mod tests {
             assert_eq!(done.map(|m| m.len()), Some(8192), "datagram {d} survives");
         }
         assert_eq!(r.pending(), 0);
+    }
+
+    /// A fragment of datagram 5 claiming `total` bytes at `offset`.
+    fn piece(offset: u64, len: u64, total: u64) -> (IpHeader, Msg) {
+        let hdr = IpHeader {
+            datagram: 5,
+            offset,
+            total_len: total,
+            more: offset.saturating_add(len) < total,
+        };
+        (hdr, msg(len))
+    }
+
+    #[test]
+    fn overlapping_fragments_never_complete_a_datagram() {
+        // 6000 bytes at 0 and 2192 at 4000 sum to the claimed 8192, but
+        // bytes 6192.. never arrived: no delivery, and the overlap is
+        // handed back as malformed.
+        let mut r = Reassembler::new(0);
+        let mut dropped = Vec::new();
+        let (h, b) = piece(0, 6000, 8192);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        let (h, b) = piece(4000, 2192, 8192);
+        assert!(r.add(h, b.clone(), &mut dropped).is_none());
+        assert_eq!(dropped, vec![b]);
+        assert_eq!((r.malformed(), r.pending()), (1, 1));
+        // The fragment that really follows still completes it.
+        let (h, b) = piece(6000, 2192, 8192);
+        assert_eq!(add(&mut r, h, b).map(|m| m.len()), Some(8192));
+    }
+
+    #[test]
+    fn a_fragment_outside_its_claimed_total_is_dropped() {
+        let mut r = Reassembler::new(0);
+        let mut dropped = Vec::new();
+        let (h, b) = piece(9000, 100, 100);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        assert_eq!((r.malformed(), r.pending(), dropped.len()), (1, 0, 1));
+        // An offset so large that the end wraps is refused the same way,
+        // and so is an empty fragment.
+        let (h, b) = piece(u64::MAX - 10, 100, u64::MAX);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        let (h, b) = piece(0, 0, 0);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        assert_eq!((r.malformed(), r.pending(), dropped.len()), (3, 0, 3));
+    }
+
+    #[test]
+    fn fragments_must_agree_on_the_total_length() {
+        let mut r = Reassembler::new(0);
+        let mut dropped = Vec::new();
+        let (h, b) = piece(0, 4096, 8192);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        // A second half claiming a shorter datagram would "complete" a
+        // 4096-byte one; it is dropped instead.
+        let (h, b) = piece(4096, 4096, 4096 + 4096 - 1);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        let (h, b) = piece(0, 4096, 4096);
+        assert!(r.add(h, b, &mut dropped).is_none());
+        assert_eq!((r.malformed(), dropped.len()), (2, 2));
+        let (h, b) = piece(4096, 4096, 8192);
+        assert_eq!(add(&mut r, h, b).map(|m| m.len()), Some(8192));
     }
 
     #[test]

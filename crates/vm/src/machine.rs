@@ -171,6 +171,11 @@ impl Machine {
         &self.metrics
     }
 
+    /// The telemetry sampler, to record on write.
+    pub fn metrics_mut(&mut self) -> &mut Metrics {
+        &mut self.metrics
+    }
+
     /// [`Machine::metrics`] under its former name, which the benchmark
     /// package (`fbufbench/`) still calls.
     pub fn metrics_ref(&self) -> &Metrics {

@@ -6,7 +6,8 @@ use core::fmt;
 ///
 /// Domain 0 is the kernel ([`KERNEL_DOMAIN`]), which is *trusted*: buffers it
 /// originates never need their immutability enforced (paper §2.1.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// It is also the default id.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DomainId(pub u32);
 
 /// The kernel's domain id.
