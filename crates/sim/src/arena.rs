@@ -132,6 +132,14 @@ impl<T> Arena<T> {
         slot.value.as_mut()
     }
 
+    /// The handle of the value in slot `index` (see [`slot_of`]), if
+    /// the slot holds one.
+    pub fn handle_at(&self, index: usize) -> Option<u64> {
+        let slot = self.slots.get(index)?;
+        slot.value.as_ref()?;
+        Some(pack(index as u32, slot.generation))
+    }
+
     /// True if `handle` currently resolves to a value.
     pub fn contains(&self, handle: u64) -> bool {
         self.get(handle).is_some()
@@ -227,6 +235,14 @@ mod tests {
         assert!(a.get_mut(stale).is_none());
         assert_eq!(a.remove(stale), None);
         assert_eq!(a.get(fresh), Some(&"new"));
+        assert_eq!(
+            a.handle_at(slot_of(fresh)),
+            Some(fresh),
+            "the live tenant's"
+        );
+        a.remove(fresh).unwrap();
+        assert_eq!(a.handle_at(slot_of(fresh)), None, "an empty slot");
+        assert_eq!(a.handle_at(7), None, "a slot never issued");
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! prepends or appends new data to a buffer ... instead allocates a new
 //! buffer and logically concatenates it to the original buffer" (§2.1.3).
 
+use fbuf::buffer::SmallList;
 use fbuf::{FbufId, FbufResult, FbufSystem};
 use fbuf_vm::DomainId;
 
 /// A contiguous byte range within one fbuf.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Extent {
     /// The buffer.
     pub fbuf: FbufId,
@@ -25,88 +26,10 @@ pub struct Extent {
 /// (256 KB at the calibrated 64 KB chunk) without a heap allocation.
 pub const INLINE_EXTENTS: usize = 4;
 
-const NO_EXTENT: Extent = Extent {
-    fbuf: FbufId(0),
-    off: 0,
-    len: 0,
-};
-
 /// A message's extent list: the first [`INLINE_EXTENTS`] in place, more
-/// in a heap `Vec`.
-enum Extents {
-    Inline {
-        len: u8,
-        buf: [Extent; INLINE_EXTENTS],
-    },
-    Heap(Vec<Extent>),
-}
-
-impl Extents {
-    fn with_capacity(n: usize) -> Extents {
-        if n <= INLINE_EXTENTS {
-            Extents::Inline {
-                len: 0,
-                buf: [NO_EXTENT; INLINE_EXTENTS],
-            }
-        } else {
-            Extents::Heap(Vec::with_capacity(n))
-        }
-    }
-
-    fn as_slice(&self) -> &[Extent] {
-        match self {
-            Extents::Inline { len, buf } => &buf[..*len as usize],
-            Extents::Heap(v) => v,
-        }
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [Extent] {
-        match self {
-            Extents::Inline { len, buf } => &mut buf[..*len as usize],
-            Extents::Heap(v) => v,
-        }
-    }
-
-    fn push(&mut self, e: Extent) {
-        match self {
-            Extents::Inline { len, buf } if (*len as usize) < INLINE_EXTENTS => {
-                buf[*len as usize] = e;
-                *len += 1;
-            }
-            Extents::Inline { buf, .. } => {
-                let mut v = Vec::with_capacity(2 * INLINE_EXTENTS);
-                v.extend_from_slice(buf);
-                v.push(e);
-                *self = Extents::Heap(v);
-            }
-            Extents::Heap(v) => v.push(e),
-        }
-    }
-
-    fn extend_from_slice(&mut self, extents: &[Extent]) {
-        for &e in extents {
-            self.push(e);
-        }
-    }
-
-    fn truncate(&mut self, n: usize) {
-        match self {
-            Extents::Inline { len, .. } => *len = (*len).min(n as u8),
-            Extents::Heap(v) => v.truncate(n),
-        }
-    }
-}
-
-impl Clone for Extents {
-    /// A clone of up to [`INLINE_EXTENTS`] extents is inline, whatever
-    /// the original's storage.
-    fn clone(&self) -> Extents {
-        let ext = self.as_slice();
-        let mut out = Extents::with_capacity(ext.len());
-        out.extend_from_slice(ext);
-        out
-    }
-}
+/// on the heap. A clone of up to [`INLINE_EXTENTS`] extents is in place,
+/// whatever the original's storage.
+type Extents = SmallList<Extent, INLINE_EXTENTS>;
 
 /// An immutable message: an ordered aggregate of extents.
 ///
@@ -140,7 +63,7 @@ pub struct Msg {
 impl Default for Msg {
     fn default() -> Msg {
         Msg {
-            extents: Extents::with_capacity(0),
+            extents: Extents::new(),
         }
     }
 }
@@ -237,7 +160,7 @@ impl Msg {
 
     /// The extent list.
     pub fn extents(&self) -> &[Extent] {
-        self.extents.as_slice()
+        &self.extents
     }
 
     /// Number of fragments (extents).
@@ -327,7 +250,7 @@ impl Msg {
             self.extents.truncate(i);
         } else {
             self.extents.truncate(i + 1);
-            self.extents.as_mut_slice()[i].len = take;
+            self.extents[i].len = take;
         }
     }
 
