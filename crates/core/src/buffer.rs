@@ -271,10 +271,6 @@ pub struct Fbuf {
     pub originator: DomainId,
     /// Domains currently holding a reference.
     pub holders: SmallList<DomainId, INLINE_HOLDERS>,
-    /// Parallel to `holders`: this fbuf's index inside the system's
-    /// per-domain held list for the corresponding holder, so releasing a
-    /// reference is O(1) instead of a scan (maintained by `FbufSystem`).
-    pub held_pos: SmallList<u32, INLINE_HOLDERS>,
     /// Domains in which the pages are currently mapped.
     pub mapped_in: SmallList<DomainId, INLINE_HOLDERS>,
     /// Backing frames; `None` slots were reclaimed by the pageout daemon
@@ -293,11 +289,6 @@ impl Fbuf {
     pub fn resident(&self) -> bool {
         self.frames.iter().all(|f| f.is_some())
     }
-
-    /// The byte range `[va, va+len)` as a tuple.
-    pub fn extent(&self) -> (u64, u64) {
-        (self.va, self.len)
-    }
 }
 
 #[cfg(test)]
@@ -313,7 +304,6 @@ mod tests {
             originator: DomainId(1),
             frames: [Some(FrameId(3)), None].into_iter().collect(),
             holders: [DomainId(1)].into_iter().collect(),
-            held_pos: [0].into_iter().collect(),
             mapped_in: [DomainId(1)].into_iter().collect(),
         }
     }
@@ -324,7 +314,6 @@ mod tests {
         assert!(f.held_by(DomainId(1)));
         assert!(!f.held_by(DomainId(2)));
         assert!(!f.resident());
-        assert_eq!(f.extent(), (0x4000_0000, 5000));
     }
 
     #[test]

@@ -56,11 +56,6 @@ impl ChunkAllocator {
     pub fn available(&self) -> u64 {
         self.total_chunks - self.next + self.recycled.len() as u64
     }
-
-    /// Chunk size in bytes.
-    pub fn chunk_size(&self) -> u64 {
-        self.chunk_size
-    }
 }
 
 /// A per-domain, per-path (or default) local allocator carving fbufs out of

@@ -229,6 +229,9 @@ pub struct Shard {
     /// Size of the last non-empty ingress drain burst (the
     /// `ring_batch_occupancy` gauge).
     last_drain: u64,
+    /// The last ingested payload's bytes, kept to carry the next egress
+    /// payload (so neither direction allocates in steady state).
+    spare_payload: Vec<u8>,
     /// The shard's own gauge-sampling deadline. The system consumes the
     /// shared metrics cadence at its internal checkpoints (alloc, hop
     /// dispatch), so the shard-only gauges (ring occupancy, burst size,
@@ -311,6 +314,7 @@ impl Shard {
             notice_stage: NoticeBatch::empty(),
             drain_buf: Vec::new(),
             last_drain: 0,
+            spare_payload: Vec::new(),
             next_shard_sample: std::cell::Cell::new(0),
             cycles: 0,
             sent: 0,
@@ -391,9 +395,10 @@ impl Shard {
         self.sys
             .write_fbuf(t.originator, id, 0, &token.to_le_bytes())
             .expect("stamp egress payload");
-        let payload = self
-            .sys
-            .read_fbuf(t.originator, id, 0, self.len)
+        let mut payload = std::mem::take(&mut self.spare_payload);
+        payload.resize(self.len as usize, 0);
+        self.sys
+            .read_fbuf_into(t.originator, id, 0, &mut payload)
             .expect("serialize egress payload");
         let mut msg = CrossShardMsg { token, payload };
         loop {
@@ -598,14 +603,15 @@ impl Shard {
         s.hop(t.netserver, t.receiver);
         s.send(id, t.netserver, t.receiver, SendMode::Volatile)
             .expect("send up");
-        let stamp = s
-            .read_fbuf(t.receiver, id, 0, 8)
+        let mut stamp = [0u8; 8];
+        s.read_fbuf_into(t.receiver, id, 0, &mut stamp)
             .expect("read materialized stamp");
         assert_eq!(
             stamp,
             msg.token.to_le_bytes(),
             "payload must survive the cross-shard hop intact"
         );
+        self.spare_payload = msg.payload;
         s.free(id, t.receiver).expect("free receiver");
         s.free(id, t.netserver).expect("free netserver");
         s.free(id, t.originator).expect("free originator");

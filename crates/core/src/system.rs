@@ -25,9 +25,9 @@
 //! * every per-page `map_page`/`unmap_page`/`protect_page` loop became one
 //!   batched range call on [`Machine`] (identical simulated charges, one
 //!   ranged trace event instead of N);
-//! * each domain keeps an index of the fbufs it holds, with back-pointers
-//!   (`Fbuf::held_pos`) so [`FbufSystem::free`] and domain termination
-//!   never scan the fbuf table;
+//! * a release touches only the fbuf's own holder list: no per-domain
+//!   index of held fbufs is kept, and domain termination (rare) collects
+//!   the dying domain's references in one pass over the fbuf arena;
 //! * parked (free-listed) fbufs form an intrusive doubly-linked list,
 //!   coldest at the head, which is the pageout daemon's reclaim order —
 //!   [`FbufSystem::reclaim_frames`] pops victims lazily instead of
@@ -137,10 +137,6 @@ pub struct FbufSystem {
     registered: Vec<bool>,
     /// Termination flag per domain id (zombie-chunk bookkeeping).
     terminated: Vec<bool>,
-    /// Per-domain index of the fbufs the domain currently holds, kept in
-    /// sync with `Fbuf::holders` via the `Fbuf::held_pos` back-pointers so
-    /// a release is O(1) and termination never scans the fbuf table.
-    held: Vec<Vec<FbufId>>,
     /// Head (coldest) of the intrusive parked list — the pageout daemon's
     /// reclaim order. Links live in `FbufHot::park_prev`/`park_next`
     /// inside the dense hot lane.
@@ -216,16 +212,11 @@ pub enum ReusePolicy {
     Fifo,
 }
 
-/// Records `dom` as a holder of `id`, wiring the per-domain held index and
-/// the fbuf-side back-pointer in one step. No-op if already a holder.
-fn add_holder(f: &mut Fbuf, held: &mut [Vec<FbufId>], id: FbufId, dom: DomainId) {
-    if f.held_by(dom) {
-        return;
+/// Records `dom` as a holder of `f`. No-op if already a holder.
+fn add_holder(f: &mut Fbuf, dom: DomainId) {
+    if !f.held_by(dom) {
+        f.holders.push(dom);
     }
-    let hd = &mut held[dom.0 as usize];
-    f.held_pos.push(hd.len() as u32);
-    f.holders.push(dom);
-    hd.push(id);
 }
 
 /// Fails unless `dom` holds `f`.
@@ -299,7 +290,6 @@ impl FbufSystem {
             hot: Vec::new(),
             registered: Vec::new(),
             terminated: Vec::new(),
-            held: Vec::new(),
             park_head: None,
             park_tail: None,
             va_index: Vec::new(),
@@ -333,7 +323,6 @@ impl FbufSystem {
         if self.registered.len() < need {
             self.registered.resize(need, false);
             self.terminated.resize(need, false);
-            self.held.resize_with(need, Vec::new);
             self.dom_alloc.resize_with(need, || None);
         }
         if !self.registered[dom.0 as usize] {
@@ -844,16 +833,14 @@ impl FbufSystem {
             self.rematerialize(id, dom)?;
         }
         let now = self.machine.now();
-        let FbufSystem {
-            fbufs, held, hot, ..
-        } = self;
+        let FbufSystem { fbufs, hot, .. } = self;
         let f = fbufs.get_mut(id.0).expect("parked fbuf exists");
         let h = &mut hot[slot_of(id.0)];
         debug_assert!(f.holders.is_empty());
         debug_assert_eq!(h.state, FbufState::Volatile);
         f.len = len;
         h.born = now;
-        add_holder(f, held, id, dom);
+        add_holder(f, dom);
         Ok(id)
     }
 
@@ -994,9 +981,6 @@ impl FbufSystem {
             len,
             originator: dom,
             holders: [dom].into_iter().collect(),
-            held_pos: [self.held[dom.0 as usize].len() as u32]
-                .into_iter()
-                .collect(),
             mapped_in: [dom].into_iter().collect(),
             frames: listed,
         });
@@ -1010,7 +994,6 @@ impl FbufSystem {
             self.hot.resize_with(slot + 1, || FbufHot::new(None, Ns(0)));
         }
         self.hot[slot] = FbufHot::new(path, self.machine.now());
-        self.held[dom.0 as usize].push(id);
         self.tenants.charge(dom, pages * page_size);
         let page = self.va_page(va).expect("fbufs lie in the fbuf region");
         if self.va_index.len() <= page {
@@ -1067,7 +1050,6 @@ impl FbufSystem {
         let FbufSystem {
             fbufs,
             machine,
-            held,
             hot,
             tenants,
             frame_list,
@@ -1092,7 +1074,7 @@ impl FbufSystem {
                 map_for_read(machine, f, to, frame_list)?;
             }
         }
-        add_holder(f, held, id, to);
+        add_holder(f, to);
         let (tracer, now, p) = (machine.tracer(), machine.now(), path.map(|p| p.0));
         match mapped {
             Some(_) => tracer.span_peer(
@@ -1155,7 +1137,6 @@ impl FbufSystem {
         let FbufSystem {
             fbufs,
             machine,
-            held,
             rpc,
             hot,
             ..
@@ -1168,26 +1149,9 @@ impl FbufSystem {
             });
         };
         f.holders.swap_remove(i);
-        let pos = f.held_pos.swap_remove(i) as usize;
         let h = &hot[slot_of(id.0)];
         let (originator, now_empty, path, born) =
             (f.originator, f.holders.is_empty(), h.path, h.born);
-        // Drop the entry from the per-domain held index in O(1); the
-        // held_pos back-pointer of whichever fbuf swap_remove moved into
-        // `pos` must be re-aimed.
-        let hd = &mut held[dom.0 as usize];
-        debug_assert_eq!(hd[pos], id);
-        hd.swap_remove(pos);
-        if pos < hd.len() {
-            let moved = hd[pos];
-            let mf = fbufs.get_mut(moved.0).expect("held fbuf is live");
-            let j = mf
-                .holders
-                .iter()
-                .position(|&d| d == dom)
-                .expect("held index consistent");
-            mf.held_pos[j] = pos as u32;
-        }
         machine.tracer().instant(
             machine.now(),
             EventKind::Free,
@@ -1421,10 +1385,17 @@ impl FbufSystem {
     /// references to its fbufs are relinquished.
     pub fn terminate_domain(&mut self, dom: DomainId) -> FbufResult<()> {
         self.check_domain(dom)?;
-        // 1. Release every reference the dying domain holds — read straight
-        //    off the per-domain held index instead of scanning every fbuf
-        //    (each free removes exactly one entry).
-        while let Some(&id) = self.held[dom.0 as usize].last() {
+        // 1. Release every reference the dying domain holds, collected in
+        //    one pass over the fbuf arena (termination is rare, so no
+        //    per-domain index is kept for it) and released in address
+        //    order, which does not depend on how arena slots were reused.
+        let mut mine: Vec<(u64, FbufId)> = self
+            .fbufs
+            .iter()
+            .filter_map(|(h, f)| f.held_by(dom).then_some((f.va, FbufId(h))))
+            .collect();
+        mine.sort_unstable();
+        for (_, id) in mine {
             self.free(id, dom)?;
         }
         // 2. Tear down paths through the domain; their parked fbufs are
@@ -1840,19 +1811,6 @@ mod tests {
     }
 
     #[test]
-    fn receiver_termination_releases_references() {
-        let (mut s, a, b, _) = sys();
-        let id = s.alloc(a, AllocMode::Uncached, 100).unwrap();
-        s.send(id, a, b, SendMode::Volatile).unwrap();
-        s.terminate_domain(b).unwrap();
-        // b's reference is gone; a's remains.
-        let f = s.fbuf(id).unwrap();
-        assert!(f.held_by(a));
-        assert!(!f.held_by(b));
-        s.free(id, a).unwrap();
-    }
-
-    #[test]
     fn originator_termination_parks_chunks_until_refs_drain() {
         let (mut s, a, b, _) = sys();
         let id = s.alloc(a, AllocMode::Uncached, 100).unwrap();
@@ -2017,26 +1975,61 @@ mod tests {
     }
 
     #[test]
-    fn held_index_stays_consistent_under_interleaved_frees() {
-        // The swap_remove bookkeeping in `free` must re-aim back-pointers;
-        // exercise out-of-order frees across several buffers and domains.
-        let (mut s, a, b, _) = sys();
-        let ids: Vec<FbufId> = (0..5)
-            .map(|_| s.alloc(a, AllocMode::Uncached, 100).unwrap())
-            .collect();
-        for &id in &ids {
-            s.send(id, a, b, SendMode::Volatile).unwrap();
+    fn termination_releases_exactly_the_dying_domains_references() {
+        // Cached buffers on three two-domain paths and uncached ones,
+        // each held by all three domains, then a seeded interleaving of
+        // frees that parks some cached buffers. Whichever domain dies,
+        // its references go and every other holder keeps its own; a
+        // buffer it held last parks if its path avoids it.
+        for v in 0..3 {
+            let (mut s, a, b, c) = sys();
+            let doms = [a, b, c];
+            let mut refs = Vec::new();
+            for (i, &d) in doms.iter().enumerate() {
+                let p = s.create_path(vec![d, doms[(i + 1) % 3]]).unwrap();
+                for mode in [AllocMode::Cached(p), AllocMode::Uncached].repeat(2) {
+                    let id = s.alloc(d, mode, 4096).unwrap();
+                    refs.push((id, d));
+                    for &to in doms.iter().filter(|&&to| to != d) {
+                        s.send(id, d, to, SendMode::Volatile).unwrap();
+                        refs.push((id, to));
+                    }
+                }
+            }
+            let mut rng = fbuf_sim::Rng::new(0x7e5d ^ v);
+            // Half the references, and on until two buffers have parked.
+            let half = refs.len() / 2;
+            while refs.len() > half || s.parked_count < 2 {
+                let (id, d) = refs.swap_remove(rng.index(refs.len()));
+                s.free(id, d).unwrap();
+            }
+            let victim = doms[v as usize];
+            let keeps = |s: &FbufSystem, h: u64, f: &Fbuf| {
+                let path = s.hot[slot_of(h)].path;
+                f.holders.iter().any(|&d| d != victim)
+                    || path.is_some_and(|p| !s.paths[p.0 as usize].contains(victim))
+            };
+            let before: Vec<(FbufId, Vec<DomainId>, bool)> = s
+                .fbufs
+                .iter()
+                .map(|(h, f)| (FbufId(h), f.holders.to_vec(), keeps(&s, h, f)))
+                .collect();
+            assert!(before.iter().any(|(_, h, _)| h.contains(&victim)));
+            s.terminate_domain(victim).unwrap();
+            for (id, mut holders, kept) in before.clone() {
+                assert_eq!(s.fbuf(id).is_ok(), kept, "{id:?}");
+                if let Ok(f) = s.fbuf(id) {
+                    holders.retain(|&d| d != victim);
+                    assert_eq!(holders.len(), f.holders.len(), "{id:?}");
+                    assert!(holders.iter().all(|&d| f.held_by(d)), "{id:?}");
+                }
+            }
+            assert_eq!(s.live_fbufs(), before.iter().filter(|b| b.2).count());
+            assert!(s
+                .ledger_snapshot()
+                .conserves(&s.stats().snapshot())
+                .is_empty());
         }
-        // Free a's references middle-out, then b's in reverse.
-        for &id in &[ids[2], ids[0], ids[4], ids[1], ids[3]] {
-            s.free(id, a).unwrap();
-        }
-        for &id in ids.iter().rev() {
-            assert!(s.fbuf(id).unwrap().held_by(b));
-            s.free(id, b).unwrap();
-            assert!(s.fbuf(id).is_err());
-        }
-        assert_eq!(s.live_fbufs(), 0);
     }
 
     /// The reference pass: every live gauge recorded in every pass, into

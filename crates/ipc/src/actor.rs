@@ -201,11 +201,6 @@ impl<M> EventLoop<M> {
         self.depth = depth.max(1);
     }
 
-    /// The current per-actor inbox bound.
-    pub fn inbox_depth(&self) -> usize {
-        self.depth
-    }
-
     /// Posts an event from `from` to `to`'s inbox, stamped with the
     /// simulated now of `ctx`. Full inbox → [`SendOutcome::Overload`]:
     /// dropped, counted, traced — never queued, never recursed into.

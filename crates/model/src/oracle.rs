@@ -251,9 +251,6 @@ pub struct MBuf {
     pub secured: bool,
     /// Current holders, in acquisition order.
     pub holders: Vec<u32>,
-    /// Back-pointers into the per-domain held index (parallel to
-    /// `holders`).
-    held_pos: Vec<usize>,
     /// Domains with installed mappings, in installation order.
     pub mapped_in: Vec<u32>,
     /// Frames present (binary: reclaim takes all, rematerialize restores
@@ -343,7 +340,6 @@ pub struct Oracle {
     /// Buffers by model index; indices are never reused, a retired
     /// buffer leaves `None` (the analogue of a stale generational id).
     pub bufs: Vec<Option<MBuf>>,
-    held: Vec<Vec<usize>>,
     originated_live: Vec<u64>,
     registered: Vec<bool>,
     terminated: Vec<bool>,
@@ -377,7 +373,6 @@ impl Oracle {
             allocators: BTreeMap::new(),
             paths: Vec::new(),
             bufs: Vec::new(),
-            held: vec![Vec::new()],
             originated_live: vec![0],
             registered: vec![true],
             terminated: vec![false],
@@ -418,7 +413,6 @@ impl Oracle {
         self.registered.resize(need, false);
         self.terminated.resize(need, false);
         self.alive.resize(need, false);
-        self.held.resize_with(need, Vec::new);
         self.originated_live.resize(need, 0);
         self.jail_charged.resize(need, 0);
         self.jail_progress.resize(need, 0);
@@ -667,7 +661,6 @@ impl Oracle {
             self.counters.pages_cleared += 1;
         }
         let ix = self.bufs.len();
-        let held_pos = self.held[dom as usize].len();
         self.bufs.push(Some(MBuf {
             va,
             pages,
@@ -676,12 +669,10 @@ impl Oracle {
             path,
             secured: false,
             holders: vec![dom],
-            held_pos: vec![held_pos],
             mapped_in: vec![dom],
             resident: true,
             park_linked: false,
         }));
-        self.held[dom as usize].push(ix);
         self.originated_live[dom as usize] += 1;
         self.jail_charged[dom as usize] += pages * self.cfg.page_size;
         Ok(ix)
@@ -717,13 +708,9 @@ impl Oracle {
 
     fn add_holder(&mut self, ix: usize, dom: u32) {
         let b = self.bufs[ix].as_mut().expect("live buf");
-        if b.holders.contains(&dom) {
-            return;
+        if !b.holders.contains(&dom) {
+            b.holders.push(dom);
         }
-        let hd = &mut self.held[dom as usize];
-        b.held_pos.push(hd.len());
-        b.holders.push(dom);
-        hd.push(ix);
     }
 
     // ------------------------------------------------------------------
@@ -806,24 +793,7 @@ impl Oracle {
             return Err(MErr::NotHolder);
         };
         b.holders.swap_remove(i);
-        let pos = b.held_pos.swap_remove(i);
-        let now_empty = b.holders.is_empty();
-        // O(1) held-index removal with back-pointer re-aim, mirroring
-        // the real swap_remove dance move for move.
-        let hd = &mut self.held[dom as usize];
-        debug_assert_eq!(hd[pos], ix);
-        hd.swap_remove(pos);
-        if pos < hd.len() {
-            let moved = hd[pos];
-            let mb = self.bufs[moved].as_mut().expect("held buf is live");
-            let j = mb
-                .holders
-                .iter()
-                .position(|&d| d == dom)
-                .expect("held index consistent");
-            mb.held_pos[j] = pos;
-        }
-        if now_empty {
+        if b.holders.is_empty() {
             self.dealloc(ix)?;
         }
         // Any successful free is progress for the hoard detector.
@@ -972,8 +942,16 @@ impl Oracle {
     /// Mirror of `FbufSystem::terminate_domain`.
     pub fn terminate(&mut self, dom: u32) -> Result<(), MErr> {
         self.check_domain(dom)?;
-        // 1. Release every held reference, last acquired first.
-        while let Some(&ix) = self.held[dom as usize].last() {
+        // 1. Release every held reference, lowest address first.
+        let mut mine: Vec<(u64, usize)> = self
+            .bufs
+            .iter()
+            .enumerate()
+            .filter_map(|(ix, b)| Some((b.as_ref()?, ix)))
+            .filter_map(|(b, ix)| b.holders.contains(&dom).then_some((b.va, ix)))
+            .collect();
+        mine.sort_unstable();
+        for (_, ix) in mine {
             self.free(ix, dom)?;
         }
         // 2. Kill paths through the domain; retire their parked buffers

@@ -77,13 +77,47 @@ impl Deref for Route {
 }
 
 /// How outgoing messages are filled.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub enum Fill {
     /// Write one marker word per page (the paper's throughput tests:
     /// "writes one word in each VM page").
     Touch,
-    /// Write real payload bytes (integrity tests).
-    Bytes(Vec<u8>),
+    /// Write message byte `i` as [`Fill::pattern_byte`]`(i, seed)`
+    /// (integrity tests).
+    Pattern(u64),
+}
+
+impl Fill {
+    /// Byte `i` of the integrity pattern seeded `seed`.
+    pub fn pattern_byte(i: u64, seed: u64) -> u8 {
+        i.wrapping_mul(131).wrapping_add(seed) as u8
+    }
+
+    /// Fills fbuf `id` as `dom` with message bytes `[base, base + len)`,
+    /// staging pattern bytes in `buf`.
+    pub(crate) fn write(
+        self,
+        fbs: &mut FbufSystem,
+        dom: DomainId,
+        id: FbufId,
+        (base, len): (u64, u64),
+        buf: &mut Vec<u8>,
+    ) -> FbufResult<()> {
+        match self {
+            Fill::Touch => {
+                let page = fbs.machine().page_size();
+                for off in (0..len).step_by(page as usize) {
+                    fbs.write_fbuf(dom, id, off, &[0xA7])?;
+                }
+                Ok(())
+            }
+            Fill::Pattern(seed) => {
+                buf.clear();
+                buf.extend((base..base + len).map(|i| Fill::pattern_byte(i, seed)));
+                fbs.write_fbuf(dom, id, 0, buf)
+            }
+        }
+    }
 }
 
 /// The outbound hop sequence of a host placed by `setup`: app,
@@ -115,6 +149,8 @@ pub struct Host {
     /// fbufs from its allocator.
     out_path: PathId,
     in_path: PathId,
+    /// Pattern bytes staged for one fbuf, reused by every fill.
+    buf: Vec<u8>,
 }
 
 impl Host {
@@ -147,6 +183,7 @@ impl Host {
             netserver,
             out_path,
             in_path,
+            buf: Vec::new(),
         }
     }
 
@@ -188,7 +225,7 @@ impl Host {
         while remaining > 0 {
             let this = remaining.min(max);
             let id = self.fbs.alloc(self.app, mode, this)?;
-            self.fill_fbuf(id, this, written, fill)?;
+            fill.write(&mut self.fbs, self.app, id, (written, this), &mut self.buf)?;
             msg.push(Extent {
                 fbuf: id,
                 off: 0,
@@ -199,24 +236,6 @@ impl Host {
         }
         self.refs.adopt(self.app, &msg);
         Ok(msg)
-    }
-
-    fn fill_fbuf(&mut self, id: FbufId, len: u64, base: u64, fill: &Fill) -> FbufResult<()> {
-        match fill {
-            Fill::Touch => {
-                let page = self.fbs.machine().page_size();
-                let mut off = 0;
-                while off < len {
-                    self.fbs.write_fbuf(self.app, id, off, &[0xA7])?;
-                    off += page;
-                }
-                Ok(())
-            }
-            Fill::Bytes(data) => {
-                let slice = &data[base as usize..(base + len) as usize];
-                self.fbs.write_fbuf(self.app, id, 0, slice)
-            }
-        }
     }
 
     /// Carries a message across one domain boundary: one RPC plus a
@@ -375,8 +394,8 @@ mod tests {
     #[test]
     fn message_bytes_roundtrip_through_dma() {
         let mut h = tiny_host(DomainSetup::User);
-        let data: Vec<u8> = (0..20_000u32).map(|i| (i % 251) as u8).collect();
-        let msg = h.build_message(20_000, &Fill::Bytes(data.clone())).unwrap();
+        let data: Vec<u8> = (0..20_000).map(|i| Fill::pattern_byte(i, 5)).collect();
+        let msg = h.build_message(20_000, &Fill::Pattern(5)).unwrap();
         assert_eq!(h.gather(h.app, &msg).unwrap(), data);
         // What the receiving host's buffer gets matches exactly, from an
         // extent that starts mid-page and spans both of the message's
@@ -426,10 +445,11 @@ mod tests {
     #[test]
     fn cross_moves_references_and_mappings() {
         let mut h = tiny_host(DomainSetup::User);
-        let msg = h.build_message(100, &Fill::Bytes(vec![9; 100])).unwrap();
+        let msg = h.build_message(100, &Fill::Pattern(9)).unwrap();
         let (app, kernel) = (h.app, h.kernel());
         h.cross(&msg, app, kernel, true).unwrap();
-        assert_eq!(h.gather(kernel, &msg).unwrap(), vec![9; 100]);
+        let data: Vec<u8> = (0..100).map(|i| Fill::pattern_byte(i, 9)).collect();
+        assert_eq!(h.gather(kernel, &msg).unwrap(), data);
         h.release(kernel, &msg).unwrap();
         h.release(app, &msg).unwrap();
     }
@@ -472,7 +492,7 @@ mod tests {
     #[test]
     fn secure_mode_protects_after_first_cross() {
         let mut h = Host::new(MachineConfig::tiny(), DomainSetup::User, SendMode::Secure);
-        let msg = h.build_message(100, &Fill::Bytes(vec![1; 100])).unwrap();
+        let msg = h.build_message(100, &Fill::Pattern(1)).unwrap();
         let (app, kernel) = (h.app, h.kernel());
         h.cross(&msg, app, kernel, true).unwrap();
         // The app (a user-domain originator) has lost write access.

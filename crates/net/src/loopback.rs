@@ -15,6 +15,7 @@ use fbuf_sim::{CostCategory, EventKind, MachineConfig, Ns};
 use fbuf_vm::{DomainId, KERNEL_DOMAIN};
 use fbuf_xkernel::{integrated, Extent, Msg, MsgRefs};
 
+use crate::host::Fill;
 use crate::ip::{fragment, Reassembler};
 
 /// IP PDU size: "IP fragments large messages into PDUs of 4 KBytes".
@@ -133,12 +134,13 @@ impl LoopbackStack {
         let costs = self.fbs.machine().costs().clone();
 
         // Test protocol: build the message.
-        let payload: Option<Vec<u8>> = verify.then(|| {
-            (0..size)
-                .map(|i| (i.wrapping_mul(31).wrapping_add(self.datagram)) as u8)
-                .collect()
-        });
-        let msg = self.build(size, payload.as_deref())?;
+        let seed = self.datagram;
+        let fill = if verify {
+            Fill::Pattern(seed)
+        } else {
+            Fill::Touch
+        };
+        let msg = self.build(size, fill)?;
         self.charge(costs.proto_test_msg);
 
         // Cross into the network server domain.
@@ -182,8 +184,9 @@ impl LoopbackStack {
         self.refs.release(&mut self.fbs, self.netserver, &msg)?;
         self.cross(&up, self.netserver, self.receiver, true)?;
         self.charge(costs.proto_test_msg);
-        if let Some(expected) = payload {
+        if verify {
             let got = up.gather(&mut self.fbs, self.receiver)?;
+            let expected: Vec<u8> = (0..size).map(|i| Fill::pattern_byte(i, seed)).collect();
             assert_eq!(got, expected, "loopback corrupted the payload");
         } else {
             up.touch(&mut self.fbs, self.receiver)?;
@@ -217,35 +220,18 @@ impl LoopbackStack {
             .instant(m.now(), kind, self.netserver.0, path, None);
     }
 
-    fn build(&mut self, size: u64, payload: Option<&[u8]>) -> FbufResult<Msg> {
+    fn build(&mut self, size: u64, fill: Fill) -> FbufResult<Msg> {
         let mode = match self.path {
             Some(p) => AllocMode::Cached(p),
             None => AllocMode::Uncached,
         };
-        let page = self.fbs.machine().page_size();
         let mut msg = Msg::with_capacity(size.div_ceil(PDU) as usize);
+        let mut buf = Vec::new();
         let mut pos = 0u64;
         while pos < size {
             let this = PDU.min(size - pos);
             let id = self.fbs.alloc(self.originator, mode, this)?;
-            match payload {
-                Some(data) => {
-                    self.fbs.write_fbuf(
-                        self.originator,
-                        id,
-                        0,
-                        &data[pos as usize..(pos + this) as usize],
-                    )?;
-                }
-                None => {
-                    // Touch one word per page, as the paper's test does.
-                    let mut off = 0;
-                    while off < this {
-                        self.fbs.write_fbuf(self.originator, id, off, &[0xA7])?;
-                        off += page;
-                    }
-                }
-            }
+            fill.write(&mut self.fbs, self.originator, id, (pos, this), &mut buf)?;
             msg.push(Extent {
                 fbuf: id,
                 off: 0,

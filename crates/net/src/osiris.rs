@@ -235,11 +235,7 @@ impl EndToEnd {
         self.datagram += 1;
         let datagram = self.datagram;
         let fill = if verify {
-            Fill::Bytes(
-                (0..size)
-                    .map(|i| (i.wrapping_mul(131).wrapping_add(datagram)) as u8)
-                    .collect(),
-            )
+            Fill::Pattern(datagram)
         } else {
             Fill::Touch
         };
@@ -473,9 +469,7 @@ mod tests {
                 let mut e = EndToEnd::new(machine(), cfg);
                 e.send_message(50_000, 1, true).unwrap();
                 assert_eq!(e.received.len(), 1, "{setup:?}");
-                let expected: Vec<u8> = (0..50_000u64)
-                    .map(|i| (i.wrapping_mul(131).wrapping_add(1)) as u8)
-                    .collect();
+                let expected: Vec<u8> = (0..50_000).map(|i| Fill::pattern_byte(i, 1)).collect();
                 assert_eq!(e.received[0], expected, "{setup:?}");
             }
         }

@@ -928,8 +928,10 @@ impl Machine {
                     self.clock
                         .charge(CostCategory::Tlb, self.cfg.costs.tlb_refill);
                     self.stats.inc_tlb_refills();
+                    self.tlb.insert(dom, vpn, e.frame, e.prot);
+                } else {
+                    self.tlb.refill(dom, vpn, e.frame, e.prot);
                 }
-                self.tlb.insert(dom, vpn, e.frame, e.prot);
                 return Ok(e.frame);
             }
         }

@@ -35,9 +35,10 @@ struct TlbEntry {
 /// Entries sit densely in a `Vec`, a `(domain, vpn) → slot` index finds
 /// one in O(1), and a doubly linked recency list threaded through the
 /// slots keeps the exact least-recently-used order, so replacement
-/// evicts the same entry a scan for the oldest use would. Removing an
-/// entry `swap_remove`s it and re-points the index and the list at the
-/// entry that moved into its slot.
+/// evicts the same entry a scan for the oldest use would. A full TLB
+/// evicts in place: the new translation takes the victim's slot, so no
+/// entry moves. Invalidating an entry `swap_remove`s it and re-points
+/// the index and the list at the entry that moved into its slot.
 #[derive(Debug)]
 pub struct Tlb {
     capacity: usize,
@@ -93,18 +94,33 @@ impl Tlb {
             self.make_newest(slot);
             return;
         }
-        if self.entries.len() == self.capacity {
-            self.remove(self.oldest);
-        }
-        let slot = self.entries.len() as u32;
-        self.entries.push(TlbEntry {
+        self.refill(domain, vpn, frame, prot);
+    }
+
+    /// Installs a translation the caller knows is absent (a
+    /// [`Tlb::lookup`] just missed it). A full TLB evicts its LRU entry
+    /// in place, so a refill costs one index removal and one insertion.
+    pub fn refill(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, prot: Prot) {
+        debug_assert!(!self.index.contains_key(&(domain, vpn)));
+        let entry = TlbEntry {
             domain,
             vpn,
             frame,
             prot,
             newer: NIL,
             older: NIL,
-        });
+        };
+        let slot = if self.entries.len() < self.capacity {
+            self.entries.push(entry);
+            self.entries.len() as u32 - 1
+        } else {
+            let slot = self.oldest;
+            let victim = self.entries[slot as usize];
+            self.index.remove(&(victim.domain, victim.vpn));
+            self.link(victim.newer, victim.older);
+            self.entries[slot as usize] = entry;
+            slot
+        };
         self.index.insert((domain, vpn), slot);
         self.push_newest(slot);
     }

@@ -7,7 +7,10 @@
 //! of every operation at several capacities must give identical results,
 //! identical hit/miss counts and the identical resident set in identical
 //! recency order after every step, so the simulated TLB refills and
-//! flushes that feed the cost model cannot have moved.
+//! flushes that feed the cost model cannot have moved. Refills after a
+//! miss (the path `Machine::resolve` takes), alone and in long runs that
+//! turn a full TLB over several times, check that eviction in place
+//! picks the oracle's victim and keeps its recency order.
 
 use fbuf_sim::{Checker, Rng};
 use fbuf_vm::tlb::Tlb;
@@ -111,6 +114,8 @@ impl Oracle {
 enum Op {
     Lookup(DomainId, Vpn),
     Insert(DomainId, Vpn, FrameId, Prot),
+    /// A lookup, refilled on a miss as `Machine::resolve` refills it.
+    Refill(DomainId, Vpn, FrameId, Prot),
     Invalidate(DomainId, Vpn),
     InvalidateRange(DomainId, Vpn, u64),
     InvalidateDomain(DomainId),
@@ -119,24 +124,42 @@ enum Op {
 
 /// Keys come from a space a little over twice the capacity across three
 /// domains, so the sequence mixes hits, misses, refreshes and evictions.
-fn arb_op(rng: &mut Rng, capacity: usize) -> Op {
+/// Every third stretch of `4 * capacity` steps is instead a long run of
+/// refills over a window of recent pages that slides one page a step
+/// past that space: misses evict in place, hits reorder the recency list.
+fn arb_op(rng: &mut Rng, capacity: usize, step: usize) -> Op {
     let vpns = 2 * capacity as u64 + 2;
     let dom = DomainId(rng.below(3) as u32);
     let vpn = Vpn(rng.below(vpns));
+    let frame = FrameId(rng.below(1024) as u32);
+    let prot = if rng.chance(0.5) {
+        Prot::Read
+    } else {
+        Prot::ReadWrite
+    };
+    if step / (4 * capacity) % 3 == 2 {
+        let v = vpns + step as u64 - rng.below(capacity as u64 + 2);
+        return Op::Refill(DomainId(v as u32 % 3), Vpn(v), frame, prot);
+    }
     match rng.below(100) {
-        0..=39 => Op::Lookup(dom, vpn),
-        40..=79 => {
-            let prot = if rng.chance(0.5) {
-                Prot::Read
-            } else {
-                Prot::ReadWrite
-            };
-            Op::Insert(dom, vpn, FrameId(rng.below(1024) as u32), prot)
-        }
+        0..=29 => Op::Lookup(dom, vpn),
+        30..=54 => Op::Insert(dom, vpn, frame, prot),
+        55..=79 => Op::Refill(dom, vpn, frame, prot),
         80..=89 => Op::Invalidate(dom, vpn),
         90..=95 => Op::InvalidateRange(dom, vpn, rng.below(capacity as u64 + 1)),
         96..=98 => Op::InvalidateDomain(dom),
         _ => Op::Clear,
+    }
+}
+
+/// `Machine::resolve`'s miss path on both: a lookup, and a refill only
+/// when it missed.
+fn refill(tlb: &mut Tlb, oracle: &mut Oracle, d: DomainId, v: Vpn, f: FrameId, p: Prot) {
+    let hit = tlb.lookup(d, v);
+    assert_eq!(hit, oracle.lookup(d, v), "lookup of {d:?} {v:?}");
+    if hit.is_none() {
+        tlb.refill(d, v, f, p);
+        oracle.insert(d, v, f, p);
     }
 }
 
@@ -148,7 +171,7 @@ fn indexed_tlb_matches_the_linear_scan_oracle() {
             let mut tlb = Tlb::new(capacity);
             let mut oracle = Oracle::new(capacity);
             for step in 0..20 * capacity + 50 {
-                let op = arb_op(rng, capacity);
+                let op = arb_op(rng, capacity, step);
                 match op {
                     Op::Lookup(d, v) => {
                         assert_eq!(tlb.lookup(d, v), oracle.lookup(d, v), "step {step}: {op:?}")
@@ -157,6 +180,7 @@ fn indexed_tlb_matches_the_linear_scan_oracle() {
                         tlb.insert(d, v, f, p);
                         oracle.insert(d, v, f, p);
                     }
+                    Op::Refill(d, v, f, p) => refill(&mut tlb, &mut oracle, d, v, f, p),
                     Op::Invalidate(d, v) => assert_eq!(
                         tlb.invalidate(d, v),
                         oracle.remove_where(|e| e.domain == d && e.vpn == v) == 1,
