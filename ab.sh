@@ -7,21 +7,21 @@
 # (`git archive`, so no worktree bookkeeping is left in .git) under
 # target/ab/<commit>/, and the working tree's fbufbench in place. It
 # then runs AB_PAIRS interleaved pairs of each named workload (default:
-# every workload in BENCHMARK.json), alternating which side runs first,
-# into target/ab/results/base/ and target/ab/results/head/ (emptied
-# first). For every end-to-end metric of BENCHMARK.json it prints both
-# medians, the change, the base's interquartile range over its median,
-# whether the gap between the medians exceeds that range, the pairs the
-# head won, and each pair's head/base ratio. Last it runs
-# `fbufbench compare` on the two result directories.
+# every workload in BENCHMARK.json) at BENCHMARK.json's run length,
+# alternating which side runs first, into target/ab/results/base/ and
+# target/ab/results/head/ (emptied first). For every end-to-end metric
+# of BENCHMARK.json it prints the pairs the head won and each pair's
+# head/base ratio; then `fbufbench compare` on the two result
+# directories prints both medians with their quartiles (A is the base).
 #
-# Knobs: AB_PAIRS (pairs per workload, default 10), AB_SECONDS (run
-# length, default BENCHMARK.json's run_seconds), AB_SEED (default 1).
+# Knobs: AB_PAIRS (pairs per workload, default 10), AB_SEED (default 1).
 #
 # Exits 1 if sim_mbps (simulated time, exact at a seed) differs between
 # any two runs of a workload or if compare flags an end-to-end metric
 # beyond its bound, and 2 on a usage, build or run error.
 set -eu
+# Both builds must land in their own package's target/.
+unset CARGO_TARGET_DIR
 
 usage() {
     echo "usage: $0 <base-rev> [workload...]" >&2
@@ -35,7 +35,7 @@ shift
 spec=BENCHMARK.json
 pairs=${AB_PAIRS:-10}
 seed=${AB_SEED:-1}
-seconds=${AB_SECONDS:-$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")}
+seconds=$(sed -n 's/.*"run_seconds": *\([0-9.]*\).*/\1/p' "$spec")
 
 # The names in one top-level array of the spec, and for end_to_end the
 # direction each metric improves in ("name:lower").
@@ -94,29 +94,12 @@ for w in "$@"; do
         fi
         i=$((i + 1))
     done
-    # Quartiles by the same exclusive method as `fbufbench compare`.
     awk -v metrics="$metrics" '
         function val(line, m,   s) {
             if (!match(line, "\"" m "\":\\{\"value\":[^,}]+")) return ""
             s = substr(line, RSTART, RLENGTH)
             sub(/.*"value":/, "", s)
             return s
-        }
-        function sort(a, n,   i, j, t) {
-            for (i = 2; i <= n; i++) {
-                t = a[i]
-                for (j = i - 1; j >= 1 && a[j] > t; j--) a[j + 1] = a[j]
-                a[j + 1] = t
-            }
-        }
-        function quartile(a, n, i,   m, j, d) {
-            if (n < 2) return a[1]
-            m = n + 1
-            j = int(i * m / 4)
-            if (j < 1) j = 1
-            if (j > n - 1) j = n - 1
-            d = i * m - j * 4
-            return (a[j] * (4 - d) + a[j + 1] * d) / 4
         }
         FNR == 1 { side++ }
         { line[side, FNR] = $0; n[side] = FNR }
@@ -126,31 +109,19 @@ for w in "$@"; do
             for (s = 1; s <= 2; s++)
                 for (p = 1; p <= n[s]; p++)
                     if (val(line[s, p], "sim_mbps") != sim) differs = 1
-            printf "%-16s %-6s %12s %12s %8s %8s %-7s %-5s %s\n", "metric", "better", "base p50", "head p50", "change", "base IQR", "gap>IQR", "wins", "head/base by pair"
+            printf "%-16s %-6s %-5s %s\n", "metric", "better", "wins", "head/base by pair"
             k = split(metrics, ms, " ")
             for (i = 1; i <= k; i++) {
                 split(ms[i], nb, ":")
-                m = nb[1]
                 wins = 0
                 ratios = ""
                 for (p = 1; p <= pairs; p++) {
-                    b = val(line[1, p], m) + 0
-                    h = val(line[2, p], m) + 0
-                    A[p] = b
-                    B[p] = h
+                    b = val(line[1, p], nb[1]) + 0
+                    h = val(line[2, p], nb[1]) + 0
                     ratios = ratios sprintf(" %.3f", b != 0 ? h / b : 0)
                     if ((nb[2] == "lower" && h < b) || (nb[2] == "higher" && h > b)) wins++
                 }
-                sort(A, pairs)
-                sort(B, pairs)
-                mb = quartile(A, pairs, 2)
-                mh = quartile(B, pairs, 2)
-                iqr = quartile(A, pairs, 3) - quartile(A, pairs, 1)
-                gap = (mh - mb > iqr || mb - mh > iqr) ? "yes" : "no"
-                if (mb != 0)
-                    printf "%-16s %-6s %12.6g %12.6g %+7.1f%% %7.1f%% %-7s %2d/%-2d %s\n", m, nb[2], mb, mh, 100 * (mh / mb - 1), 100 * iqr / mb, gap, wins, pairs, ratios
-                else
-                    printf "%-16s %-6s %12.6g %12.6g %8s %8s %-7s %2d/%-2d %s\n", m, nb[2], mb, mh, "n/a", "n/a", gap, wins, pairs, ratios
+                printf "%-16s %-6s %2d/%-2d %s\n", nb[1], nb[2], wins, pairs, ratios
             }
             if (differs) {
                 print "sim_mbps DIFFERS between runs: simulated time moved"
@@ -160,6 +131,6 @@ for w in "$@"; do
     ' "$results/base/$w.lines" "$results/head/$w.lines" || status=1
 done
 
-echo "== fbufbench compare base head"
+echo "== fbufbench compare base head (A = base, B = head)"
 "$bin_head" compare "$results/base" "$results/head" --spec "$spec" || status=1
 exit $status
