@@ -13,12 +13,17 @@
 # of BENCHMARK.json it prints the pairs the head won and each pair's
 # head/base ratio; then `fbufbench compare` on the two result
 # directories prints both medians with their quartiles (A is the base).
+# Before the pairs, each side runs each workload once traced at
+# `--seconds 0` (the fewest rounds) into target/ab/results/exact/, and
+# the metrics the run marks `exact` (simulated time and per-transfer
+# counts, fixed by the seed) are compared line by line.
 #
 # Knobs: AB_PAIRS (pairs per workload, default 10), AB_SEED (default 1).
 #
-# Exits 1 if sim_mbps (simulated time, exact at a seed) differs between
-# any two runs of a workload or if compare flags an end-to-end metric
-# beyond its bound, and 2 on a usage, build or run error.
+# Exits 1 if an exact metric differs between the sides, if sim_mbps
+# (simulated time, exact at a seed) differs between any two runs of a
+# workload, or if compare flags an end-to-end metric beyond its bound,
+# and 2 on a usage, build or run error.
 set -eu
 # Both builds must land in their own package's target/.
 unset CARGO_TARGET_DIR
@@ -65,7 +70,7 @@ bin_head=fbufbench/target/release/fbufbench
 
 results=target/ab/results
 rm -rf "$results"
-mkdir -p "$results/base" "$results/head"
+mkdir -p "$results/base" "$results/head" "$results/exact/base" "$results/exact/head"
 
 # run <side> <workload>: one untraced run; its result line is appended
 # to <side>/<workload>.lines.
@@ -80,8 +85,35 @@ run() {
     echo "$out" | tail -n 1 >>"$results/$1/$2.lines"
 }
 
+# exact <side> <workload>: one traced run at the fewest rounds; its
+# exact metrics, one "name value" line each, go to exact/<side>/<workload>.
+exact() {
+    eval "bin=\$bin_$1"
+    out=$("$bin" --workload "$2" --seed "$seed" --seconds 0 --trace 1 \
+        --out "$results/exact/$1") || {
+        echo "$1 exact run of $2 failed:" >&2
+        echo "$out" >&2
+        exit 2
+    }
+    echo "$out" | awk '$NF == "exact" { print $1, $2 }' >"$results/exact/$1/$2"
+}
+
 status=0
 for w in "$@"; do
+    exact base "$w"
+    exact head "$w"
+    n=$(wc -l <"$results/exact/base/$w")
+    if [ "$n" -eq 0 ]; then
+        echo "== $w: the base run printed no exact metric" >&2
+        exit 2
+    fi
+    if diff "$results/exact/base/$w" "$results/exact/head/$w" >"$results/exact/$w.diff"; then
+        echo "== $w: all $n exact metrics identical"
+    else
+        echo "== $w: EXACT METRICS DIFFER (< base, > head):"
+        cat "$results/exact/$w.diff"
+        status=1
+    fi
     echo "== $w: $pairs pairs of ${seconds} s at seed $seed (base ${base%"${base#???????}"}, head: working tree)"
     i=1
     while [ "$i" -le "$pairs" ]; do

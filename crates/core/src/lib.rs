@@ -88,5 +88,5 @@ pub use shard::{
     fleet_ledger, fleet_snapshot, fleet_telemetry, fleet_trace, run_fleet, shard_of_path,
     CrossShardMsg, FleetConfig, Links, NoticeBatch, Shard, ShardReport, NOTICE_BATCH_MAX,
 };
-pub use system::{AllocMode, FbufSystem, ReusePolicy, SendMode};
+pub use system::{AllocMode, FbufSystem, PageSource, ReusePolicy, SendMode};
 pub use tenant::JailConfig;

@@ -42,7 +42,7 @@ use fbuf_sim::{
 };
 use fbuf_vm::{DomainId, FrameId, Machine, Prot};
 
-use crate::buffer::{Fbuf, FbufHot, FbufId, FbufState};
+use crate::buffer::{Fbuf, FbufHot, FbufId, FbufState, SmallList};
 use crate::error::{FbufError, FbufResult};
 use crate::path::{DataPath, PathId};
 use crate::policy::QuotaPolicy;
@@ -62,6 +62,11 @@ pub enum AllocMode {
     /// are necessary for each domain transfer."
     Uncached,
 }
+
+/// The bytes of a device receive, one fresh page per call: each call
+/// appends the next page's bytes (at most a page) to the page's emptied
+/// storage. See [`FbufSystem::alloc_from`].
+pub type PageSource<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
 
 impl AllocMode {
     /// The path a cached allocation is made on.
@@ -720,7 +725,26 @@ impl FbufSystem {
     /// are satisfied from the path's LIFO free list when possible —
     /// skipping clearing and all mapping work ("no clearing of the buffers
     /// is required, and the appropriate mappings already exist", §3.2.2).
+    #[inline]
     pub fn alloc(&mut self, dom: DomainId, mode: AllocMode, len: u64) -> FbufResult<FbufId> {
+        self.alloc_from(dom, mode, len, None)
+    }
+
+    /// [`FbufSystem::alloc`] for a device receive when `source` is given:
+    /// each frame the allocation builds fresh (every page of an uncached
+    /// buffer, or of a cached miss) is made from the bytes `source`
+    /// appends for it, called once per page in page order, and reads
+    /// zero past them. No clear is charged for such a buffer, since the
+    /// device writes it. A cached hit reuses its frames without calling
+    /// `source` (any the pageout daemon took come back zeroed), so the
+    /// caller writes those itself. Without `source` this is `alloc`.
+    pub fn alloc_from(
+        &mut self,
+        dom: DomainId,
+        mode: AllocMode,
+        len: u64,
+        source: Option<PageSource<'_>>,
+    ) -> FbufResult<FbufId> {
         self.check_domain(dom)?;
         self.admit(dom, mode)?;
         let t0 = self.machine.now();
@@ -748,7 +772,7 @@ impl FbufSystem {
                 if let Some(id) = parked {
                     self.write_gauge(Gauge::PathParked(path_id.0 as u32));
                     self.park_unlink(id);
-                    let id = match self.reuse_cached(id, dom, len) {
+                    let id = match self.reuse_cached(id, dom, len, source.is_some()) {
                         Ok(id) => id,
                         Err(e) => {
                             // Re-materialization failed (memory pressure or
@@ -767,7 +791,7 @@ impl FbufSystem {
                     (id, Some(EventKind::CacheHit))
                 } else {
                     self.machine.stats_mut().inc_fbuf_cache_misses();
-                    let id = self.build(dom, Some(path_id), pages, len)?;
+                    let id = self.build(dom, Some(path_id), pages, len, source)?;
                     (id, Some(EventKind::CacheMiss))
                 }
             }
@@ -775,7 +799,7 @@ impl FbufSystem {
                 // The default allocator enters the kernel VM system.
                 self.machine
                     .charge(CostCategory::Vm, self.machine.costs().vm_invoke);
-                (self.build(dom, None, pages, len)?, None)
+                (self.build(dom, None, pages, len, source)?, None)
             }
         };
         // `reuse_cached`/`build` stamped the birth instant that hold-time
@@ -804,17 +828,23 @@ impl FbufSystem {
     /// other system activity" (§3.3). The pass reclaims up to
     /// [`MachineConfig::reclaim_batch`] frames before retrying.
     ///
-    /// The frame comes cleared, filled once; the clear is billed when
-    /// [`FbufSystem::charge_clearing`] is set.
-    fn frame_with_reclaim(&mut self) -> FbufResult<FrameId> {
+    /// The frame's page is written once: from `source` and then zeros,
+    /// unbilled, or else cleared, billed when
+    /// [`FbufSystem::charge_clearing`] is set. `source` runs only for
+    /// the allocation that succeeds.
+    fn frame_with_reclaim(&mut self, mut source: Option<PageSource<'_>>) -> FbufResult<FrameId> {
         let charge = self.charge_clearing;
-        match self.machine.alloc_zeroed_frame(charge) {
+        let mut take = |m: &mut Machine| match source.as_deref_mut() {
+            Some(fill) => m.alloc_frame_from(fill),
+            None => m.alloc_zeroed_frame(charge),
+        };
+        match take(&mut self.machine) {
             Ok(f) => Ok(f),
             Err(fbuf_vm::Fault::OutOfMemory) => {
                 if self.reclaim_frames(self.machine.config().reclaim_batch) == 0 {
                     return Err(fbuf_vm::Fault::OutOfMemory.into());
                 }
-                Ok(self.machine.alloc_zeroed_frame(charge)?)
+                Ok(take(&mut self.machine)?)
             }
             Err(e) => Err(e.into()),
         }
@@ -822,15 +852,22 @@ impl FbufSystem {
 
     /// Hands a parked fbuf back to the originator: the paper's steady-state
     /// hit path — a free-list charge and O(1) bookkeeping, no mapping work
-    /// and no allocation.
-    fn reuse_cached(&mut self, id: FbufId, dom: DomainId, len: u64) -> FbufResult<FbufId> {
+    /// and no allocation. `received` marks a device receive: frames the
+    /// daemon took come back zeroed without a clear charge.
+    fn reuse_cached(
+        &mut self,
+        id: FbufId,
+        dom: DomainId,
+        len: u64,
+        received: bool,
+    ) -> FbufResult<FbufId> {
         self.machine.stats_mut().inc_fbuf_cache_hits();
         self.machine
             .charge(CostCategory::Alloc, self.machine.costs().freelist_op);
         if !self.fbufs.get(id.0).expect("parked fbuf exists").resident() {
             // The pageout daemon stole frames while the buffer sat parked:
             // re-materialize before handing it out.
-            self.rematerialize(id, dom)?;
+            self.rematerialize(id, dom, received)?;
         }
         let now = self.machine.now();
         let FbufSystem { fbufs, hot, .. } = self;
@@ -847,7 +884,8 @@ impl FbufSystem {
     /// Re-materializes frames the pageout daemon reclaimed while the fbuf
     /// sat parked: allocate and clear each missing frame, then install the
     /// mappings with batched range ops over each contiguous missing run.
-    fn rematerialize(&mut self, id: FbufId, dom: DomainId) -> FbufResult<()> {
+    /// The clears are unbilled for a device receive (`received`).
+    fn rematerialize(&mut self, id: FbufId, dom: DomainId, received: bool) -> FbufResult<()> {
         let page_size = self.machine.page_size();
         let (va, missing): (u64, Vec<u64>) = {
             let f = self.fbufs.get(id.0).expect("parked fbuf exists");
@@ -860,7 +898,9 @@ impl FbufSystem {
         };
         // On failure the buffer stays wholly non-resident.
         let mut fresh = Vec::with_capacity(missing.len());
-        self.fresh_frames(missing.len(), &mut fresh)?;
+        let mut zeros = |_: &mut Vec<u8>| {};
+        let source = received.then_some(&mut zeros as PageSource<'_>);
+        self.fresh_frames(missing.len(), &mut fresh, source)?;
         let mut i = 0usize;
         while i < missing.len() {
             let mut run = 1usize;
@@ -885,13 +925,23 @@ impl FbufSystem {
         Ok(())
     }
 
-    /// Appends `n` cleared frames for fbuf memory to `frames`. Partial
+    /// Appends `n` frames for fbuf memory to `frames`, cleared or built
+    /// from `source` (see [`FbufSystem::frame_with_reclaim`]). Partial
     /// failure must not strand the frames already taken, so on error
     /// they are released and `frames` is as it was.
-    fn fresh_frames(&mut self, n: usize, frames: &mut Vec<FrameId>) -> FbufResult<()> {
+    fn fresh_frames(
+        &mut self,
+        n: usize,
+        frames: &mut Vec<FrameId>,
+        mut source: Option<PageSource<'_>>,
+    ) -> FbufResult<()> {
         let start = frames.len();
         for _ in 0..n {
-            match self.frame_with_reclaim() {
+            let page: Option<PageSource<'_>> = match source {
+                Some(ref mut fill) => Some(&mut **fill),
+                None => None,
+            };
+            match self.frame_with_reclaim(page) {
                 Ok(f) => frames.push(f),
                 Err(e) => {
                     for f in frames.drain(start..) {
@@ -910,6 +960,7 @@ impl FbufSystem {
         path: Option<PathId>,
         pages: u64,
         len: u64,
+        source: Option<PageSource<'_>>,
     ) -> FbufResult<FbufId> {
         let page_size = self.machine.page_size();
         let chunk_size = self.machine.config().chunk_size;
@@ -961,7 +1012,7 @@ impl FbufSystem {
         };
         let mut frames = std::mem::take(&mut self.frame_list);
         frames.clear();
-        if let Err(e) = self.fresh_frames(pages as usize, &mut frames) {
+        if let Err(e) = self.fresh_frames(pages as usize, &mut frames, source) {
             self.frame_list = frames;
             // Hand the carved window back to the local allocator: a
             // failed build leaks neither frames nor address space.
@@ -972,16 +1023,21 @@ impl FbufSystem {
         }
         // One batched mapping install for the whole buffer.
         self.machine.map_range(dom, va, &frames, Prot::ReadWrite)?;
-        let listed = frames.iter().map(|&f| Some(f)).collect();
+        let mut listed = SmallList::with_capacity(frames.len());
+        for &f in &frames {
+            listed.push(Some(f));
+        }
         self.frame_list = frames;
+        let mut holders = SmallList::new();
+        holders.push(dom);
         let handle = self.fbufs.insert(Fbuf {
             id: FbufId(0), // patched below once the handle is known
             va,
             pages,
             len,
             originator: dom,
-            holders: [dom].into_iter().collect(),
-            mapped_in: [dom].into_iter().collect(),
+            holders: holders.clone(),
+            mapped_in: holders,
             frames: listed,
         });
         let id = FbufId(handle);

@@ -4,7 +4,7 @@ use std::ops::Deref;
 
 use fbuf::{AllocMode, FbufError, FbufId, FbufResult, FbufSystem, PathId, SendMode};
 use fbuf_sim::{CostCategory, MachineConfig};
-use fbuf_vm::{DomainId, Fault, KERNEL_DOMAIN};
+use fbuf_vm::{DomainId, Fault, FrameId, KERNEL_DOMAIN};
 use fbuf_xkernel::{integrated, Extent, Msg, MsgRefs};
 
 /// Where the protocol stack's layers live (paper §4, Figures 5/6 legends).
@@ -112,8 +112,17 @@ impl Fill {
                 Ok(())
             }
             Fill::Pattern(seed) => {
+                // Byte `i` depends only on `i mod 256`, so the fill is
+                // one period from `base`, then copies of it.
+                let period: [u8; 256] =
+                    std::array::from_fn(|k| Fill::pattern_byte(base.wrapping_add(k as u64), seed));
+                let len = len as usize;
                 buf.clear();
-                buf.extend((base..base + len).map(|i| Fill::pattern_byte(i, seed)));
+                buf.reserve(len);
+                buf.extend_from_slice(&period[..len.min(256)]);
+                while buf.len() < len {
+                    buf.extend_from_within(..buf.len().min(len - buf.len()));
+                }
                 fbs.write_fbuf(dom, id, 0, buf)
             }
         }
@@ -151,6 +160,10 @@ pub struct Host {
     in_path: PathId,
     /// Pattern bytes staged for one fbuf, reused by every fill.
     buf: Vec<u8>,
+    /// A receive's DMA gather list, reused by every receive: the
+    /// transmit frame, offset and length of each piece of the message,
+    /// in order.
+    gather: Vec<(FrameId, usize, usize)>,
 }
 
 impl Host {
@@ -184,6 +197,7 @@ impl Host {
             out_path,
             in_path,
             buf: Vec::new(),
+            gather: Vec::new(),
         }
     }
 
@@ -294,33 +308,28 @@ impl Host {
         self.refs.release(&mut self.fbs, dom, msg)
     }
 
-    /// Allocates a driver receive buffer in the kernel: from the inbound
-    /// path's cache if `cached`, else from the default allocator. Clearing
-    /// is never charged — an arriving PDU overwrites the whole buffer by
-    /// DMA.
-    pub fn alloc_rx(&mut self, len: u64, cached: bool) -> FbufResult<FbufId> {
-        let mode = if cached {
-            AllocMode::Cached(self.in_path())
-        } else {
-            AllocMode::Uncached
-        };
-        let was = self.fbs.charge_clearing;
-        self.fbs.charge_clearing = false;
-        let r = self.fbs.alloc(KERNEL_DOMAIN, mode, len);
-        self.fbs.charge_clearing = was;
-        r
-    }
-
-    /// Receives `msg`, a message on the `src` host, into this host's
-    /// fbuf `id` by DMA: each payload byte moves once, straight from the
-    /// transmitting host's frames into the receive buffer's frames, with
-    /// no staging buffer and no CPU charge (the driver accounts for wire
-    /// and DMA time). A transmit page with no frame behind it is refused
-    /// as [`Fault::Unmapped`].
-    pub fn dma_from(&mut self, id: FbufId, src: &Host, msg: &Msg) -> FbufResult<()> {
+    /// Receives `msg`, a message on the `src` host, by DMA into a new
+    /// kernel receive buffer of `len` bytes: from the inbound path's
+    /// cache if `cached`, else from the default allocator. Each payload
+    /// byte moves once, straight from the transmitting host's frames
+    /// into the receiver's, with no staging buffer and no CPU charge
+    /// (the driver accounts for wire and DMA time). Clearing is never
+    /// charged: the frames of a buffer built fresh (every uncached one,
+    /// and a cached miss) are made from the arriving bytes, and whatever
+    /// a short message leaves of their pages reads zero. A reused cached
+    /// buffer is written in place, as a buffer kept on its own data path
+    /// needs no clearing (§3.2.2).
+    ///
+    /// The descriptor is checked before anything is allocated, so a
+    /// refused receive leaves no buffer behind: an extent past the end
+    /// of its transmit buffer, or a message longer than `len`, is
+    /// [`FbufError::TooLarge`], and a transmit page with no frame behind
+    /// it is [`Fault::Unmapped`].
+    pub fn receive(&mut self, len: u64, cached: bool, src: &Host, msg: &Msg) -> FbufResult<FbufId> {
         let tx = src.fbs.machine();
-        let page = tx.page_size();
-        let mut at = 0u64;
+        let tx_page = tx.page_size();
+        self.gather.clear();
+        let mut total = 0u64;
         for e in msg.extents() {
             let f = src.fbs.fbuf(e.fbuf)?;
             let end = e.off.saturating_add(e.len);
@@ -332,19 +341,55 @@ impl Host {
             }
             let mut pos = e.off;
             while pos < end {
-                let (idx, off) = ((pos / page) as usize, pos % page);
-                let n = (page - off).min(end - pos);
+                let (idx, off) = ((pos / tx_page) as usize, pos % tx_page);
+                let n = (tx_page - off).min(end - pos);
                 let frame = f.frames[idx].ok_or(Fault::Unmapped {
                     domain: KERNEL_DOMAIN,
                     va: f.va + pos,
                 })?;
-                let bytes = tx.dma_slice(frame, off as usize, n as usize);
-                self.fbs.dma_into_fbuf_at(id, at, bytes)?;
+                self.gather.push((frame, off as usize, n as usize));
                 pos += n;
-                at += n;
             }
+            total += e.len;
         }
-        Ok(())
+        if total > len {
+            return Err(FbufError::TooLarge {
+                requested: total,
+                max: len,
+            });
+        }
+
+        let mode = if cached {
+            AllocMode::Cached(self.in_path)
+        } else {
+            AllocMode::Uncached
+        };
+        let page = self.fbs.machine().page_size() as usize;
+        let Host { fbs, gather, .. } = self;
+        // The cursor over the gather list: the next piece, the bytes of
+        // it already placed, and the bytes placed in all.
+        let (mut next, mut used, mut placed) = (0usize, 0usize, 0u64);
+        let mut fill = |buf: &mut Vec<u8>| {
+            while next < gather.len() && buf.len() < page {
+                let (frame, off, n) = gather[next];
+                let take = (n - used).min(page - buf.len());
+                buf.extend_from_slice(tx.dma_slice(frame, off + used, take));
+                used += take;
+                placed += take as u64;
+                if used == n {
+                    (next, used) = (next + 1, 0);
+                }
+            }
+        };
+        let id = fbs.alloc_from(KERNEL_DOMAIN, mode, len, Some(&mut fill))?;
+        // A cached hit built no frame: the DMA writes the reused ones.
+        for &(frame, off, n) in &gather[next..] {
+            let bytes = tx.dma_slice(frame, off + used, n - used);
+            fbs.dma_into_fbuf_at(id, placed, bytes)?;
+            placed += bytes.len() as u64;
+            used = 0;
+        }
+        Ok(id)
     }
 }
 
@@ -399,35 +444,39 @@ mod tests {
         assert_eq!(h.gather(h.app, &msg).unwrap(), data);
         // What the receiving host's buffer gets matches exactly, from an
         // extent that starts mid-page and spans both of the message's
-        // fbufs (the tiny chunk is 16 KB).
+        // fbufs (the tiny chunk is 16 KB), into a cached buffer (a miss,
+        // then a hit that reuses it) and an uncached one.
         let mut rx = tiny_host(DomainSetup::User);
         let (_, body) = msg.split(12_000);
         assert_eq!(body.fragments(), 2);
-        let id = rx.alloc_rx(8_000, true).unwrap();
-        rx.dma_from(id, &h, &body).unwrap();
-        let got = Msg::from_fbuf(id, 0, 8_000);
         let k = rx.kernel();
-        rx.refs.adopt(k, &got);
-        assert_eq!(rx.gather(k, &got).unwrap(), data[12_000..]);
-        rx.release(k, &got).unwrap();
+        for cached in [true, true, false] {
+            let id = rx.receive(8_000, cached, &h, &body).unwrap();
+            let got = Msg::from_fbuf(id, 0, 8_000);
+            rx.refs.adopt(k, &got);
+            assert_eq!(rx.gather(k, &got).unwrap(), data[12_000..], "{cached}");
+            rx.release(k, &got).unwrap();
+        }
         // A receive buffer too short for the message is refused, and so
-        // is a descriptor reaching past the end of its transmit buffer.
-        let short = rx.alloc_rx(4096, false).unwrap();
+        // is a descriptor reaching past the end of its transmit buffer;
+        // neither allocates.
+        let live = rx.fbs.live_fbufs();
         assert!(matches!(
-            rx.dma_from(short, &h, &body),
+            rx.receive(4096, false, &h, &body),
             Err(FbufError::TooLarge { .. })
         ));
         let first = msg.extents()[0];
         let past = Msg::from_fbuf(first.fbuf, first.len - 100, 1000);
         assert!(matches!(
-            rx.dma_from(short, &h, &past),
+            rx.receive(4096, true, &h, &past),
             Err(FbufError::TooLarge { .. })
         ));
+        assert_eq!(rx.fbs.live_fbufs(), live);
         h.release(h.app, &msg).unwrap();
     }
 
     #[test]
-    fn dma_from_a_page_without_a_frame_is_refused_as_unmapped() {
+    fn receive_from_a_page_without_a_frame_is_refused_as_unmapped() {
         let mut h = tiny_host(DomainSetup::User);
         let msg = h.build_message(8192, &Fill::Touch).unwrap();
         // The cached buffer parks on release, and the pageout daemon takes
@@ -435,11 +484,48 @@ mod tests {
         h.release(h.app, &msg).unwrap();
         assert_eq!(h.fbs.reclaim_frames(usize::MAX), 2);
         let mut rx = tiny_host(DomainSetup::User);
-        let id = rx.alloc_rx(8192, false).unwrap();
-        assert!(matches!(
-            rx.dma_from(id, &h, &msg),
-            Err(FbufError::Vm(Fault::Unmapped { .. }))
-        ));
+        for cached in [false, true] {
+            assert!(matches!(
+                rx.receive(8192, cached, &h, &msg),
+                Err(FbufError::Vm(Fault::Unmapped { .. }))
+            ));
+        }
+        assert_eq!(rx.fbs.live_fbufs(), 0, "a refused receive allocated");
+    }
+
+    #[test]
+    fn an_uncached_receive_reads_its_bytes_then_zeros_to_the_page_end() {
+        let mut h = tiny_host(DomainSetup::User);
+        let msg = h.build_message(5_000, &Fill::Pattern(3)).unwrap();
+        let mut rx = tiny_host(DomainSetup::User);
+        let id = rx.receive(6_000, false, &h, &msg).unwrap();
+        let k = rx.kernel();
+        let va = rx.fbs.fbuf(id).unwrap().va;
+        let pages = rx.fbs.machine_mut().read(k, va, 8192).unwrap();
+        let sent = h.gather(h.app, &msg).unwrap();
+        assert_eq!(pages[..5_000], sent[..]);
+        assert!(pages[5_000..].iter().all(|&b| b == 0));
+        // Nothing was billed for clearing.
+        assert_eq!(rx.fbs.stats().pages_cleared(), 0);
+        h.release(h.app, &msg).unwrap();
+    }
+
+    #[test]
+    fn pattern_fill_matches_pattern_byte_from_any_base() {
+        let mut h = tiny_host(DomainSetup::User);
+        let app = h.app;
+        let id = h.fbs.alloc(app, AllocMode::Uncached, 1_000).unwrap();
+        let (base, len) = (77_777u64, 1_000u64);
+        Fill::Pattern(9)
+            .write(&mut h.fbs, app, id, (base, len), &mut Vec::new())
+            .unwrap();
+        let mut got = vec![0u8; len as usize];
+        h.fbs.read_fbuf_into(app, id, 0, &mut got).unwrap();
+        let want: Vec<u8> = (base..base + len)
+            .map(|i| Fill::pattern_byte(i, 9))
+            .collect();
+        assert_eq!(got, want);
+        h.fbs.free(id, app).unwrap();
     }
 
     #[test]
@@ -466,26 +552,32 @@ mod tests {
     }
 
     #[test]
-    fn rx_alloc_cached_vs_uncached() {
+    fn receive_cached_vs_uncached() {
+        let mut tx = tiny_host(DomainSetup::User);
+        let msg = tx.build_message(4096, &Fill::Touch).unwrap();
         let mut h = tiny_host(DomainSetup::User);
-        let cached = h.alloc_rx(4096, true).unwrap();
+        let cached = h.receive(4096, true, &tx, &msg).unwrap();
         assert!(h.fbs.fbuf_hot(cached).unwrap().is_cached());
-        let uncached = h.alloc_rx(4096, false).unwrap();
+        let uncached = h.receive(4096, false, &tx, &msg).unwrap();
         assert!(!h.fbs.fbuf_hot(uncached).unwrap().is_cached());
         // DMA never charges clearing.
         assert_eq!(h.fbs.stats().pages_cleared(), 0);
+        tx.release(tx.app, &msg).unwrap();
     }
 
     #[test]
-    fn dma_into_rx_fbuf_delivers_bytes() {
+    fn dma_into_fbuf_delivers_bytes() {
         let mut h = tiny_host(DomainSetup::User);
-        let id = h.alloc_rx(10_000, true).unwrap();
+        let k = h.kernel();
+        let id = h
+            .fbs
+            .alloc(k, AllocMode::Cached(h.in_path()), 10_000)
+            .unwrap();
         let payload: Vec<u8> = (0..10_000u32).map(|i| (i % 13) as u8).collect();
         h.fbs.dma_into_fbuf(id, &payload).unwrap();
         let msg = Msg::from_fbuf(id, 0, 10_000);
-        h.refs.adopt(h.kernel(), &msg);
-        assert_eq!(h.gather(h.kernel(), &msg).unwrap(), payload);
-        let k = h.kernel();
+        h.refs.adopt(k, &msg);
+        assert_eq!(h.gather(k, &msg).unwrap(), payload);
         h.release(k, &msg).unwrap();
     }
 

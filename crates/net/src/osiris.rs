@@ -343,8 +343,7 @@ impl EndToEnd {
         }
         stats.inc_pdus_sent();
         let len = pdu.payload.len();
-        let id = self.rx.alloc_rx(len, cached)?;
-        self.rx.dma_from(id, &self.tx, &pdu.payload)?;
+        let id = self.rx.receive(len, cached, &self.tx, &pdu.payload)?;
         let m = Msg::from_fbuf(id, 0, len);
         let kernel = self.rx.kernel();
         let rx = self.rx.fbs.machine();
@@ -439,6 +438,8 @@ impl EndToEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fbuf::FbufError;
+    use fbuf_vm::Fault;
 
     fn machine() -> MachineConfig {
         let mut cfg = MachineConfig::decstation_5000_200();
@@ -585,6 +586,27 @@ mod tests {
         assert_eq!(baseline(&e), base, "after an eviction");
         e.tx.release(e.tx.app, &old).unwrap();
         e.tx.release(e.tx.app, &new).unwrap();
+    }
+
+    #[test]
+    fn a_refused_receive_dma_leaves_no_buffer_behind() {
+        for cfg in [EndToEndConfig::fig5, EndToEndConfig::fig6] {
+            let mut e = EndToEnd::new(machine(), cfg(DomainSetup::User));
+            e.send_message(32 << 10, 1, false).unwrap();
+            let baseline = |e: &EndToEnd| (e.rx.refs.outstanding(), e.rx.fbs.live_fbufs());
+            let base = baseline(&e);
+            // The sender's buffer parks on release and the pageout daemon
+            // takes its frames: a PDU still naming it names no frame.
+            let (msg, p) = pdus(&mut e, 16 << 10, 100);
+            e.tx.release(e.tx.app, &msg).unwrap();
+            assert!(e.tx.fbs.reclaim_frames(usize::MAX) > 0);
+            let arrive = e.rx.fbs.machine().clock().now();
+            assert!(matches!(
+                e.receive_pdu(&p[0], arrive, false, 0),
+                Err(FbufError::Vm(Fault::Unmapped { .. }))
+            ));
+            assert_eq!(baseline(&e), base, "rx_cached {}", e.cfg.rx_cached);
+        }
     }
 
     #[test]

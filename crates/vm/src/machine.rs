@@ -794,6 +794,15 @@ impl Machine {
             .alloc_zeroed(&mut self.clock, &mut self.stats, charge_clearing)
     }
 
+    /// Allocates a frame whose page is built from the bytes `fill`
+    /// appends (at most a page), zero past them, with no clear charged
+    /// (see [`PhysMem::alloc_from`]): a device receive that writes each
+    /// byte once. The caller owns one reference.
+    pub fn alloc_frame_from(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> VmResult<FrameId> {
+        self.consult_frame_fault()?;
+        self.phys.alloc_from(&mut self.clock, &mut self.stats, fill)
+    }
+
     /// The [`FaultSite::FrameAlloc`] hook: an armed plan may refuse.
     fn consult_frame_fault(&self) -> VmResult<()> {
         match &self.fault {
@@ -813,7 +822,7 @@ impl Machine {
     /// functionally cleared — a partially dirty page would be a security
     /// bug, not a cost optimization.
     pub fn zero_frame_quietly(&mut self, frame: FrameId) {
-        self.phys.fill_with_template(frame, &[]);
+        self.phys.clear(frame);
     }
 
     /// Drops a caller-held frame reference.
@@ -1017,9 +1026,15 @@ impl Machine {
                 self.stats.inc_wild_reads_nullified();
                 self.tracer
                     .instant(self.clock.now(), EventKind::Fault, dom.0, None, None);
-                let frame = self.phys.alloc(&mut self.clock, &mut self.stats)?;
-                let template = self.null_template.clone();
-                self.phys.fill_with_template(frame, &template);
+                let (template, size) = (&self.null_template, self.cfg.page_size as usize);
+                let frame = self
+                    .phys
+                    .alloc_from(&mut self.clock, &mut self.stats, |page| {
+                        while !template.is_empty() && page.len() < size {
+                            let n = template.len().min(size - page.len());
+                            page.extend_from_slice(&template[..n]);
+                        }
+                    })?;
                 self.map_page(dom, vpn.base(self.cfg.page_size), frame, Prot::Read)?;
                 // The mapping holds the only reference.
                 self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
@@ -1093,8 +1108,9 @@ impl Machine {
         if let Some(f) = existing {
             return Ok(f);
         }
-        let f = self.phys.alloc(&mut self.clock, &mut self.stats)?;
-        self.phys.zero(&mut self.clock, &mut self.stats, f);
+        let f = self
+            .phys
+            .alloc_zeroed(&mut self.clock, &mut self.stats, true)?;
         self.object_mut(obj).frames[idx as usize] = Some(f);
         Ok(f)
     }
@@ -1310,6 +1326,17 @@ mod tests {
             m.write(d, base + 0x3000, b"x"),
             Err(Fault::AccessViolation { .. })
         ));
+    }
+
+    #[test]
+    fn null_page_repeats_its_template_to_the_page_end() {
+        let mut m = machine();
+        m.set_null_template(vec![1, 2, 3]);
+        let d = m.create_domain();
+        m.map_fbuf_region(d).unwrap();
+        let page = m.read(d, m.config().fbuf_region_base, 4096).unwrap();
+        let want: Vec<u8> = (0..4096).map(|i| [1, 2, 3][i % 3]).collect();
+        assert_eq!(page, want);
     }
 
     #[test]

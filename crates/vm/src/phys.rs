@@ -30,9 +30,12 @@ pub const POOL_FRAMES: usize = 16;
 ///
 /// The host storage of a freed frame goes to a pool of at most
 /// [`POOL_FRAMES`] pages, and the next allocation takes it from there
-/// instead of the heap. Reuse never shows: an allocation overwrites the
-/// whole page with the dirty marker or, for [`PhysMem::alloc_zeroed`],
-/// with zeros, so no byte of a frame's previous owner survives.
+/// instead of the heap. Reuse never shows: every allocation empties the
+/// storage and builds the page afresh, writing each byte once: the
+/// dirty marker, zeros for [`PhysMem::alloc_zeroed`], the source page
+/// for [`PhysMem::fork`], or the received bytes and then zeros for
+/// [`PhysMem::alloc_from`]. No byte of a frame's previous owner
+/// survives.
 ///
 /// The frame table grows as frames are first handed out, so a large
 /// simulated memory costs the host only the frames a run touches. An
@@ -80,7 +83,7 @@ impl PhysMem {
     /// page clearing as a separate, avoidable cost). The frame reads as
     /// the dirty marker `0xA5`, whether its storage is new or pooled.
     pub fn alloc(&mut self, clock: &mut Clock, stats: &mut Stats) -> VmResult<FrameId> {
-        self.alloc_filled(clock, stats, 0xA5)
+        self.alloc_page(clock, stats, 0xA5, |_, _| {})
     }
 
     /// Allocates a frame with one reference and clears it, filling the
@@ -95,16 +98,37 @@ impl PhysMem {
         stats: &mut Stats,
         charge: bool,
     ) -> VmResult<FrameId> {
-        let id = self.alloc_filled(clock, stats, 0)?;
+        let id = self.alloc_page(clock, stats, 0, |_, _| {})?;
         if charge {
             self.charge_zero(clock, stats);
         }
         Ok(id)
     }
 
+    /// Allocates a frame with one reference whose page begins with the
+    /// bytes `fill` appends to it (at most a page) and reads zero past
+    /// them: a device receive, which writes the arriving bytes as the
+    /// page is made. No clear is charged: the device wrote the page.
+    /// `fill` runs only once the frame is taken, so a refused allocation
+    /// consumes nothing.
+    pub fn alloc_from(
+        &mut self,
+        clock: &mut Clock,
+        stats: &mut Stats,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> VmResult<FrameId> {
+        self.alloc_page(clock, stats, 0, |_, page| fill(page))
+    }
+
     /// Zero-fills a frame (charges the 57 µs page-clear cost).
     pub fn zero(&mut self, clock: &mut Clock, stats: &mut Stats, id: FrameId) {
         self.charge_zero(clock, stats);
+        self.clear(id);
+    }
+
+    /// Zero-fills a frame without charging: for callers that model
+    /// clearing time themselves.
+    pub fn clear(&mut self, id: FrameId) {
         self.frame_mut(id).data.fill(0);
     }
 
@@ -113,13 +137,18 @@ impl PhysMem {
         stats.inc_pages_cleared();
     }
 
-    /// Takes a free frame, charges the allocation, and fills the whole
-    /// page with `byte`, reusing pooled storage when there is some.
-    fn alloc_filled(
+    /// The one page constructor: takes a free frame, charges the
+    /// allocation, and builds its page in emptied storage (pooled when
+    /// there is some, else new), so each byte is written once. `fill`
+    /// appends the page's leading bytes, reading the memory if it needs
+    /// to, and `pad` covers the rest of the page. The storage is emptied
+    /// before `fill` runs, so no byte of a previous owner survives.
+    fn alloc_page(
         &mut self,
         clock: &mut Clock,
         stats: &mut Stats,
-        byte: u8,
+        pad: u8,
+        fill: impl FnOnce(&PhysMem, &mut Vec<u8>),
     ) -> VmResult<FrameId> {
         let id = match self.free.pop() {
             Some(id) => id,
@@ -131,14 +160,21 @@ impl PhysMem {
         };
         clock.charge(CostCategory::Alloc, self.costs.phys_alloc);
         stats.inc_frames_allocated();
-        let data = match self.pool.pop() {
-            Some(mut data) => {
-                data.fill(byte);
-                data
+        let mut page = match self.pool.pop() {
+            Some(data) => {
+                let mut page = data.into_vec();
+                page.clear();
+                page
             }
-            None => vec![byte; self.page_size].into_boxed_slice(),
+            None => Vec::with_capacity(self.page_size),
         };
-        self.frames[id.0 as usize] = Some(Frame { data, refs: 1 });
+        fill(self, &mut page);
+        assert!(page.len() <= self.page_size, "a page fill overran its page");
+        page.resize(self.page_size, pad);
+        self.frames[id.0 as usize] = Some(Frame {
+            data: page.into_boxed_slice(),
+            refs: 1,
+        });
         Ok(id)
     }
 
@@ -180,26 +216,19 @@ impl PhysMem {
     }
 
     /// Copies the contents of `src` into a newly allocated frame (the COW
-    /// fault resolution path). Charges the page-copy cost.
+    /// fault resolution path), writing the new page once. Charges the
+    /// page-copy cost.
     pub fn fork(
         &mut self,
         clock: &mut Clock,
         stats: &mut Stats,
         src: FrameId,
     ) -> VmResult<FrameId> {
-        let dst = self.alloc(clock, stats)?;
+        let dst = self.alloc_page(clock, stats, 0xA5, |mem, page| {
+            page.extend_from_slice(&mem.frame(src).data)
+        })?;
         clock.charge(CostCategory::DataMove, self.costs.page_copy);
         stats.inc_pages_copied();
-        // Frame to frame, with no staging buffer.
-        let [from, to] = self
-            .frames
-            .get_disjoint_mut([src.0 as usize, dst.0 as usize])
-            .expect("distinct frames in range");
-        let from = from.as_ref().expect("access to free frame");
-        to.as_mut()
-            .expect("access to free frame")
-            .data
-            .copy_from_slice(&from.data);
         Ok(dst)
     }
 
@@ -219,19 +248,6 @@ impl PhysMem {
     /// [`PhysMem::read`]).
     pub fn write(&mut self, id: FrameId, offset: usize, bytes: &[u8]) {
         self.frame_mut(id).data[offset..offset + bytes.len()].copy_from_slice(bytes);
-    }
-
-    /// Overwrites the whole frame with a repeated template (used by the
-    /// null-read policy to stamp empty-leaf pages).
-    pub fn fill_with_template(&mut self, id: FrameId, template: &[u8]) {
-        let frame = self.frame_mut(id);
-        if template.is_empty() {
-            frame.data.fill(0);
-            return;
-        }
-        for chunk in frame.data.chunks_mut(template.len()) {
-            chunk.copy_from_slice(&template[..chunk.len()]);
-        }
     }
 
     fn frame(&self, id: FrameId) -> &Frame {
@@ -355,6 +371,40 @@ mod tests {
     }
 
     #[test]
+    fn a_page_built_from_a_fill_reads_its_bytes_then_zeros() {
+        let mut m = mem();
+        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
+        m.phys.write(f, 0, &[0x3C; 4096]);
+        m.phys.drop_ref(&mut m.clock, &mut m.stats, f);
+        let before = m.clock.now();
+        let g = m
+            .phys
+            .alloc_from(&mut m.clock, &mut m.stats, |page| {
+                page.extend_from_slice(b"abc")
+            })
+            .unwrap();
+        assert_eq!(m.phys.pooled(), 0, "the allocation reused pooled storage");
+        let page = m.phys.slice(g, 0, 4096);
+        assert_eq!(&page[..3], b"abc");
+        assert!(page[3..].iter().all(|&b| b == 0), "the rest reads zero");
+        assert_eq!(
+            m.clock.now() - before,
+            Ns(500),
+            "only the allocation is billed"
+        );
+        assert_eq!(m.stats.pages_cleared(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "overran")]
+    fn a_fill_past_the_page_panics() {
+        let mut m = mem();
+        let _ = m.phys.alloc_from(&mut m.clock, &mut m.stats, |page| {
+            page.extend_from_slice(&[1; 4097])
+        });
+    }
+
+    #[test]
     fn zeroed_alloc_charges_like_alloc_then_zero() {
         let mut split = mem();
         let f = split
@@ -429,19 +479,6 @@ mod tests {
         m.phys.write(a, 100, b"world");
         m.phys.read(b, 100, &mut buf);
         assert_eq!(&buf, b"hello");
-    }
-
-    #[test]
-    fn template_fill_repeats_pattern() {
-        let mut m = mem();
-        let f = m.phys.alloc(&mut m.clock, &mut m.stats).unwrap();
-        m.phys.fill_with_template(f, &[1, 2, 3]);
-        let mut b = [0u8; 6];
-        m.phys.read(f, 0, &mut b);
-        assert_eq!(b, [1, 2, 3, 1, 2, 3]);
-        m.phys.fill_with_template(f, &[]);
-        m.phys.read(f, 0, &mut b);
-        assert_eq!(b, [0; 6]);
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! holder list); this table maps many message-level references down to that
 //! single domain-level reference.
 
+use std::collections::hash_map::Entry;
+
 use fbuf::{FbufError, FbufId, FbufResult, FbufSystem};
 use fbuf_sim::fxhash::FxHashMap;
 use fbuf_vm::DomainId;
@@ -52,10 +54,12 @@ impl MsgRefs {
             return Err(FbufError::NotHolder { domain: dom, fbuf });
         }
         for id in msg.distinct_fbufs() {
-            let count = self.counts.get_mut(&(dom.0, id)).expect("checked above");
-            *count -= 1;
-            if *count == 0 {
-                self.counts.remove(&(dom.0, id));
+            let Entry::Occupied(mut count) = self.counts.entry((dom.0, id)) else {
+                unreachable!("checked above");
+            };
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
                 fbs.free(id, dom)?;
             }
         }

@@ -5,8 +5,9 @@
 //! seed.
 
 use fbufs::fbuf::{AllocMode, FbufId, FbufSystem, SendMode};
-use fbufs::net::ip;
+use fbufs::net::{ip, DomainSetup, Fill, Host};
 use fbufs::sim::{Checker, Histogram, MachineConfig, Rng};
+use fbufs::vm::phys::POOL_FRAMES;
 use fbufs::xkernel::{Extent, Msg};
 
 const CASES: u64 = 64;
@@ -253,6 +254,107 @@ fn fragmentation_reassembly_roundtrip() {
             } else {
                 let done = done.expect("reassembly completes on the last fragment");
                 assert_eq!(logical_bytes(&done), logical_bytes(&msg));
+            }
+        });
+}
+
+/// Reads every byte of `id`'s pages as the kernel, through its mapping,
+/// and checks they are `payload` and then zeros to the last page's end.
+fn assert_payload_then_zeros(rx: &mut Host, id: FbufId, payload: &[u8]) {
+    let f = rx.fbs.fbuf(id).unwrap();
+    let (va, pages) = (f.va, f.pages);
+    let page = rx.fbs.machine().page_size();
+    let kernel = rx.kernel();
+    let bytes = rx.fbs.machine_mut().read(kernel, va, pages * page).unwrap();
+    assert_eq!(&bytes[..payload.len()], payload, "payload bytes");
+    if let Some(at) = bytes[payload.len()..].iter().position(|&b| b != 0) {
+        panic!(
+            "byte {} of a {}-byte receive in {pages} pages reads {:#04x}, not zero",
+            payload.len() + at,
+            payload.len(),
+            bytes[payload.len() + at]
+        );
+    }
+}
+
+#[test]
+fn uncached_receives_read_only_payload_or_zero() {
+    Checker::new("uncached_receives_read_only_payload_or_zero")
+        .cases(CASES)
+        .run(|rng| {
+            // Datagrams cut into fragments at arbitrary PDU sizes (pieces
+            // that start and end mid-page, short final fragments), some
+            // duplicated and some lost, interleaved into a reassembler of
+            // two slots that evicts partial datagrams: every receive
+            // buffer, read whole through the kernel's mapping, holds its
+            // DMA'd payload and zeros, never a byte of the dirty pool.
+            let mut cfg = MachineConfig::tiny();
+            cfg.fbuf_region_size = 4 << 20;
+            cfg.max_chunks_per_path = 256;
+            let mut tx = Host::new(cfg.clone(), DomainSetup::User, SendMode::Volatile);
+            let mut rx = Host::new(cfg, DomainSetup::User, SendMode::Volatile);
+            let page = rx.fbs.machine().page_size() as usize;
+            let chunk = rx.fbs.machine().config().chunk_size;
+            let m = rx.fbs.machine_mut();
+            let dirty: Vec<_> = (0..POOL_FRAMES).map(|_| m.alloc_frame().unwrap()).collect();
+            for &f in &dirty {
+                m.dma_write(f, 0, &vec![0xEE; page]);
+            }
+            for f in dirty {
+                m.release_frame(f);
+            }
+            assert_eq!(m.pooled_frames(), POOL_FRAMES);
+
+            let mut sent = Vec::new();
+            let mut wire = Vec::new();
+            for datagram in 1..=rng.range(1, 5) {
+                let msg = tx
+                    .build_message(rng.range(1, 40_000), &Fill::Pattern(datagram))
+                    .unwrap();
+                // At most 80 fragments a datagram, a page each, so the
+                // pending ones fit the tiny memory.
+                let pdu = rng.range(512, 9_000);
+                for (hdr, body) in ip::fragment(&msg, datagram, pdu) {
+                    let copies = match rng.below(8) {
+                        0 => 0,
+                        1 => 2,
+                        _ => 1,
+                    };
+                    for _ in 0..copies {
+                        wire.push((hdr, body.clone()));
+                    }
+                }
+                sent.push((tx.gather(tx.app, &msg).unwrap(), msg));
+            }
+            rng.shuffle(&mut wire);
+
+            let kernel = rx.kernel();
+            let mut reasm = ip::Reassembler::new(2);
+            let mut dropped = Vec::new();
+            for (hdr, body) in wire {
+                let payload = &sent[hdr.datagram as usize - 1].0;
+                let at = hdr.offset as usize;
+                let payload = &payload[at..at + body.len() as usize];
+                // Sometimes a buffer longer than the fragment (up to the
+                // largest fbuf, one chunk).
+                let len = (body.len() + rng.below(3) * rng.below(page as u64)).min(chunk);
+                let id = rx.receive(len, false, &tx, &body).unwrap();
+                assert_payload_then_zeros(&mut rx, id, payload);
+                let m = Msg::from_fbuf(id, 0, body.len());
+                rx.refs.adopt(kernel, &m);
+                let full = reasm.add(hdr, m, &mut dropped);
+                for frag in dropped.drain(..) {
+                    rx.release(kernel, &frag).unwrap();
+                }
+                if let Some(full) = full {
+                    let want = &sent[hdr.datagram as usize - 1].0;
+                    assert_eq!(&rx.gather(kernel, &full).unwrap(), want);
+                    rx.release(kernel, &full).unwrap();
+                    reasm.recycle(full);
+                }
+            }
+            for (_, msg) in sent {
+                tx.release(tx.app, &msg).unwrap();
             }
         });
 }
