@@ -261,11 +261,12 @@ impl FbufSystem {
 
 /// Releases `fbuf` at every domain of `holders`, deepest first, so the
 /// originator's free comes last and parks the buffer on its path cache:
-/// the unwind of an aborted transfer, and the final leg's release. With `revoke`, the deepest domain that
-/// still holds it is formally revoked instead of freed. Holders a
-/// domain termination already released are skipped, so frames are
-/// reclaimed exactly once either way.
-fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: bool) {
+/// the unwind of an aborted transfer, the final leg's release, and every
+/// release of a shard's walk (`shard.rs`). With `revoke`, the deepest
+/// domain that still holds it is formally revoked instead of freed.
+/// Holders a domain termination already released are skipped, so frames
+/// are reclaimed exactly once either way.
+pub(crate) fn unwind(sys: &mut FbufSystem, fbuf: FbufId, holders: &[DomainId], mut revoke: bool) {
     for d in holders.iter().rev() {
         if revoke && sys.fbuf(fbuf).is_ok_and(|f| f.holders.contains(d)) {
             revoke = sys.revoke(fbuf, *d).is_err();

@@ -31,17 +31,27 @@
 //! comes first. Batching is host-plane only: it never touches the
 //! simulated clock or counters, which the golden matrix in
 //! `tests/counter_exactness.rs` pins (its fleet goldens were recorded at
-//! one and at sixteen tokens per slot, and agreed). A notice that comes
-//! back with no matching pending egress buffer is not a panic but a
-//! typed audit violation (`notice-without-pending`, recorded as a
-//! [`fbuf_sim::EventKind::NoticeOrphan`] trace event), so fuzzing under
-//! fault injection reports instead of aborting.
+//! one and at sixteen tokens per slot, and agreed).
+//!
+//! **Nothing a peer sends panics a shard.** A payload whose token does
+//! not name the upstream shard, that is longer than the ingress buffer
+//! or that is not led by its own token is refused as a rejected token
+//! before anything is allocated for it. A notice with no matching
+//! pending egress buffer is a typed audit violation
+//! (`notice-without-pending`, a [`fbuf_sim::EventKind::NoticeOrphan`]
+//! trace event). Local cycles and arrivals run one fallible walk that
+//! releases what it took on an error and counts in [`Shard::failed`]; a
+//! failed arrival is still acknowledged.
 //!
 //! [`run_fleet`] drives N shards concurrently over a ring topology
 //! (shard *i* feeds shard *i*+1 mod N) with barrier-aligned warm-up and
 //! measurement phases, and returns one [`ShardReport`] per shard;
 //! [`fleet_snapshot`] and [`fleet_trace`] fold those into the single
 //! coherent view a fleet-level report needs.
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 use std::collections::VecDeque;
 use std::sync::Barrier;
@@ -54,8 +64,9 @@ use fbuf_sim::{
 };
 use fbuf_vm::DomainId;
 
+use crate::engine;
 use crate::ledger::Ledger;
-use crate::{AllocMode, FbufId, FbufSystem, PathId, SendMode};
+use crate::{AllocMode, FbufId, FbufResult, FbufSystem, PathId, SendMode};
 
 /// Which shard owns a data path: paths are partitioned round-robin by
 /// path id, the scheme both the fleet and its tests rely on.
@@ -196,6 +207,25 @@ struct Triple {
     receiver: DomainId,
 }
 
+impl Triple {
+    /// Creates `hops` fresh domains and a path through them in that
+    /// order: three make a loopback path, two the egress path, whose
+    /// netserver is its receiver.
+    fn create(sys: &mut FbufSystem, hops: usize) -> Triple {
+        let doms: Vec<DomainId> = (0..hops).map(|_| sys.create_domain()).collect();
+        let (originator, netserver, receiver) = (doms[0], doms[1], doms[hops - 1]);
+        // Fresh, live, distinct domains always make a path.
+        #[allow(clippy::expect_used)]
+        let path = sys.create_path(doms).expect("fresh domains make a path");
+        Triple {
+            path,
+            originator,
+            netserver,
+            receiver,
+        }
+    }
+}
+
 /// One complete engine owned by one OS thread. See the [module
 /// docs](self) for the ownership rules.
 #[derive(Debug)]
@@ -256,8 +286,13 @@ pub struct Shard {
     /// Forged or stale tokens rejected before any dereference — wrong
     /// shard bits on either ring, or stale generation bits on a notice.
     /// Each one is also a `TokenReject` trace event and a per-tenant
-    /// `rejected_tokens` ledger charge.
+    /// `rejected_tokens` ledger charge. A malformed payload (longer than
+    /// the ingress buffer, or not led by its own token) counts here too.
     pub rejected_tokens: u64,
+    /// Local cycles and arrivals whose walk failed (whole-life). A
+    /// failed walk released every reference it took; a failed arrival
+    /// is not counted as received but is still acknowledged.
+    pub failed: u64,
 }
 
 impl Shard {
@@ -272,35 +307,11 @@ impl Shard {
         // rings are merged (and distinct from raw cross-shard tokens,
         // whose high bits carry the shard id itself).
         sys.set_span_salt(id as u64 + 1);
-        let triple = |sys: &mut FbufSystem| {
-            let originator = sys.create_domain();
-            let netserver = sys.create_domain();
-            let receiver = sys.create_domain();
-            let path = sys
-                .create_path(vec![originator, netserver, receiver])
-                .expect("fresh domains make a path");
-            Triple {
-                path,
-                originator,
-                netserver,
-                receiver,
-            }
-        };
-        let locals: Vec<Triple> = (0..paths.max(1)).map(|_| triple(&mut sys)).collect();
-        let ingress = triple(&mut sys);
-        let egress = {
-            let originator = sys.create_domain();
-            let receiver = sys.create_domain();
-            let path = sys
-                .create_path(vec![originator, receiver])
-                .expect("fresh domains make a path");
-            Triple {
-                path,
-                originator,
-                netserver: receiver,
-                receiver,
-            }
-        };
+        let locals: Vec<Triple> = (0..paths.max(1))
+            .map(|_| Triple::create(&mut sys, 3))
+            .collect();
+        let ingress = Triple::create(&mut sys, 3);
+        let egress = Triple::create(&mut sys, 2);
         Shard {
             id,
             sys,
@@ -323,38 +334,58 @@ impl Shard {
             notice_tokens: 0,
             orphan_notices: 0,
             rejected_tokens: 0,
+            failed: 0,
         }
     }
 
     /// One cached loopback cycle on the next local path (round-robin):
     /// alloc at the originator, two RPC-carried sends down the path,
     /// free in every holding domain — 6 fbuf operations, the same shape
-    /// `repro stress` has always measured.
-    pub fn local_cycle(&mut self) {
+    /// `repro stress` has always measured. A failed cycle has released
+    /// what it took and is not counted in `cycles`.
+    pub fn local_cycle(&mut self) -> FbufResult<()> {
         let t = self.locals[self.next_local];
         self.next_local = (self.next_local + 1) % self.locals.len();
-        let s = &mut self.sys;
-        let id = s
-            .alloc(t.originator, AllocMode::Cached(t.path), self.len)
-            .expect("cached alloc");
-        s.hop(t.originator, t.netserver);
-        s.send(id, t.originator, t.netserver, SendMode::Volatile)
-            .expect("send down");
-        s.hop(t.netserver, t.receiver);
-        s.send(id, t.netserver, t.receiver, SendMode::Volatile)
-            .expect("send up");
-        s.free(id, t.receiver).expect("free receiver");
-        s.free(id, t.netserver).expect("free netserver");
-        s.free(id, t.originator).expect("free originator");
+        self.walk(t, None)?;
         self.cycles += 1;
+        Ok(())
     }
 
     /// Runs one warm-up cycle per local path, so every path enters
-    /// §3.2.2 steady state before measurement.
-    pub fn warm_local(&mut self) {
-        for _ in 0..self.locals.len() {
-            self.local_cycle();
-        }
+    /// §3.2.2 steady state before measurement. Stops at the first
+    /// failed cycle.
+    pub fn warm_local(&mut self) -> FbufResult<()> {
+        (0..self.locals.len()).try_for_each(|_| self.local_cycle())
+    }
+
+    /// The one alloc → hop → send → hop → send → free ×3 walk down `t`.
+    /// With a `payload` the walk materializes an arrival: the originator
+    /// writes the payload after the alloc, and the receiver reads the
+    /// stamp (its first word) back before the frees; the stamp is what
+    /// the walk returns. The engine's unwind then releases the buffer at
+    /// every domain of the route, deepest first, on success and on error
+    /// alike; it skips a domain that holds no reference, so whatever leg
+    /// failed, the buffer parks again.
+    fn walk(&mut self, t: Triple, payload: Option<&[u8]>) -> FbufResult<[u8; 8]> {
+        let s = &mut self.sys;
+        let id = s.alloc(t.originator, AllocMode::Cached(t.path), self.len)?;
+        let mut stamp = [0; 8];
+        let mut legs = || {
+            if let Some(bytes) = payload {
+                s.write_fbuf(t.originator, id, 0, bytes)?;
+            }
+            s.hop(t.originator, t.netserver);
+            s.send(id, t.originator, t.netserver, SendMode::Volatile)?;
+            s.hop(t.netserver, t.receiver);
+            s.send(id, t.netserver, t.receiver, SendMode::Volatile)?;
+            if payload.is_some() {
+                s.read_fbuf_into(t.receiver, id, 0, &mut stamp)?;
+            }
+            FbufResult::Ok(())
+        };
+        let walked = legs();
+        engine::unwind(s, id, &[t.originator, t.netserver, t.receiver], false);
+        walked.map(|()| stamp)
     }
 
     /// Sends one fbuf's payload to the next shard: allocates from the
@@ -365,9 +396,10 @@ impl Shard {
     ///
     /// No-op if the fleet has no cross-shard links.
     pub fn egress(&mut self, links: &mut Links) {
-        if links.data_tx.is_none() {
+        // Held here for the whole send: `poll` never touches the producer.
+        let Some(mut tx) = links.data_tx.take() else {
             return;
-        }
+        };
         // Cap in-flight egress at one buffer: wait for the previous
         // notice so this allocation is a guaranteed cache hit.
         while !self.pending.is_empty() {
@@ -375,13 +407,39 @@ impl Shard {
                 std::thread::yield_now();
             }
         }
+        let mut payload = std::mem::take(&mut self.spare_payload);
+        payload.resize(self.len as usize, 0);
+        let prev = self.sys.machine().tracer().current_span();
+        // The wait above parked the egress path's one buffer (the first
+        // egress builds it), and its owner writes and reads it whole.
+        #[allow(clippy::expect_used)]
+        let (token, id) = self
+            .stamp_egress(&mut payload)
+            .expect("egress reuses its parked buffer");
+        let mut msg = CrossShardMsg { token, payload };
+        while let Err(back) = self.offer(&mut tx, msg) {
+            msg = back;
+            // Ring full: keep consuming our own ingress so the fleet
+            // cannot deadlock on mutually full rings.
+            if self.poll(links) == 0 {
+                std::thread::yield_now();
+            }
+        }
+        links.data_tx = Some(tx);
+        self.sys.machine().tracer().set_current_span(prev);
+        self.pending.push_back((token, id));
+        self.sent += 1;
+    }
+
+    /// Takes the egress path's buffer and serializes it into `payload`,
+    /// stamped with the token this returns with the buffer.
+    fn stamp_egress(&mut self, payload: &mut [u8]) -> FbufResult<(u64, FbufId)> {
         let t = self.egress;
         // The buffer comes first: its arena generation is baked into the
         // token, so the token cannot outlive the buffer it acknowledges.
         let id = self
             .sys
-            .alloc(t.originator, AllocMode::Cached(t.path), self.len)
-            .expect("cached egress alloc");
+            .alloc(t.originator, AllocMode::Cached(t.path), self.len)?;
         let token = CrossShardMsg::token_for(self.id, (id.0 >> 32) as u32, self.next_seq);
         self.next_seq += 1;
         // The token doubles as the transfer's root span: the receiving
@@ -391,38 +449,25 @@ impl Shard {
         let m = self.sys.machine();
         m.tracer()
             .span_start(m.now(), span, t.originator.0, Some(t.path.0), None);
-        let prev = m.tracer().set_current_span(Some(span));
+        m.tracer().set_current_span(Some(span));
         self.sys
-            .write_fbuf(t.originator, id, 0, &token.to_le_bytes())
-            .expect("stamp egress payload");
-        let mut payload = std::mem::take(&mut self.spare_payload);
-        payload.resize(self.len as usize, 0);
-        self.sys
-            .read_fbuf_into(t.originator, id, 0, &mut payload)
-            .expect("serialize egress payload");
-        let mut msg = CrossShardMsg { token, payload };
-        loop {
-            // An injected RingFull behaves exactly like an organically
-            // full ring: back off, keep draining, retry.
-            let injected = self
-                .sys
-                .fault_plan()
-                .is_some_and(|p| p.fires(FaultSite::RingFull));
-            if !injected {
-                match links.data_tx.as_mut().expect("checked above").push(msg) {
-                    Ok(()) => break,
-                    Err(back) => msg = back,
-                }
-            }
-            // Ring full: keep consuming our own ingress so the fleet
-            // cannot deadlock on mutually full rings.
-            if self.poll(links) == 0 {
-                std::thread::yield_now();
-            }
+            .write_fbuf(t.originator, id, 0, &token.to_le_bytes())?;
+        self.sys.read_fbuf_into(t.originator, id, 0, payload)?;
+        Ok((token, id))
+    }
+
+    /// Offers `item` to a ring once. An injected [`FaultSite::RingFull`]
+    /// refuses it exactly like an organically full ring; either way the
+    /// item comes back, for the caller to retry after its own back-off.
+    fn offer<T>(&self, tx: &mut Producer<T>, item: T) -> Result<(), T> {
+        if self
+            .sys
+            .fault_plan()
+            .is_some_and(|p| p.fires(FaultSite::RingFull))
+        {
+            return Err(item);
         }
-        self.sys.machine().tracer().set_current_span(prev);
-        self.pending.push_back((token, id));
-        self.sent += 1;
+        tx.push(item)
     }
 
     /// Drains everything currently queued on the ingress and notice
@@ -453,8 +498,9 @@ impl Shard {
             self.ingest(msg, links, behind);
             progressed += 1;
         }
-        self.drain_buf = burst; // capacity retained for the next poll
-                                // Poll boundary: anything staged goes out as one ring slot now.
+        // Capacity retained for the next poll.
+        self.drain_buf = burst;
+        // Poll boundary: anything staged goes out as one ring slot now.
         self.flush_notices(links);
         while let Some(batch) = links.notice_rx.as_mut().and_then(Consumer::pop) {
             for &token in batch.tokens() {
@@ -494,39 +540,25 @@ impl Shard {
                 .reject_token(self.egress.originator, Some(self.egress.path), token);
             return;
         }
-        match self.pending.iter().position(|&(t, _)| t == token) {
-            Some(0) => {
-                let (_, id) = self.pending.pop_front().expect("position 0 exists");
-                self.sys
-                    .free(id, self.egress.originator)
-                    .expect("free acknowledged egress buffer");
-            }
-            Some(i) => {
-                // Out of send order: recover (free the matched buffer so
-                // nothing leaks) but flag the ordering violation.
-                self.orphan_notices += 1;
-                self.sys.machine().tracer().instant(
-                    self.sys.machine().now(),
-                    EventKind::NoticeOrphan,
-                    self.egress.originator.0,
-                    None,
-                    Some(token),
-                );
-                let (_, id) = self.pending.remove(i).expect("position i exists");
-                self.sys
-                    .free(id, self.egress.originator)
-                    .expect("free acknowledged egress buffer");
-            }
-            None => {
-                self.orphan_notices += 1;
-                self.sys.machine().tracer().instant(
-                    self.sys.machine().now(),
-                    EventKind::NoticeOrphan,
-                    self.egress.originator.0,
-                    None,
-                    Some(token),
-                );
-            }
+        let at = self.pending.iter().position(|&(t, _)| t == token);
+        if at != Some(0) {
+            // Out of send order, or matching nothing: flag the ordering
+            // violation, and still free a matched buffer below so
+            // nothing leaks.
+            self.orphan_notices += 1;
+            let m = self.sys.machine();
+            m.tracer().instant(
+                m.now(),
+                EventKind::NoticeOrphan,
+                self.egress.originator.0,
+                None,
+                Some(token),
+            );
+        }
+        if let Some((_, id)) = at.and_then(|i| self.pending.remove(i)) {
+            // Only the egress originator holds an egress buffer, so a
+            // failed free means its termination already released it.
+            let _ = self.sys.free(id, self.egress.originator);
         }
     }
 
@@ -538,6 +570,9 @@ impl Shard {
         if self.notice_stage.is_empty() {
             return;
         }
+        // Only `ingest` stages tokens, for payloads off a data ring, and
+        // a data ring comes with its reverse notice ring.
+        #[allow(clippy::expect_used)]
         let tx = links
             .notice_tx
             .as_mut()
@@ -545,19 +580,8 @@ impl Shard {
         let mut batch = std::mem::take(&mut self.notice_stage);
         self.notice_batches += 1;
         self.notice_tokens += batch.len() as u64;
-        loop {
-            // An injected RingFull behaves exactly like an organically
-            // full ring: back off and retry the whole batch.
-            let injected = self
-                .sys
-                .fault_plan()
-                .is_some_and(|p| p.fires(FaultSite::RingFull));
-            if !injected {
-                match tx.push(batch) {
-                    Ok(()) => break,
-                    Err(back) => batch = back,
-                }
-            }
+        while let Err(back) = self.offer(tx, batch) {
+            batch = back;
             // The peer drains notices every cycle; just wait for room.
             std::thread::yield_now();
         }
@@ -568,15 +592,22 @@ impl Shard {
         self.pending.len()
     }
 
+    /// Materializes one arrival down the ingress path and stages its
+    /// dealloc notice.
     fn ingest(&mut self, msg: CrossShardMsg, links: &mut Links, occupancy: u64) {
         let t = self.ingress;
         // Authenticate before materializing: a payload whose token does
-        // not name the upstream producer is forged. It is dropped here —
-        // never written into a buffer, never acknowledged — and the
-        // rejection is billed to the ingress tenant that absorbed it.
+        // not name the upstream producer is forged, and one longer than
+        // the ingress buffer or not led by its own token (the stamp
+        // egress writes) is malformed. Either is dropped here — never
+        // written into a buffer, never acknowledged — and the rejection
+        // is billed to the ingress tenant that absorbed it.
+        let stamp = msg.token.to_le_bytes();
         if links
             .upstream
             .is_some_and(|up| CrossShardMsg::shard_of_token(msg.token) != up)
+            || msg.payload.len() as u64 > self.len
+            || !msg.payload.starts_with(&stamp)
         {
             self.rejected_tokens += 1;
             self.sys.reject_token(t.originator, Some(t.path), msg.token);
@@ -591,31 +622,19 @@ impl Shard {
         let parent = CrossShardMsg::span_of_token(msg.token);
         m.tracer().span_link(t0, child, parent, t.originator.0);
         let prev = m.tracer().set_current_span(Some(child));
-        let s = &mut self.sys;
-        let id = s
-            .alloc(t.originator, AllocMode::Cached(t.path), self.len)
-            .expect("cached ingress alloc");
-        s.write_fbuf(t.originator, id, 0, &msg.payload)
-            .expect("materialize payload");
-        s.hop(t.originator, t.netserver);
-        s.send(id, t.originator, t.netserver, SendMode::Volatile)
-            .expect("send down");
-        s.hop(t.netserver, t.receiver);
-        s.send(id, t.netserver, t.receiver, SendMode::Volatile)
-            .expect("send up");
-        let mut stamp = [0u8; 8];
-        s.read_fbuf_into(t.receiver, id, 0, &mut stamp)
-            .expect("read materialized stamp");
-        assert_eq!(
-            stamp,
-            msg.token.to_le_bytes(),
-            "payload must survive the cross-shard hop intact"
-        );
+        match self.walk(t, Some(&msg.payload)) {
+            Ok(read) => {
+                assert_eq!(
+                    read, stamp,
+                    "payload must survive the cross-shard hop intact"
+                );
+                self.received += 1;
+            }
+            // The walk released what it took, and the engine billed the
+            // error where it arose.
+            Err(_) => self.failed += 1,
+        }
         self.spare_payload = msg.payload;
-        s.free(id, t.receiver).expect("free receiver");
-        s.free(id, t.netserver).expect("free netserver");
-        s.free(id, t.originator).expect("free originator");
-        self.received += 1;
         // Everything charged since t0 is this transfer's ring-crossing
         // stage (the sender's clock is independent, so receiver-side
         // ingest cost is the honest cross-shard measure — DESIGN §13).
@@ -623,13 +642,10 @@ impl Shard {
         m.tracer()
             .ring_cross(t0, m.now(), t.originator.0, occupancy);
         m.tracer().set_current_span(prev);
-        assert!(
-            links.notice_tx.is_some(),
-            "an ingress link implies a notice ring"
-        );
-        // Stage the acknowledgement instead of pushing it: tokens
-        // coalesce into one ring slot, flushed when the stage fills or
-        // at the next poll boundary, whichever comes first.
+        // Stage the acknowledgement, for a failed walk too, so the
+        // sender's buffer always comes home. Tokens coalesce into one
+        // ring slot, flushed when the stage fills or at the next poll
+        // boundary, whichever comes first.
         assert!(
             self.notice_stage.push(msg.token),
             "a full stage was flushed"
@@ -680,8 +696,8 @@ impl Shard {
     }
 
     /// Zeroes the measured-window activity counters (after warm-up).
-    /// `orphan_notices` is whole-life: an orphan is an anomaly wherever
-    /// it happens.
+    /// `orphan_notices`, `rejected_tokens` and `failed` are whole-life:
+    /// each is an anomaly wherever it happens.
     pub fn reset_activity(&mut self) {
         self.cycles = 0;
         self.sent = 0;
@@ -720,9 +736,11 @@ pub struct FleetConfig {
     pub metrics: bool,
     /// Fault-injection spec, armed per shard (the per-shard seed is the
     /// spec seed xor the shard id, so shards draw distinct schedules).
-    /// Under the fleet's expect-everything workload only backpressure
-    /// faults ([`FaultSite::RingFull`]) are survivable; the lockstep
-    /// fuzzer exercises the full fault surface on single engines.
+    /// A backpressure fault ([`FaultSite::RingFull`]) only delays a push,
+    /// one that fails a cycle or an arrival counts in
+    /// [`ShardReport::failed`], and one that fails the egress buffer
+    /// panics its shard. The lockstep fuzzer exercises the full fault
+    /// surface on single engines.
     pub fault: Option<FaultSpec>,
 }
 
@@ -743,6 +761,23 @@ impl FleetConfig {
             metrics: false,
             fault: None,
         }
+    }
+
+    /// Local paths shard `id` owns: its share of the [`shard_of_path`]
+    /// partition, at least one.
+    fn paths_of(&self, id: usize) -> usize {
+        let n = self.shards.max(1);
+        (0..self.paths.max(1) as u64)
+            .filter(|&p| shard_of_path(p, n) == id)
+            .count()
+            .max(1)
+    }
+
+    /// Local cycles shard `id` runs: an even split, the remainder to the
+    /// lowest ids.
+    fn cycles_of(&self, id: usize) -> u64 {
+        let n = self.shards.max(1) as u64;
+        self.cycles / n + u64::from((id as u64) < self.cycles % n)
     }
 }
 
@@ -798,16 +833,23 @@ pub struct ShardReport {
     /// `notice-without-pending` audit violation; zero in a fault-free
     /// fleet).
     pub orphan_notices: u64,
+    /// Local cycles and arrivals whose walk failed, over the shard's
+    /// whole life (zero in a fault-free fleet).
+    pub failed: u64,
 }
 
 impl ShardReport {
     /// The §3.2.2 steady-state violations of this shard's measured
     /// window: an empty vector is the per-shard invariant the fleet
-    /// harness asserts — zero PTE updates, zero page clears, and every
-    /// allocation (local, egress, and ingress alike) a cache hit.
+    /// harness asserts — zero failed walks, zero PTE updates, zero page
+    /// clears, and every allocation (local, egress, and ingress alike) a
+    /// cache hit.
     pub fn steady_state_violations(&self) -> Vec<String> {
         let mut v = Vec::new();
         let expected_allocs = self.cycles + self.sent + self.received;
+        if self.failed != 0 {
+            v.push(format!("failed = {} (want 0)", self.failed));
+        }
         if self.delta.pte_updates != 0 {
             v.push(format!("pte_updates = {} (want 0)", self.delta.pte_updates));
         }
@@ -876,22 +918,6 @@ pub fn fleet_telemetry(reports: &[ShardReport]) -> Vec<SeriesSnapshot> {
     metrics::merge_shards(&shards)
 }
 
-/// Everything one worker thread needs, bundled so it can be moved into
-/// the thread in one piece.
-struct ShardSpec {
-    id: usize,
-    machine: MachineConfig,
-    paths: usize,
-    pages: u64,
-    cycles: u64,
-    cross_every: u64,
-    expected_rx: u64,
-    trace: bool,
-    metrics: bool,
-    fault: Option<FaultSpec>,
-    links: Links,
-}
-
 /// Runs a fleet of shards to completion and returns their reports,
 /// shard 0 first.
 ///
@@ -910,26 +936,8 @@ struct ShardSpec {
 ///    the peer's remaining payloads and collects outstanding notices.
 pub fn run_fleet(cfg: &FleetConfig) -> Vec<ShardReport> {
     let n = cfg.shards.max(1);
-    let cross = cfg.cross_every > 0;
-    let total_paths = cfg.paths.max(1);
-    let paths_of: Vec<usize> = (0..n)
-        .map(|s| {
-            (0..total_paths)
-                .filter(|p| shard_of_path(*p as u64, n) == s)
-                .count()
-                .max(1)
-        })
-        .collect();
-    let cycles_of: Vec<u64> = (0..n as u64)
-        .map(|s| cfg.cycles / n as u64 + u64::from(s < cfg.cycles % n as u64))
-        .collect();
-    let sent_of: Vec<u64> = cycles_of
-        .iter()
-        .map(|&c| if cross { c / cfg.cross_every } else { 0 })
-        .collect();
-
     let mut links: Vec<Links> = (0..n).map(|_| Links::default()).collect();
-    if cross {
+    if cfg.cross_every > 0 {
         for i in 0..n {
             let cap = cfg.channel_capacity.max(1);
             let (data_tx, data_rx) = spsc::ring::<CrossShardMsg>(cap);
@@ -943,108 +951,74 @@ pub fn run_fleet(cfg: &FleetConfig) -> Vec<ShardReport> {
     }
 
     let barrier = Barrier::new(n);
-    let mut specs: Vec<ShardSpec> = links
-        .into_iter()
-        .enumerate()
-        .map(|(id, links)| ShardSpec {
-            id,
-            machine: cfg.machine.clone(),
-            paths: paths_of[id],
-            pages: cfg.pages,
-            cycles: cycles_of[id],
-            cross_every: cfg.cross_every,
-            // Ring topology: shard `id` ingests what shard `id - 1` sends.
-            expected_rx: sent_of[(id + n - 1) % n],
-            trace: cfg.trace,
-            metrics: cfg.metrics,
-            fault: cfg.fault.clone().map(|mut f| {
-                f.seed ^= id as u64;
-                f
-            }),
-            links,
-        })
-        .collect();
-
     std::thread::scope(|scope| {
         let barrier = &barrier;
-        let handles: Vec<_> = specs
-            .drain(..)
-            .map(|spec| scope.spawn(move || shard_main(spec, barrier)))
+        let handles: Vec<_> = links
+            .into_iter()
+            .enumerate()
+            .map(|(id, links)| scope.spawn(move || shard_main(cfg, id, links, barrier)))
             .collect();
-        handles
+        // A shard that panics takes the fleet down with it (ROADMAP
+        // item 4, shard isolation).
+        #[allow(clippy::expect_used)]
+        let reports = handles
             .into_iter()
             .map(|h| h.join().expect("shard thread panicked"))
-            .collect()
+            .collect();
+        reports
     })
 }
 
-/// One worker thread's whole life. The engine is built here, inside the
-/// thread, and never leaves it.
-fn shard_main(spec: ShardSpec, barrier: &Barrier) -> ShardReport {
-    let ShardSpec {
-        id,
-        machine,
-        paths,
-        pages,
-        cycles,
-        cross_every,
-        expected_rx,
-        trace,
-        metrics,
-        fault,
-        mut links,
-    } = spec;
-    let mut sh = Shard::new(id, machine, paths, pages);
-    if trace {
+/// Shard `id`'s whole life on its worker thread. The engine is built
+/// here, inside the thread, and never leaves it.
+fn shard_main(cfg: &FleetConfig, id: usize, mut links: Links, barrier: &Barrier) -> ShardReport {
+    let paths = cfg.paths_of(id);
+    let mut sh = Shard::new(id, cfg.machine.clone(), paths, cfg.pages);
+    if cfg.trace {
         sh.sys.machine().tracer().set_enabled(true);
     }
-    if metrics {
+    if cfg.metrics {
         sh.sys.machine().metrics().set_enabled(true);
     }
-    if let Some(spec) = &fault {
+    if let Some(mut spec) = cfg.fault.clone() {
         // The plan is built inside the thread and armed on the machine,
         // its one owner.
+        spec.seed ^= id as u64;
         sh.sys.arm_faults(spec.arm());
     }
 
     // Phase 1: warm every allocator this shard will touch.
-    sh.warm_local();
+    if sh.warm_local().is_err() {
+        sh.failed += 1;
+    }
     sh.egress(&mut links);
     barrier.wait();
 
     // Phase 2: settle the cross-shard warm traffic.
-    if links.data_rx.is_some() {
-        while sh.received < 1 {
-            if sh.poll(&mut links) == 0 {
-                std::thread::yield_now();
-            }
-        }
-    }
-    while sh.in_flight() > 0 {
-        if sh.poll(&mut links) == 0 {
-            std::thread::yield_now();
-        }
-    }
+    let warm_rx = u64::from(links.data_rx.is_some());
+    drain(&mut sh, &mut links, warm_rx);
     barrier.wait();
 
-    // Phase 3: the measured window.
+    // Phase 3: the measured window. Ring topology: shard `id` ingests
+    // what shard `id - 1` sends.
+    let n = cfg.shards.max(1);
+    let upstream_cycles = cfg.cycles_of((id + n - 1) % n);
+    let expected_rx = upstream_cycles.checked_div(cfg.cross_every).unwrap_or(0);
     sh.reset_activity();
     let mark = sh.sys.stats().snapshot();
     let sim0 = sh.sys.machine().clock().now();
     let t0 = Instant::now();
-    for i in 0..cycles {
+    for i in 0..cfg.cycles_of(id) {
         sh.poll(&mut links);
-        sh.local_cycle();
-        if cross_every > 0 && (i + 1) % cross_every == 0 {
+        if sh.local_cycle().is_err() {
+            sh.failed += 1;
+        }
+        if cfg.cross_every > 0 && (i + 1) % cfg.cross_every == 0 {
             sh.egress(&mut links);
         }
         sh.sample_telemetry(&links);
     }
-    while sh.received < expected_rx || sh.in_flight() > 0 {
-        if sh.poll(&mut links) == 0 {
-            std::thread::yield_now();
-        }
-    }
+    drain(&mut sh, &mut links, expected_rx);
     let host_ns = t0.elapsed().as_nanos() as u64;
     let sim_elapsed = sh.sys.machine().clock().now() - sim0;
     let delta = sh.sys.stats().snapshot().delta(&mark);
@@ -1069,6 +1043,18 @@ fn shard_main(spec: ShardSpec, barrier: &Barrier) -> ShardReport {
         notice_batches: sh.notice_batches,
         notice_tokens: sh.notice_tokens,
         orphan_notices: sh.orphan_notices,
+        failed: sh.failed,
+    }
+}
+
+/// Polls until `arrivals` payloads are acknowledged and every egress
+/// notice is home. A failed arrival is acknowledged too, so this counts
+/// flushed notice tokens, not `received`.
+fn drain(sh: &mut Shard, links: &mut Links, arrivals: u64) {
+    while sh.notice_tokens < arrivals || sh.in_flight() > 0 {
+        if sh.poll(links) == 0 {
+            std::thread::yield_now();
+        }
     }
 }
 
@@ -1237,5 +1223,247 @@ mod tests {
         let sent: u64 = reports.iter().map(|r| r.sent).sum();
         let received: u64 = reports.iter().map(|r| r.received).sum();
         assert_eq!(sent, received);
+    }
+
+    /// The whole-life ledger's conservation violations (empty = holds).
+    fn unconserved(sh: &Shard) -> Vec<String> {
+        sh.sys
+            .ledger_snapshot()
+            .conserves(&sh.sys.stats().snapshot())
+    }
+
+    #[test]
+    fn a_failed_local_cycle_leaks_nothing_and_other_paths_keep_cycling() {
+        let mut sh = Shard::new(0, machine(), 2, 1);
+        sh.warm_local().expect("warm cycles");
+        // Tearing the path down retires its parked buffer.
+        sh.sys
+            .terminate_domain(sh.locals[0].netserver)
+            .expect("terminate");
+        let (live, hits) = (
+            sh.sys.live_fbufs(),
+            sh.sys.stats().snapshot().fbuf_cache_hits,
+        );
+        for _ in 0..2 {
+            assert!(sh.local_cycle().is_err(), "path 0 is gone");
+            assert!(sh.local_cycle().is_ok(), "path 1 keeps cycling");
+        }
+        assert_eq!(sh.cycles, 2 + 2, "warm-up plus path 1's cycles");
+        assert_eq!(sh.sys.live_fbufs(), live);
+        assert_eq!(sh.sys.stats().snapshot().fbuf_cache_hits - hits, 2);
+        assert!(unconserved(&sh).is_empty(), "{:?}", unconserved(&sh));
+    }
+
+    #[test]
+    fn a_walk_that_fails_mid_route_parks_its_buffer_again() {
+        let mut sh = Shard::new(0, machine(), 1, 1);
+        sh.warm_local().expect("warm cycle");
+        // A netserver off every path, so terminating it leaves the path
+        // live: the alloc hits, and the send down to it fails.
+        let dead = sh.sys.create_domain();
+        sh.sys.terminate_domain(dead).expect("terminate");
+        let t = Triple {
+            netserver: dead,
+            ..sh.locals[0]
+        };
+        let (live, before) = (sh.sys.live_fbufs(), sh.sys.stats().snapshot());
+        assert!(sh.walk(t, None).is_err());
+        assert_eq!(sh.sys.live_fbufs(), live);
+        assert!(unconserved(&sh).is_empty(), "{:?}", unconserved(&sh));
+        // Parked again: the next cycle on the path is a hit.
+        sh.local_cycle().expect("cached cycle");
+        let d = sh.sys.stats().snapshot().delta(&before);
+        assert_eq!((d.fbuf_cache_hits, d.fbuf_cache_misses), (2, 0));
+        assert_eq!(sh.sys.live_fbufs(), live);
+    }
+
+    #[test]
+    fn an_arrival_that_fails_its_walk_is_counted_and_still_acknowledged() {
+        let (mut sh, mut links) = warm_shard();
+        sh.sys
+            .terminate_domain(sh.ingress.netserver)
+            .expect("terminate");
+        let (live, received, tokens) = (sh.sys.live_fbufs(), sh.received, sh.notice_tokens);
+        sh.egress(&mut links);
+        sh.poll(&mut links);
+        assert_eq!(sh.failed, 1);
+        assert_eq!(sh.received, received, "a failed arrival is not received");
+        assert_eq!(sh.notice_tokens, tokens + 1, "its notice went back");
+        assert_eq!(sh.in_flight(), 0, "and retired the egress buffer");
+        assert_eq!(sh.sys.live_fbufs(), live);
+        assert!(unconserved(&sh).is_empty(), "{:?}", unconserved(&sh));
+    }
+
+    #[test]
+    fn a_fleet_whose_cycles_fail_reports_them_instead_of_panicking() {
+        // Every frame allocation fails, so no path ever gets a buffer.
+        let cfg = FleetConfig {
+            cross_every: 0,
+            fault: Some(FaultSpec::new(3).rate(FaultSite::FrameAlloc, u16::MAX)),
+            ..FleetConfig::new(1, machine(), 20)
+        };
+        let r = &run_fleet(&cfg)[0];
+        assert_eq!(r.cycles, 0);
+        assert_eq!(r.failed, 1 + 20, "the warm-up stops at its first failure");
+        assert!(r.steady_state_violations()[0].starts_with("failed = 21"));
+        assert!(r.ledger.conserves(&r.life).is_empty());
+    }
+
+    /// Links that feed a shard's own data ring back into itself.
+    fn self_links() -> Links {
+        let (data_tx, data_rx) = spsc::ring(16);
+        let (notice_tx, notice_rx) = spsc::ring(16);
+        Links {
+            data_tx: Some(data_tx),
+            notice_rx: Some(notice_rx),
+            data_rx: Some(data_rx),
+            notice_tx: Some(notice_tx),
+            upstream: Some(0),
+        }
+    }
+
+    /// A self-linked shard with 1 path and 1-page buffers, its local,
+    /// ingress and egress caches warmed by one cycle and one payload.
+    fn warm_shard() -> (Shard, Links) {
+        let mut sh = Shard::new(0, machine(), 1, 1);
+        let mut links = self_links();
+        sh.warm_local().expect("warm cycle");
+        sh.egress(&mut links);
+        sh.poll(&mut links);
+        assert_eq!(sh.in_flight(), 0);
+        (sh, links)
+    }
+
+    /// Sends one payload and takes it back off the data ring, so its
+    /// egress buffer stays in flight until the payload is fed back.
+    /// Older held payloads are hidden from `egress`, which would wait
+    /// for their notices.
+    fn egress_held(sh: &mut Shard, links: &mut Links) -> CrossShardMsg {
+        let mut pending = std::mem::take(&mut sh.pending);
+        sh.egress(links);
+        pending.append(&mut sh.pending);
+        sh.pending = pending;
+        links
+            .data_rx
+            .as_mut()
+            .and_then(Consumer::pop)
+            .expect("egress pushed a payload")
+    }
+
+    /// A `len`-byte payload whose first word is `token`, as egress
+    /// stamps it.
+    fn stamped(token: u64, len: usize) -> CrossShardMsg {
+        let mut payload = vec![0x5a; len];
+        payload[..8].copy_from_slice(&token.to_le_bytes());
+        CrossShardMsg { token, payload }
+    }
+
+    /// What a hostile peer pushes at the shard.
+    enum Input {
+        /// A message onto the data ring, built from the page size.
+        Data(fn(usize) -> CrossShardMsg),
+        /// One notice token onto the notice ring, built from the tokens
+        /// of the payloads held in flight (oldest first).
+        Notice(fn(&[u64]) -> u64),
+    }
+
+    /// One hostile input and the exact deltas `poll` must show for it.
+    struct Row {
+        name: &'static str,
+        /// Genuine payloads held in flight before the input arrives.
+        held: usize,
+        input: Input,
+        rejected: u64,
+        orphans: u64,
+        in_flight: i64,
+    }
+
+    #[test]
+    fn hostile_ring_input_is_refused_without_a_panic_or_a_leak() {
+        #[rustfmt::skip]
+        let rows = [
+            Row { name: "data: wrong upstream shard bits", held: 0, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Data(|page| stamped(CrossShardMsg::token_for(1, 0, 0), page)) },
+            Row { name: "data: page + 1 bytes", held: 0, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Data(|page| stamped(CrossShardMsg::token_for(0, 0, 0), page + 1)) },
+            Row { name: "data: 3 bytes", held: 0, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Data(|_| CrossShardMsg { token: CrossShardMsg::token_for(0, 0, 0), payload: vec![1, 2, 3] }) },
+            Row { name: "data: first word is not its token", held: 0, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Data(|page| CrossShardMsg { token: CrossShardMsg::token_for(0, 0, 0), ..stamped(7, page) }) },
+            Row { name: "notice: stale generation bits", held: 1, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Notice(|held| held[0] ^ (1 << 32)) },
+            Row { name: "notice: unknown sequence", held: 1, rejected: 0, orphans: 1, in_flight: 0,
+                  input: Input::Notice(|held| held[0] + 1) },
+            Row { name: "notice: another shard's bits", held: 1, rejected: 1, orphans: 0, in_flight: 0,
+                  input: Input::Notice(|held| held[0] | (1 << 48)) },
+            Row { name: "notice: genuine, out of order", held: 2, rejected: 0, orphans: 1, in_flight: -1,
+                  input: Input::Notice(|held| held[1]) },
+        ];
+        let mut failures = Vec::new();
+        for row in &rows {
+            let (mut sh, mut links) = warm_shard();
+            let held: Vec<CrossShardMsg> = (0..row.held)
+                .map(|_| egress_held(&mut sh, &mut links))
+                .collect();
+            let tokens: Vec<u64> = held.iter().map(|m| m.token).collect();
+            let (rejected, orphans, in_flight, live) = (
+                sh.rejected_tokens,
+                sh.orphan_notices,
+                sh.in_flight() as i64,
+                sh.sys.live_fbufs(),
+            );
+            match row.input {
+                Input::Data(build) => {
+                    let msg = build(sh.len as usize);
+                    links.data_tx.as_mut().unwrap().push(msg).unwrap();
+                }
+                Input::Notice(build) => {
+                    let mut batch = NoticeBatch::empty();
+                    assert!(batch.push(build(&tokens)));
+                    links.notice_tx.as_mut().unwrap().push(batch).unwrap();
+                }
+            }
+            let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                sh.poll(&mut links);
+            }));
+            if polled.is_err() {
+                failures.push(format!("{}: poll panicked", row.name));
+                continue;
+            }
+            let got = (
+                sh.rejected_tokens - rejected,
+                sh.orphan_notices - orphans,
+                sh.in_flight() as i64 - in_flight,
+            );
+            if got != (row.rejected, row.orphans, row.in_flight) {
+                failures.push(format!(
+                    "{}: (rejected, orphans, in flight) deltas {got:?}, want {:?}",
+                    row.name,
+                    (row.rejected, row.orphans, row.in_flight)
+                ));
+            }
+            // Feed the held payloads back: their notices retire what is
+            // still in flight, and every buffer parks again.
+            for msg in held {
+                links.data_tx.as_mut().unwrap().push(msg).unwrap();
+            }
+            sh.poll(&mut links);
+            if (sh.in_flight(), sh.sys.live_fbufs()) != (0, live) {
+                failures.push(format!(
+                    "{}: in flight {} and live fbufs {} after the held payloads came home, want 0 and {live}",
+                    row.name,
+                    sh.in_flight(),
+                    sh.sys.live_fbufs()
+                ));
+            }
+            let conserved = sh
+                .sys
+                .ledger_snapshot()
+                .conserves(&sh.sys.stats().snapshot());
+            if !conserved.is_empty() {
+                failures.push(format!("{}: ledger {conserved:?}", row.name));
+            }
+        }
+        assert!(failures.is_empty(), "{failures:#?}");
     }
 }

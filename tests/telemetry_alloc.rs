@@ -69,7 +69,7 @@ fn self_links() -> Links {
 fn cycles(shard: &mut Shard, links: &mut Links, n: u64, every: u64) {
     for i in 1..=n {
         shard.poll(links);
-        shard.local_cycle();
+        shard.local_cycle().expect("cached cycle");
         if every > 0 && i % every == 0 {
             shard.egress(links);
         }
@@ -92,7 +92,7 @@ fn telemetry_allocates_nothing_once_every_series_is_full() {
     let m = shard.sys.machine().metrics();
     m.set_enabled(true);
     m.set_capacity(CAP);
-    shard.warm_local();
+    shard.warm_local().expect("warm cycles");
     shard.egress(&mut links);
     shard.poll(&mut links);
     // Long enough for every timeline to trim a few times over.

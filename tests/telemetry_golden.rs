@@ -41,12 +41,12 @@ fn shard_telemetry_block_is_byte_identical_to_its_golden_digest() {
     let m = shard.sys.machine().metrics();
     m.set_enabled(true);
     m.set_capacity(600);
-    shard.warm_local();
+    shard.warm_local().expect("warm cycles");
     shard.egress(&mut links);
     shard.poll(&mut links);
     for i in 0..1_200u64 {
         shard.poll(&mut links);
-        shard.local_cycle();
+        shard.local_cycle().expect("cached cycle");
         if i % 16 == 15 {
             shard.egress(&mut links);
         }
