@@ -11,18 +11,19 @@
 //! being serviced as an event, so only that case calls
 //! [`Rpc::call`](fbuf_ipc::Rpc::call) inline.
 //!
-//! **The drained hop is cheap.** A sequential [`FbufSystem::hop`] goes
-//! through [`EventLoop::call`]. When nothing is pending, a posted event
-//! would be dequeued at the instant it is enqueued, so `call` skips the
-//! heap and the inbox: it draws the event id the push would have had
-//! and hands the envelope straight to the handler. The enqueue and
-//! dequeue bookkeeping are the loop's own helpers, shared with
+//! **The drained hop costs its RPC.** When nothing is pending, a posted
+//! event would be dequeued at the instant it is enqueued, so a
+//! sequential [`FbufSystem::hop`] books it on the loop
+//! ([`EventLoop::book`]) and then makes its [`Rpc::call`](fbuf_ipc::Rpc::call)
+//! itself: no envelope, no handler call, and the loop stays in the
+//! system. The booking draws the event id the push would have had and
+//! runs the loop's own enqueue and dequeue bookkeeping, shared with
 //! `post_on` and `step`, so the hop still counts one enqueue and one
 //! dequeue, records a zero queueing delay, and writes the same
-//! Enqueue/Dequeue trace records. The loop is boxed, so taking it out
-//! of the system for a hop moves a pointer. A hop that drains no
-//! notices allocates nothing; one that does allocates only the `Vec`
-//! it returns. Transfer legs share one `Rc` route.
+//! Enqueue/Dequeue trace records. With events pending, the hop is a
+//! [`HopMsg::Call`] that [`EventLoop::call`] queues behind them and
+//! drains. The RPC counts the reply's notices in place, so a hop
+//! allocates nothing. Transfer legs share one `Rc` route.
 //!
 //! **Counter-exactness is the design invariant**: the loop itself never
 //! touches the clock. All cost stays in the handler, which performs
@@ -54,10 +55,10 @@ use crate::system::{AllocMode, FbufSystem, SendMode};
 /// Event payloads flowing through the transfer engine's loop.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HopMsg {
-    /// A bare control-transfer hop — the event form of
-    /// [`Rpc::call`](fbuf_ipc::Rpc::call). The handler charges the RPC
-    /// and captures the piggybacked deallocation notices for the caller
-    /// of [`FbufSystem::hop`].
+    /// A bare control-transfer hop queued behind pending events — the
+    /// event form of [`Rpc::call`](fbuf_ipc::Rpc::call). The handler
+    /// charges the RPC and keeps the count of piggybacked deallocation
+    /// notices for the caller of [`FbufSystem::hop`].
     Call,
     /// One leg of a full transfer driven by [`run_offered_load`]: the
     /// handler charges the RPC, moves `fbuf` to the envelope's
@@ -146,26 +147,30 @@ impl FbufSystem {
     /// Performs one cross-domain hop from `from` to `to` and returns how
     /// many deallocation notices the reply carried back.
     ///
-    /// The hop is a [`HopMsg::Call`] event that [`EventLoop::call`]
-    /// posts and drains: the charges and counters of one
-    /// [`Rpc::call`](fbuf_ipc::Rpc::call), plus an Enqueue/Dequeue audit trail
-    /// and a (zero, when drained) queueing-delay sample. A full inbox is
-    /// drained first, so a hop never overloads. On an idle loop the
-    /// event goes straight to the handler without touching the heap or
-    /// an inbox, which leaves the ids, counters, delay sample and trace
+    /// The hop is an event on the loop: the charges and counters of one
+    /// [`Rpc::call`](fbuf_ipc::Rpc::call), plus an Enqueue/Dequeue audit
+    /// trail and a (zero, when drained) queueing-delay sample. On an
+    /// idle loop it is booked ([`EventLoop::book`]) and the RPC made
+    /// here, which leaves the ids, counters, delay sample and trace
     /// records exactly as a queued event would (see the
-    /// [module docs](crate::engine)).
+    /// [module docs](crate::engine)). With events pending it is a
+    /// [`HopMsg::Call`] that [`EventLoop::call`] queues behind them, so
+    /// it keeps its order against queued legs; a full inbox is drained
+    /// first, so a hop never overloads.
     ///
     /// Calls arriving while the loop is already pumping (i.e. from inside
     /// a handler) charge inline: they are being serviced *as* an event
     /// already.
     pub fn hop(&mut self, from: DomainId, to: DomainId) -> usize {
-        let Some(mut evl) = self.engine.take() else {
-            return self.rpc.call(&mut self.machine, from, to).len();
-        };
-        evl.call(from, to, None, HopMsg::Call, self, &mut handle_hop);
-        self.engine = Some(evl);
-        std::mem::take(&mut self.hop_notices)
+        if let Some(mut evl) = self.engine.take_if(|evl| evl.pending() > 0) {
+            evl.call(from, to, None, HopMsg::Call, self, &mut handle_hop);
+            self.engine = Some(evl);
+            return std::mem::take(&mut self.hop_notices);
+        }
+        if let Some(evl) = self.engine.as_deref_mut() {
+            evl.book(&self.machine, from, to, None);
+        }
+        self.rpc.call(&mut self.machine, from, to)
     }
 
     /// Posts one full multi-leg transfer (first leg only; later legs are
@@ -296,15 +301,15 @@ fn post_leg(
 
 /// The per-event handler: all simulated cost charged by a hop lives here,
 /// which is what keeps the loop counter-exact with an inline descent.
-/// Marked for inlining into the loop's dispatch: as a separate call it
-/// moves the envelope through the stack on every drained hop.
+/// Marked for inlining into the loop's `step`: as a separate call it
+/// moves the envelope through the stack on every queued event.
 #[inline]
 fn handle_hop(evl: &mut EventLoop<HopMsg>, sys: &mut FbufSystem, env: Envelope<HopMsg>) {
     match env.msg {
         HopMsg::Call => {
             // Only `hop` posts a `Call`, one per drain, and it takes the
             // count right after.
-            sys.hop_notices = sys.rpc.call(&mut sys.machine, env.from, env.to).len();
+            sys.hop_notices = sys.rpc.call(&mut sys.machine, env.from, env.to);
         }
         HopMsg::Transfer {
             fbuf,
@@ -562,6 +567,119 @@ mod tests {
         sys.free(buf, b).unwrap(); // queues a notice for owner `a`
         assert_eq!(sys.hop(a, b), 1, "the reply carried the notice");
         assert_eq!(sys.hop(a, b), 0, "drained only once");
+    }
+
+    /// One row of the direct-hop equivalence table: the state a hop
+    /// sequence starts from.
+    struct HopRow {
+        name: &'static str,
+        /// Tracer enabled, and the ambient span set, before the hops.
+        traced: bool,
+        span: Option<u64>,
+        /// Per-domain inbox bound.
+        depth: usize,
+        /// Transfers submitted through the path and left unpumped.
+        backlog: usize,
+        /// Notices owed to the path's originator when the hops begin.
+        notices: usize,
+        /// Notices the first hop's reply carries back: those owed, plus
+        /// those of a backlog the hop drains before it is served.
+        carried: usize,
+    }
+
+    /// Everything a hop records, outside the buffers it moves.
+    #[derive(Debug, PartialEq)]
+    struct HopSeen {
+        notices: Vec<usize>,
+        ids: u64,
+        counts: (u64, u64, u64),
+        delay: Histogram,
+        delay_by_dom: Vec<u64>,
+        now: Ns,
+        stats: fbuf_sim::StatsSnapshot,
+        events: Vec<fbuf_sim::TraceEvent>,
+        trace: String,
+    }
+
+    /// Builds `row`'s starting state on a fresh system with a cached
+    /// path `a → b → c`, runs the hops `a → b`, `b → c`, `a → b`, and
+    /// records what they left. With `queued`, each hop is forced through
+    /// the queue as a [`HopMsg::Call`] (`post_on` + `run`, draining a
+    /// full inbox first, as [`EventLoop::call`] does); otherwise through
+    /// [`FbufSystem::hop`].
+    fn run_hop_row(row: &HopRow, queued: bool) -> HopSeen {
+        let mut sys = FbufSystem::new(MachineConfig::decstation_5000_200());
+        let route = [
+            sys.create_domain(),
+            sys.create_domain(),
+            sys.create_domain(),
+        ];
+        let [a, b, c] = route;
+        let path = sys.create_path(route.to_vec()).unwrap();
+        sys.set_inbox_depth(row.depth);
+        sys.machine().tracer().set_enabled(row.traced);
+        sys.machine().tracer().set_current_span(row.span);
+        for _ in 0..row.notices {
+            let buf = sys.alloc(a, AllocMode::Cached(path), 4096).unwrap();
+            sys.send(buf, a, b, SendMode::Volatile).unwrap();
+            sys.free(buf, b).unwrap();
+            sys.free(buf, a).unwrap();
+        }
+        for _ in 0..row.backlog {
+            let buf = sys.alloc(a, AllocMode::Cached(path), 4096).unwrap();
+            assert!(matches!(
+                sys.submit_transfer(buf, &route),
+                SubmitOutcome::Queued(_)
+            ));
+        }
+        let mut notices = Vec::new();
+        for (from, to) in [(a, b), (b, c), (a, b)] {
+            notices.push(if queued {
+                let mut evl = sys.engine.take().unwrap();
+                if evl.inbox_len(to) >= row.depth {
+                    evl.run(&mut sys, &mut handle_hop);
+                }
+                let outcome = evl.post_on(&mut sys, from, to, None, HopMsg::Call);
+                assert!(!outcome.is_overload());
+                evl.run(&mut sys, &mut handle_hop);
+                sys.engine = Some(evl);
+                std::mem::take(&mut sys.hop_notices)
+            } else {
+                sys.hop(from, to)
+            });
+        }
+        assert_eq!(sys.engine_pending(), 0, "{}: the hops drained", row.name);
+        let evl = sys.engine.as_deref().unwrap();
+        HopSeen {
+            notices,
+            ids: evl.ids_issued(),
+            counts: (evl.enqueued(), evl.dequeued(), evl.overloads()),
+            delay: evl.queue_delay().clone(),
+            delay_by_dom: evl.queue_delay_by_dom().to_vec(),
+            now: sys.machine().now(),
+            stats: sys.stats().snapshot(),
+            events: sys.machine().tracer().events(),
+            trace: sys.machine().tracer().chrome_trace().render(),
+        }
+    }
+
+    #[test]
+    fn a_direct_hop_records_what_a_queued_one_records() {
+        #[rustfmt::skip]
+        let rows = [
+            HopRow { name: "idle loop",         traced: false, span: None,     depth: 64, backlog: 0, notices: 0, carried: 0 },
+            HopRow { name: "unpumped transfer", traced: true,  span: None,     depth: 64, backlog: 1, notices: 0, carried: 0 },
+            HopRow { name: "full inbox",        traced: true,  span: None,     depth: 1,  backlog: 1, notices: 0, carried: 2 },
+            HopRow { name: "ambient span",      traced: true,  span: Some(77), depth: 64, backlog: 0, notices: 0, carried: 0 },
+            HopRow { name: "notices owed",      traced: true,  span: None,     depth: 64, backlog: 0, notices: 2, carried: 2 },
+        ];
+        for row in &rows {
+            let direct = run_hop_row(row, false);
+            assert_eq!(direct, run_hop_row(row, true), "{}", row.name);
+            assert_eq!(direct.counts.0, direct.counts.1, "{}", row.name);
+            assert_eq!(direct.notices[0], row.carried, "{}", row.name);
+            assert_eq!(direct.events.is_empty(), !row.traced, "{}", row.name);
+        }
     }
 
     #[test]

@@ -725,9 +725,8 @@ impl FbufSystem {
     /// are satisfied from the path's LIFO free list when possible —
     /// skipping clearing and all mapping work ("no clearing of the buffers
     /// is required, and the appropriate mappings already exist", §3.2.2).
-    #[inline]
     pub fn alloc(&mut self, dom: DomainId, mode: AllocMode, len: u64) -> FbufResult<FbufId> {
-        self.alloc_from(dom, mode, len, None)
+        self.alloc_body(dom, mode, len, None)
     }
 
     /// [`FbufSystem::alloc`] for a device receive when `source` is given:
@@ -739,6 +738,21 @@ impl FbufSystem {
     /// `source` (any the pageout daemon took come back zeroed), so the
     /// caller writes those itself. Without `source` this is `alloc`.
     pub fn alloc_from(
+        &mut self,
+        dom: DomainId,
+        mode: AllocMode,
+        len: u64,
+        source: Option<PageSource<'_>>,
+    ) -> FbufResult<FbufId> {
+        self.alloc_body(dom, mode, len, source)
+    }
+
+    /// The one body of [`FbufSystem::alloc`] and
+    /// [`FbufSystem::alloc_from`]. It is inlined into both, so `alloc`'s
+    /// compiled instance knows there is no page source and the cached
+    /// hit does not carry one.
+    #[inline(always)]
+    fn alloc_body(
         &mut self,
         dom: DomainId,
         mode: AllocMode,
@@ -1219,7 +1233,7 @@ impl FbufSystem {
             // An external reference was dropped: queue a deallocation
             // notice for the owner (it rides the next RPC reply, or an
             // explicit message when the backlog grows too long).
-            let _ = rpc.queue_dealloc_notice(machine, originator, dom, id.0);
+            rpc.queue_dealloc_notice(machine, originator, dom, id.0);
         }
         if now_empty {
             // The buffer's whole incarnation ends here: bill its hold time

@@ -23,10 +23,11 @@
 //!   [`SendOutcome::Overload`] — counted by the loop
 //!   ([`EventLoop::overloads`]), traced as [`EventKind::Overload`] —
 //!   instead of growing without bound or recursing;
-//! * a sequential caller posts and drains in one [`EventLoop::call`].
-//!   On an idle loop the event would be popped the instant it is
-//!   pushed, so `call` hands it straight to the handler, with the same
-//!   id, counters, delay sample and trace records as the queued route.
+//! * a sequential caller on an **idle** loop books its event with
+//!   [`EventLoop::book`]: it would be popped the instant it is pushed,
+//!   so the loop records the id, counters, zero delay sample and trace
+//!   records of that round trip, and the caller serves the event itself;
+//!   on a busy loop, [`EventLoop::call`] posts it and drains the loop.
 //!
 //! Determinism: the heap orders by `(simulated time, insertion id)` with
 //! FIFO tie-break (see [`fbuf_sim::event`]), posts and dequeues read the
@@ -238,7 +239,17 @@ impl<M> EventLoop<M> {
             return SendOutcome::Overload;
         }
         let id = self.heap.push(now, to);
-        let env = self.enqueue(ctx, id, from, to, path, msg);
+        let tracer = ctx.tracer();
+        self.note_enqueue(tracer, now, from, to, path);
+        let env = Envelope {
+            from,
+            to,
+            enqueued_at: now,
+            id,
+            span: tracer.current_span(),
+            path,
+            msg,
+        };
         let inbox = &mut self.inboxes[slot];
         inbox.push_back(env);
         ctx.metrics_mut()
@@ -259,32 +270,61 @@ impl<M> EventLoop<M> {
             return false;
         };
         let inbox = &mut self.inboxes[token.payload.0 as usize];
+        // Invariant: `post_on` pushes each wake token together with one
+        // envelope at the back of its destination's inbox, and one
+        // inbox's tokens pop in the order they were pushed (posts are
+        // stamped with a monotone now and a rising id), so a popped
+        // token always finds its envelope at the front.
+        #[allow(clippy::expect_used)]
         let env = inbox
             .pop_front()
             .expect("a wake token always has a matching inbox entry");
         ctx.metrics_mut()
             .write(Gauge::Inbox(token.payload.0), || inbox.len() as u64);
         debug_assert_eq!(env.id, token.id, "tokens and envelopes stay FIFO-aligned");
-        self.dispatch(env, ctx, handler);
+        // The envelope's transfer span becomes ambient for the Dequeue
+        // record and the whole handler, so every event the hop records
+        // (IPC descent, VM work, follow-up posts) stays on the tree.
+        let (now, tracer) = (ctx.now(), ctx.tracer());
+        let prev = tracer.set_current_span(env.span);
+        self.note_dequeue(tracer, now, env.from, env.to, env.path, env.enqueued_at);
+        handler(self, ctx, env);
+        ctx.tracer().set_current_span(prev);
         true
+    }
+
+    /// Books an event that is served the instant it is posted, for the
+    /// caller of an **idle** loop to serve itself, with no envelope or
+    /// handler. It records what a push and the pop that follows would:
+    /// the id the push would return (so later ids are unchanged), one
+    /// enqueue and one dequeue, a zero queueing delay against `to`, and
+    /// the `Enqueue` instant and `Dequeue` span in the ambient span. No
+    /// inbox moves, so no depth is written. With events pending, post
+    /// instead ([`EventLoop::call`]).
+    #[inline]
+    pub fn book(
+        &mut self,
+        ctx: &impl LoopContext,
+        from: DomainId,
+        to: DomainId,
+        path: Option<u64>,
+    ) -> EventId {
+        debug_assert!(self.heap.is_empty(), "only an idle loop books an event");
+        let id = self.heap.draw_id();
+        let (now, tracer) = (ctx.now(), ctx.tracer());
+        self.note_enqueue(tracer, now, from, to, path);
+        self.note_dequeue(tracer, now, from, to, path, now);
+        id
     }
 
     /// Posts one event and drains the loop: the synchronous call of a
     /// sequential caller. Returns how many events were processed.
     ///
     /// It does what [`EventLoop::post_on`] followed by [`EventLoop::run`]
-    /// does, with two differences:
-    ///
-    /// * it never overloads: a full destination inbox is drained first,
-    ///   so the event always queues and the overload counter counts only
-    ///   real refusals;
-    /// * on an **idle** loop (nothing pending) the event would be popped
-    ///   the instant it is pushed, so it skips the heap and the inbox:
-    ///   it draws the id the push would have returned and hands the
-    ///   envelope straight to `handler`. The enqueue and dequeue
-    ///   bookkeeping are the same helpers `post_on` and `step` use, so
-    ///   ids, counters, the (zero) queueing-delay sample and the trace
-    ///   records are exactly those of the queued route.
+    /// does, except that it never overloads: a full destination inbox is
+    /// drained first, so the event always queues and the overload counter
+    /// counts only real refusals. On an idle loop a caller that can
+    /// serve the event itself books it instead ([`EventLoop::book`]).
     pub fn call<C: LoopContext>(
         &mut self,
         from: DomainId,
@@ -298,82 +338,60 @@ impl<M> EventLoop<M> {
         if self.inbox_len(to) >= self.depth {
             n += self.run(ctx, handler);
         }
-        if self.heap.is_empty() {
-            let id = self.heap.draw_id();
-            let env = self.enqueue(&*ctx, id, from, to, path, msg);
-            self.dispatch(env, ctx, handler);
-            n += 1;
-        } else {
-            let outcome = self.post_on(ctx, from, to, path, msg);
-            debug_assert!(
-                matches!(outcome, SendOutcome::Queued(_)),
-                "an inbox below its bound accepts one event"
-            );
-        }
+        let outcome = self.post_on(ctx, from, to, path, msg);
+        debug_assert!(
+            matches!(outcome, SendOutcome::Queued(_)),
+            "an inbox below its bound accepts one event"
+        );
         n + self.run(ctx, handler)
     }
 
-    /// Enqueue bookkeeping for an admitted event (queued or dispatched
-    /// directly): stamps it with the context's now and ambient span,
-    /// counts it, and records its `Enqueue` trace event.
-    fn enqueue(
+    /// Enqueue bookkeeping of an admitted event (queued or booked):
+    /// counts it and records its `Enqueue` trace event.
+    #[inline]
+    fn note_enqueue(
         &mut self,
-        ctx: &impl LoopContext,
-        id: EventId,
+        tracer: &Tracer,
+        now: Ns,
         from: DomainId,
         to: DomainId,
         path: Option<u64>,
-        msg: M,
-    ) -> Envelope<M> {
+    ) {
         self.enqueued += 1;
-        let (now, tracer) = (ctx.now(), ctx.tracer());
         tracer.instant_peer(now, EventKind::Enqueue, from.0, to.0, path, None);
-        Envelope {
-            from,
-            to,
-            enqueued_at: now,
-            id,
-            span: tracer.current_span(),
-            path,
-            msg,
-        }
     }
 
-    /// Dequeue bookkeeping and service of one event: records its
-    /// queueing delay (overall and against the handling domain), counts
-    /// it, and runs `handler` inside the envelope's span.
-    fn dispatch<C: LoopContext>(
+    /// Dequeue bookkeeping of a served event (dequeued or booked):
+    /// records its queueing delay, overall and against the handling
+    /// domain `to`, counts it, and records its `Dequeue` span, whose
+    /// `dur` is that delay, in the ambient span.
+    #[inline]
+    fn note_dequeue(
         &mut self,
-        env: Envelope<M>,
-        ctx: &mut C,
-        handler: &mut impl FnMut(&mut EventLoop<M>, &mut C, Envelope<M>),
+        tracer: &Tracer,
+        now: Ns,
+        from: DomainId,
+        to: DomainId,
+        path: Option<u64>,
+        enqueued_at: Ns,
     ) {
-        let now = ctx.now();
-        let delay = now - env.enqueued_at;
+        let delay = now - enqueued_at;
         self.queue_delay.record(delay.as_ns());
-        let dslot = env.to.0 as usize;
+        let dslot = to.0 as usize;
         if self.delay_by_dom.len() <= dslot {
             self.delay_by_dom.resize(dslot + 1, 0);
         }
         self.delay_by_dom[dslot] += delay.as_ns();
         self.dequeued += 1;
-        // The envelope's transfer span becomes ambient for the Dequeue
-        // record and the whole handler, so every event the hop records
-        // (IPC descent, VM work, follow-up posts) stays on the tree.
-        let tracer = ctx.tracer();
-        let prev = tracer.set_current_span(env.span);
-        // Dequeue span: `dur` is the queueing delay (enqueue → dequeue).
         tracer.span_peer(
-            env.enqueued_at,
+            enqueued_at,
             now,
             EventKind::Dequeue,
-            env.to.0,
-            Some(env.from.0),
-            env.path,
+            to.0,
+            Some(from.0),
+            path,
             None,
         );
-        handler(self, ctx, env);
-        ctx.tracer().set_current_span(prev);
     }
 
     /// Runs [`EventLoop::step`] until the loop drains; returns how many
@@ -413,6 +431,12 @@ impl<M> EventLoop<M> {
     /// Events dequeued and handled so far.
     pub fn dequeued(&self) -> u64 {
         self.dequeued
+    }
+
+    /// Event ids issued so far, to queued and booked events alike (see
+    /// [`EventHeap::pushed`]).
+    pub fn ids_issued(&self) -> u64 {
+        self.heap.pushed()
     }
 
     /// Per-hop queueing-delay histogram (simulated ns between enqueue
@@ -601,6 +625,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct Observed {
         ids: Vec<EventId>,
+        issued: u64,
         counters: (u64, u64, u64),
         queue_delay: Histogram,
         delay_by_dom: Vec<u64>,
@@ -608,29 +633,40 @@ mod tests {
         chrome: String,
     }
 
+    /// Serves one event: charges 100 ns and posts one follow-up to the
+    /// next domain when `msg` is below 10.
+    fn serve(evl: &mut EventLoop<u32>, c: &mut Machine, to: DomainId, path: Option<u64>, msg: u32) {
+        c.charge(CostCategory::Ipc, Ns(100));
+        if msg < 10 {
+            evl.post_on(c, to, DomainId(to.0 + 1), path, msg + 10);
+        }
+    }
+
     /// Runs `backlog` queued events, then `calls` sequential calls, on a
-    /// traced loop whose handler charges 100 ns per event and posts one
-    /// follow-up for each message below 10. With `direct`, each call
-    /// goes through [`EventLoop::call`]; otherwise through `post_on` +
-    /// `run`.
+    /// traced loop whose handler [`serve`]s each event. With `direct`,
+    /// each call is made as the engine's hop makes it: an idle loop
+    /// books it and the caller serves it, then drains what it posted; a
+    /// busy one goes through [`EventLoop::call`]. Otherwise each goes
+    /// through `post_on` + `run`.
     fn drive(direct: bool, backlog: u32, calls: &[(u32, u32, u32)]) -> Observed {
         let (mut e, mut m) = evl();
         m.tracer().set_enabled(true);
         for i in 0..backlog {
             e.post_on(&mut m, DomainId(0), DomainId(1), Some(1), 100 + i);
         }
-        let mut ids = Vec::new();
+        let ids = std::cell::RefCell::new(Vec::new());
         let mut handler = |evl: &mut EventLoop<u32>, c: &mut Machine, env: Envelope<u32>| {
-            ids.push(env.id);
-            c.charge(CostCategory::Ipc, Ns(100));
-            if env.msg < 10 {
-                evl.post_on(c, env.to, DomainId(env.to.0 + 1), env.path, env.msg + 10);
-            }
+            ids.borrow_mut().push(env.id);
+            serve(evl, c, env.to, env.path, env.msg);
         };
         for (n, &(from, to, msg)) in calls.iter().enumerate() {
             m.tracer().set_current_span(Some(n as u64));
             let (from, to, path) = (DomainId(from), DomainId(to), Some(u64::from(msg)));
-            if direct {
+            if direct && e.pending() == 0 {
+                ids.borrow_mut().push(e.book(&m, from, to, path));
+                serve(&mut e, &mut m, to, path, msg);
+                e.run(&mut m, &mut handler);
+            } else if direct {
                 e.call(from, to, path, msg, &mut m, &mut handler);
             } else {
                 assert!(!e.post_on(&mut m, from, to, path, msg).is_overload());
@@ -638,7 +674,8 @@ mod tests {
             }
         }
         Observed {
-            ids,
+            ids: ids.into_inner(),
+            issued: e.ids_issued(),
             counters: (e.enqueued(), e.dequeued(), e.overloads()),
             queue_delay: e.queue_delay().clone(),
             delay_by_dom: e.queue_delay_by_dom().to_vec(),
@@ -648,7 +685,7 @@ mod tests {
     }
 
     #[test]
-    fn call_matches_post_and_run_on_idle_busy_and_chaining_loops() {
+    fn book_and_call_match_post_and_run_on_idle_busy_and_chaining_loops() {
         // Messages ≥ 10 end their chain; below 10 the handler posts one
         // follow-up to the next domain.
         let idle = [(0, 1, 10), (1, 2, 11), (2, 0, 12)];

@@ -13,14 +13,20 @@
 //!   this list. When too many freed references have accumulated, an explicit
 //!   message must be sent" (paper §3.3; [`NoticeBoard`]).
 //!
-//! Hops run on one execution model, [`actor::EventLoop`] dispatch: each
-//! hop is an event posted to the destination domain's bounded inbox and
-//! handled in deterministic `(time, id)` order. [`Rpc::call`] is the
-//! per-hop charging primitive: the handler invokes it on the machine that
-//! owns the clock and counters, so a drained hop charges exactly the full
-//! round trip of a synchronous call on the single-CPU DecStation, and the
-//! loop adds queueing delay, backpressure and the explicit
-//! [`actor::SendOutcome::Overload`]. See `DESIGN.md` §12.
+//! Hops run on one execution model, the [`actor::EventLoop`]: each hop
+//! is an event, posted to the destination domain's bounded inbox and
+//! handled in deterministic `(time, id)` order, or booked directly when
+//! the loop is idle and it would be served the instant it was posted.
+//! [`Rpc::call`] is the per-hop charging primitive, invoked on the
+//! machine that owns the clock and counters, so a drained hop charges
+//! exactly the full round trip of a synchronous call on the single-CPU
+//! DecStation, and the loop adds queueing delay, backpressure and the
+//! explicit [`actor::SendOutcome::Overload`]. See `DESIGN.md` §12.
+
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
 
 pub mod actor;
 pub mod notice;

@@ -11,8 +11,8 @@
 //! queues a notice; every RPC drains them), so it is indexed directly by
 //! owner domain id with per-holder token lists that retain their capacity
 //! across drains: the steady-state queue → drain cycle does no hashing and
-//! no allocation beyond the drained result itself, and draining an owner
-//! with nothing pending is a single counter check.
+//! no allocation (a drain hands the tokens out in place and counts them),
+//! and draining an owner with nothing pending is a single counter check.
 
 use fbuf_vm::DomainId;
 
@@ -57,37 +57,40 @@ impl NoticeBoard {
 
     /// Queues a token; returns `true` if the backlog for this pair has
     /// reached the threshold (the caller must send an explicit message and
-    /// [`NoticeBoard::drain`]).
+    /// [`NoticeBoard::flush`]).
     pub fn queue(&mut self, owner: DomainId, holder: DomainId, token: u64) -> bool {
         let o = owner.0 as usize;
         if self.owners.len() <= o {
             self.owners.resize_with(o + 1, OwnerBoard::default);
         }
         let board = &mut self.owners[o];
-        let list = match board.lists.iter_mut().position(|(h, _)| *h == holder.0) {
-            Some(i) => &mut board.lists[i].1,
+        let i = match board.lists.iter().position(|(h, _)| *h == holder.0) {
+            Some(i) => i,
             None => {
                 board.lists.push((holder.0, Vec::new()));
-                &mut board.lists.last_mut().expect("just pushed").1
+                board.lists.len() - 1
             }
         };
+        let list = &mut board.lists[i].1;
         list.push(token);
         board.total += 1;
         list.len() >= self.threshold
     }
 
-    /// Removes and returns the backlog for (owner, holder).
-    pub fn drain(&mut self, owner: DomainId, holder: DomainId) -> Vec<u64> {
+    /// Clears the backlog for (owner, holder), which an explicit message
+    /// has just delivered, and returns how many tokens it held. The list
+    /// keeps its capacity.
+    pub fn flush(&mut self, owner: DomainId, holder: DomainId) -> usize {
         let Some(board) = self.owners.get_mut(owner.0 as usize) else {
-            return Vec::new();
+            return 0;
         };
         let Some((_, list)) = board.lists.iter_mut().find(|(h, _)| *h == holder.0) else {
-            return Vec::new();
+            return 0;
         };
-        board.total -= list.len();
-        let mut out = Vec::with_capacity(list.len());
-        out.append(list); // leaves `list`'s capacity in place
-        out
+        let n = list.len();
+        board.total -= n;
+        list.clear();
+        n
     }
 
     /// Number of pending tokens for (owner, holder).
@@ -99,21 +102,24 @@ impl NoticeBoard {
             .unwrap_or(0)
     }
 
-    /// Drains every backlog owed to `owner` (an RPC reply) onto the end
-    /// of `out`, so a caller that reuses `out` allocates nothing once it
-    /// has grown to the largest backlog.
-    pub fn drain_all_into(&mut self, owner: DomainId, out: &mut Vec<u64>) {
+    /// Drains every backlog owed to `owner` (an RPC reply) in place:
+    /// hands each token to `each`, holder by holder and in queueing
+    /// order within a holder, clears the lists (they keep their
+    /// capacity), and returns how many tokens there were.
+    pub fn drain_all(&mut self, owner: DomainId, mut each: impl FnMut(u64)) -> usize {
         let Some(board) = self.owners.get_mut(owner.0 as usize) else {
-            return;
+            return 0;
         };
-        if board.total == 0 {
-            return;
+        let n = board.total;
+        if n == 0 {
+            return 0;
         }
-        out.reserve(board.total);
         for (_, list) in board.lists.iter_mut() {
-            out.append(list);
+            list.iter().for_each(|&token| each(token));
+            list.clear();
         }
         board.total = 0;
+        n
     }
 }
 
@@ -127,6 +133,14 @@ impl Default for NoticeBoard {
 mod tests {
     use super::*;
 
+    /// Every token `drain_all` hands out for `owner`, in order.
+    fn drained(b: &mut NoticeBoard, owner: DomainId) -> Vec<u64> {
+        let mut out = Vec::new();
+        let n = b.drain_all(owner, |token| out.push(token));
+        assert_eq!(n, out.len(), "the count is the tokens handed out");
+        out
+    }
+
     #[test]
     fn queue_and_drain_fifo() {
         let mut b = NoticeBoard::new();
@@ -135,9 +149,9 @@ mod tests {
         assert!(!b.queue(o, h, 1));
         assert!(!b.queue(o, h, 2));
         assert_eq!(b.pending(o, h), 2);
-        assert_eq!(b.drain(o, h), vec![1, 2]);
+        assert_eq!(drained(&mut b, o), vec![1, 2]);
         assert_eq!(b.pending(o, h), 0);
-        assert!(b.drain(o, h).is_empty());
+        assert!(drained(&mut b, o).is_empty());
     }
 
     #[test]
@@ -146,9 +160,15 @@ mod tests {
         b.queue(DomainId(1), DomainId(2), 1);
         b.queue(DomainId(1), DomainId(3), 2);
         b.queue(DomainId(2), DomainId(1), 3);
-        assert_eq!(b.drain(DomainId(1), DomainId(2)), vec![1]);
+        assert_eq!(b.flush(DomainId(1), DomainId(2)), 1);
+        assert_eq!(b.pending(DomainId(1), DomainId(2)), 0);
         assert_eq!(b.pending(DomainId(1), DomainId(3)), 1);
         assert_eq!(b.pending(DomainId(2), DomainId(1)), 1);
+        assert_eq!(
+            drained(&mut b, DomainId(1)),
+            vec![2],
+            "flushed tokens are gone"
+        );
     }
 
     #[test]
@@ -168,13 +188,8 @@ mod tests {
         b.queue(o, DomainId(2), 1);
         b.queue(o, DomainId(3), 2);
         b.queue(o, DomainId(2), 3);
-        let mut all = vec![9];
-        b.drain_all_into(o, &mut all);
-        all.sort_unstable();
-        assert_eq!(all, vec![1, 2, 3, 9], "appended to what `out` held");
-        all.clear();
-        b.drain_all_into(o, &mut all);
-        assert!(all.is_empty());
+        assert_eq!(drained(&mut b, o), vec![1, 3, 2], "holder by holder");
+        assert!(drained(&mut b, o).is_empty());
         assert_eq!(b.pending(o, DomainId(2)), 0);
         // Re-queue after a full drain works (capacity is retained).
         assert!(!b.queue(o, DomainId(2), 4));

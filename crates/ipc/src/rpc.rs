@@ -28,7 +28,7 @@ pub enum Payload {
 }
 
 /// The RPC layer: charges per-call latency to the machine its caller
-/// passes in and drains deallocation notices into replies.
+/// passes in and drains deallocation notices onto replies.
 #[derive(Debug)]
 pub struct Rpc {
     costs: CostModel,
@@ -37,8 +37,6 @@ pub struct Rpc {
     /// per-tenant ledger's "ipc_calls" column (explicit notice messages
     /// count against the holder that forced them).
     calls_by_dom: Vec<u64>,
-    /// The notices the last call's reply carried; reused call to call.
-    reply: Vec<u64>,
 }
 
 impl Rpc {
@@ -50,7 +48,6 @@ impl Rpc {
             costs,
             notices: NoticeBoard::new(),
             calls_by_dom: Vec::new(),
-            reply: Vec::new(),
         }
     }
 
@@ -75,20 +72,20 @@ impl Rpc {
 
     /// Performs a synchronous RPC from `from` to `to` on `m`: charges the
     /// control transfer and per-message dispatch, counts the message, and
-    /// returns
-    /// the deallocation notices the reply carries back to `from` (tokens
-    /// previously queued by receivers freeing fbufs owned by `from`; the
-    /// kernel mediates every RPC, so the reply aggregates notices from all
-    /// holders). The notices are drained into a buffer the layer reuses
-    /// from call to call, so a call allocates nothing once the buffer
-    /// has grown to the largest reply.
+    /// returns how many deallocation notices the reply carries back to
+    /// `from`: tokens previously queued by receivers freeing fbufs owned
+    /// by `from` (the kernel mediates every RPC, so the reply aggregates
+    /// notices from all holders). Each one is traced as a `Notice` record
+    /// carrying its token and cleared from the owner's lists in place, so
+    /// a call allocates nothing.
     ///
     /// This is the per-hop *charging primitive*: the event-loop engine
-    /// ([`crate::actor::EventLoop`]) invokes it from the dequeue handler
-    /// of each hop, and a hop re-entered from inside a handler invokes it
-    /// inline. The charge sequence is the one a recursive descent would
-    /// perform (pinned by the goldens in `tests/counter_exactness.rs`).
-    pub fn call(&mut self, m: &mut Machine, from: DomainId, to: DomainId) -> &[u64] {
+    /// ([`crate::actor::EventLoop`]) invokes it for every hop, after the
+    /// loop has booked or dequeued the hop's event, and a hop re-entered
+    /// from inside a handler invokes it inline. The charge sequence is
+    /// the one a recursive descent would perform (pinned by the goldens
+    /// in `tests/counter_exactness.rs`).
+    pub fn call(&mut self, m: &mut Machine, from: DomainId, to: DomainId) -> usize {
         m.charge(
             CostCategory::Ipc,
             self.latency(from, to) + self.costs.ipc_dispatch,
@@ -96,20 +93,16 @@ impl Rpc {
         m.stats_mut().inc_ipc_messages();
         self.count_call_from(from);
         let now = m.now();
-        m.tracer()
-            .instant_peer(now, EventKind::IpcCall, from.0, to.0, None, None);
-        self.reply.clear();
-        self.notices.drain_all_into(from, &mut self.reply);
-        if !self.reply.is_empty() {
-            m.stats_mut()
-                .add_piggybacked_notices(self.reply.len() as u64);
-            for &token in &self.reply {
-                // The notice reaches the owner (`from`) on this reply.
-                m.tracer()
-                    .instant_peer(now, EventKind::Notice, to.0, from.0, None, Some(token));
-            }
+        let tracer = m.tracer();
+        tracer.instant_peer(now, EventKind::IpcCall, from.0, to.0, None, None);
+        // Each notice reaches the owner (`from`) on this reply.
+        let carried = self.notices.drain_all(from, |token| {
+            tracer.instant_peer(now, EventKind::Notice, to.0, from.0, None, Some(token));
+        });
+        if carried > 0 {
+            m.stats_mut().add_piggybacked_notices(carried as u64);
         }
-        &self.reply
+        carried
     }
 
     /// Queues a deallocation notice: `holder` has released its reference to
@@ -117,37 +110,37 @@ impl Rpc {
     /// owner's allocator.
     ///
     /// If too many notices have accumulated for this domain pair, an
-    /// explicit notice message is sent immediately (charged like an RPC)
-    /// and the backlog is returned for the caller to apply; otherwise
-    /// `None` — the backlog will ride a future reply.
+    /// explicit notice message is sent immediately (charged like an RPC,
+    /// traced as one `Notice` record for `token`), the backlog it carries
+    /// is cleared, and its length is returned; otherwise 0, and the
+    /// backlog will ride a future reply.
     pub fn queue_dealloc_notice(
         &mut self,
         m: &mut Machine,
         owner: DomainId,
         holder: DomainId,
         token: u64,
-    ) -> Option<Vec<u64>> {
-        if self.notices.queue(owner, holder, token) {
-            // Threshold exceeded: explicit message.
-            m.charge(
-                CostCategory::Ipc,
-                self.latency(holder, owner) + self.costs.ipc_dispatch,
-            );
-            m.stats_mut().inc_ipc_messages();
-            self.count_call_from(holder);
-            m.stats_mut().inc_explicit_notice_messages();
-            m.tracer().instant_peer(
-                m.now(),
-                EventKind::Notice,
-                holder.0,
-                owner.0,
-                None,
-                Some(token),
-            );
-            Some(self.notices.drain(owner, holder))
-        } else {
-            None
+    ) -> usize {
+        if !self.notices.queue(owner, holder, token) {
+            return 0;
         }
+        // Threshold reached: explicit message.
+        m.charge(
+            CostCategory::Ipc,
+            self.latency(holder, owner) + self.costs.ipc_dispatch,
+        );
+        m.stats_mut().inc_ipc_messages();
+        self.count_call_from(holder);
+        m.stats_mut().inc_explicit_notice_messages();
+        m.tracer().instant_peer(
+            m.now(),
+            EventKind::Notice,
+            holder.0,
+            owner.0,
+            None,
+            Some(token),
+        );
+        self.notices.flush(owner, holder)
     }
 
     /// Pending notices for (`owner`, `holder`) — e.g. to flush on domain
@@ -180,6 +173,16 @@ mod tests {
         (Rpc::new(m.costs().clone()), m)
     }
 
+    /// Every `Notice` record traced so far, as (domain, peer, token).
+    fn notices(m: &Machine) -> Vec<(u32, Option<u32>, Option<u64>)> {
+        m.tracer()
+            .events()
+            .into_iter()
+            .filter(|ev| ev.kind == EventKind::Notice)
+            .map(|ev| (ev.dom, ev.peer, ev.fbuf))
+            .collect()
+    }
+
     #[test]
     fn kernel_user_cheaper_than_user_user() {
         let (mut r, mut m) = rpc();
@@ -209,33 +212,45 @@ mod tests {
     #[test]
     fn notices_ride_the_next_reply_to_the_owner() {
         let (mut r, mut m) = rpc();
+        m.tracer().set_enabled(true);
         let owner = DomainId(1);
         let holder = DomainId(2);
-        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 7).is_none());
-        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 8).is_none());
+        assert_eq!(r.queue_dealloc_notice(&mut m, owner, holder, 7), 0);
+        assert_eq!(r.queue_dealloc_notice(&mut m, owner, holder, 8), 0);
         // A call from someone else's pair carries nothing.
-        assert!(r.call(&mut m, DomainId(3), holder).is_empty());
+        assert_eq!(r.call(&mut m, DomainId(3), holder), 0);
+        assert!(notices(&m).is_empty());
         // The owner's next call to the holder gets both notices in the
-        // reply.
-        let got = r.call(&mut m, owner, holder);
-        assert_eq!(got, vec![7, 8]);
+        // reply, traced in queueing order.
+        assert_eq!(r.call(&mut m, owner, holder), 2);
+        assert_eq!(
+            notices(&m),
+            vec![(2, Some(1), Some(7)), (2, Some(1), Some(8))]
+        );
         assert_eq!(m.stats().piggybacked_notices(), 2);
         assert_eq!(m.stats().explicit_notice_messages(), 0);
         // Drained: nothing left.
-        assert!(r.call(&mut m, owner, holder).is_empty());
+        assert_eq!(r.call(&mut m, owner, holder), 0);
+        assert_eq!(notices(&m).len(), 2, "no further Notice record");
     }
 
     #[test]
     fn explicit_message_after_threshold() {
         let (mut r, mut m) = rpc();
+        m.tracer().set_enabled(true);
         r.set_notice_threshold(3);
         let owner = DomainId(1);
         let holder = DomainId(2);
-        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 1).is_none());
-        assert!(r.queue_dealloc_notice(&mut m, owner, holder, 2).is_none());
-        let flushed = r.queue_dealloc_notice(&mut m, owner, holder, 3).unwrap();
-        assert_eq!(flushed, vec![1, 2, 3]);
+        assert_eq!(r.queue_dealloc_notice(&mut m, owner, holder, 1), 0);
+        assert_eq!(r.queue_dealloc_notice(&mut m, owner, holder, 2), 0);
+        assert_eq!(r.queue_dealloc_notice(&mut m, owner, holder, 3), 3);
         assert_eq!(m.stats().explicit_notice_messages(), 1);
+        // One Notice record, from the holder, for the token that forced
+        // the message; the message delivered the whole backlog.
+        assert_eq!(notices(&m), vec![(2, Some(1), Some(3))]);
+        assert_eq!(r.pending_notices(owner, holder), 0);
+        assert_eq!(r.call(&mut m, owner, holder), 0, "nothing left to ride");
+        assert_eq!(notices(&m).len(), 1);
     }
 
     #[test]
@@ -249,7 +264,7 @@ mod tests {
         let holder = DomainId(2);
         for i in 0..1000 {
             let flushed = r.queue_dealloc_notice(&mut m, owner, holder, i);
-            assert!(flushed.is_none());
+            assert_eq!(flushed, 0);
             // Steady traffic: the owner RPCs the holder after every couple
             // of frees.
             if i % 2 == 0 {
@@ -271,8 +286,10 @@ mod tests {
         r.call(&mut m, DomainId(2), DomainId(1));
         // Forced explicit notice counts against the holder who sent it.
         r.set_notice_threshold(1);
-        r.queue_dealloc_notice(&mut m, DomainId(1), DomainId(3), 99)
-            .unwrap();
+        assert_eq!(
+            r.queue_dealloc_notice(&mut m, DomainId(1), DomainId(3), 99),
+            1
+        );
         assert_eq!(r.calls_by_dom().get(1), Some(&2));
         assert_eq!(r.calls_by_dom().get(2), Some(&1));
         assert_eq!(r.calls_by_dom().get(3), Some(&1));
@@ -286,18 +303,25 @@ mod tests {
     #[test]
     fn a_reply_carries_every_holders_notices_to_the_caller() {
         let (mut r, mut m) = rpc();
+        m.tracer().set_enabled(true);
         let owner = DomainId(1);
         r.queue_dealloc_notice(&mut m, owner, DomainId(2), 10);
         r.queue_dealloc_notice(&mut m, owner, DomainId(3), 11);
-        let mut all = r.call(&mut m, owner, DomainId(2)).to_vec();
-        all.sort_unstable();
-        assert_eq!(all, vec![10, 11]);
+        assert_eq!(r.call(&mut m, owner, DomainId(2)), 2);
+        // Both reach the owner on the callee's reply, holder by holder.
+        assert_eq!(
+            notices(&m),
+            vec![(2, Some(1), Some(10)), (2, Some(1), Some(11))]
+        );
         assert_eq!(r.pending_notices(owner, DomainId(2)), 0);
+        assert_eq!(r.pending_notices(owner, DomainId(3)), 0);
         assert_eq!(m.stats().piggybacked_notices(), 2);
-        assert!(
-            r.call(&mut m, owner, DomainId(2)).is_empty(),
+        assert_eq!(
+            r.call(&mut m, owner, DomainId(2)),
+            0,
             "the next reply starts empty"
         );
+        assert_eq!(notices(&m).len(), 2);
     }
 
     #[test]

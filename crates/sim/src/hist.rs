@@ -86,6 +86,7 @@ impl Histogram {
     }
 
     /// Records one sample.
+    #[inline]
     pub fn record(&mut self, v: u64) {
         self.counts[bucket_of(v)] += 1;
         self.count += 1;

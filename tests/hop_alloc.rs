@@ -3,9 +3,10 @@
 //! Host-time gates are noisy on a shared machine, but the number of heap
 //! allocations a hop makes is deterministic. This binary installs a
 //! counting global allocator and pins it: a drained `hop` allocates
-//! nothing, whether or not its reply carries deallocation notices (they
-//! drain into a buffer the RPC layer reuses), and a whole multi-leg
-//! transfer allocates only its shared route.
+//! nothing, whether or not its reply carries deallocation notices (the
+//! RPC layer counts them and clears their lists in place), a whole
+//! multi-leg transfer allocates only its shared route, and a `free`
+//! whose notice forces an explicit message allocates nothing either.
 //!
 //! The counter is thread-local, so the test harness's own threads do
 //! not disturb it; the binary holds a single `#[test]`.
@@ -96,4 +97,16 @@ fn drained_hops_and_transfers_allocate_at_most_their_results() {
     });
     assert_eq!(n, 1, "a transfer allocates only its shared route");
     assert_eq!(sys.transfers_completed(), 2);
+
+    // A free past the notice threshold sends an explicit message, which
+    // delivers the backlog without copying it out.
+    sys.rpc_mut().set_notice_threshold(1);
+    let buf = sys.alloc(a, AllocMode::Cached(path), len).unwrap();
+    sys.send(buf, a, b, SendMode::Volatile).unwrap();
+    let explicit = sys.stats().explicit_notice_messages();
+    let (n, freed) = allocs(|| sys.free(buf, b));
+    freed.unwrap();
+    assert_eq!(sys.stats().explicit_notice_messages(), explicit + 1);
+    assert_eq!(n, 0, "an explicit notice message allocates nothing");
+    sys.free(buf, a).unwrap();
 }
