@@ -78,13 +78,18 @@ test -s target/bench-reports/LEDGER_fleet.json
 # rings at 2 threads, and write a report with a well-formed scaling
 # curve.
 #
-# Scaling gates are host-adaptive: a 2-thread run on fewer than two real
-# cores just timeslices, so the speedup/efficiency floors are only armed
-# when the host can physically show a speedup. On multi-core hosts the
-# floor is also recorded under host.scaling_floor, which every later
-# check re-enforces against the written report. Each point of the curve
-# is the median of seven interleaved runs (1, 2, 1, 2, ...), so one slow
-# timeslice cannot decide a gate.
+# Scaling gates are host-adaptive: a 2-thread run on fewer than two
+# vCPUs just timeslices, so the speedup/efficiency floors are only armed
+# when the host has two. Two vCPUs need not run two threads at once, so
+# each repeat of the sweep first times pure arithmetic on one and two
+# threads (host.parallel_capacity, from the medians) and the fleet's
+# speedup is judged against that capacity, not against 2x; a gate is
+# skipped, with the reason printed, only when the capacity itself is
+# below it. A gated floor is recorded
+# under host.scaling_floor, which every later check re-enforces against
+# the written report. Each point of the curve is the median of seven
+# interleaved runs (1, 2, 1, 2, ...), so one slow timeslice cannot
+# decide a gate.
 CORES=$(nproc 2>/dev/null || echo 1)
 if [ "$CORES" -ge 2 ]; then
     export FBUF_STRESS_MIN_SPEEDUP="2:1.2"

@@ -58,6 +58,20 @@
 //! * `FBUF_BENCH_DIR`      — report directory (default
 //!   `target/bench-reports`).
 //!
+//! A vCPU count says how many threads may run, not how much parallel
+//! time the host grants them. So in a sweep with more than one thread
+//! count, each repeat starts by timing pure arithmetic on one thread and
+//! on the sweep's largest count, and the ratio of work done per unit of
+//! wall time, from the medians, is recorded as `host.parallel_capacity`
+//! (2.0 on two idle cores). Timed beside the fleet runs, it sees the
+//! host the sweep saw. A gate at that thread count is judged against
+//! the capacity (at most the thread count): the speedup gate asks
+//! for `<factor>` × capacity / `<threads>`, and the efficiency floor is
+//! the fleet's speedup over the capacity. When the capacity itself is
+//! below a gate (under `<factor>`, or under `<efficiency>` × `<threads>`),
+//! the host cannot show what the gate asks of any code: the gate is
+//! skipped with the reason printed, and no floor is recorded.
+//!
 //! The report must carry a scaling curve and, with telemetry on, the
 //! batched-plane gauges `ring_batch_occupancy` and
 //! `notice_coalesce_factor` and the telemetry overhead
@@ -111,6 +125,32 @@ fn gated<'a>(curve: &'a [Scaled], knob: &str, threads: u64) -> Result<&'a Scaled
 /// How many times the sweep runs, its points interleaved. Odd, so the
 /// median is one measured run.
 const REPEATS: usize = 7;
+
+/// Arithmetic steps one thread takes per capacity run: about 20 ms.
+const SPIN_STEPS: u64 = 20_000_000;
+
+/// A fixed chain of dependent multiply-adds that touches no memory.
+fn spin(seed: u64) -> u64 {
+    let mut x = seed;
+    for _ in 0..SPIN_STEPS {
+        x = x
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        x ^= x >> 29;
+    }
+    x
+}
+
+/// Wall time of `threads` threads each running [`spin`] at once.
+fn spin_ns(threads: usize) -> u64 {
+    let t0 = std::time::Instant::now();
+    std::thread::scope(|s| {
+        for t in 0..threads {
+            s.spawn(move || std::hint::black_box(spin(std::hint::black_box(t as u64))));
+        }
+    });
+    t0.elapsed().as_nanos().max(1) as u64
+}
 
 /// One thread count's worth of fleet results.
 struct FleetRun {
@@ -225,7 +265,14 @@ pub fn run() -> Result<(), String> {
     // With telemetry on: host time on over off at the first thread
     // count, one ratio per repeat.
     let mut overhead = Vec::with_capacity(REPEATS);
+    // With more than one thread count: wall time of the arithmetic on
+    // one thread and on `max_threads`, once per repeat.
+    let mut spins = (Vec::with_capacity(REPEATS), Vec::with_capacity(REPEATS));
     for repeat in 0..REPEATS {
+        if max_threads > 1 {
+            spins.0.push(spin_ns(1));
+            spins.1.push(spin_ns(max_threads));
+        }
         for (k, &n) in threads.iter().enumerate() {
             let run = run_at(n, &cfg, npaths, pages, cycles, cross_every, telemetry)
                 .map_err(|e| format!("at {n} thread(s): {e}"))?;
@@ -255,6 +302,24 @@ pub fn run() -> Result<(), String> {
         );
     }
 
+    // The host's parallel capacity: the arithmetic `max_threads` threads
+    // did per unit of wall time over what one thread did.
+    let capacity = (max_threads > 1).then(|| {
+        spins.0.sort_unstable();
+        spins.1.sort_unstable();
+        let ratio = max_threads as f64 * spins.0[REPEATS / 2] as f64 / spins.1[REPEATS / 2] as f64;
+        println!("parallel capacity: {max_threads} threads of arithmetic ran at {ratio:.2}x one thread, median of {REPEATS}");
+        (max_threads as u64, ratio)
+    });
+    // The capacity a gate at `threads` is judged against, if measured
+    // there. A reading above linear is timing noise, so none asks for
+    // more than an ideal host would.
+    let capacity_at = |threads: u64| {
+        capacity
+            .filter(|&(n, _)| n == threads)
+            .map(|(_, r)| r.min(threads as f64))
+    };
+
     let curve: Vec<ScalingPoint> = runs
         .iter()
         .map(|r| ScalingPoint {
@@ -268,28 +333,48 @@ pub fn run() -> Result<(), String> {
     let base_threads = runs[0].threads;
     if let Some((gate_threads, factor)) = min_speedup_gate() {
         let speedup = gated(&rates, "FBUF_STRESS_MIN_SPEEDUP", gate_threads)?.speedup;
-        if speedup < factor {
-            return Err(format!(
-                "{gate_threads}-thread speedup {speedup:.2}x < required {factor:.2}x (vs {base_threads} thread(s))"
-            ));
+        let c = capacity_at(gate_threads).unwrap_or(gate_threads as f64);
+        if c < factor {
+            println!(
+                "speedup gate skipped: {gate_threads} threads of arithmetic ran at {c:.2}x, below the required {factor:.2}x"
+            );
+        } else {
+            // What the gate asks of an ideal host, scaled to this one.
+            let required = factor * c / gate_threads as f64;
+            if speedup < required {
+                return Err(format!(
+                    "{gate_threads}-thread speedup {speedup:.2}x < required {required:.2}x ({factor:.2}x on a {c:.2}x host; vs {base_threads} thread(s))"
+                ));
+            }
+            println!(
+                "speedup gate: {gate_threads} thread(s) at {speedup:.2}x >= {required:.2}x ({factor:.2}x on a {c:.2}x host) vs {base_threads} thread(s)"
+            );
         }
-        println!(
-            "speedup gate: {gate_threads} thread(s) at {speedup:.2}x >= {factor:.2}x vs {base_threads} thread(s)"
-        );
     }
-    let eff_floor = eff_floor_gate();
+    let mut eff_floor = eff_floor_gate();
     if let Some((gate_threads, floor)) = eff_floor {
-        let efficiency = gated(&rates, "FBUF_STRESS_EFF_FLOOR", gate_threads)?.efficiency;
-        if efficiency < floor {
-            return Err(format!(
-                "{gate_threads}-thread efficiency {efficiency:.2} < floor {floor:.2}"
-            ));
+        let speedup = gated(&rates, "FBUF_STRESS_EFF_FLOOR", gate_threads)?.speedup;
+        let c = capacity_at(gate_threads).unwrap_or(gate_threads as f64);
+        if c < floor * gate_threads as f64 {
+            println!(
+                "efficiency gate skipped: {gate_threads} threads of arithmetic ran at {c:.2}x, {:.0}% of linear, below the floor {:.0}%",
+                c / gate_threads as f64 * 100.0,
+                floor * 100.0
+            );
+            eff_floor = None;
+        } else {
+            let efficiency = speedup / c;
+            if efficiency < floor {
+                return Err(format!(
+                    "{gate_threads}-thread efficiency {efficiency:.2} of the host's {c:.2}x < floor {floor:.2}"
+                ));
+            }
+            println!(
+                "efficiency gate: {gate_threads} thread(s) at {:.0}% of the host's {c:.2}x >= floor {:.0}%",
+                efficiency * 100.0,
+                floor * 100.0
+            );
         }
-        println!(
-            "efficiency gate: {gate_threads} thread(s) at {:.0}% of linear >= floor {:.0}%",
-            efficiency * 100.0,
-            floor * 100.0
-        );
     }
 
     let first = &runs[0];
@@ -321,6 +406,9 @@ pub fn run() -> Result<(), String> {
     runner.host_scaling(&curve);
     if let Some((gate_threads, floor)) = eff_floor {
         runner.host_scaling_floor(gate_threads, floor);
+    }
+    if let Some((threads, ratio)) = capacity {
+        runner.host_parallel_capacity(threads, ratio);
     }
     if !overhead.is_empty() {
         overhead.sort_unstable_by(f64::total_cmp);

@@ -221,6 +221,10 @@ pub struct BenchRunner {
     /// (`host.scaling_floor`): [`check`] re-enforces it against the
     /// scaling curve.
     host_scaling_floor: Option<(u64, f64)>,
+    /// How many threads' worth of pure arithmetic the host ran at once
+    /// with that many threads (`host.parallel_capacity`): [`check`]
+    /// judges a floor at that thread count against it.
+    host_parallel_capacity: Option<(u64, f64)>,
     /// Host time with telemetry on over host time with it off, for runs
     /// that measured both (`host.telemetry_overhead`).
     host_telemetry_overhead: Option<f64>,
@@ -257,6 +261,7 @@ impl BenchRunner {
             host_throughput: Vec::new(),
             host_scaling: Vec::new(),
             host_scaling_floor: None,
+            host_parallel_capacity: None,
             host_telemetry_overhead: None,
             seed: knobs::bench_seed(),
             threads: 1,
@@ -346,6 +351,15 @@ impl BenchRunner {
     /// with the report, so every later [`check`] re-enforces it.
     pub fn host_scaling_floor(&mut self, threads: u64, efficiency: f64) {
         self.host_scaling_floor = Some((threads, efficiency));
+    }
+
+    /// Records the host's parallel capacity at `threads` threads, under
+    /// `host.parallel_capacity` (`{threads, ratio}`): the work `threads`
+    /// threads of pure arithmetic did in one thread's time, over one
+    /// thread's. A floor at the same thread count is then judged as the
+    /// fleet's speedup over this ratio, not over `threads`.
+    pub fn host_parallel_capacity(&mut self, threads: u64, ratio: f64) {
+        self.host_parallel_capacity = Some((threads, ratio));
     }
 
     /// Records what telemetry costs the run's host time, under
@@ -487,6 +501,15 @@ impl BenchRunner {
                 Json::obj(vec![
                     ("threads", threads.to_json()),
                     ("efficiency", efficiency.to_json()),
+                ]),
+            ));
+        }
+        if let Some((threads, ratio)) = self.host_parallel_capacity {
+            host_fields.push((
+                "parallel_capacity",
+                Json::obj(vec![
+                    ("threads", threads.to_json()),
+                    ("ratio", ratio.to_json()),
                 ]),
             ));
         }
@@ -810,8 +833,10 @@ fn check_telemetry(name: &str, doc: &Json, shard_gauges: bool) -> Result<(), Str
 
 /// Validates a `host.scaling` curve: strictly increasing thread counts,
 /// positive ops/sec, efficiency in (0, 1.05], and any recorded
-/// `host.scaling_floor` still met. `required` makes an empty (or absent)
-/// curve an error — the stress report must carry one.
+/// `host.scaling_floor` still met, judged against a positive
+/// `host.parallel_capacity` at its thread count when there is one.
+/// `required` makes an empty (or absent) curve an error — the stress
+/// report must carry one.
 fn check_scaling(name: &str, doc: &Json, required: bool) -> Result<(), String> {
     let host = doc.get("host");
     let scaling = host
@@ -866,14 +891,35 @@ fn check_scaling(name: &str, doc: &Json, required: bool) -> Result<(), String> {
             .ok_or(format!(
                 "{name}: `scaling_floor.efficiency` is not a number"
             ))?;
-        let eff = scaling
+        let point = scaling
             .iter()
             .find(|p| p.get("threads").and_then(Json::as_f64) == Some(ft))
-            .and_then(|p| p.get("efficiency"))
-            .and_then(Json::as_f64)
             .ok_or(format!(
                 "{name}: scaling_floor names {ft} thread(s), absent from the scaling curve"
             ))?;
+        let mut eff = point
+            .get("efficiency")
+            .and_then(Json::as_f64)
+            .unwrap_or(0.0);
+        // Measured at the floor's thread count, the host's capacity is
+        // what the fleet's speedup is judged against.
+        if let Some(cap) = host.and_then(|h| h.get("parallel_capacity")) {
+            let ratio = cap
+                .get("ratio")
+                .and_then(Json::as_f64)
+                .ok_or(format!("{name}: `parallel_capacity.ratio` is not a number"))?;
+            if ratio <= 0.0 {
+                return Err(format!("{name}: parallel capacity {ratio} (want > 0)"));
+            }
+            if cap.get("threads").and_then(Json::as_f64) == Some(ft) {
+                // As the gate did: a reading above linear is noise.
+                eff = point
+                    .get("speedup_vs_1t")
+                    .and_then(Json::as_f64)
+                    .unwrap_or(0.0)
+                    / ratio.min(ft);
+            }
+        }
         if eff < fe {
             return Err(format!(
                 "{name}: efficiency {eff:.3} at {ft} thread(s) is below the recorded floor {fe:.3}"
@@ -1317,6 +1363,7 @@ mod tests {
                 },
             ]);
             r.host_scaling_floor(2, 0.6);
+            r.host_parallel_capacity(2, 1.9);
             r.host_telemetry_overhead(1.1);
         }
         Json::parse(&r.report().render()).expect("report parses")
@@ -1438,6 +1485,8 @@ mod tests {
             (stress, "host.scaling_floor.efficiency", s("0.6"), "`scaling_floor.efficiency` is not a number"),
             (stress, "host.scaling_floor.threads", n(4.0), "absent from the scaling curve"),
             (stress, "host.scaling_floor.efficiency", n(0.9), "below the recorded floor"),
+            (stress, "host.parallel_capacity.ratio", s("1.9"), "`parallel_capacity.ratio` is not a number"),
+            (stress, "host.parallel_capacity.ratio", n(0.0), "parallel capacity 0"),
             (ledger, "ledger", None, "missing `ledger`"),
             (ledger, "ledger.domains", None, "`ledger.domains` missing"),
             (ledger, "ledger.paths", None, "`ledger.paths` missing"),
@@ -1471,5 +1520,33 @@ mod tests {
             check("REPORT.json", &bench_doc(false)).is_err(),
             "unknown names are refused"
         );
+    }
+
+    #[test]
+    fn a_scaling_floor_is_judged_against_the_hosts_parallel_capacity() {
+        let check_stress = |floor: f64, ratio: f64| {
+            let mut doc = bench_doc(true);
+            edit(
+                &mut doc,
+                "host.scaling_floor.efficiency",
+                Some(floor.to_json()),
+            );
+            edit(
+                &mut doc,
+                "host.parallel_capacity.ratio",
+                Some(ratio.to_json()),
+            );
+            check("BENCH_stress.json", &doc)
+        };
+        // The 1.6x fleet is 84% of a 1.9x host, but 80% of linear.
+        assert_eq!(check_stress(0.82, 1.9), Ok(()));
+        assert!(check_stress(0.82, 2.0)
+            .unwrap_err()
+            .contains("below the recorded floor"));
+        // A capacity read above linear counts as linear.
+        assert!(check_stress(0.82, 3.0)
+            .unwrap_err()
+            .contains("below the recorded floor"));
+        assert_eq!(check_stress(0.8, 3.0), Ok(()));
     }
 }

@@ -2,6 +2,11 @@
 
 use crate::costs::CostModel;
 
+/// The most TLB entries a machine may have: a page-table entry records
+/// the TLB slot of its translation in 16 bits, one value of which means
+/// "none".
+pub const MAX_TLB_ENTRIES: usize = u16::MAX as usize;
+
 /// Structural (non-timing) parameters of the simulated machine.
 ///
 /// The defaults model the paper's DecStation 5000/200: 4 KB pages, a 64-entry
@@ -13,7 +18,7 @@ use crate::costs::CostModel;
 pub struct MachineConfig {
     /// Page size in bytes.
     pub page_size: u64,
-    /// Number of TLB entries (R3000: 64).
+    /// Number of TLB entries (R3000: 64; at most [`MAX_TLB_ENTRIES`]).
     pub tlb_entries: usize,
     /// Physical memory size in bytes.
     pub phys_mem: u64,
@@ -100,6 +105,9 @@ impl MachineConfig {
         if self.tlb_entries == 0 {
             return Err("tlb_entries must be positive".into());
         }
+        if self.tlb_entries > MAX_TLB_ENTRIES {
+            return Err(format!("tlb_entries above {MAX_TLB_ENTRIES}"));
+        }
         if self.phys_mem < self.page_size {
             return Err("physical memory smaller than one page".into());
         }
@@ -160,6 +168,10 @@ mod tests {
         let mut c = MachineConfig::tiny();
         c.tlb_entries = 0;
         assert!(c.validate().is_err());
+        c.tlb_entries = MAX_TLB_ENTRIES + 1;
+        assert!(c.validate().is_err());
+        c.tlb_entries = MAX_TLB_ENTRIES;
+        assert!(c.validate().is_ok());
 
         let mut c = MachineConfig::tiny();
         c.fbuf_region_size = c.chunk_size + 1;

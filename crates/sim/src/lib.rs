@@ -95,7 +95,7 @@ pub mod workload;
 pub use arena::{slot_of, Arena};
 pub use audit::{audit, audit_tracer, AuditReport, Violation};
 pub use check::{minimize, shortest_failing_prefix, Checker};
-pub use config::MachineConfig;
+pub use config::{MachineConfig, MAX_TLB_ENTRIES};
 pub use costs::CostModel;
 pub use event::{EventHeap, EventId, Scheduled};
 pub use fault::{FaultDecision, FaultPlan, FaultSite, FaultSpec};

@@ -8,8 +8,8 @@ use fbuf_sim::{
 };
 
 use crate::phys::{FrameId, PhysMem};
-use crate::space::{AddressSpace, RegionPolicy};
-use crate::tlb::Tlb;
+use crate::space::{AddressSpace, Pmap, RegionPolicy};
+use crate::tlb::{Tlb, TlbSlot};
 use crate::types::{Access, DomainId, Fault, Prot, VmResult, Vpn};
 
 #[derive(Debug)]
@@ -209,11 +209,18 @@ impl Machine {
     // Domains
     // ------------------------------------------------------------------
 
-    /// Creates a new protection domain.
+    /// Creates a new protection domain. Its page table indexes the fbuf
+    /// window by chunk (see [`Pmap`]).
     pub fn create_domain(&mut self) -> DomainId {
         let id = DomainId(self.domains.len() as u32);
+        let page = self.cfg.page_size;
+        let pmap = Pmap::with_window(
+            self.vpn_of(self.cfg.fbuf_region_base),
+            self.cfg.fbuf_region_size / page,
+            self.cfg.chunk_size / page,
+        );
         self.domains.push(Domain {
-            space: AddressSpace::new(),
+            space: AddressSpace::with_pmap(pmap),
             alive: true,
         });
         id
@@ -485,15 +492,10 @@ impl Machine {
         let vpn = self.vpn_of(va);
         self.clock.charge(CostCategory::Vm, self.cfg.costs.pte_map);
         self.stats.inc_pte_updates();
-        let old = {
-            let d = self.domain_mut(dom)?;
-            let old = d.space.pmap.remove(vpn);
-            d.space.pmap.enter(vpn, frame, prot);
-            old
-        };
+        let old = self.domain_mut(dom)?.space.pmap.enter(vpn, frame, prot);
         self.phys.add_ref(frame);
         if let Some(old) = old {
-            if self.tlb.invalidate(dom, vpn) {
+            if self.tlb.invalidate(old.slot, dom, vpn) {
                 self.charge_tlb_flush();
             }
             self.phys
@@ -514,7 +516,7 @@ impl Machine {
         self.stats.inc_pte_updates();
         // The consistency action (TLB probe + flush) is performed per
         // removed page whether or not a translation happens to be resident.
-        self.tlb.invalidate(dom, vpn);
+        self.tlb.invalidate(old.slot, dom, vpn);
         self.charge_tlb_flush();
         let frame = old.frame;
         self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
@@ -527,18 +529,20 @@ impl Machine {
     /// restrictive) TLB entry to be refreshed on next use.
     pub fn protect_page(&mut self, dom: DomainId, va: u64, prot: Prot) -> VmResult<Prot> {
         let vpn = self.vpn_of(va);
-        let old = self
+        let pte = self
             .domain_mut(dom)?
             .space
             .pmap
-            .protect(vpn, prot)
+            .get_mut(vpn)
             .ok_or(Fault::Unmapped { domain: dom, va })?;
+        let (old, slot) = (pte.prot, pte.slot);
+        pte.prot = prot;
         self.stats.inc_pte_updates();
         if prot < old {
             self.clock
                 .charge(CostCategory::Vm, self.cfg.costs.pte_protect);
             // Downgrades require the TLB consistency action per page.
-            self.tlb.invalidate(dom, vpn);
+            self.tlb.invalidate(slot, dom, vpn);
             self.charge_tlb_flush();
         } else {
             self.clock
@@ -587,25 +591,28 @@ impl Machine {
         self.clock
             .charge(CostCategory::Vm, self.cfg.costs.pte_map * n);
         self.stats.add_pte_updates(n);
-        let mut replaced: Vec<(Vpn, FrameId)> = Vec::new();
+        let mut replaced: Vec<FrameId> = Vec::new();
+        let mut flushes = 0u64;
         {
-            let d = self.domain_mut(dom)?;
+            let Machine { domains, tlb, .. } = self;
+            let d = live_domain(domains, dom)?;
             for (i, &frame) in frames.iter().enumerate() {
                 let vpn = Vpn(start.0 + i as u64);
-                if let Some(old) = d.space.pmap.remove(vpn) {
-                    replaced.push((vpn, old.frame));
+                if let Some(old) = d.space.pmap.enter(vpn, frame, prot) {
+                    if tlb.invalidate(old.slot, dom, vpn) {
+                        flushes += 1;
+                    }
+                    replaced.push(old.frame);
                 }
-                d.space.pmap.enter(vpn, frame, prot);
             }
         }
+        // Every new reference is taken before a replaced one is dropped,
+        // so a frame that moves to another page of the range is never
+        // freed.
         for &frame in frames {
             self.phys.add_ref(frame);
         }
-        let mut flushes = 0u64;
-        for (vpn, old_frame) in replaced {
-            if self.tlb.invalidate(dom, vpn) {
-                flushes += 1;
-            }
+        for old_frame in replaced {
             self.phys
                 .drop_ref(&mut self.clock, &mut self.stats, old_frame);
         }
@@ -634,16 +641,21 @@ impl Machine {
             let Machine {
                 domains,
                 phys,
+                tlb,
                 clock,
                 stats,
                 ..
             } = self;
             let d = live_domain(domains, dom)?;
             for i in 0..pages {
-                if let Some(old) = d.space.pmap.remove(Vpn(start.0 + i)) {
-                    // Dropping the frame reference before the charges and
-                    // the TLB sweep below changes no total: charges add,
-                    // and nothing reads the frame in between.
+                let vpn = Vpn(start.0 + i);
+                if let Some(old) = d.space.pmap.remove(vpn) {
+                    // The removed entry's slot finds its translation, so
+                    // no walk over the TLB is needed. Dropping the frame
+                    // reference before the charges below changes no
+                    // total: charges add, and nothing reads the frame in
+                    // between.
+                    tlb.invalidate(old.slot, dom, vpn);
                     phys.drop_ref(clock, stats, old.frame);
                     n += 1;
                 }
@@ -655,10 +667,8 @@ impl Machine {
         self.clock
             .charge(CostCategory::Vm, self.cfg.costs.pte_unmap * n);
         self.stats.add_pte_updates(n);
-        // One sweep over the TLB replaces n individual probes; the
-        // consistency action is still charged once per removed page,
+        // The consistency action is charged once per removed page,
         // resident or not, exactly as the per-page loop does.
-        self.tlb.invalidate_range(dom, start, pages);
         self.charge_tlb_flushes(n);
         self.tracer
             .range_op(self.clock.now(), EventKind::UnmapRange, dom.0, n);
@@ -683,38 +693,24 @@ impl Machine {
             return Ok(());
         }
         let start = self.vpn_of(va);
+        let page = self.cfg.page_size;
         let mut downs = 0u64;
-        {
-            let d = self.domain(dom)?;
-            for i in 0..pages {
-                match d.space.pmap.lookup(Vpn(start.0 + i)) {
-                    None => {
-                        return Err(Fault::Unmapped {
-                            domain: dom,
-                            va: va + i * self.cfg.page_size,
-                        })
-                    }
-                    Some(e) if prot < e.prot => downs += 1,
-                    Some(_) => {}
-                }
-            }
-        }
         {
             let Machine { domains, tlb, .. } = self;
             let d = live_domain(domains, dom)?;
-            for i in 0..pages {
-                let vpn = Vpn(start.0 + i);
-                let old = d
-                    .space
-                    .pmap
-                    .protect(vpn, prot)
-                    .expect("validated resident above");
-                // A partial downgrade flushes page by page; a whole one
-                // sweeps the TLB once below.
-                if prot < old && downs < pages {
-                    tlb.invalidate(dom, vpn);
-                }
-            }
+            // A downgraded page's slot finds its translation to flush.
+            d.space
+                .pmap
+                .protect_range(start, pages, prot, |vpn, old, slot| {
+                    if prot < old {
+                        downs += 1;
+                        tlb.invalidate(slot, dom, vpn);
+                    }
+                })
+                .map_err(|hole| Fault::Unmapped {
+                    domain: dom,
+                    va: va + (hole.0 - start.0) * page,
+                })?;
         }
         self.stats.add_pte_updates(pages);
         let upgrades = pages - downs;
@@ -725,9 +721,6 @@ impl Machine {
         if downs > 0 {
             self.clock
                 .charge(CostCategory::Vm, self.cfg.costs.pte_protect * downs);
-            if downs == pages {
-                self.tlb.invalidate_range(dom, start, pages);
-            }
             self.charge_tlb_flushes(downs);
         }
         self.tracer
@@ -913,39 +906,60 @@ impl Machine {
     /// Translates a single access, taking faults as needed. Returns the
     /// backing frame.
     pub fn resolve(&mut self, dom: DomainId, va: u64, access: Access) -> VmResult<FrameId> {
-        self.domain(dom)?;
         let vpn = self.vpn_of(va);
+        let Machine {
+            domains,
+            tlb,
+            clock,
+            stats,
+            cfg,
+            ..
+        } = self;
+        // The page-table entry, read once: its slot finds the TLB entry,
+        // and a refill records the slot it lands in.
+        let pte = live_domain(domains, dom)?.space.pmap.get_mut(vpn);
+        let slot = pte.as_ref().map_or(TlbSlot::NONE, |e| e.slot);
         // 1. TLB.
         let mut stale_hit = false;
-        if let Some((frame, prot)) = self.tlb.lookup(dom, vpn) {
+        if let Some((frame, prot)) = tlb.lookup(slot, dom, vpn) {
             if prot.allows(access) {
                 return Ok(frame);
             }
             // Stale entry (e.g. after an upgrade): fall through to the pmap.
             stale_hit = true;
         } else {
-            self.clock
-                .charge(CostCategory::Tlb, self.cfg.costs.tlb_refill);
-            self.stats.inc_tlb_refills();
+            // A resident entry always has a page-table entry that records
+            // its slot, so a miss here is a miss everywhere.
+            debug_assert!(!tlb.holds(dom, vpn), "a TLB entry its PTE lost");
+            clock.charge(CostCategory::Tlb, cfg.costs.tlb_refill);
+            stats.inc_tlb_refills();
         }
         // 2. Pmap.
-        if let Some(e) = self.domain(dom)?.space.pmap.lookup(vpn) {
+        if let Some(e) = pte {
             if e.prot.allows(access) {
                 if stale_hit {
                     // Refreshing a stale entry takes the software refill
                     // path just like a miss.
-                    self.clock
-                        .charge(CostCategory::Tlb, self.cfg.costs.tlb_refill);
-                    self.stats.inc_tlb_refills();
-                    self.tlb.insert(dom, vpn, e.frame, e.prot);
+                    clock.charge(CostCategory::Tlb, cfg.costs.tlb_refill);
+                    stats.inc_tlb_refills();
+                    e.slot = tlb.insert(slot, dom, vpn, e.frame, e.prot);
                 } else {
-                    self.tlb.refill(dom, vpn, e.frame, e.prot);
+                    e.slot = tlb.refill(dom, vpn, e.frame, e.prot);
                 }
                 return Ok(e.frame);
             }
         }
         // 3. Fault.
         self.fault(dom, vpn, va, access)
+    }
+
+    /// Loads the translation a fault path just mapped into the TLB, and
+    /// records its slot in the page-table entry.
+    fn load_tlb(&mut self, dom: DomainId, vpn: Vpn) {
+        let Machine { domains, tlb, .. } = self;
+        if let Some(e) = domains[dom.0 as usize].space.pmap.get_mut(vpn) {
+            e.slot = tlb.insert(e.slot, dom, vpn, e.frame, e.prot);
+        }
     }
 
     fn fault(&mut self, dom: DomainId, vpn: Vpn, va: u64, access: Access) -> VmResult<FrameId> {
@@ -1004,7 +1018,7 @@ impl Machine {
                     region.max_prot
                 };
                 self.map_page(dom, vpn.base(self.cfg.page_size), frame, prot)?;
-                self.tlb.insert(dom, vpn, frame, prot);
+                self.load_tlb(dom, vpn);
                 Ok(frame)
             }
             RegionPolicy::NullRead => {
@@ -1038,7 +1052,7 @@ impl Machine {
                 self.map_page(dom, vpn.base(self.cfg.page_size), frame, Prot::Read)?;
                 // The mapping holds the only reference.
                 self.phys.drop_ref(&mut self.clock, &mut self.stats, frame);
-                self.tlb.insert(dom, vpn, frame, Prot::Read);
+                self.load_tlb(dom, vpn);
                 Ok(frame)
             }
             RegionPolicy::Explicit => {
@@ -1095,7 +1109,7 @@ impl Machine {
             fresh
         };
         self.map_page(dom, vpn.base(self.cfg.page_size), frame, Prot::ReadWrite)?;
-        self.tlb.insert(dom, vpn, frame, Prot::ReadWrite);
+        self.load_tlb(dom, vpn);
         Ok(frame)
     }
 
@@ -1149,9 +1163,9 @@ impl Machine {
         Vpn::containing(va, self.cfg.page_size)
     }
 
-    /// TLB hit/miss counters (diagnostics).
-    pub fn tlb_hit_miss(&self) -> (u64, u64) {
-        self.tlb.hit_miss()
+    /// The TLB (diagnostics and the reference-model tests).
+    pub fn tlb(&self) -> &Tlb {
+        &self.tlb
     }
 }
 
@@ -1581,11 +1595,11 @@ mod tests {
         }
         m.protect_range(d, 0x20000, 4, Prot::Read).unwrap();
         // Only the two downgraded pages lost their TLB entries.
-        let (_, misses) = m.tlb_hit_miss();
+        let (_, misses) = m.tlb().hit_miss();
         for i in 0..4 {
             m.read(d, 0x20000 + i * page, 1).unwrap();
         }
-        assert_eq!(m.tlb_hit_miss().1, misses + 2);
+        assert_eq!(m.tlb().hit_miss().1, misses + 2);
         assert!(
             m.write(d, 0x20000, &[1]).is_err(),
             "no stale writable entry"
@@ -1662,6 +1676,31 @@ mod tests {
         assert!(!m.object_live(old));
         assert!(m.object_live(new));
         assert_ne!(old, new);
+    }
+
+    #[test]
+    fn the_page_table_holds_a_leaf_per_chunk_mapped() {
+        // The calibrated 64 MB window of 64 KB chunks: a page at its top
+        // costs one 16-entry leaf of 8-byte entries, not a table over
+        // the whole window.
+        let mut m = machine_costed();
+        assert_eq!(m.config().fbuf_region_size, 64 << 20);
+        assert_eq!(std::mem::size_of::<Option<crate::space::PmapEntry>>(), 8);
+        let d = m.create_domain();
+        m.map_fbuf_region(d).unwrap();
+        let top = m.config().fbuf_region_base + m.config().fbuf_region_size - m.page_size();
+        let f = m.alloc_frame().unwrap();
+        m.map_page(d, top, f, Prot::ReadWrite).unwrap();
+        m.write(d, top, b"x").unwrap();
+        let pmap = &m.domains[d.0 as usize].space.pmap;
+        assert_eq!(pmap.leaves(), 1);
+        assert_eq!(pmap.resident(), 1);
+        // A page below the window makes no leaf.
+        m.map_explicit_region(d, 0x20000, 1, Prot::ReadWrite)
+            .unwrap();
+        m.map_page(d, 0x20000, f, Prot::Read).unwrap();
+        assert_eq!(m.domains[d.0 as usize].space.pmap.leaves(), 1);
+        m.release_frame(f);
     }
 
     #[test]

@@ -10,13 +10,32 @@
 //! The TLB itself is pure state; the [`crate::Machine`] access engine
 //! charges refill and flush costs.
 
-use fbuf_sim::fxhash::FxHashMap;
+#![cfg_attr(
+    not(test),
+    deny(clippy::expect_used, clippy::unwrap_used, clippy::panic)
+)]
+
+use fbuf_sim::MAX_TLB_ENTRIES;
 
 use crate::phys::FrameId;
 use crate::types::{DomainId, Prot, Vpn};
 
-/// End of the recency list.
-const NIL: u32 = u32::MAX;
+/// Where a translation sits in the TLB. A slot stays put while its
+/// entry is resident; once the entry goes, the slot may hold another.
+/// The page table keeps the slot that last held each translation, and
+/// the TLB checks the entry a slot names before it uses it, so a stale
+/// slot reads as a miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TlbSlot(u16);
+
+impl TlbSlot {
+    /// No slot: a translation not loaded into the TLB since it was entered.
+    pub const NONE: TlbSlot = TlbSlot(NIL);
+}
+
+/// End of the recency list, and [`TlbSlot::NONE`]'s index: past the
+/// last slot of the largest TLB [`MAX_TLB_ENTRIES`] allows.
+const NIL: u16 = u16::MAX;
 
 #[derive(Debug, Clone, Copy)]
 struct TlbEntry {
@@ -24,44 +43,55 @@ struct TlbEntry {
     vpn: Vpn,
     frame: FrameId,
     prot: Prot,
+    /// False once invalidated: the slot is on the free list.
+    live: bool,
     /// The next more recently used entry's slot, or [`NIL`].
-    newer: u32,
+    newer: u16,
     /// The next less recently used entry's slot, or [`NIL`].
-    older: u32,
+    older: u16,
 }
 
 /// The translation lookaside buffer.
 ///
-/// Entries sit densely in a `Vec`, a `(domain, vpn) → slot` index finds
-/// one in O(1), and a doubly linked recency list threaded through the
-/// slots keeps the exact least-recently-used order, so replacement
-/// evicts the same entry a scan for the oldest use would. A full TLB
-/// evicts in place: the new translation takes the victim's slot, so no
-/// entry moves. Invalidating an entry `swap_remove`s it and re-points
-/// the index and the list at the entry that moved into its slot.
+/// Entries sit in stable slots, and the caller finds one through the
+/// slot its page-table entry recorded: [`Tlb::lookup`], [`Tlb::insert`]
+/// and [`Tlb::invalidate`] take that slot and check that the entry in it
+/// is live and carries the same `(domain, vpn)`, so there is no index to
+/// keep. A doubly linked recency list threaded through the slots keeps
+/// the exact least-recently-used order, so replacement evicts the same
+/// entry a scan for the oldest use would. A full TLB evicts in place: the
+/// new translation takes the victim's slot. An invalidated entry's slot
+/// goes on a free list, and no other entry moves.
 #[derive(Debug)]
 pub struct Tlb {
     capacity: usize,
     entries: Vec<TlbEntry>,
-    index: FxHashMap<(DomainId, Vpn), u32>,
+    /// Slots of invalidated entries, to fill before growing `entries`.
+    free: Vec<u16>,
+    /// Live entries.
+    len: usize,
     /// Most recently used slot.
-    newest: u32,
+    newest: u16,
     /// Least recently used slot: the next victim.
-    oldest: u32,
+    oldest: u16,
     hits: u64,
     misses: u64,
 }
 
 impl Tlb {
-    /// Creates a TLB with `capacity` entries (R3000: 64).
+    /// Creates a TLB with `capacity` entries (R3000: 64), at most
+    /// [`MAX_TLB_ENTRIES`].
     pub fn new(capacity: usize) -> Tlb {
         assert!(capacity > 0, "TLB must have at least one entry");
-        let mut index = FxHashMap::default();
-        index.reserve(capacity);
+        assert!(
+            capacity <= MAX_TLB_ENTRIES,
+            "TLB capacity {capacity} above {MAX_TLB_ENTRIES}"
+        );
         Tlb {
             capacity,
             entries: Vec::with_capacity(capacity),
-            index,
+            free: Vec::with_capacity(capacity),
+            len: 0,
             newest: NIL,
             oldest: NIL,
             hits: 0,
@@ -69,10 +99,19 @@ impl Tlb {
         }
     }
 
-    /// Looks up a translation; refreshes the entry's LRU position on a hit.
-    pub fn lookup(&mut self, domain: DomainId, vpn: Vpn) -> Option<(FrameId, Prot)> {
-        match self.index.get(&(domain, vpn)) {
-            Some(&slot) => {
+    /// The slot `slot` names, if it holds `domain`'s translation of `vpn`.
+    #[inline]
+    fn find(&self, slot: TlbSlot, domain: DomainId, vpn: Vpn) -> Option<u16> {
+        let e = self.entries.get(slot.0 as usize)?;
+        (e.live && e.domain == domain && e.vpn == vpn).then_some(slot.0)
+    }
+
+    /// Looks up a translation in the slot its page-table entry recorded;
+    /// refreshes the entry's LRU position on a hit.
+    #[inline]
+    pub fn lookup(&mut self, slot: TlbSlot, domain: DomainId, vpn: Vpn) -> Option<(FrameId, Prot)> {
+        match self.find(slot, domain, vpn) {
+            Some(slot) => {
                 self.hits += 1;
                 self.make_newest(slot);
                 let e = &self.entries[slot as usize];
@@ -85,51 +124,70 @@ impl Tlb {
         }
     }
 
-    /// Installs (or replaces) a translation, evicting the LRU entry if full.
-    pub fn insert(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, prot: Prot) {
-        if let Some(&slot) = self.index.get(&(domain, vpn)) {
+    /// Installs (or, if `slot` holds it, replaces) a translation,
+    /// evicting the LRU entry if full. Returns the slot it sits in.
+    pub fn insert(
+        &mut self,
+        slot: TlbSlot,
+        domain: DomainId,
+        vpn: Vpn,
+        frame: FrameId,
+        prot: Prot,
+    ) -> TlbSlot {
+        if let Some(slot) = self.find(slot, domain, vpn) {
             let e = &mut self.entries[slot as usize];
             e.frame = frame;
             e.prot = prot;
             self.make_newest(slot);
-            return;
+            return TlbSlot(slot);
         }
-        self.refill(domain, vpn, frame, prot);
+        self.refill(domain, vpn, frame, prot)
     }
 
     /// Installs a translation the caller knows is absent (a
-    /// [`Tlb::lookup`] just missed it). A full TLB evicts its LRU entry
-    /// in place, so a refill costs one index removal and one insertion.
-    pub fn refill(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, prot: Prot) {
-        debug_assert!(!self.index.contains_key(&(domain, vpn)));
+    /// [`Tlb::lookup`] just missed it), in a free slot or, when the TLB
+    /// is full, in the LRU entry's. Returns the slot it sits in.
+    pub fn refill(&mut self, domain: DomainId, vpn: Vpn, frame: FrameId, prot: Prot) -> TlbSlot {
+        debug_assert!(!self.holds(domain, vpn), "refill of a resident entry");
         let entry = TlbEntry {
             domain,
             vpn,
             frame,
             prot,
+            live: true,
             newer: NIL,
             older: NIL,
         };
-        let slot = if self.entries.len() < self.capacity {
-            self.entries.push(entry);
-            self.entries.len() as u32 - 1
+        let slot = if self.len < self.capacity {
+            self.len += 1;
+            match self.free.pop() {
+                Some(slot) => {
+                    self.entries[slot as usize] = entry;
+                    slot
+                }
+                None => {
+                    self.entries.push(entry);
+                    (self.entries.len() - 1) as u16
+                }
+            }
         } else {
             let slot = self.oldest;
-            let victim = self.entries[slot as usize];
-            self.index.remove(&(victim.domain, victim.vpn));
-            self.link(victim.newer, victim.older);
+            let TlbEntry { newer, older, .. } = self.entries[slot as usize];
+            self.link(newer, older);
             self.entries[slot as usize] = entry;
             slot
         };
-        self.index.insert((domain, vpn), slot);
         self.push_newest(slot);
+        TlbSlot(slot)
     }
 
-    /// Removes one translation; returns whether it was present (a present
-    /// entry is what makes a consistency flush necessary and costly).
-    pub fn invalidate(&mut self, domain: DomainId, vpn: Vpn) -> bool {
-        match self.index.get(&(domain, vpn)) {
-            Some(&slot) => {
+    /// Removes one translation, found through its slot; returns whether
+    /// it was present (a present entry is what makes a consistency flush
+    /// necessary and costly).
+    #[inline]
+    pub fn invalidate(&mut self, slot: TlbSlot, domain: DomainId, vpn: Vpn) -> bool {
+        match self.find(slot, domain, vpn) {
+            Some(slot) => {
                 self.remove(slot);
                 true
             }
@@ -137,36 +195,36 @@ impl Tlb {
         }
     }
 
-    /// Batched invalidation: removes every translation for `domain` with a
-    /// VPN in `[start, start + pages)` in **one** pass over the entry
-    /// array, where per-page [`Tlb::invalidate`] calls would make `pages`
-    /// lookups. Returns how many entries were removed.
-    pub fn invalidate_range(&mut self, domain: DomainId, start: Vpn, pages: u64) -> usize {
-        self.remove_where(|e| e.domain == domain && e.vpn.0 >= start.0 && e.vpn.0 < start.0 + pages)
-    }
-
-    /// Removes every translation belonging to `domain` (domain teardown).
-    /// Returns how many entries were removed.
+    /// Removes every translation belonging to `domain` (domain teardown)
+    /// in one walk over the slots. Returns how many entries were removed.
     pub fn invalidate_domain(&mut self, domain: DomainId) -> usize {
-        self.remove_where(|e| e.domain == domain)
+        let before = self.len;
+        for slot in 0..self.entries.len() {
+            let e = &self.entries[slot];
+            if e.live && e.domain == domain {
+                self.remove(slot as u16);
+            }
+        }
+        before - self.len
     }
 
     /// Drops everything (full flush).
     pub fn clear(&mut self) {
         self.entries.clear();
-        self.index.clear();
+        self.free.clear();
+        self.len = 0;
         self.newest = NIL;
         self.oldest = NIL;
     }
 
     /// Number of currently resident translations.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.len
     }
 
     /// True when no translations are resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len == 0
     }
 
     /// (hits, misses) since creation.
@@ -174,10 +232,18 @@ impl Tlb {
         (self.hits, self.misses)
     }
 
+    /// True if `domain`'s translation of `vpn` is resident, in any slot:
+    /// a walk over the slots, for assertions.
+    pub(crate) fn holds(&self, domain: DomainId, vpn: Vpn) -> bool {
+        self.entries
+            .iter()
+            .any(|e| e.live && e.domain == domain && e.vpn == vpn)
+    }
+
     /// The resident translations as `(domain, vpn, frame, prot)`, most
-    /// recently used first (diagnostics and the reference-model test).
+    /// recently used first (diagnostics and the reference-model tests).
     pub fn resident(&self) -> Vec<(DomainId, Vpn, FrameId, Prot)> {
-        let mut out = Vec::with_capacity(self.entries.len());
+        let mut out = Vec::with_capacity(self.len);
         let mut slot = self.newest;
         while slot != NIL {
             let e = &self.entries[slot as usize];
@@ -187,34 +253,18 @@ impl Tlb {
         out
     }
 
-    /// Removes every entry `doomed` selects, scanning slots downward so
-    /// the entry `swap_remove` moves into a freed slot was already seen.
-    fn remove_where(&mut self, doomed: impl Fn(&TlbEntry) -> bool) -> usize {
-        let before = self.entries.len();
-        for slot in (0..before).rev() {
-            if doomed(&self.entries[slot]) {
-                self.remove(slot as u32);
-            }
-        }
-        before - self.entries.len()
-    }
-
-    /// Removes the entry in `slot`. The last entry moves into the freed
-    /// slot, so the index and its list neighbours are re-pointed at it.
-    fn remove(&mut self, slot: u32) {
-        let TlbEntry { newer, older, .. } = self.entries[slot as usize];
+    /// Unlinks the entry in `slot` and frees the slot.
+    fn remove(&mut self, slot: u16) {
+        let e = &mut self.entries[slot as usize];
+        e.live = false;
+        let (newer, older) = (e.newer, e.older);
         self.link(newer, older);
-        let gone = self.entries.swap_remove(slot as usize);
-        self.index.remove(&(gone.domain, gone.vpn));
-        if let Some(&moved) = self.entries.get(slot as usize) {
-            self.index.insert((moved.domain, moved.vpn), slot);
-            self.link(moved.newer, slot);
-            self.link(slot, moved.older);
-        }
+        self.free.push(slot);
+        self.len -= 1;
     }
 
     /// Moves `slot` to the head of the recency list.
-    fn make_newest(&mut self, slot: u32) {
+    fn make_newest(&mut self, slot: u16) {
         if self.newest != slot {
             let TlbEntry { newer, older, .. } = self.entries[slot as usize];
             self.link(newer, older);
@@ -222,7 +272,7 @@ impl Tlb {
         }
     }
 
-    fn push_newest(&mut self, slot: u32) {
+    fn push_newest(&mut self, slot: u16) {
         let head = self.newest;
         self.link(slot, head);
         self.link(NIL, slot);
@@ -231,7 +281,7 @@ impl Tlb {
     /// Makes `older` the entry after `newer` in the recency list; [`NIL`]
     /// on either side stands for the list's end, so the head or the tail
     /// pointer is set instead.
-    fn link(&mut self, newer: u32, older: u32) {
+    fn link(&mut self, newer: u16, older: u16) {
         match newer {
             NIL => self.newest = older,
             s => self.entries[s as usize].older = older,
@@ -249,86 +299,97 @@ mod tests {
 
     const D0: DomainId = DomainId(0);
     const D1: DomainId = DomainId(1);
+    const NONE: TlbSlot = TlbSlot::NONE;
 
     #[test]
     fn miss_then_hit() {
         let mut tlb = Tlb::new(4);
-        assert_eq!(tlb.lookup(D0, Vpn(1)), None);
-        tlb.insert(D0, Vpn(1), FrameId(7), Prot::Read);
-        assert_eq!(tlb.lookup(D0, Vpn(1)), Some((FrameId(7), Prot::Read)));
+        assert_eq!(tlb.lookup(NONE, D0, Vpn(1)), None);
+        let s = tlb.insert(NONE, D0, Vpn(1), FrameId(7), Prot::Read);
+        assert_eq!(tlb.lookup(s, D0, Vpn(1)), Some((FrameId(7), Prot::Read)));
         assert_eq!(tlb.hit_miss(), (1, 1));
     }
 
     #[test]
     fn entries_are_domain_tagged() {
         let mut tlb = Tlb::new(4);
-        tlb.insert(D0, Vpn(1), FrameId(7), Prot::ReadWrite);
+        let s0 = tlb.insert(NONE, D0, Vpn(1), FrameId(7), Prot::ReadWrite);
         // Same VPN, different domain: distinct entry (the fbuf region maps
-        // the same VA in every domain with different permissions).
-        assert_eq!(tlb.lookup(D1, Vpn(1)), None);
-        tlb.insert(D1, Vpn(1), FrameId(7), Prot::Read);
-        assert_eq!(tlb.lookup(D0, Vpn(1)), Some((FrameId(7), Prot::ReadWrite)));
-        assert_eq!(tlb.lookup(D1, Vpn(1)), Some((FrameId(7), Prot::Read)));
+        // the same VA in every domain with different permissions), and
+        // D0's slot does not answer for D1.
+        assert_eq!(tlb.lookup(s0, D1, Vpn(1)), None);
+        let s1 = tlb.insert(NONE, D1, Vpn(1), FrameId(7), Prot::Read);
+        assert_ne!(s0, s1);
+        assert_eq!(
+            tlb.lookup(s0, D0, Vpn(1)),
+            Some((FrameId(7), Prot::ReadWrite))
+        );
+        assert_eq!(tlb.lookup(s1, D1, Vpn(1)), Some((FrameId(7), Prot::Read)));
     }
 
     #[test]
-    fn lru_eviction() {
+    fn lru_eviction_reuses_the_victims_slot() {
         let mut tlb = Tlb::new(2);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::Read);
-        tlb.insert(D0, Vpn(2), FrameId(2), Prot::Read);
+        let s1 = tlb.insert(NONE, D0, Vpn(1), FrameId(1), Prot::Read);
+        let s2 = tlb.insert(NONE, D0, Vpn(2), FrameId(2), Prot::Read);
         // Touch vpn 1 so vpn 2 is LRU.
-        tlb.lookup(D0, Vpn(1));
-        tlb.insert(D0, Vpn(3), FrameId(3), Prot::Read);
-        assert!(tlb.lookup(D0, Vpn(1)).is_some());
-        assert!(tlb.lookup(D0, Vpn(2)).is_none());
-        assert!(tlb.lookup(D0, Vpn(3)).is_some());
+        tlb.lookup(s1, D0, Vpn(1));
+        let s3 = tlb.insert(NONE, D0, Vpn(3), FrameId(3), Prot::Read);
+        assert_eq!(s3, s2, "evicted in place");
+        assert!(tlb.lookup(s1, D0, Vpn(1)).is_some());
+        // Vpn 2's recorded slot now holds vpn 3: a miss.
+        assert!(tlb.lookup(s2, D0, Vpn(2)).is_none());
+        assert!(tlb.lookup(s3, D0, Vpn(3)).is_some());
     }
 
     #[test]
     fn insert_existing_updates_in_place() {
         let mut tlb = Tlb::new(2);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::ReadWrite);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::Read);
+        let s = tlb.insert(NONE, D0, Vpn(1), FrameId(1), Prot::ReadWrite);
+        assert_eq!(tlb.insert(s, D0, Vpn(1), FrameId(1), Prot::Read), s);
         assert_eq!(tlb.len(), 1);
-        assert_eq!(tlb.lookup(D0, Vpn(1)), Some((FrameId(1), Prot::Read)));
+        assert_eq!(tlb.lookup(s, D0, Vpn(1)), Some((FrameId(1), Prot::Read)));
     }
 
     #[test]
     fn invalidate_reports_presence() {
         let mut tlb = Tlb::new(4);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::Read);
-        assert!(tlb.invalidate(D0, Vpn(1)));
-        assert!(!tlb.invalidate(D0, Vpn(1)));
+        let s = tlb.insert(NONE, D0, Vpn(1), FrameId(1), Prot::Read);
+        assert!(tlb.invalidate(s, D0, Vpn(1)));
+        assert!(!tlb.invalidate(s, D0, Vpn(1)));
         assert!(tlb.is_empty());
+    }
+
+    #[test]
+    fn a_stale_slot_reads_as_a_miss() {
+        let mut tlb = Tlb::new(4);
+        let a = tlb.insert(NONE, D0, Vpn(1), FrameId(1), Prot::Read);
+        assert!(tlb.invalidate(a, D0, Vpn(1)));
+        // The freed slot is filled first, by another translation.
+        let b = tlb.insert(NONE, D1, Vpn(2), FrameId(2), Prot::Read);
+        assert_eq!(a, b);
+        assert_eq!(tlb.lookup(a, D0, Vpn(1)), None);
+        assert!(!tlb.invalidate(a, D0, Vpn(1)));
+        assert_eq!(
+            tlb.insert(a, D0, Vpn(1), FrameId(1), Prot::Read),
+            TlbSlot(1)
+        );
+        assert_eq!(tlb.len(), 2);
+        assert!(tlb.holds(D1, Vpn(2)) && tlb.holds(D0, Vpn(1)));
+        // A slot past the entries, and none, miss too.
+        assert_eq!(tlb.lookup(TlbSlot(3), D0, Vpn(1)), None);
+        assert_eq!(tlb.lookup(NONE, D0, Vpn(1)), None);
     }
 
     #[test]
     fn invalidate_domain_sweeps_only_that_domain() {
         let mut tlb = Tlb::new(8);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::Read);
-        tlb.insert(D0, Vpn(2), FrameId(2), Prot::Read);
-        tlb.insert(D1, Vpn(1), FrameId(1), Prot::Read);
+        tlb.insert(NONE, D0, Vpn(1), FrameId(1), Prot::Read);
+        tlb.insert(NONE, D0, Vpn(2), FrameId(2), Prot::Read);
+        let s = tlb.insert(NONE, D1, Vpn(1), FrameId(1), Prot::Read);
         assert_eq!(tlb.invalidate_domain(D0), 2);
         assert_eq!(tlb.len(), 1);
-        assert!(tlb.lookup(D1, Vpn(1)).is_some());
-    }
-
-    #[test]
-    fn invalidate_range_sweeps_window_in_one_pass() {
-        let mut tlb = Tlb::new(8);
-        tlb.insert(D0, Vpn(1), FrameId(1), Prot::Read);
-        tlb.insert(D0, Vpn(2), FrameId(2), Prot::Read);
-        tlb.insert(D0, Vpn(3), FrameId(3), Prot::Read);
-        tlb.insert(D0, Vpn(9), FrameId(9), Prot::Read);
-        tlb.insert(D1, Vpn(2), FrameId(2), Prot::Read);
-        // [1, 4) for D0: removes vpns 1..=3, spares vpn 9 and D1's vpn 2.
-        assert_eq!(tlb.invalidate_range(D0, Vpn(1), 3), 3);
-        assert_eq!(tlb.len(), 2);
-        assert!(tlb.lookup(D0, Vpn(9)).is_some());
-        assert!(tlb.lookup(D1, Vpn(2)).is_some());
-        // Empty window and re-sweep are no-ops.
-        assert_eq!(tlb.invalidate_range(D0, Vpn(1), 0), 0);
-        assert_eq!(tlb.invalidate_range(D0, Vpn(1), 3), 0);
+        assert!(tlb.lookup(s, D1, Vpn(1)).is_some());
     }
 
     #[test]
@@ -336,10 +397,12 @@ mod tests {
         // A working set larger than the TLB keeps missing — the effect the
         // paper blames for the third-domain penalty.
         let mut tlb = Tlb::new(4);
+        let mut slots = [NONE; 8];
         for round in 0..3 {
             for i in 0..8u64 {
-                if tlb.lookup(D0, Vpn(i)).is_none() {
-                    tlb.insert(D0, Vpn(i), FrameId(i as u32), Prot::Read);
+                let slot = &mut slots[i as usize];
+                if tlb.lookup(*slot, D0, Vpn(i)).is_none() {
+                    *slot = tlb.refill(D0, Vpn(i), FrameId(i as u32), Prot::Read);
                 }
             }
             if round > 0 {
@@ -355,5 +418,11 @@ mod tests {
     #[should_panic(expected = "at least one entry")]
     fn zero_capacity_rejected() {
         Tlb::new(0);
+    }
+
+    #[test]
+    #[should_panic(expected = "above")]
+    fn capacity_past_the_slot_range_rejected() {
+        Tlb::new(MAX_TLB_ENTRIES + 1);
     }
 }

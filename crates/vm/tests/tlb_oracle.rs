@@ -1,20 +1,40 @@
-//! The indexed TLB against the linear-scan TLB it replaced.
+//! The slot-addressed TLB against the linear-scan TLB it replaced.
 //!
-//! [`fbuf_vm::tlb::Tlb`] finds entries through a `(domain, vpn)` index
+//! [`fbuf_vm::tlb::Tlb`] finds an entry through the slot its page-table
+//! entry recorded, checks that the slot holds the same `(domain, vpn)`,
 //! and keeps LRU order in a linked list. The [`Oracle`] below is the
 //! earlier implementation: a `Vec` scanned on every operation, with a
-//! use tick per entry and eviction of the smallest tick. Random sequences
-//! of every operation at several capacities must give identical results,
-//! identical hit/miss counts and the identical resident set in identical
-//! recency order after every step, so the simulated TLB refills and
-//! flushes that feed the cost model cannot have moved. Refills after a
-//! miss (the path `Machine::resolve` takes), alone and in long runs that
-//! turn a full TLB over several times, check that eviction in place
-//! picks the oracle's victim and keeps its recency order.
+//! use tick per entry and eviction of the smallest tick. [`Slots`] plays
+//! the page table: it records the slot each insert and refill returns
+//! and keeps it after the entry is evicted or invalidated, so stale
+//! slots are offered too. Random sequences of every operation at
+//! several capacities must give identical results, identical hit/miss
+//! counts and the identical resident set in identical recency order
+//! after every step, so the simulated TLB refills and flushes that feed
+//! the cost model cannot have moved. Refills after a miss (the path
+//! `Machine::resolve` takes), alone and in long runs that turn a full
+//! TLB over several times, check that eviction in place picks the
+//! oracle's victim and keeps its recency order.
+
+use std::collections::HashMap;
 
 use fbuf_sim::{Checker, Rng};
-use fbuf_vm::tlb::Tlb;
+use fbuf_vm::tlb::{Tlb, TlbSlot};
 use fbuf_vm::{DomainId, FrameId, Prot, Vpn};
+
+/// The slot last recorded for each key, as a page table keeps it.
+#[derive(Default)]
+struct Slots(HashMap<(DomainId, Vpn), TlbSlot>);
+
+impl Slots {
+    fn of(&self, d: DomainId, v: Vpn) -> TlbSlot {
+        self.0.get(&(d, v)).copied().unwrap_or(TlbSlot::NONE)
+    }
+
+    fn record(&mut self, d: DomainId, v: Vpn, slot: TlbSlot) {
+        self.0.insert((d, v), slot);
+    }
+}
 
 #[derive(Debug, Clone, Copy)]
 struct OracleEntry {
@@ -154,11 +174,16 @@ fn arb_op(rng: &mut Rng, capacity: usize, step: usize) -> Op {
 
 /// `Machine::resolve`'s miss path on both: a lookup, and a refill only
 /// when it missed.
-fn refill(tlb: &mut Tlb, oracle: &mut Oracle, d: DomainId, v: Vpn, f: FrameId, p: Prot) {
-    let hit = tlb.lookup(d, v);
+fn refill(
+    tlb: &mut Tlb,
+    slots: &mut Slots,
+    oracle: &mut Oracle,
+    (d, v, f, p): (DomainId, Vpn, FrameId, Prot),
+) {
+    let hit = tlb.lookup(slots.of(d, v), d, v);
     assert_eq!(hit, oracle.lookup(d, v), "lookup of {d:?} {v:?}");
     if hit.is_none() {
-        tlb.refill(d, v, f, p);
+        slots.record(d, v, tlb.refill(d, v, f, p));
         oracle.insert(d, v, f, p);
     }
 }
@@ -169,25 +194,34 @@ fn indexed_tlb_matches_the_linear_scan_oracle() {
         let name = format!("indexed_tlb_matches_oracle_at_capacity_{capacity}");
         Checker::new(&name).cases(64).run(|rng| {
             let mut tlb = Tlb::new(capacity);
+            let mut slots = Slots::default();
             let mut oracle = Oracle::new(capacity);
             for step in 0..20 * capacity + 50 {
                 let op = arb_op(rng, capacity, step);
                 match op {
-                    Op::Lookup(d, v) => {
-                        assert_eq!(tlb.lookup(d, v), oracle.lookup(d, v), "step {step}: {op:?}")
-                    }
+                    Op::Lookup(d, v) => assert_eq!(
+                        tlb.lookup(slots.of(d, v), d, v),
+                        oracle.lookup(d, v),
+                        "step {step}: {op:?}"
+                    ),
                     Op::Insert(d, v, f, p) => {
-                        tlb.insert(d, v, f, p);
+                        slots.record(d, v, tlb.insert(slots.of(d, v), d, v, f, p));
                         oracle.insert(d, v, f, p);
                     }
-                    Op::Refill(d, v, f, p) => refill(&mut tlb, &mut oracle, d, v, f, p),
+                    Op::Refill(d, v, f, p) => {
+                        refill(&mut tlb, &mut slots, &mut oracle, (d, v, f, p))
+                    }
                     Op::Invalidate(d, v) => assert_eq!(
-                        tlb.invalidate(d, v),
+                        tlb.invalidate(slots.of(d, v), d, v),
                         oracle.remove_where(|e| e.domain == d && e.vpn == v) == 1,
                         "step {step}: {op:?}"
                     ),
+                    // A ranged unmap or downgrade: one invalidation per
+                    // page, each through the page's recorded slot.
                     Op::InvalidateRange(d, start, pages) => assert_eq!(
-                        tlb.invalidate_range(d, start, pages),
+                        (start.0..start.0 + pages)
+                            .filter(|&v| tlb.invalidate(slots.of(d, Vpn(v)), d, Vpn(v)))
+                            .count(),
                         oracle.remove_where(|e| {
                             e.domain == d && e.vpn.0 >= start.0 && e.vpn.0 < start.0 + pages
                         }),
