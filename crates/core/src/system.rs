@@ -40,7 +40,7 @@ use fbuf_sim::metrics::{Gauge, Timeline};
 use fbuf_sim::{
     slot_of, Arena, CostCategory, EventKind, FaultPlan, FaultSite, MachineConfig, Ns, Stats,
 };
-use fbuf_vm::{DomainId, FrameId, Machine, Prot};
+use fbuf_vm::{DomainId, FrameId, Machine, Prot, SharedPage};
 
 use crate::buffer::{Fbuf, FbufHot, FbufId, FbufState, SmallList};
 use crate::error::{FbufError, FbufResult};
@@ -65,8 +65,9 @@ pub enum AllocMode {
 
 /// The bytes of a device receive, one fresh page per call: each call
 /// appends the next page's bytes (at most a page) to the page's emptied
-/// storage. See [`FbufSystem::alloc_from`].
-pub type PageSource<'a> = &'a mut dyn FnMut(&mut Vec<u8>);
+/// storage, or appends nothing and hands over a whole page, which the
+/// new frame shares instead of copying. See [`FbufSystem::alloc_from`].
+pub type PageSource<'a> = &'a mut dyn FnMut(&mut Vec<u8>) -> Option<SharedPage>;
 
 impl AllocMode {
     /// The path a cached allocation is made on.
@@ -733,7 +734,8 @@ impl FbufSystem {
     /// each frame the allocation builds fresh (every page of an uncached
     /// buffer, or of a cached miss) is made from the bytes `source`
     /// appends for it, called once per page in page order, and reads
-    /// zero past them. No clear is charged for such a buffer, since the
+    /// zero past them, or shares the whole page `source` hands over
+    /// instead. No clear is charged for such a buffer, since the
     /// device writes it. A cached hit reuses its frames without calling
     /// `source` (any the pageout daemon took come back zeroed), so the
     /// caller writes those itself. Without `source` this is `alloc`.
@@ -912,7 +914,7 @@ impl FbufSystem {
         };
         // On failure the buffer stays wholly non-resident.
         let mut fresh = Vec::with_capacity(missing.len());
-        let mut zeros = |_: &mut Vec<u8>| {};
+        let mut zeros = |_: &mut Vec<u8>| None;
         let source = received.then_some(&mut zeros as PageSource<'_>);
         self.fresh_frames(missing.len(), &mut fresh, source)?;
         let mut i = 0usize;

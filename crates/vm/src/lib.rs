@@ -34,7 +34,7 @@ pub mod tlb;
 pub mod types;
 
 pub use machine::{Machine, ObjectId};
-pub use phys::{FrameId, PhysMem};
+pub use phys::{FrameId, PhysMem, SharedPage};
 pub use space::{AddressSpace, MapEntry, Pmap, RegionPolicy};
 pub use types::{Access, DomainId, Fault, Prot, VmResult, Vpn, KERNEL_DOMAIN};
 

@@ -7,7 +7,7 @@ use fbuf_sim::{
     Ns, Stats, Tracer,
 };
 
-use crate::phys::{FrameId, PhysMem};
+use crate::phys::{FrameId, PhysMem, SharedPage};
 use crate::space::{AddressSpace, Pmap, RegionPolicy};
 use crate::tlb::{Tlb, TlbSlot};
 use crate::types::{Access, DomainId, Fault, Prot, VmResult, Vpn};
@@ -788,10 +788,14 @@ impl Machine {
     }
 
     /// Allocates a frame whose page is built from the bytes `fill`
-    /// appends (at most a page), zero past them, with no clear charged
-    /// (see [`PhysMem::alloc_from`]): a device receive that writes each
-    /// byte once. The caller owns one reference.
-    pub fn alloc_frame_from(&mut self, fill: impl FnOnce(&mut Vec<u8>)) -> VmResult<FrameId> {
+    /// appends (at most a page), zero past them, or is the whole page
+    /// `fill` hands over to share, with no clear charged (see
+    /// [`PhysMem::alloc_from`]): a device receive that writes each byte
+    /// once, or none. The caller owns one reference.
+    pub fn alloc_frame_from(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<u8>) -> Option<SharedPage>,
+    ) -> VmResult<FrameId> {
         self.consult_frame_fault()?;
         self.phys.alloc_from(&mut self.clock, &mut self.stats, fill)
     }
@@ -836,10 +840,20 @@ impl Machine {
     }
 
     /// Direct frame read (device DMA path): the `len` bytes of `frame`
-    /// at `offset`, borrowed in place, so a transfer to another machine's
-    /// frames copies each byte once. No cost is charged.
+    /// at `offset`, borrowed in place, so a transfer of part of a page to
+    /// another machine's frames copies each of its bytes once (a whole
+    /// page moves by [`Machine::dma_share`] instead). No cost is charged.
     pub fn dma_slice(&self, frame: FrameId, offset: usize, len: usize) -> &[u8] {
         self.phys.slice(frame, offset, len)
+    }
+
+    /// Direct frame read of a whole page (device DMA path), by reference:
+    /// `frame`'s page, for a frame that [`Machine::alloc_frame_from`]
+    /// builds on this machine or another to share until either is
+    /// written (see [`PhysMem::share`]). No cost is charged, and the
+    /// bytes either frame reads are those a copy would hold.
+    pub fn dma_share(&mut self, frame: FrameId) -> SharedPage {
+        self.phys.share(frame)
     }
 
     /// Pages of freed frame storage pooled for reuse (diagnostics).
@@ -1048,6 +1062,7 @@ impl Machine {
                             let n = template.len().min(size - page.len());
                             page.extend_from_slice(&template[..n]);
                         }
+                        None
                     })?;
                 self.map_page(dom, vpn.base(self.cfg.page_size), frame, Prot::Read)?;
                 // The mapping holds the only reference.

@@ -338,7 +338,7 @@ fn uncached_receives_read_only_payload_or_zero() {
                 // Sometimes a buffer longer than the fragment (up to the
                 // largest fbuf, one chunk).
                 let len = (body.len() + rng.below(3) * rng.below(page as u64)).min(chunk);
-                let id = rx.receive(len, false, &tx, &body).unwrap();
+                let id = rx.receive(len, false, &mut tx, &body).unwrap();
                 assert_payload_then_zeros(&mut rx, id, payload);
                 let m = Msg::from_fbuf(id, 0, body.len());
                 rx.refs.adopt(kernel, &m);
